@@ -25,6 +25,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +34,7 @@ from . import dbr as dbr_mod
 from .dirichlet import dilation_report, energy
 from .errors import DomainError, WeightSpecError
 from .moments import (
+    atoms_table,
     measure_moments,
     point_moments,
     random_non_rank_one_distribution,
@@ -40,7 +42,12 @@ from .moments import (
     tensor_diag_check,
     weak_mult_check,
 )
-from .quadrature import make_circle_grid, richardson_check
+from .quadrature import (
+    MAX_DISK_NODES,
+    disk_grid_size,
+    make_circle_grid,
+    richardson_check,
+)
 from .series import TaylorSeries, monomial
 from .weights import (
     Weight,
@@ -192,6 +199,24 @@ class _SuiteContext:
             )
         return self._disk_grid
 
+    @cached_property
+    def seeded_tables(self):
+        """Seeded exact rank-one tables, shared by the moments and tensor suites."""
+        rng = random.Random(_SEED_POINT_TABLES)
+        order = self.config.order
+        return [
+            point_moments(random_rank_one_distribution(rng, degree=order), order)
+            for _ in range(10)
+        ]
+
+    @cached_property
+    def weight_table(self):
+        """(table, route) of the configured weight: atoms when known, else measure."""
+        unit = dbr_mod.unit_mass_atoms(self.weight)
+        if unit is not None:
+            return atoms_table(unit[1], self.config.order), "atom"
+        return measure_moments(self.weight, self.disk_grid, self.config.order), "measure"
+
     def model(self):
         if self._model is None and self._model_error is None:
             try:
@@ -237,43 +262,14 @@ class _SuiteContext:
         )
 
 
-def _seeded_rank_one_tables(order: int, count: int = 10):
-    rng = random.Random(_SEED_POINT_TABLES)
-    out = []
-    for _ in range(count):
-        d = random_rank_one_distribution(rng, degree=order)
-        out.append((d, point_moments(d, order)))
-    return out
-
-
-def _weight_table(ctx: _SuiteContext):
-    """Table route for the configured weight: atoms when known, else measure."""
-    table = dbr_mod.charge_moment_table(ctx.weight, ctx.config.order)
-    if table is not None:
-        atoms = dbr_mod.riesz_atoms(ctx.weight)
-        total = sum(m for _, m in atoms)
-        if abs(total - 1.0) > 1e-12:
-            table = dbr_mod.charge_moment_table(
-                _scaled_to_unit(ctx.weight, total), ctx.config.order
-            )
-        return table, "atom"
-    return measure_moments(ctx.weight, ctx.disk_grid, ctx.config.order), "measure"
-
-
-def _scaled_to_unit(weight: Weight, total: float) -> Weight:
-    from .weights import Scaled
-
-    return Scaled(1.0 / total, weight)
-
-
 def suite_moments(ctx: _SuiteContext) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     tols = ctx.config.tols
     order = ctx.config.order
 
     def point_forward():
-        tables = _seeded_rank_one_tables(order)
-        worst = max(weak_mult_check(t).residual for _, t in tables)
+        tables = ctx.seeded_tables
+        worst = max(weak_mult_check(t).residual for t in tables)
         return worst, 0.0, worst == 0.0, f"{len(tables)} exact rank-one tables"
 
     ctx.check(checks, "point-forward-exact", point_forward, _SEED_POINT_TABLES)
@@ -294,7 +290,7 @@ def suite_moments(ctx: _SuiteContext) -> list[CheckRecord]:
     ctx.check(checks, "point-reject-non-rank-one", point_reject, _SEED_NON_RANK_ONE)
 
     def weight_table():
-        table, route = _weight_table(ctx)
+        table, route = ctx.weight_table
         report = weak_mult_check(table)
         if route == "atom":
             detail = f"atom table, worst index {report.worst}"
@@ -336,17 +332,16 @@ def _measure_residual_detail(ctx: _SuiteContext) -> str:
 def suite_tensor(ctx: _SuiteContext) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     tols = ctx.config.tols
-    order = ctx.config.order
 
     def point_tensor():
-        tables = _seeded_rank_one_tables(order)
-        worst = max(tensor_diag_check(t).residual for _, t in tables)
+        tables = ctx.seeded_tables
+        worst = max(tensor_diag_check(t).residual for t in tables)
         return worst, 0.0, worst == 0.0, f"{len(tables)} exact rank-one tables"
 
     ctx.check(checks, "point-tensor-vanishing", point_tensor, _SEED_POINT_TABLES)
 
     def weight_tensor():
-        table, route = _weight_table(ctx)
+        table, route = ctx.weight_table
         report = tensor_diag_check(table)
         tol = tols["tensor"]
         detail = f"{route} table, worst tuple {report.worst}"
@@ -777,9 +772,13 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
         except ValueError:
             parser.error(f"bad tolerance value in {item!r}")
     try:
-        parse_weight_spec(config.weight_spec)
-    except WeightSpecError as exc:
+        weight = parse_weight_spec(config.weight_spec)
+    except (WeightSpecError, DomainError) as exc:
         parser.error(str(exc))
+    nodes = disk_grid_size(config.radial_order, config.angular_order, weight.singular_radii)
+    if nodes > MAX_DISK_NODES:
+        parser.error(f"the grid for {config.weight_spec!r} needs {nodes} nodes, "
+                     f"over the budget {MAX_DISK_NODES}")
     return config
 
 

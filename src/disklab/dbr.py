@@ -11,8 +11,9 @@ weight. For catalog weights u is a single atom: a unit Dirac mass at the
 boundary pole for the harmonic family, and at the interior pole (after
 unit-mass normalization) for the logarithmic family; its moment table is
 rank one and yields h directly (h_k = M[0][k], h_0 = 1). For other
-weights the table is recovered numerically from Berezin-transform samples
-and the rank-one test decides whether a model exists at all.
+weights the table follows exactly from the weight's measure moments W by
+expanding the quartic kernel, M[j][k] = (j+1)(k+1) W[j][k] - j k
+W[j-1][k-1], and the rank-one test decides whether a model exists at all.
 
 From h the symbol is assembled as b = (z h) * a, where a is the outer
 function with a(0) > 0 whose boundary modulus satisfies
@@ -38,7 +39,7 @@ from .errors import (
     NotDbrWeightError,
     SingularBoundaryDataError,
 )
-from .moments import MomentTable, atoms_table
+from .moments import MomentTable, atoms_table, measure_moments
 from .quadrature import CircleGrid, DiskGrid, integrate, make_circle_grid
 from .series import TaylorSeries, exp_series, geometric_series
 from .weights import Custom, HarmonicBoundary, LogGreen, Scaled, Weight, normalize
@@ -104,67 +105,44 @@ def charge_moment_table(weight: Weight, order: int) -> Optional[MomentTable]:
     return atoms_table(atoms, order)
 
 
-def moment_table_from_berezin(
+def unit_mass_atoms(
     weight: Weight,
-    grid: DiskGrid,
-    order: int,
-    radii: Optional[Sequence[float]] = None,
-    angular_samples: int = 64,
-    tail_columns: int = 12,
-) -> MomentTable:
-    """Recover <u, z^j conj(z)^k> from Berezin-transform samples.
+) -> Optional[tuple[Weight, tuple[tuple[complex, float], ...]]]:
+    """The weight rescaled to unit mass, with its atoms rescaled alike.
 
-    The function G(v) = B(w)(v)/(1-|v|^2) expands as
-    sum_{j,k} M[j][k] conj(v)^j v^k; sampling G on circles and taking the
-    angular FFT isolates each diagonal k - j = n, whose radial profile is
-    a power series in rho^2. The series does not terminate (the table
-    extends past the requested order), so the least-squares solve fits
-    ``tail_columns`` extra powers on deliberately small radii, where the
-    remaining tail is negligible, and keeps the leading coefficients.
-    Meant for rank detection at modest orders, not precision recovery.
+    Returns None when no atomic realization is known. The atom masses are
+    closed forms, so the rescaled masses sum to 1 to roundoff; a weight
+    already of unit mass is returned as it is.
     """
-    if angular_samples < 2 * (order + 1):
-        raise DomainError("need at least 2(order+1) angular samples")
-    if radii is None:
-        # Chebyshev-spaced in rho^2 over [0.02, 0.3]: small enough that
-        # powers beyond the fitted columns are below the sampling noise.
-        count = order + tail_columns + 8
-        t = (np.arange(count) + 0.5) / count
-        t2 = 0.02 + 0.28 * (1 - np.cos(np.pi * t)) / 2
-        radii = np.sqrt(t2)
-    radii = np.asarray(sorted(float(r) for r in radii))
-    if radii.size < order + 1 or radii[0] <= 0 or radii[-1] >= 1:
-        raise DomainError("need order+1 distinct radii strictly inside (0,1)")
+    atoms = riesz_atoms(weight)
+    if atoms is None:
+        return None
+    total = math.fsum(m for _, m in atoms)
+    if total <= 0:
+        raise DegenerateWeightError("atomic weight has nonpositive mass")
+    scale = 1.0 / total
+    norm_weight = weight if abs(total - 1.0) < 1e-15 else Scaled(scale, weight)
+    return norm_weight, tuple((p, m * scale) for p, m in atoms)
 
-    m = angular_samples
-    phases = np.exp(2j * np.pi * np.arange(m) / m)
-    fourier = np.zeros((radii.size, order + 1), dtype=complex)
-    for i, rho in enumerate(radii):
-        samples = np.array(
-            [
-                berezin_transform(weight, rho * ph, grid) / (1.0 - rho**2)
-                for ph in phases
-            ]
-        )
-        coeffs = np.fft.fft(samples) / m
-        fourier[i] = coeffs[: order + 1]
 
-    t2 = radii**2
-    entries = np.zeros((order + 1, order + 1), dtype=complex)
-    for n in range(order + 1):
-        # G's coefficient of e^{i n t} at radius rho is
-        # rho^n sum_j M[j][j+n] rho^{2j}; divide off the prefactor and
-        # fit the power series in rho^2 with tail columns included.
-        cols = order + 1 - n + tail_columns
-        V = np.vander(t2, cols, increasing=True)
-        rhs = fourier[:, n] / radii**n
-        sol, *_ = np.linalg.lstsq(V, rhs, rcond=None)
-        for j in range(order + 1 - n):
-            entries[j][j + n] = sol[j]
-            entries[j + n][j] = np.conj(sol[j])
-    rows = tuple(tuple(complex(v) for v in row) for row in entries)
+def moment_table_from_berezin(
+    weight: Weight, grid: DiskGrid, order: int
+) -> MomentTable:
+    """Coefficients <u, z^j conj(z)^k> of the Berezin expansion, exactly.
+
+    G(v) = B(w)(v)/(1-|v|^2) = (1-|v|^2) integral w / |1 - z conj(v)|^4 dA
+    expands as sum_{j,k} M[j][k] conj(v)^j v^k. Expanding the quartic
+    kernel as sum (j+1)(k+1) z^j conj(z)^k conj(v)^j v^k gives each entry
+    from the weight's own measure moments W:
+
+        M[j][k] = (j+1)(k+1) W[j][k] - j k W[j-1][k-1].
+    """
+    W = measure_moments(weight, grid, order).to_complex_array()
+    n = np.arange(order + 1)
+    M = np.outer(n + 1, n + 1) * W
+    M[1:, 1:] -= np.outer(n[1:], n[1:]) * W[:-1, :-1]
     return MomentTable(
-        entries=rows,
+        entries=tuple(tuple(complex(v) for v in row) for row in M),
         order=order,
         provenance=f"berezin:r{grid.radial_order}a{grid.angular_order}",
     )
@@ -193,24 +171,19 @@ def _factor_table(M: MomentTable) -> TableFactorization:
     )
 
 
-def h_from_moments(
-    M: MomentTable,
-    h0_tol: float = _H0_TOL,
-    rank_tol: float = _RANK_TOL,
-    residual_tol: float = 1e-4,
-) -> TaylorSeries:
+def h_from_moments(M: MomentTable, residual_tol: float = 1e-4) -> TaylorSeries:
     """Extract h from a rank-one moment table (h_k = M[0][k], h_0 = 1).
 
     Raises NotDbrWeightError when the table is not numerically rank one
     or fails the factorization residual; the constant entry must equal 1
-    within ``h0_tol`` (unit-mass normalization).
+    within ``_H0_TOL`` (unit-mass normalization).
     """
     fac = _factor_table(M)
-    if fac.h0_deviation > h0_tol:
+    if fac.h0_deviation > _H0_TOL:
         raise NotDbrWeightError(
             f"table is not unit-normalized: |M[0][0] - 1| = {fac.h0_deviation:.3e}"
         )
-    if fac.rank_ratio > rank_tol:
+    if fac.rank_ratio > _RANK_TOL:
         raise NotDbrWeightError(
             f"table is not rank one: sigma2/sigma1 = {fac.rank_ratio:.3e}"
         )
@@ -374,25 +347,21 @@ def build_model(
     Catalog weights go through their exact atomic table (the atom's mass
     is known in closed form, so normalization is exact and h_0 = 1 to
     roundoff). Weights without an atomic realization are normalized by
-    quadrature and must pass the rank-one test on the Berezin-extracted
-    table; by the classification this rejects them with
-    NotDbrWeightError.
+    quadrature and must pass the rank-one test on the table computed from
+    their measure moments (``moment_table_from_berezin``); by the
+    classification only a weight whose charge is a single atom passes,
+    and every other weight is rejected with NotDbrWeightError.
 
     Boundary data for the outer factor is taken in closed form from the
     atom (the truncated h does not converge on the boundary when the pole
     sits there) and sampled on a half-offset circle grid so no node hits
     the pole of the harmonic family.
     """
-    atoms = riesz_atoms(weight)
+    unit = unit_mass_atoms(weight)
     bgrid = make_circle_grid(boundary_order, offset=0.5)
 
-    if atoms is not None:
-        total = math.fsum(m for _, m in atoms)
-        if total <= 0:
-            raise DegenerateWeightError("atomic weight has nonpositive mass")
-        scale = 1.0 / total
-        norm_weight: Weight = weight if abs(total - 1.0) < 1e-15 else Scaled(scale, weight)
-        norm_atoms = tuple((p, m * scale) for p, m in atoms)
+    if unit is not None:
+        norm_weight, norm_atoms = unit
         table = atoms_table(norm_atoms, order)
         h = h_from_moments(table, residual_tol=1e-9)
         fac = _factor_table(table)
@@ -405,10 +374,7 @@ def build_model(
     else:
         norm_weight = normalize(weight, disk_grid)
         table = moment_table_from_berezin(norm_weight, disk_grid, order=8)
-        # looser thresholds than the atomic route: extraction noise sits
-        # well above roundoff but far below the O(1) rank excess of a
-        # genuinely non-atomic weight
-        h = h_from_moments(table, rank_tol=1e-3, residual_tol=1e-2)
+        h = h_from_moments(table)
         if h.order < order:
             h = TaylorSeries(tuple(h.coeffs) + (0j,) * (order - h.order))
         fac = _factor_table(table)

@@ -44,6 +44,10 @@ from .errors import DomainError, SingularIntegrandError
 #: radius) is at most exp(-ALIAS_GUARD) ~ 1e-8.
 ALIAS_GUARD = 18.42
 
+#: Node budget of a disk grid: over ten times the largest grid the tests and
+#: the default command line build ((240, 512), ~1.2e6 nodes); ~0.4 GiB.
+MAX_DISK_NODES = 2**24
+
 
 @dataclass(frozen=True)
 class DiskGrid:
@@ -98,6 +102,50 @@ def _ring_angles(count: int, offset: float) -> np.ndarray:
     return np.exp(2j * np.pi * (np.arange(count) + offset) / count)
 
 
+def _disk_rings(
+    radial_order: int,
+    angular_order: int,
+    singular_radii: Sequence[float],
+    alias_guard: float,
+) -> tuple[list[float], list[tuple[float, float, int]]]:
+    """Segment breaks and (radius, radial weight, angular count) per ring."""
+    if radial_order < 1:
+        raise DomainError(f"radial_order must be >= 1, got {radial_order}")
+    if angular_order < 4:
+        raise DomainError(f"angular_order must be >= 4, got {angular_order}")
+    guarded = [1.0]
+    for s in singular_radii:
+        if not 0.0 <= s < 1.0:
+            raise DomainError(f"singular radius must lie in [0, 1), got {s}")
+        if s > 0.0:
+            guarded.append(float(s))
+
+    breaks = sorted(set(guarded) - {1.0})
+    segments = list(zip([0.0] + breaks, breaks + [1.0]))
+    per_segment = max(1, radial_order // len(segments))
+    x, w = np.polynomial.legendre.leggauss(per_segment)
+
+    rings = []
+    for lo, hi in segments:
+        r = lo + (hi - lo) * (x + 1.0) / 2.0
+        wr = w * (hi - lo) * r  # (w (hi-lo)/2) * (2 r): integrates 2 r dr
+        for ri, wi in zip(r, wr):
+            log_r = math.log(ri)
+            dist = min(abs(log_r - math.log(s)) for s in guarded)
+            m = max(angular_order, math.ceil(alias_guard / dist))
+            m += m % 2
+            rings.append((ri, wi, m))
+    return breaks, rings
+
+
+def disk_grid_size(
+    radial_order: int, angular_order: int, singular_radii: Sequence[float] = ()
+) -> int:
+    """Node count ``make_disk_grid`` would allocate, computed without allocating."""
+    _, rings = _disk_rings(radial_order, angular_order, singular_radii, ALIAS_GUARD)
+    return sum(m for _, _, m in rings)
+
+
 def make_disk_grid(
     radial_order: int,
     angular_order: int,
@@ -119,45 +167,23 @@ def make_disk_grid(
         a grading target for nearby rings. The boundary radius 1 is
         always guarded.
     alias_guard : log of the reciprocal aliasing tolerance.
+
+    Raises DomainError before allocating when the rule needs more than
+    ``MAX_DISK_NODES`` nodes, as a singular radius very close to 1 does.
     """
-    if radial_order < 1:
-        raise DomainError(f"radial_order must be >= 1, got {radial_order}")
-    if angular_order < 4:
-        raise DomainError(f"angular_order must be >= 4, got {angular_order}")
-    guarded = [1.0]
-    for s in singular_radii:
-        if not 0.0 <= s < 1.0:
-            raise DomainError(f"singular radius must lie in [0, 1), got {s}")
-        if s > 0.0:
-            guarded.append(float(s))
-
-    breaks = sorted(set(guarded) - {1.0})
-    segments = list(zip([0.0] + breaks, breaks + [1.0]))
-    per_segment = max(1, radial_order // len(segments))
-    x, w = np.polynomial.legendre.leggauss(per_segment)
-
-    node_blocks = []
-    weight_blocks = []
-    ring_counts = []
-    for lo, hi in segments:
-        r = lo + (hi - lo) * (x + 1.0) / 2.0
-        wr = w * (hi - lo) * r  # (w (hi-lo)/2) * (2 r): integrates 2 r dr
-        for ri, wi in zip(r, wr):
-            log_r = math.log(ri)
-            dist = min(abs(log_r - math.log(s)) for s in guarded)
-            m = max(angular_order, math.ceil(alias_guard / dist))
-            m += m % 2
-            ring_counts.append(m)
-            node_blocks.append(ri * _ring_angles(m, 0.5))
-            weight_blocks.append(np.full(m, wi / m))
-
+    breaks, rings = _disk_rings(
+        radial_order, angular_order, singular_radii, alias_guard
+    )
+    size = sum(m for _, _, m in rings)
+    if size > MAX_DISK_NODES:
+        raise DomainError(f"disk grid needs {size} nodes, over the budget {MAX_DISK_NODES}")
     return DiskGrid(
-        nodes=np.concatenate(node_blocks),
-        weights=np.concatenate(weight_blocks),
+        nodes=np.concatenate([r * _ring_angles(m, 0.5) for r, _, m in rings]),
+        weights=np.concatenate([np.full(m, w / m) for _, w, m in rings]),
         radial_order=radial_order,
         angular_order=angular_order,
         singular_radii=tuple(breaks),
-        ring_counts=tuple(ring_counts),
+        ring_counts=tuple(m for _, _, m in rings),
     )
 
 

@@ -344,8 +344,10 @@ def parse_weight_spec(spec: str) -> Weight:
             c = float(c_str)
         except ValueError:
             raise WeightSpecError(f"bad scale factor {c_str!r} in {spec!r}") from None
-        if c <= 0.0:
-            raise WeightSpecError(f"scale factor must be positive in {spec!r}")
+        if not (c > 0.0 and math.isfinite(c)):
+            raise WeightSpecError(
+                f"scale factor must be positive and finite in {spec!r}"
+            )
         return Scaled(c, parse_weight_spec(inner))
     raise WeightSpecError(f"unknown weight kind {head!r} in {spec!r}")
 
@@ -355,6 +357,9 @@ def _parse_point(token: str, spec: str) -> complex:
     if len(parts) != 2:
         raise WeightSpecError(f"expected <re>,<im> after kind in {spec!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise WeightSpecError(f"bad coordinate {token!r} in {spec!r}") from None
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise WeightSpecError(f"point must have a finite modulus in {spec!r}")
+    return z

@@ -32,6 +32,22 @@ class TestParse:
             parse_args(["verify", "--weight", "harm:0,0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["harm:nan,0", "log:nan,0", "harm:inf,0", "scaled:nan:harm:1,0",
+         "scaled:inf:harm:1,0", "harm:1.7e308,1.7e308"],
+    )
+    def test_non_finite_spec_is_usage_error(self, spec):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["verify", "--weight", spec])
+        assert exc.value.code == 2
+
+    def test_grid_over_node_budget_is_usage_error(self):
+        # parse_args only counts the nodes; the grid is never built
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["verify", "--weight", "log:0.9999999,0"])
+        assert exc.value.code == 2
+
     def test_out_of_range_order_rejected(self):
         with pytest.raises(SystemExit) as exc:
             parse_args(["verify", "--order", "99"])
@@ -104,6 +120,22 @@ class TestRun:
         build = next(c for c in report.checks if c.name == "model-build")
         assert not build.passed
         assert "NotDbrWeightError" in build.detail
+
+    def test_moments_and_tensor_suites_share_seeded_tables(self, monkeypatch):
+        from disklab import cli
+
+        calls = []
+        real = cli.point_moments
+        monkeypatch.setattr(
+            cli, "point_moments", lambda d, order: calls.append(d) or real(d, order)
+        )
+        ctx = cli._SuiteContext(
+            parse_args(["verify", "--weight", "harm:1,0", *_fast_flags()])
+        )
+        cli.suite_moments(ctx)
+        cli.suite_tensor(ctx)
+        # 10 seeded rank-one tables, built once, plus 10 rejection tables
+        assert len(calls) == 20
 
     def test_exit_code_matches_overall_pass(self):
         config = parse_args(

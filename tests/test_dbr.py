@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from disklab import (
+    Custom,
     DegenerateNodeSetError,
     DomainError,
+    HarmonicBoundary,
     LogGreen,
     MomentTable,
     NotDbrWeightError,
@@ -15,6 +17,7 @@ from disklab import (
     charge_moment_table,
     dirac_table,
     geometric_series,
+    grid_for_weight,
     h_from_moments,
     kernel,
     kernel_series,
@@ -129,7 +132,7 @@ class TestBerezinExtraction:
         grid = make_disk_grid(40, 64)
         table = moment_table_from_berezin(uniform, grid, order=3)
         arr = table.to_complex_array()
-        np.testing.assert_allclose(arr, np.eye(4), atol=5e-3)
+        np.testing.assert_allclose(arr, np.eye(4), rtol=0, atol=1e-12)
 
     def test_harmonic_weight_table_is_rank_one(self, harm_weight):
         from disklab import make_disk_grid
@@ -138,7 +141,7 @@ class TestBerezinExtraction:
         table = moment_table_from_berezin(harm_weight, grid, order=3)
         arr = table.to_complex_array()
         expected = np.ones((4, 4))  # zeta = 1: all moments are 1
-        np.testing.assert_allclose(arr, expected, atol=5e-3)
+        np.testing.assert_allclose(arr, expected, rtol=0, atol=1e-7)
 
     def test_uniform_rejected_by_rank_test(self, uniform):
         from disklab import make_disk_grid
@@ -147,6 +150,22 @@ class TestBerezinExtraction:
         table = moment_table_from_berezin(uniform, grid, order=3)
         with pytest.raises(NotDbrWeightError):
             h_from_moments(table)
+
+    @pytest.mark.parametrize(
+        "inner, atom, atol",
+        [(HarmonicBoundary(1.0), 1.0, 1e-6), (LogGreen(0.4), 0.4, 1e-10)],
+        ids=["harmonic", "log"],
+    )
+    def test_non_atomic_wrapper_of_catalog_weight_builds(self, inner, atom, atol):
+        # a Custom wrapper hides the atom, so build_model takes the
+        # measure-moment route; the charge is still the single atom
+        w = Custom(inner.eval_many, singularities=inner.singularities)
+        assert riesz_atoms(w) is None
+        grid = grid_for_weight(w, 120, 256)
+        model = build_model(w, grid, boundary_order=2048, order=16)
+        np.testing.assert_allclose(
+            model.h.coeffs[:9], atom ** np.arange(9), rtol=0, atol=atol
+        )
 
 
 class TestHIdentity:

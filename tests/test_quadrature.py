@@ -11,6 +11,8 @@ from disklab import (
     make_disk_grid,
     richardson_check,
 )
+from disklab import quadrature
+from disklab.quadrature import MAX_DISK_NODES, disk_grid_size
 
 
 def poisson_kernel(zeta):
@@ -39,6 +41,19 @@ class TestDiskGridInvariants:
     def test_bad_singular_radius_rejected(self):
         with pytest.raises(DomainError):
             make_disk_grid(10, 8, singular_radii=(1.0,))
+
+    def test_node_count_matches_built_grid(self, disk_grid):
+        assert disk_grid_size(120, 256) == disk_grid.size == 287_668
+        assert disk_grid_size(40, 64, (0.4,)) == make_disk_grid(40, 64, (0.4,)).size
+
+    def test_node_budget(self, monkeypatch):
+        # a pole this close to the circle asks for ~1e12 nodes; only the
+        # count is computed, the grid is never built
+        assert disk_grid_size(120, 256, (0.9999999,)) > MAX_DISK_NODES
+        size = disk_grid_size(10, 16)
+        monkeypatch.setattr(quadrature, "MAX_DISK_NODES", size - 1)
+        with pytest.raises(DomainError, match="budget"):
+            make_disk_grid(10, 16)
 
 
 class TestDiskIntegration:
