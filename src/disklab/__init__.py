@@ -45,6 +45,7 @@ from .moments import (
     atoms_table,
     centered_moments,
     dirac_table,
+    disk_moments,
     factorize,
     measure_moments,
     point_moments,

@@ -153,22 +153,31 @@ class TableFactorization:
     h: TaylorSeries
     rank_ratio: float  # second singular value over first
     residual: float  # worst |M[j][k] - conj(h_j) h_k|
-    h0_deviation: float
 
 
-def _factor_table(M: MomentTable) -> TableFactorization:
+def factor_table(M: MomentTable, residual_tol: float) -> TableFactorization:
+    """h, sigma2/sigma1 and residual of a table, checked as ``h_from_moments`` states."""
     arr = M.to_complex_array()
     svals = np.linalg.svd(arr, compute_uv=False)
     rank_ratio = float(svals[1] / svals[0]) if svals.size > 1 and svals[0] > 0 else 0.0
     h = arr[0].copy()
     outer = np.conj(h)[:, None] * h[None, :]
     residual = float(np.max(np.abs(arr - outer)))
-    return TableFactorization(
-        h=TaylorSeries(h),
-        rank_ratio=rank_ratio,
-        residual=residual,
-        h0_deviation=float(abs(arr[0][0] - 1.0)),
-    )
+    h0_deviation = float(abs(arr[0][0] - 1.0))
+    if h0_deviation > _H0_TOL:
+        raise NotDbrWeightError(
+            f"table is not unit-normalized: |M[0][0] - 1| = {h0_deviation:.3e}"
+        )
+    if rank_ratio > _RANK_TOL:
+        raise NotDbrWeightError(
+            f"table is not rank one: sigma2/sigma1 = {rank_ratio:.3e}"
+        )
+    scale = max(1.0, float(np.max(np.abs(arr))))
+    if residual > residual_tol * scale:
+        raise NotDbrWeightError(
+            f"factorization residual {residual:.3e} exceeds tolerance"
+        )
+    return TableFactorization(h=TaylorSeries(h), rank_ratio=rank_ratio, residual=residual)
 
 
 def h_from_moments(M: MomentTable, residual_tol: float = 1e-4) -> TaylorSeries:
@@ -178,21 +187,7 @@ def h_from_moments(M: MomentTable, residual_tol: float = 1e-4) -> TaylorSeries:
     or fails the factorization residual; the constant entry must equal 1
     within ``_H0_TOL`` (unit-mass normalization).
     """
-    fac = _factor_table(M)
-    if fac.h0_deviation > _H0_TOL:
-        raise NotDbrWeightError(
-            f"table is not unit-normalized: |M[0][0] - 1| = {fac.h0_deviation:.3e}"
-        )
-    if fac.rank_ratio > _RANK_TOL:
-        raise NotDbrWeightError(
-            f"table is not rank one: sigma2/sigma1 = {fac.rank_ratio:.3e}"
-        )
-    scale = max(1.0, float(np.max(np.abs(M.to_complex_array()))))
-    if fac.residual > residual_tol * scale:
-        raise NotDbrWeightError(
-            f"factorization residual {fac.residual:.3e} exceeds tolerance"
-        )
-    return fac.h
+    return factor_table(M, residual_tol).h
 
 
 def rank_one_fit(M: MomentTable) -> TaylorSeries:
@@ -362,9 +357,8 @@ def build_model(
 
     if unit is not None:
         norm_weight, norm_atoms = unit
-        table = atoms_table(norm_atoms, order)
-        h = h_from_moments(table, residual_tol=1e-9)
-        fac = _factor_table(table)
+        fac = factor_table(atoms_table(norm_atoms, order), residual_tol=1e-9)
+        h = fac.h
         # |phi| on the boundary, in closed form from the atoms:
         # phi(v) = v sum m_i / (1 - conj(p_i) v) continues to |v| = 1.
         e = bgrid.nodes
@@ -374,10 +368,10 @@ def build_model(
     else:
         norm_weight = normalize(weight, disk_grid)
         table = moment_table_from_berezin(norm_weight, disk_grid, order=8)
-        h = h_from_moments(table)
+        fac = factor_table(table, residual_tol=1e-4)
+        h = fac.h
         if h.order < order:
             h = TaylorSeries(tuple(h.coeffs) + (0j,) * (order - h.order))
-        fac = _factor_table(table)
         phi_boundary = bgrid.nodes * h.evaluate_many(bgrid.nodes)
 
     target = -0.5 * np.log1p(np.abs(phi_boundary) ** 2)

@@ -37,9 +37,8 @@ from .errors import (
     DomainError,
     InconsistentTableError,
     NotWeaklyMultiplicativeError,
-    SingularIntegrandError,
 )
-from .quadrature import DiskGrid
+from .quadrature import DiskGrid, _check_finite
 from .weights import Weight
 
 _C00_SNAP_TOL = 1e-9
@@ -327,32 +326,50 @@ def atoms_table(
     return MomentTable(entries=tuple(rows), order=order, provenance=provenance)
 
 
-def measure_moments(w: Weight, grid: DiskGrid, order: int) -> MomentTable:
-    """Moments integral(z^j conj(z)^k w dA) of the weight as a measure.
+#: Moment matrices ``disk_moments`` keeps (a verify run uses two).
+_MOMENT_MEMO_SIZE = 4
+_moment_memo: list[tuple[Weight, DiskGrid, np.ndarray]] = []
 
-    The weight is evaluated once; each entry is a deterministic pairwise
-    sum over the fixed node order (same reduction as ``integrate``).
+
+def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
+    """W[j][k] = sum_i omega_i w(z_i) z_i^j conj(z_i)^k on the grid, j, k <= order.
+
+    The rule ``integrate`` applies, aliasing included, ring by ring: with
+    one evaluation of the weight, a ring of m nodes r u_t, u_t =
+    exp(2 pi i (t + 1/2) / m), gives S_r(d) = sum_t w(r u_t) u_t^d from one
+    DFT, and W[j][k] = sum_r (omega_r / m) r^(j+k) S_r(j - k) accumulates in
+    ring order with elementwise numpy (no BLAS), so it is bit-reproducible.
+    Memoised per (weight, grid) object pair; a lower order is a read-only
+    view. A non-finite weight value raises SingularIntegrandError.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
-    base = grid.weights * w.eval_many(grid.nodes)
-    if not np.isfinite(base).all():
-        i = int(np.argmin(np.isfinite(base)))
-        raise SingularIntegrandError(
-            f"weight is not finite at node {grid.nodes[i]!r} (index {i})"
-        )
-    zpow = [np.ones_like(grid.nodes)]
-    for _ in range(order):
-        zpow.append(zpow[-1] * grid.nodes)
-    zbarpow = [np.conj(p) for p in zpow]
-    rows = []
-    for j in range(order + 1):
-        row = []
-        for k in range(order + 1):
-            row.append(complex(np.sum(zpow[j] * zbarpow[k] * base)))
-        rows.append(tuple(row))
+    if sum(grid.ring_counts) != grid.size:
+        raise DomainError("disk_moments needs the grid's ring layout (ring_counts)")
+    for mw, mg, W in _moment_memo:
+        if mw is w and mg is grid and W.shape[0] > order:
+            return W[: order + 1, : order + 1]
+    vals = w.eval_many(grid.nodes)
+    _check_finite(vals, grid.nodes)
+    n, ds = np.arange(order + 1), np.arange(-order, order + 1)
+    toeplitz = n[:, None] - n[None, :] + order  # position of d = j - k in ds
+    W = np.zeros((order + 1, order + 1), dtype=complex)
+    for start, m in zip(np.cumsum((0,) + grid.ring_counts[:-1]), grid.ring_counts):
+        # unnormalised inverse DFT: sum_t w_t exp(2 pi i d t / m)
+        S = np.fft.ifft(vals[start : start + m], norm="forward")[ds % m]
+        S *= grid.weights[start] * np.exp(1j * np.pi * ds / m)
+        rp = abs(grid.nodes[start]) ** n
+        W += (rp[:, None] * rp[None, :]) * S[toeplitz]
+    W.setflags(write=False)
+    others = [e for e in _moment_memo if e[0] is not w or e[1] is not grid]
+    _moment_memo[:] = [(w, grid, W)] + others[: _MOMENT_MEMO_SIZE - 1]
+    return W
+
+
+def measure_moments(w: Weight, grid: DiskGrid, order: int) -> MomentTable:
+    """Moments integral(z^j conj(z)^k w dA) of the weight: ``disk_moments`` as a table."""
     return MomentTable(
-        entries=tuple(rows),
+        entries=tuple(map(tuple, disk_moments(w, grid, order).tolist())),
         order=order,
         provenance=f"measure:r{grid.radial_order}a{grid.angular_order}",
     )

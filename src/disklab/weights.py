@@ -74,8 +74,9 @@ class Weight:
     @property
     def singular_radii(self) -> tuple[float, ...]:
         """Moduli of interior singular points, for grid construction."""
-        out = sorted({abs(s) for s in self.singularities if abs(s) < 1.0})
-        return tuple(out)
+        # a pole within _UNIMODULAR_TOL of the circle (harm:1,1) is on the boundary
+        inner = {abs(s) for s in self.singularities if abs(s) < 1 - _UNIMODULAR_TOL}
+        return tuple(sorted(inner))
 
 
 class HarmonicBoundary(Weight):

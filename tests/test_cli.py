@@ -48,6 +48,11 @@ class TestParse:
             parse_args(["verify", "--weight", "log:0.9999999,0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("spec", ["harm:1,1", "harm:3,7"])
+    def test_boundary_pole_off_the_axes_parses(self, spec):
+        # the normalised pole has modulus 0.9999999999999999; counts only
+        assert parse_args(["verify", "--weight", spec]).weight_spec == spec
+
     def test_out_of_range_order_rejected(self):
         with pytest.raises(SystemExit) as exc:
             parse_args(["verify", "--order", "99"])
@@ -136,6 +141,23 @@ class TestRun:
         cli.suite_tensor(ctx)
         # 10 seeded rank-one tables, built once, plus 10 rejection tables
         assert len(calls) == 20
+
+    def test_moments_suite_builds_one_disk_grid(self, monkeypatch):
+        from disklab import cli, weights
+
+        grids = []
+        real = weights.make_disk_grid
+        monkeypatch.setattr(
+            weights, "make_disk_grid",
+            lambda *a, **k: grids.append(a) or real(*a, **k),
+        )
+        ctx = cli._SuiteContext(
+            parse_args(["verify", "--weight", "harm:1,0", *_fast_flags()])
+        )
+        records = cli.suite_moments(ctx)
+        assert len(grids) == 1
+        detail = next(r.detail for r in records if r.name == "weight-table-multiplicative")
+        assert "measure-route residual" in detail and "coarse" not in detail
 
     def test_exit_code_matches_overall_pass(self):
         config = parse_args(

@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 from disklab import (
+    Custom,
     DomainError,
     HarmonicBoundary,
+    LogGreen,
+    Scaled,
+    SingularIntegrandError,
     TaylorSeries,
     constant_series,
     dilation_report,
     energy,
     exp_reference,
+    grid_for_weight,
+    integrate,
     monomial,
+    uniform_weight,
 )
 
 
@@ -94,3 +101,56 @@ class TestDilation:
     def test_radii_must_be_interior(self, coarse_disk_grid, uniform):
         with pytest.raises(DomainError):
             dilation_report(monomial(1, 2), uniform, (0.5, 1.0), coarse_disk_grid)
+
+
+def _counting(inner, calls):
+    """Custom wrapper of a weight that records each evaluation."""
+    def fn(z):
+        calls.append(np.size(z))
+        return inner.eval_many(z)
+
+    return Custom(fn, singularities=inner.singularities, label=inner.label)
+
+
+def _quadrature_energy(f, w, grid):
+    """Reference: |f'|^2 w summed node by node with the grid's rule."""
+    fp = f.derivative()
+    return integrate(grid, lambda z: np.abs(fp.evaluate_many(z)) ** 2 * w.eval_many(z))
+
+
+_ROUTE_WEIGHTS = {
+    "harm": lambda: HarmonicBoundary(np.exp(0.7j)),
+    "log": lambda: LogGreen(0.4),
+    "uniform": uniform_weight,
+    "scaled": lambda: Scaled(2.5, LogGreen(0.3j)),
+}
+
+
+class TestMomentRoute:
+    """energy is the Hermitian form on the ring-DFT moment matrix."""
+
+    @pytest.mark.parametrize("order", [4, 64, 256])
+    @pytest.mark.parametrize("kind", sorted(_ROUTE_WEIGHTS))
+    def test_energy_matches_quadrature(self, kind, order):
+        w = _ROUTE_WEIGHTS[kind]()
+        grid = grid_for_weight(w, 40, 64)
+        rng = np.random.default_rng(order)
+        f = TaylorSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+        ref = _quadrature_energy(f, w, grid)
+        assert energy(f, w, grid) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_weight_evaluated_once_across_dilation_energies(self, coarse_disk_grid):
+        # the dilation check's 15 energies: 3 functions at 5 radii
+        calls = []
+        w = _counting(HarmonicBoundary(1.0), calls)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            f = TaylorSeries(rng.normal(size=11) + 1j * rng.normal(size=11))
+            dilation_report(f, w, (0.2, 0.4, 0.6, 0.8, 0.95), coarse_disk_grid)
+        assert calls == [coarse_disk_grid.size]
+
+    def test_non_finite_weight_raises(self, coarse_disk_grid):
+        bad = coarse_disk_grid.nodes[5]
+        w = Custom(lambda z: np.where(z == bad, np.inf, 1.0), label="spike")
+        with pytest.raises(SingularIntegrandError, match=r"\(index 5\)"):
+            energy(monomial(1, 4), w, coarse_disk_grid)

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from disklab import (
+    Custom,
     DomainError,
     GaussianRational,
     InconsistentTableError,
     MomentTable,
     NotWeaklyMultiplicativeError,
     PointDistribution,
+    SingularIntegrandError,
     centered_moments,
     dirac_table,
+    disk_moments,
     factorize,
     measure_moments,
     point_moments,
@@ -23,6 +26,7 @@ from disklab import (
     tensor_diag_check,
     weak_mult_check,
 )
+from disklab.moments import _MOMENT_MEMO_SIZE
 
 
 class TestGaussianRational:
@@ -230,6 +234,63 @@ class TestMeasureMoments:
         table = measure_moments(uniform, coarse_disk_grid, 4)
         arr = table.to_complex_array()
         np.testing.assert_allclose(arr, arr.conj().T, atol=1e-14)
+
+
+def _node_sum_moments(w, grid, order):
+    """Reference: sum_i omega_i w(z_i) z_i^j conj(z_i)^k, node by node."""
+    base = grid.weights * w.eval_many(grid.nodes)
+    z = grid.nodes
+    return np.array(
+        [[np.sum(z**j * np.conj(z) ** k * base) for k in range(order + 1)]
+         for j in range(order + 1)]
+    )
+
+
+class TestDiskMoments:
+    @pytest.mark.parametrize("which", ["harm", "log"])
+    def test_measure_moments_match_node_sum(self, which, disk_grid, harm_weight,
+                                            log04_weight, log04_grid):
+        w, grid = (harm_weight, disk_grid) if which == "harm" else (log04_weight, log04_grid)
+        got = measure_moments(w, grid, 8).to_complex_array()
+        ref = _node_sum_moments(w, grid, 8)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_matrix_is_memoised_up_to_largest_order(self, coarse_disk_grid):
+        calls = []
+        w = Custom(lambda z: calls.append(1) or np.ones(z.shape), label="counted")
+        big = disk_moments(w, coarse_disk_grid, 8)
+        small = disk_moments(w, coarse_disk_grid, 4)
+        assert calls == [1]
+        assert np.array_equal(small, big[:5, :5])
+        # a view of a larger build is bit-identical to a build at its order
+        fresh = disk_moments(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid, 4)
+        assert np.array_equal(small, fresh)
+        assert not small.flags.writeable
+        disk_moments(w, coarse_disk_grid, 9)
+        assert calls == [1, 1]
+
+    def test_memo_keeps_a_fixed_number_of_matrices(self, coarse_disk_grid):
+        calls = []
+        first = Custom(lambda z: calls.append(1) or np.ones(z.shape), label="first")
+        disk_moments(first, coarse_disk_grid, 2)
+        for _ in range(_MOMENT_MEMO_SIZE):
+            disk_moments(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid, 2)
+        disk_moments(first, coarse_disk_grid, 2)
+        assert calls == [1, 1]
+
+    def test_grid_without_ring_layout_rejected(self, coarse_disk_grid, uniform):
+        from disklab import DiskGrid
+
+        bare = DiskGrid(coarse_disk_grid.nodes.copy(), coarse_disk_grid.weights.copy(),
+                        coarse_disk_grid.radial_order, coarse_disk_grid.angular_order)
+        with pytest.raises(DomainError):
+            disk_moments(uniform, bare, 2)
+
+    def test_non_finite_weight_raises(self, coarse_disk_grid):
+        bad = coarse_disk_grid.nodes[7]
+        w = Custom(lambda z: np.where(z == bad, np.nan, 1.0), label="spike")
+        with pytest.raises(SingularIntegrandError, match=r"\(index 7\)"):
+            measure_moments(w, coarse_disk_grid, 2)
 
 
 class TestSerialization:

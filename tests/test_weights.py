@@ -227,3 +227,16 @@ def test_grid_for_weight_guards_interior_radius(log04_weight):
     grid = grid_for_weight(log04_weight, 40, 64)
     assert grid.singular_radii == (0.4,)
     assert max(grid.ring_counts) > 64
+
+
+def test_boundary_pole_is_not_an_interior_radius():
+    # |(1+i)/|1+i|| rounds to 0.9999999999999999; it must not become a
+    # singular radius (a zero ring distance at grid construction)
+    from disklab.quadrature import disk_grid_size
+
+    tilted = HarmonicBoundary(complex(1, 1) / abs(complex(1, 1)))
+    assert abs(tilted.zeta) < 1.0
+    assert tilted.singular_radii == ()
+    assert disk_grid_size(120, 256, tilted.singular_radii) == disk_grid_size(
+        120, 256, HarmonicBoundary(1.0).singular_radii
+    )
