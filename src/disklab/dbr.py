@@ -39,7 +39,7 @@ from .errors import (
     NotDbrWeightError,
     SingularBoundaryDataError,
 )
-from .moments import MomentTable, atoms_table, measure_moments
+from .moments import MomentTable, atoms_table, measure_moments, weight_values
 from .quadrature import CircleGrid, DiskGrid, integrate, make_circle_grid
 from .series import TaylorSeries, exp_series, geometric_series
 from .weights import Custom, HarmonicBoundary, LogGreen, Scaled, Weight, normalize
@@ -52,15 +52,18 @@ def berezin_transform(weight: Weight, v: complex, grid: DiskGrid) -> float:
     """Berezin transform of the weight at v.
 
     Average of the weight against the modulus-squared normalized Bergman
-    kernel (1-|v|^2)^2 / |1 - z conj(v)|^4.
+    kernel (1-|v|^2)^2 / |1 - z conj(v)|^4. The weight's node values are
+    read from ``moments.weight_values``, so every point on one grid shares
+    one evaluation of the weight.
     """
     v = complex(v)
     if abs(v) >= 1.0:
         raise DomainError(f"Berezin transform needs |v| < 1, got {abs(v)}")
     lead = (1.0 - abs(v) ** 2) ** 2
+    vals = weight_values(weight, grid)
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        return lead / np.abs(1.0 - z * np.conj(v)) ** 4 * weight.eval_many(z)
+    def integrand(z: np.ndarray) -> np.ndarray:  # integrate passes grid.nodes
+        return lead / np.abs(1.0 - z * np.conj(v)) ** 4 * vals
 
     return float(integrate(grid, integrand))
 

@@ -17,9 +17,12 @@ rank-one structure makes the antisymmetrized two-variable expression
 vanish identically; ``tensor_diag_check`` sweeps it over all index tuples.
 
 When the support point and every coefficient are rational (including
-rational real and imaginary parts), all tables are computed over Gaussian
-rationals and the checks certify exact zeros instead of small residuals;
-otherwise double precision is used throughout.
+rational real and imaginary parts), all tables are exact and the checks
+certify exact zeros instead of small residuals; otherwise double
+precision is used throughout. ``GaussianRational`` is the exact type of
+inputs and table entries; the inner loops of ``point_moments`` and
+``tensor_diag_check`` run on Gaussian integers (Python int pairs) scaled
+to a common denominator, with no per-operation gcd reduction.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other):
+        if isinstance(other, int):  # integer scaling needs no cross terms
+            return GaussianRational(self.re * other, self.im * other)
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -114,7 +119,8 @@ class GaussianRational:
         return other is not None and self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it must hash like one
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -141,10 +147,6 @@ def _coerce(v) -> Optional[GaussianRational]:
 def _as_entry(v) -> Entry:
     exact = _coerce(v)
     return exact if exact is not None else complex(v)
-
-
-def _conj(v: Entry) -> Entry:
-    return v.conjugate()
 
 
 def _abs(v: Entry) -> float:
@@ -264,38 +266,104 @@ def centered_moments(d: PointDistribution, order: int) -> list[list[Entry]]:
 def point_moments(d: PointDistribution, order: int) -> MomentTable:
     """Raw moments of a point distribution by binomial recentering.
 
-    Exact over Gaussian rationals whenever the distribution data is
-    rational; double precision otherwise.
+    M[j][k] = sum_{m,n} C(j,m) a^(j-m) Cen[m][n] C(k,n) conj(a)^(k-n) is
+    M = P Cen conj(P)^T with the lower-triangular P[j][m] = C(j,m) a^(j-m)
+    and Cen the centered pairings: two triangular products, O(order^3).
+    Exact whenever the distribution data is rational: with a = A / D_a and
+    Cen = Cen' / D_c over Gaussian integers, P'[j][m] = C(j,m) A^(j-m) D_a^m
+    gives M[j][k] = (P' Cen' conj(P')^T)[j][k] / (D_c D_a^(j+k)) in integer
+    arithmetic. Double precision otherwise, through the same products.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
+    n = order + 1
     centered = centered_moments(d, order)
-    a = d.point
-    abar = _conj(a)
-    one: Entry = GaussianRational(1) if d.is_exact else 1.0 + 0j
-    apow = [one]
-    abarpow = [one]
+    if not d.is_exact:
+        apow = [1.0 + 0j]
+        for _ in range(order):
+            apow.append(apow[-1] * d.point)
+        cen = np.array(centered, dtype=complex)
+        pr, pi = _binomial_matrix(
+            [z.real for z in apow], [z.imag for z in apow], [1] * n, float
+        )
+        mr, mi = _recenter(pr, pi, cen.real, cen.imag)
+        entries = tuple(map(tuple, (mr + 1j * mi).tolist()))
+        return MomentTable(entries=entries, order=order, provenance="point")
+    [[(ar, ai)]], da = _gaussian_integers([[d.point]])
+    cen_pairs, dc = _gaussian_integers(centered)
+    cen = np.array(cen_pairs, dtype=object)
+    apow = [(1, 0)]
     for _ in range(order):
-        apow.append(apow[-1] * a)
-        abarpow.append(abarpow[-1] * abar)
+        zr, zi = apow[-1]
+        apow.append((zr * ar - zi * ai, zr * ai + zi * ar))
+    dapow = [da**m for m in range(2 * order + 1)]
+    pr, pi = _binomial_matrix(*zip(*apow), dapow, object)
+    mr, mi = _recenter(pr, pi, cen[..., 0], cen[..., 1])
+    rows = tuple(
+        tuple(
+            GaussianRational(
+                Fraction(mr[j, k], dc * dapow[j + k]),
+                Fraction(mi[j, k], dc * dapow[j + k]),
+            )
+            for k in range(n)
+        )
+        for j in range(n)
+    )
+    return MomentTable(entries=rows, order=order, provenance="point")
 
-    zero: Entry = GaussianRational(0) if d.is_exact else 0j
-    rows = []
-    for j in range(order + 1):
-        row = []
-        for k in range(order + 1):
-            acc = zero
-            for m in range(j + 1):
-                cjm = math.comb(j, m)
-                for n in range(k + 1):
-                    c = centered[m][n]
-                    if not _nonzero(c):
-                        continue
-                    term = apow[j - m] * abarpow[k - n] * c
-                    acc = acc + (cjm * math.comb(k, n)) * term
-            row.append(acc)
-        rows.append(tuple(row))
-    return MomentTable(entries=tuple(rows), order=order, provenance="point")
+
+def _gaussian_integers(rows) -> tuple[list[list[tuple[int, int]]], int]:
+    """Gaussian rationals as integer pairs over one common denominator D.
+
+    Returns (pairs, D) with v = (pairs[j][k][0] + i pairs[j][k][1]) / D.
+    """
+    denom = 1
+    for row in rows:
+        for v in row:
+            denom = math.lcm(denom, v.re.denominator, v.im.denominator)
+    pairs = [
+        [
+            (
+                v.re.numerator * (denom // v.re.denominator),
+                v.im.numerator * (denom // v.im.denominator),
+            )
+            for v in row
+        ]
+        for row in rows
+    ]
+    return pairs, denom
+
+
+def _binomial_matrix(zre, zim, scale, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of P[j][m] = C(j,m) z_(j-m) scale[m], m <= j."""
+    n = len(zre)
+    pr, pi = np.zeros((n, n), dtype), np.zeros((n, n), dtype)
+    for j in range(n):
+        for m in range(j + 1):
+            c = math.comb(j, m) * scale[m]
+            pr[j, m], pi[j, m] = c * zre[j - m], c * zim[j - m]
+    return pr, pi
+
+
+def _recenter(pr, pi, cr, ci) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of P C conj(P)^T for a lower-triangular P.
+
+    Two triangular products, T = P C then T conj(P)^T, each accumulated in
+    index order from elementwise products (no BLAS). The parts are float
+    arrays or object arrays of Python ints alike.
+    """
+    n = pr.shape[0]
+    tr, ti = np.zeros_like(cr), np.zeros_like(ci)
+    for m in range(n):  # rows j >= m of T gain P[j][m] C[m][:]
+        a, b = pr[m:, m, None], pi[m:, m, None]
+        tr[m:] += a * cr[m] - b * ci[m]
+        ti[m:] += a * ci[m] + b * cr[m]
+    mr, mi = np.zeros_like(tr), np.zeros_like(ti)
+    for m in range(n):  # columns k >= m of M gain T[:][m] conj(P[k][m])
+        a, b = pr[None, m:, m], pi[None, m:, m]
+        mr[:, m:] += tr[:, m, None] * a + ti[:, m, None] * b
+        mi[:, m:] += ti[:, m, None] * a - tr[:, m, None] * b
+    return mr, mi
 
 
 def dirac_table(point, order: int) -> MomentTable:
@@ -313,22 +381,55 @@ def atoms_table(
     """Moments of a finite positive combination of Dirac masses."""
     if order < 0:
         raise DomainError("order must be nonnegative")
+    # per atom: m p^j with Python's complex power and conj(p)^k with numpy's,
+    # so each row is one elementwise product per atom, summed in atom order
+    powers = [
+        (
+            [m * p**j for j in range(order + 1)],
+            np.array([np.conj(p) ** k for k in range(order + 1)]),
+        )
+        for p, m in ((complex(p), m) for p, m in atoms)
+    ]
+    # two buffers reused for every row: per-row arrays would interleave with
+    # the rows' tuples on the heap and raise peak RSS at high orders
+    acc, term = np.empty(order + 1, dtype=complex), np.empty(order + 1, dtype=complex)
     rows = []
     for j in range(order + 1):
-        row = []
-        for k in range(order + 1):
-            acc = 0j
-            for p, m in atoms:
-                p = complex(p)
-                acc += m * p**j * np.conj(p) ** k
-            row.append(complex(acc))
-        rows.append(tuple(row))
+        acc[:] = 0
+        for mpj, conj_pk in powers:
+            acc += np.multiply(mpj[j], conj_pk, out=term)
+        rows.append(tuple(acc.tolist()))
     return MomentTable(entries=tuple(rows), order=order, provenance=provenance)
 
 
-#: Moment matrices ``disk_moments`` keeps (a verify run uses two).
+#: Per (weight, grid) pair: [weight, grid, node values or None, moment
+#: matrix or None]. A verify run uses two pairs.
 _MOMENT_MEMO_SIZE = 4
-_moment_memo: list[tuple[Weight, DiskGrid, np.ndarray]] = []
+_moment_memo: list[list] = []
+
+
+def _memo_entry(w: Weight, grid: DiskGrid) -> list:
+    for entry in _moment_memo:
+        if entry[0] is w and entry[1] is grid:
+            return entry
+    entry = [w, grid, None, None]
+    _moment_memo[:] = [entry] + _moment_memo[: _MOMENT_MEMO_SIZE - 1]
+    return entry
+
+
+def weight_values(w: Weight, grid: DiskGrid) -> np.ndarray:
+    """w(z_i) on the grid's nodes, evaluated once per (weight, grid) pair.
+
+    The values live in the same fixed-size memo as ``disk_moments``'
+    matrices, keyed by the weight and grid objects; treat them as read-only.
+    ``disk_moments`` reads them when they are there but does not keep its
+    own evaluation, so a pair that only needs its matrix holds no
+    node-sized array.
+    """
+    entry = _memo_entry(w, grid)
+    if entry[2] is None:
+        entry[2] = w.eval_many(grid.nodes)
+    return entry[2]
 
 
 def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
@@ -346,10 +447,10 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
         raise DomainError("order must be nonnegative")
     if sum(grid.ring_counts) != grid.size:
         raise DomainError("disk_moments needs the grid's ring layout (ring_counts)")
-    for mw, mg, W in _moment_memo:
-        if mw is w and mg is grid and W.shape[0] > order:
-            return W[: order + 1, : order + 1]
-    vals = w.eval_many(grid.nodes)
+    entry = _memo_entry(w, grid)
+    if entry[3] is not None and entry[3].shape[0] > order:
+        return entry[3][: order + 1, : order + 1]
+    vals = entry[2] if entry[2] is not None else w.eval_many(grid.nodes)
     _check_finite(vals, grid.nodes)
     n, ds = np.arange(order + 1), np.arange(-order, order + 1)
     toeplitz = n[:, None] - n[None, :] + order  # position of d = j - k in ds
@@ -361,8 +462,7 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
         rp = abs(grid.nodes[start]) ** n
         W += (rp[:, None] * rp[None, :]) * S[toeplitz]
     W.setflags(write=False)
-    others = [e for e in _moment_memo if e[0] is not w or e[1] is not grid]
-    _moment_memo[:] = [(w, grid, W)] + others[: _MOMENT_MEMO_SIZE - 1]
+    entry[3] = W
     return W
 
 
@@ -449,13 +549,7 @@ def tensor_diag_check(M: MomentTable, tol: float = 0.0) -> TensorDiagReport:
 
 def _tensor_diag_exact(M: MomentTable, tol: float) -> TensorDiagReport:
     n_idx = M.order + 1
-    denom = 1
-    for row in M.entries:
-        for v in row:
-            denom = math.lcm(denom, v.re.denominator, v.im.denominator)
-    ints = [
-        [(int(v.re * denom), int(v.im * denom)) for v in row] for row in M.entries
-    ]
+    ints, denom = _gaussian_integers(M.entries)
 
     # product pool over Gaussian integers: P[a][m][b][n] = T[a][m] * T[b][n]
     def gmul(u, v):

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import disklab
 from disklab import (
     HarmonicBoundary,
     LogGreen,
@@ -10,6 +14,13 @@ from disklab import (
     make_circle_grid,
     make_disk_grid,
     uniform_weight,
+)
+
+# Tests that run `python -m disklab` in a child process need the package
+# under test on the child's path too, also when pytest found it through
+# its own `pythonpath` setting.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(disklab.__file__).parents[1]), os.environ.get("PYTHONPATH")))
 )
 
 # Default verification-suite orders. Session-scoped: grids and models are

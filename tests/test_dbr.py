@@ -12,6 +12,8 @@ from disklab import (
     MomentTable,
     NotDbrWeightError,
     Scaled,
+    SingularIntegrandError,
+    TaylorSeries,
     berezin_transform,
     build_model,
     charge_moment_table,
@@ -378,3 +380,31 @@ def test_berezin_transform_of_uniform_is_one(uniform):
     # unit-mass kernel; for the uniform weight it is identically 1
     for v in (0.0, 0.3, 0.5j):
         assert berezin_transform(uniform, v, grid) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_berezin_transforms_share_one_weight_evaluation(coarse_disk_grid):
+    full_grid_evals = []
+    inner = HarmonicBoundary(1.0)
+
+    def counted(z):
+        if z.size == coarse_disk_grid.size:
+            full_grid_evals.append(1)
+        return inner.eval_many(z)
+
+    w = Custom(counted, singularities=(1.0,), label="counted")
+    points = _test_points(count=10, radius=0.7, seed=5)
+    verify_h_identity(w, TaylorSeries([1.0, 0.5]), points, coarse_disk_grid, tol=1.0)
+    values = [phi_modulus_sq(v, w, coarse_disk_grid) for v in points]
+    assert full_grid_evals == [1]
+    # the shared values give the same numbers as a fresh weight object
+    assert values == [phi_modulus_sq(v, inner, coarse_disk_grid) for v in points]
+
+
+def test_berezin_transform_rejects_infinite_weight_value(coarse_disk_grid):
+    bad = coarse_disk_grid.nodes[11]
+    w = Custom(lambda z: np.where(z == bad, np.inf, 1.0), label="spike")
+    with pytest.raises(SingularIntegrandError, match=r"\(index 11\)"):
+        berezin_transform(w, 0.3, coarse_disk_grid)
+    # a second transform on the memoised values still refuses
+    with pytest.raises(SingularIntegrandError):
+        berezin_transform(w, -0.2j, coarse_disk_grid)

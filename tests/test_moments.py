@@ -1,9 +1,12 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disklab import (
     Custom,
@@ -14,6 +17,7 @@ from disklab import (
     NotWeaklyMultiplicativeError,
     PointDistribution,
     SingularIntegrandError,
+    atoms_table,
     centered_moments,
     dirac_table,
     disk_moments,
@@ -26,7 +30,7 @@ from disklab import (
     tensor_diag_check,
     weak_mult_check,
 )
-from disklab.moments import _MOMENT_MEMO_SIZE
+from disklab.moments import _MOMENT_MEMO_SIZE, weight_values
 
 
 class TestGaussianRational:
@@ -43,6 +47,18 @@ class TestGaussianRational:
         assert a**2 == GaussianRational(0, 2)
         assert a.conjugate() * a == GaussianRational(2)
         assert abs(GaussianRational(3, 4)) == 5.0
+
+    def test_hash_agrees_with_equality(self):
+        # equal values hash alike, so sets and dicts treat them as one key
+        assert GaussianRational(3) == 3 and hash(GaussianRational(3)) == hash(3)
+        assert len({GaussianRational(3), 3}) == 1
+        half = Fraction(1, 2)
+        assert GaussianRational(half) == half
+        assert hash(GaussianRational(half)) == hash(half)
+        assert len({GaussianRational(half), half}) == 1
+        z = GaussianRational(half, Fraction(-2, 3))
+        assert hash(z) == hash(GaussianRational(Fraction(2, 4), Fraction(-4, 6)))
+        assert len({z, GaussianRational(Fraction(2, 4), Fraction(-4, 6)), half}) == 2
 
 
 class TestPointMoments:
@@ -87,6 +103,105 @@ class TestPointMoments:
         assert table.entries[2][1] == pytest.approx(
             (0.5 + 0.25j) ** 2 * np.conj(0.5 + 0.25j)
         )
+
+
+def _reference_point_moments(d, order):
+    """Reference: the O(order^4) binomial recentering, entry by entry."""
+    centered = centered_moments(d, order)
+    a = d.point
+    one = GaussianRational(1) if d.is_exact else 1.0 + 0j
+    apow, abarpow = [one], [one]
+    for _ in range(order):
+        apow.append(apow[-1] * a)
+        abarpow.append(abarpow[-1] * a.conjugate())
+    rows = []
+    for j in range(order + 1):
+        row = []
+        for k in range(order + 1):
+            acc = GaussianRational(0) if d.is_exact else 0j
+            for m in range(j + 1):
+                for n in range(k + 1):
+                    term = apow[j - m] * abarpow[k - n] * centered[m][n]
+                    acc = acc + (math.comb(j, m) * math.comb(k, n)) * term
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _rank_one(point, degree, seed):
+    rng = random.Random(seed)
+    p = [1] + [GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+               for _ in range(degree)]
+    q = [1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)]
+    return PointDistribution(point, rank_one_coeffs(p, q))
+
+
+class TestRecenteringRoute:
+    """point_moments' triangular products against the entrywise reference."""
+
+    @pytest.mark.parametrize("seed, generator", [
+        (101, random_rank_one_distribution), (202, random_non_rank_one_distribution)])
+    def test_seeded_tables_equal_reference(self, seed, generator):
+        rng = random.Random(seed)
+        for _ in range(10):
+            d = generator(rng, degree=8)
+            assert point_moments(d, 8).entries == _reference_point_moments(d, 8)
+
+    @pytest.mark.parametrize("order", [0, 1, 3, 4, 7])
+    @pytest.mark.parametrize("point", [
+        0, 3, GaussianRational(-2, 5), GaussianRational(Fraction(3, 4), Fraction(-5, 6))])
+    def test_orders_and_points_equal_reference(self, order, point):
+        # degree 4: orders below, at and above the coefficient degree
+        d = _rank_one(point, 4, seed=order)
+        table = point_moments(d, order)
+        assert table.is_exact
+        assert table.entries == _reference_point_moments(d, order)
+
+    def test_zero_distribution(self):
+        d = PointDistribution(GaussianRational(Fraction(1, 3), 2), [[0, 0], [0, 0]])
+        table = point_moments(d, 3)
+        assert table.entries == _reference_point_moments(d, 3)
+        assert all(v == 0 for row in table.entries for v in row)
+
+    def test_entries_are_reduced_gaussian_rationals(self):
+        d = _rank_one(GaussianRational(Fraction(1, 2), Fraction(-1, 3)), 3, seed=4)
+        for row in point_moments(d, 5).entries:
+            for v in row:
+                assert isinstance(v, GaussianRational)
+                assert math.gcd(v.re.numerator, v.re.denominator) == 1
+
+    @pytest.mark.parametrize("point", [0.0, 0.7 - 0.4j, -1.3 + 0.9j])
+    def test_float_path_matches_reference(self, point):
+        rng = np.random.default_rng(8)
+        coeffs = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        d = PointDistribution(point, coeffs.tolist())
+        got = np.array(point_moments(d, 9).entries)
+        ref = np.array(_reference_point_moments(d, 9))
+        assert not point_moments(d, 9).is_exact
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+_small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+_gaussian = st.builds(GaussianRational, _small_fractions, _small_fractions)
+_points = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10)),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10)),
+).filter(lambda a: a.abs2() <= 4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(point=_points, degree=st.integers(1, 6), data=st.data())
+def test_rank_one_tables_are_exact_and_multiplicative(point, degree, data):
+    p = [1] + data.draw(st.lists(_gaussian, min_size=degree, max_size=degree))
+    q = [1] + data.draw(st.lists(_gaussian, min_size=degree, max_size=degree))
+    order = data.draw(st.integers(1, 6))
+    d = PointDistribution(point, rank_one_coeffs(p, q))
+    table = point_moments(d, order)
+    assert table.entries == _reference_point_moments(d, order)
+    assert weak_mult_check(table).residual == 0.0
+    assert tensor_diag_check(table).residual == 0.0
 
 
 class TestWeakMult:
@@ -207,6 +322,34 @@ class TestFactorize:
         assert result.ok and result.zero_distribution
 
 
+def _reference_atoms_table(atoms, order):
+    """Reference: the entry-by-entry sum over atoms of m p^j conj(p)^k."""
+    rows = []
+    for j in range(order + 1):
+        row = []
+        for k in range(order + 1):
+            acc = 0j
+            for p, m in atoms:
+                p = complex(p)
+                acc += m * p**j * np.conj(p) ** k
+            row.append(complex(acc))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+class TestAtomsTable:
+    @pytest.mark.parametrize("atoms", [((1.0, 1.0),), ((0.4, 0.42),)])
+    def test_real_atom_is_bit_identical_to_reference(self, atoms):
+        table = atoms_table(atoms, 128)
+        assert table.entries == _reference_atoms_table(atoms, 128)
+
+    def test_complex_atoms_match_reference(self):
+        atoms = ((0.3 + 0.5j, 0.25), (np.exp(2.1j), 0.75))
+        got = atoms_table(atoms, 64).to_complex_array()
+        ref = np.array(_reference_atoms_table(atoms, 64))
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 class TestMeasureMoments:
     def test_uniform_weight_diagonal(self, coarse_disk_grid, uniform):
         table = measure_moments(uniform, coarse_disk_grid, 4)
@@ -276,6 +419,18 @@ class TestDiskMoments:
         for _ in range(_MOMENT_MEMO_SIZE):
             disk_moments(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid, 2)
         disk_moments(first, coarse_disk_grid, 2)
+        assert calls == [1, 1]
+
+    def test_node_values_are_kept_in_the_same_memo(self, coarse_disk_grid):
+        calls = []
+        w = Custom(lambda z: calls.append(1) or np.ones(z.shape), label="counted")
+        vals = weight_values(w, coarse_disk_grid)
+        assert weight_values(w, coarse_disk_grid) is vals
+        disk_moments(w, coarse_disk_grid, 4)  # reads the kept values
+        assert calls == [1]
+        for _ in range(_MOMENT_MEMO_SIZE):
+            weight_values(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid)
+        weight_values(w, coarse_disk_grid)
         assert calls == [1, 1]
 
     def test_grid_without_ring_layout_rejected(self, coarse_disk_grid, uniform):
