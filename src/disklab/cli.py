@@ -21,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -746,6 +747,9 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
         parser.error("--radial must be >= 1")
     if config.angular_order < 4:
         parser.error("--angular must be >= 4")
+    if config.boundary_order > MAX_DISK_NODES:
+        parser.error(f"--boundary must be at most {MAX_DISK_NODES}, "
+                     f"got {config.boundary_order}")
     for item in ns.tol:
         name, sep, value = item.partition("=")
         if not sep or name not in config.tols:
@@ -755,6 +759,8 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
             config.tols[name] = float(value)
         except ValueError:
             parser.error(f"bad tolerance value in {item!r}")
+        if not 0.0 <= config.tols[name] < math.inf:
+            parser.error(f"tolerance in {item!r} must be finite and nonnegative")
     try:
         weight = parse_weight_spec(config.weight_spec)
     except (WeightSpecError, DomainError) as exc:

@@ -158,10 +158,40 @@ class TableFactorization:
     residual: float  # worst |M[j][k] - conj(h_j) h_k|
 
 
-def factor_table(M: MomentTable, residual_tol: float) -> TableFactorization:
-    """h, sigma2/sigma1 and residual of a table, checked as ``h_from_moments`` states."""
+def atoms_singular_values(
+    atoms: Sequence[tuple[complex, float]], order: int
+) -> np.ndarray:
+    """Nonzero singular values of ``atoms_table(atoms, order)``, from the atoms.
+
+    The table is M = A D A^H with A[j][i] = p_i^j and D = diag(m_i). With
+    A = QR, M = Q (R D R^H) Q^H and Q has orthonormal columns, so the
+    nonzero singular values of M are those of the r x r Hermitian matrix
+    R D R^H, r the number of atoms: the moduli of its eigenvalues, returned
+    in decreasing order. One atom gives exactly one singular value.
+    """
+    p = np.array([complex(p) for p, _ in atoms])
+    m = np.array([float(m) for _, m in atoms])
+    R = np.linalg.qr(p[None, :] ** np.arange(order + 1)[:, None], mode="r")
+    return np.sort(np.abs(np.linalg.eigvalsh((R * m) @ R.conj().T)))[::-1]
+
+
+def factor_table(
+    M: MomentTable,
+    residual_tol: float,
+    atoms: Optional[Sequence[tuple[complex, float]]] = None,
+) -> TableFactorization:
+    """h, sigma2/sigma1 and residual of a table, checked as ``h_from_moments`` states.
+
+    The singular values come from ``atoms_singular_values`` when the table
+    is known to be ``atoms_table(atoms, M.order)`` (an r x r problem, no SVD
+    of the table), and from an SVD of the table otherwise. h, the h_0 check
+    and the residual |M - conj(h) h^T| are always read from the table itself.
+    """
     arr = M.to_complex_array()
-    svals = np.linalg.svd(arr, compute_uv=False)
+    if atoms is None:
+        svals = np.linalg.svd(arr, compute_uv=False)
+    else:
+        svals = atoms_singular_values(atoms, M.order)
     rank_ratio = float(svals[1] / svals[0]) if svals.size > 1 and svals[0] > 0 else 0.0
     h = arr[0].copy()
     outer = np.conj(h)[:, None] * h[None, :]
@@ -344,11 +374,16 @@ def build_model(
 
     Catalog weights go through their exact atomic table (the atom's mass
     is known in closed form, so normalization is exact and h_0 = 1 to
-    roundoff). Weights without an atomic realization are normalized by
-    quadrature and must pass the rank-one test on the table computed from
-    their measure moments (``moment_table_from_berezin``); by the
-    classification only a weight whose charge is a single atom passes,
-    and every other weight is rejected with NotDbrWeightError.
+    roundoff). Their rank test reads sigma2/sigma1 from the atoms
+    (``atoms_singular_values``: an r x r problem for r atoms, exactly 0 for
+    one atom), so a multi-atom weight is rejected without an SVD of the
+    (order+1)^2 table; h and the residual are still read from the table.
+    Weights without an atomic realization are normalized by quadrature
+    and must pass the rank-one test on the 9 x 9 table computed from their
+    measure moments (``moment_table_from_berezin``), whose singular values
+    come from one SVD; by the classification only a weight whose charge is
+    a single atom passes, and every other weight is rejected with
+    NotDbrWeightError.
 
     Boundary data for the outer factor is taken in closed form from the
     atom (the truncated h does not converge on the boundary when the pole
@@ -360,7 +395,9 @@ def build_model(
 
     if unit is not None:
         norm_weight, norm_atoms = unit
-        fac = factor_table(atoms_table(norm_atoms, order), residual_tol=1e-9)
+        fac = factor_table(
+            atoms_table(norm_atoms, order), residual_tol=1e-9, atoms=norm_atoms
+        )
         h = fac.h
         # |phi| on the boundary, in closed form from the atoms:
         # phi(v) = v sum m_i / (1 - conj(p_i) v) continues to |v| = 1.
@@ -420,10 +457,9 @@ def kernel(model: DbrModel, z: complex, v: complex) -> complex:
 def kernel_series(model: DbrModel, v: complex) -> TaylorSeries:
     """Taylor expansion in z of the kernel section at v."""
     v = complex(v)
-    bv = np.conj(model.b.evaluate(v))
-    coeffs = [-bv * c for c in model.b.coeffs]
-    coeffs[0] += 1.0
-    return TaylorSeries(coeffs) * geometric_series(np.conj(v), model.order)
+    numerator = -np.conj(model.b.evaluate(v)) * model.b.array  # 1 - conj(b(v)) b
+    numerator[0] += 1.0
+    return TaylorSeries(numerator) * geometric_series(np.conj(v), model.order)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .weights import Weight
 
 def energy(f: TaylorSeries, w: Weight, grid: DiskGrid) -> float:
     """Dirichlet integral of |f'|^2 against the weight, on the grid's rule (no BLAS)."""
-    c = np.asarray(f.derivative().coeffs)
+    c = f.derivative().array
     W = disk_moments(w, grid, c.size - 1)
     e = float(np.sum(c[:, None] * np.conj(c)[None, :] * W).real)
     if not np.isfinite(e):

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from disklab.cli import DEFAULT_TOLS, main, parse_args, run
+from disklab.quadrature import MAX_DISK_NODES
 
 
 class TestParse:
@@ -61,6 +63,23 @@ class TestParse:
     def test_tol_override(self):
         config = parse_args(["verify", "--tol", "isometry=0.05"])
         assert config.tols["isometry"] == 0.05
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-3", "-0.5"])
+    def test_non_finite_or_negative_tol_is_usage_error(self, value):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["verify", "--tol", f"h_identity={value}"])
+        assert exc.value.code == 2
+
+    def test_zero_tol_is_accepted(self):
+        assert parse_args(["verify", "--tol", "h_identity=0"]).tols["h_identity"] == 0.0
+
+    def test_boundary_over_node_budget_is_usage_error(self):
+        # parse_args compares the order with the budget; no circle is built
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["dbr", "build", "--boundary", str(MAX_DISK_NODES + 1)])
+        assert exc.value.code == 2
+        config = parse_args(["dbr", "build", "--boundary", str(MAX_DISK_NODES)])
+        assert config.boundary_order == MAX_DISK_NODES
 
     def test_unknown_tol_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -263,3 +282,17 @@ class TestProcessEntryPoint:
         assert proc.returncode == 0
         data = json.loads(proc.stdout)
         assert data["schema"] == 1 and data["is_harmonic"] is True
+
+    def test_model_output_does_not_depend_on_blas_thread_count(self):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "disklab", "dbr", "build",
+                 "--weight", "harm:1,0", "--series-order", "256"],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["diagnostics"]["rank_ratio"] == 0.0

@@ -7,6 +7,7 @@ from disklab import (
     Custom,
     DegenerateNodeSetError,
     DomainError,
+    GreenDecomposition,
     HarmonicBoundary,
     LogGreen,
     MomentTable,
@@ -14,6 +15,7 @@ from disklab import (
     Scaled,
     SingularIntegrandError,
     TaylorSeries,
+    atoms_table,
     berezin_transform,
     build_model,
     charge_moment_table,
@@ -30,10 +32,12 @@ from disklab import (
     phi_modulus_sq,
     rank_one_fit,
     riesz_atoms,
+    synthesize,
     szego_model,
     verify_h_identity,
     verify_isometry,
 )
+from disklab.dbr import atoms_singular_values, unit_mass_atoms
 
 # closed form for the boundary-pole weight at zeta = 1:
 # b(z) = sqrt(s) z / (1 - s z) with s = (3 - sqrt 5)/2
@@ -125,6 +129,46 @@ class TestHFromMoments:
         )
         with pytest.raises(NotDbrWeightError):
             h_from_moments(scaled)
+
+
+class TestAtomicRankIdentity:
+    """sigma2/sigma1 from the atoms, against the SVD of the table as reference."""
+
+    _TWO_ATOMS = GreenDecomposition(interior=((0.2, 0.3),), boundary=((1, 0.7),))
+
+    def test_multi_atom_weight_rejected(self, coarse_disk_grid):
+        with pytest.raises(NotDbrWeightError, match="not rank one"):
+            build_model(
+                synthesize(self._TWO_ATOMS), coarse_disk_grid,
+                boundary_order=1024, order=16,
+            )
+
+    @pytest.mark.parametrize("order", [8, 64, 256])
+    def test_ratio_matches_svd_of_the_table(self, order):
+        _, atoms = unit_mass_atoms(synthesize(self._TWO_ATOMS))
+        svals = atoms_singular_values(atoms, order)
+        ref = np.linalg.svd(atoms_table(atoms, order).to_complex_array(), compute_uv=False)
+        assert svals.size == 2
+        assert svals[1] / svals[0] == pytest.approx(ref[1] / ref[0], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("point", [1.0, 0.4, 0.3 - 0.5j, np.exp(0.7j)])
+    def test_one_atom_has_one_singular_value(self, point):
+        assert atoms_singular_values(((point, 1.0),), 256).size == 1
+
+    def test_atomic_build_makes_no_svd_of_the_table(self, monkeypatch, coarse_disk_grid):
+        shapes = []
+        real = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        model = build_model(
+            HarmonicBoundary(1.0), coarse_disk_grid, boundary_order=2048, order=128
+        )
+        assert shapes == []
+        assert model.diagnostics["rank_ratio"] == 0.0
 
 
 class TestBerezinExtraction:
