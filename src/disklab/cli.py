@@ -211,12 +211,23 @@ class _SuiteContext:
         ]
 
     @cached_property
+    def unit_atoms(self):
+        """``dbr.unit_mass_atoms`` of the configured weight (None without atoms)."""
+        return dbr_mod.unit_mass_atoms(self.weight)
+
+    @cached_property
     def weight_table(self):
         """(table, route) of the configured weight: atoms when known, else measure."""
-        unit = dbr_mod.unit_mass_atoms(self.weight)
-        if unit is not None:
-            return atoms_table(unit[1], self.config.order), "atom"
+        if self.unit_atoms is not None:
+            return atoms_table(self.unit_atoms[1], self.config.order), "atom"
         return measure_moments(self.weight, self.disk_grid, self.config.order), "measure"
+
+    @property
+    def direction(self) -> complex:
+        """p/|p| of a single nonzero atom p, else 1: test points turn with the pole."""
+        atoms = self.unit_atoms[1] if self.unit_atoms is not None else ()
+        p = complex(atoms[0][0]) if len(atoms) == 1 else 0j
+        return p / abs(p) if p else 1.0
 
     def model(self):
         if self._model is None and self._model_error is None:
@@ -437,12 +448,15 @@ def suite_dirichlet(ctx: _SuiteContext) -> list[CheckRecord]:
     return checks
 
 
-def _h_identity_points(count: int = 25, radius: float = 0.8) -> list[complex]:
+def _h_identity_points(
+    direction: complex, count: int = 25, radius: float = 0.8
+) -> list[complex]:
+    """Seeded points in |v| <= radius, turned by the unit ``direction``."""
     rng = random.Random(_SEED_TEST_POINTS)
     pts = []
     for _ in range(count):
         r = radius * (0.2 + 0.8 * rng.random())
-        pts.append(r * np.exp(2j * np.pi * rng.random()))
+        pts.append(direction * (r * np.exp(2j * np.pi * rng.random())))
     return pts
 
 
@@ -481,7 +495,7 @@ def suite_dbr(ctx: _SuiteContext) -> list[CheckRecord]:
     def h_identity():
         model = ctx.model()
         report = dbr_mod.verify_h_identity(
-            model.weight, model.h, _h_identity_points(), grid,
+            model.weight, model.h, _h_identity_points(ctx.direction), grid,
             tol=tols["h_identity"],
         )
         return (
@@ -509,7 +523,7 @@ def suite_dbr(ctx: _SuiteContext) -> list[CheckRecord]:
         model = ctx.model()
         worst = 0.0
         phi = model.h.shift()
-        for v in _h_identity_points(count=10):
+        for v in _h_identity_points(ctx.direction, count=10):
             direct = dbr_mod.phi_modulus_sq(v, model.weight, grid)
             from_series = abs(phi.evaluate(v)) ** 2
             worst = max(worst, abs(direct - from_series))
@@ -556,7 +570,8 @@ def suite_dbr(ctx: _SuiteContext) -> list[CheckRecord]:
 
 
 # Fixed kernel node sets of sizes 1..4 inside |w| <= 0.6, biased toward
-# the positive real axis. Spread-out node sets span near-constant
+# the positive real axis (turned toward the weight's pole when it has
+# one, see ``_isometry_cases``). Spread-out node sets span near-constant
 # functions (vanishing energy), which would let a wrong symbol slip
 # through; these clustered sets keep the wrong-symbol gap decisive for
 # generic coefficient draws while the Gram stays well conditioned.
@@ -569,13 +584,14 @@ _ISOMETRY_NODE_SETS = (
 _MEAN_DOMINANCE_CAP = 0.85
 
 
-def _isometry_cases(count: int = 20):
+def _isometry_cases(count: int = 20, direction: complex = 1.0):
     """Fixed node sets cycled with seeded Gaussian coefficient draws.
 
     Draws whose kernel combination is dominated by its mean value are
     redrawn: constants carry no energy, so a near-constant test function
     cannot expose a wrong symbol. The filter uses only the Hardy-space
-    Gram of the nodes (no weight or symbol data).
+    Gram of the nodes (no weight or symbol data), which a rotation leaves
+    unchanged; the nodes are then turned by the unit ``direction``.
     """
     rng = random.Random(_SEED_ISOMETRY)
     grams = [
@@ -585,7 +601,7 @@ def _isometry_cases(count: int = 20):
     cases = []
     for i in range(count):
         pick = i % len(_ISOMETRY_NODE_SETS)
-        nodes = list(_ISOMETRY_NODE_SETS[pick])
+        nodes = [direction * u for u in _ISOMETRY_NODE_SETS[pick]]
         while True:
             c = np.array(
                 [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in nodes]
@@ -606,7 +622,7 @@ def suite_isometry(ctx: _SuiteContext) -> list[CheckRecord]:
         model = ctx.model()
         worst = 0.0
         min_eig = float("inf")
-        for nodes, coeffs in _isometry_cases():
+        for nodes, coeffs in _isometry_cases(direction=ctx.direction):
             rep = dbr_mod.verify_isometry(
                 model, nodes, coeffs, grid, tol=tols["isometry"]
             )
@@ -623,7 +639,7 @@ def suite_isometry(ctx: _SuiteContext) -> list[CheckRecord]:
         model = ctx.model()
         wrong = dbr_mod.szego_model(model)
         min_gap = float("inf")
-        for nodes, coeffs in _isometry_cases():
+        for nodes, coeffs in _isometry_cases(direction=ctx.direction):
             rep = dbr_mod.verify_isometry(
                 wrong, nodes, coeffs, grid, tol=tols["isometry"]
             )

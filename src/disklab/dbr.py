@@ -39,7 +39,7 @@ from .errors import (
     NotDbrWeightError,
     SingularBoundaryDataError,
 )
-from .moments import MomentTable, atoms_table, measure_moments, weight_values
+from .moments import MomentTable, atoms_table, disk_moments, weight_values
 from .quadrature import CircleGrid, DiskGrid, integrate, make_circle_grid
 from .series import TaylorSeries, exp_series, geometric_series
 from .weights import Custom, HarmonicBoundary, LogGreen, Scaled, Weight, normalize
@@ -140,14 +140,12 @@ def moment_table_from_berezin(
 
         M[j][k] = (j+1)(k+1) W[j][k] - j k W[j-1][k-1].
     """
-    W = measure_moments(weight, grid, order).to_complex_array()
+    W = disk_moments(weight, grid, order)
     n = np.arange(order + 1)
     M = np.outer(n + 1, n + 1) * W
     M[1:, 1:] -= np.outer(n[1:], n[1:]) * W[:-1, :-1]
-    return MomentTable(
-        entries=tuple(tuple(complex(v) for v in row) for row in M),
-        order=order,
-        provenance=f"berezin:r{grid.radial_order}a{grid.angular_order}",
+    return MomentTable._from_parts(
+        M.real, M.imag, 1, f"berezin:r{grid.radial_order}a{grid.angular_order}"
     )
 
 

@@ -19,10 +19,12 @@ vanish identically; ``tensor_diag_check`` sweeps it over all index tuples.
 When the support point and every coefficient are rational (including
 rational real and imaginary parts), all tables are exact and the checks
 certify exact zeros instead of small residuals; otherwise double
-precision is used throughout. ``GaussianRational`` is the exact type of
-inputs and table entries; the inner loops of ``point_moments`` and
-``tensor_diag_check`` run on Gaussian integers (Python int pairs) scaled
-to a common denominator, with no per-operation gcd reduction.
+precision is used throughout. A ``MomentTable`` holds real and imaginary
+numerator arrays over one denominator: float64 over 1, or Python ints
+over a common integer denominator, so exact arithmetic runs on Gaussian
+integers with no per-operation gcd reduction. ``point_moments`` and both
+checks are the same array sweeps on either kind; ``GaussianRational`` is
+the exact type of inputs and of the ``entries`` view.
 """
 
 from __future__ import annotations
@@ -149,10 +151,6 @@ def _as_entry(v) -> Entry:
     return exact if exact is not None else complex(v)
 
 
-def _abs(v: Entry) -> float:
-    return abs(v)
-
-
 class PointDistribution:
     """Support point a and coefficient matrix c of a point distribution.
 
@@ -196,30 +194,64 @@ def _nonzero(v: Entry) -> bool:
     return v != 0
 
 
-@dataclass(frozen=True)
 class MomentTable:
-    """Square table M[j][k] = <u, z^j conj(z)^k> for j, k <= order."""
+    """Square table M[j][k] = <u, z^j conj(z)^k> for j, k <= order.
 
-    entries: tuple[tuple[Entry, ...], ...]
-    order: int
-    provenance: str
+    Stored as read-only numerator arrays over one denominator, M = (re + i
+    im) / denom: float64 arrays over 1 for a floating table, object arrays
+    of Python ints over a common integer denominator for an exact one.
+    ``entries`` is the boundary view, rows of GaussianRational or complex;
+    the constructor takes such rows, and the table is exact only when every
+    entry is a GaussianRational (mixed rows become complex).
+    """
 
-    def __post_init__(self):
-        if len(self.entries) != self.order + 1 or any(
-            len(row) != self.order + 1 for row in self.entries
-        ):
+    __slots__ = ("re", "im", "denom", "order", "provenance")
+
+    def __init__(self, entries, order: int, provenance: str):
+        rows = [list(row) for row in entries]
+        if len(rows) != order + 1 or any(len(row) != order + 1 for row in rows):
             raise DomainError("moment table shape does not match its order")
+        if all(isinstance(v, GaussianRational) for row in rows for v in row):
+            re, im, denom = _gaussian_integers(rows)
+        else:
+            arr = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
+            re, im, denom = arr.real, arr.imag, 1
+        self._init(re, im, denom, provenance)
+
+    @classmethod
+    def _from_parts(cls, re, im, denom: int, provenance: str) -> "MomentTable":
+        """The table (re + i im) / denom; the arrays are kept, read-only."""
+        table = object.__new__(cls)
+        table._init(re, im, denom, provenance)
+        return table
+
+    def _init(self, re, im, denom, provenance):
+        if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
+            raise DomainError("moment table must be a nonempty square array")
+        re.setflags(write=False)
+        im.setflags(write=False)
+        self.re, self.im, self.denom = re, im, denom
+        self.order, self.provenance = re.shape[0] - 1, provenance
+
+    @property
+    def entries(self) -> tuple[tuple[Entry, ...], ...]:
+        if not self.is_exact:
+            return tuple(map(tuple, self.to_complex_array().tolist()))
+        d = self.denom
+        return tuple(
+            tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(*row))
+            for row in zip(self.re.tolist(), self.im.tolist())
+        )
 
     @property
     def is_exact(self) -> bool:
-        return all(
-            isinstance(v, GaussianRational) for row in self.entries for v in row
-        )
+        return self.re.dtype == object
 
     def to_complex_array(self) -> np.ndarray:
-        return np.array(
-            [[complex(v) for v in row] for row in self.entries], dtype=complex
-        )
+        # int / int rounds once, as float(Fraction) does
+        out = np.empty(self.re.shape, dtype=complex)
+        out.real, out.imag = self.re / self.denom, self.im / self.denom
+        return out
 
     def to_json_dict(self) -> dict:
         arr = self.to_complex_array()
@@ -235,13 +267,14 @@ class MomentTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MomentTable":
-        re = data["re"]
-        im = data["im"]
-        entries = tuple(
-            tuple(complex(a, b) for a, b in zip(rrow, irow))
-            for rrow, irow in zip(re, im)
-        )
-        return cls(entries=entries, order=data["order"], provenance=data["provenance"])
+        try:
+            re, im = np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
+        except ValueError:
+            raise DomainError("moment table rows must have equal lengths") from None
+        table = cls._from_parts(re, im, 1, data["provenance"])
+        if table.order != data["order"]:
+            raise DomainError("moment table shape does not match its order")
+        return table
 
 
 def centered_moments(d: PointDistribution, order: int) -> list[list[Entry]]:
@@ -272,7 +305,8 @@ def point_moments(d: PointDistribution, order: int) -> MomentTable:
     Exact whenever the distribution data is rational: with a = A / D_a and
     Cen = Cen' / D_c over Gaussian integers, P'[j][m] = C(j,m) A^(j-m) D_a^m
     gives M[j][k] = (P' Cen' conj(P')^T)[j][k] / (D_c D_a^(j+k)) in integer
-    arithmetic. Double precision otherwise, through the same products.
+    arithmetic, each entry then lifted to the one denominator D_c
+    D_a^(2 order). Double precision otherwise, through the same products.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
@@ -287,51 +321,33 @@ def point_moments(d: PointDistribution, order: int) -> MomentTable:
             [z.real for z in apow], [z.imag for z in apow], [1] * n, float
         )
         mr, mi = _recenter(pr, pi, cen.real, cen.imag)
-        entries = tuple(map(tuple, (mr + 1j * mi).tolist()))
-        return MomentTable(entries=entries, order=order, provenance="point")
-    [[(ar, ai)]], da = _gaussian_integers([[d.point]])
-    cen_pairs, dc = _gaussian_integers(centered)
-    cen = np.array(cen_pairs, dtype=object)
+        return MomentTable._from_parts(mr, mi, 1, "point")
+    [[ar]], [[ai]], da = _gaussian_integers([[d.point]])
+    cr, ci, dc = _gaussian_integers(centered)
     apow = [(1, 0)]
     for _ in range(order):
         zr, zi = apow[-1]
         apow.append((zr * ar - zi * ai, zr * ai + zi * ar))
     dapow = [da**m for m in range(2 * order + 1)]
     pr, pi = _binomial_matrix(*zip(*apow), dapow, object)
-    mr, mi = _recenter(pr, pi, cen[..., 0], cen[..., 1])
-    rows = tuple(
-        tuple(
-            GaussianRational(
-                Fraction(mr[j, k], dc * dapow[j + k]),
-                Fraction(mi[j, k], dc * dapow[j + k]),
-            )
-            for k in range(n)
-        )
-        for j in range(n)
-    )
-    return MomentTable(entries=rows, order=order, provenance="point")
+    mr, mi = _recenter(pr, pi, cr, ci)
+    idx = np.arange(n)
+    lift = np.array(dapow, dtype=object)[2 * order - idx[:, None] - idx[None, :]]
+    return MomentTable._from_parts(mr * lift, mi * lift, dc * dapow[-1], "point")
 
 
-def _gaussian_integers(rows) -> tuple[list[list[tuple[int, int]]], int]:
-    """Gaussian rationals as integer pairs over one common denominator D.
+def _gaussian_integers(rows) -> tuple[np.ndarray, np.ndarray, int]:
+    """Gaussian rationals as integer numerators over one common denominator D.
 
-    Returns (pairs, D) with v = (pairs[j][k][0] + i pairs[j][k][1]) / D.
+    Returns (re, im, D), object arrays of Python ints with v = (re + i im) / D.
     """
     denom = 1
     for row in rows:
         for v in row:
             denom = math.lcm(denom, v.re.denominator, v.im.denominator)
-    pairs = [
-        [
-            (
-                v.re.numerator * (denom // v.re.denominator),
-                v.im.numerator * (denom // v.im.denominator),
-            )
-            for v in row
-        ]
-        for row in rows
-    ]
-    return pairs, denom
+    re = [[v.re.numerator * (denom // v.re.denominator) for v in row] for row in rows]
+    im = [[v.im.numerator * (denom // v.im.denominator) for v in row] for row in rows]
+    return np.array(re, dtype=object), np.array(im, dtype=object), denom
 
 
 def _binomial_matrix(zre, zim, scale, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -382,24 +398,13 @@ def atoms_table(
     if order < 0:
         raise DomainError("order must be nonnegative")
     # per atom: m p^j with Python's complex power and conj(p)^k with numpy's,
-    # so each row is one elementwise product per atom, summed in atom order
-    powers = [
-        (
-            [m * p**j for j in range(order + 1)],
-            np.array([np.conj(p) ** k for k in range(order + 1)]),
-        )
-        for p, m in ((complex(p), m) for p, m in atoms)
-    ]
-    # two buffers reused for every row: per-row arrays would interleave with
-    # the rows' tuples on the heap and raise peak RSS at high orders
-    acc, term = np.empty(order + 1, dtype=complex), np.empty(order + 1, dtype=complex)
-    rows = []
-    for j in range(order + 1):
-        acc[:] = 0
-        for mpj, conj_pk in powers:
-            acc += np.multiply(mpj[j], conj_pk, out=term)
-        rows.append(tuple(acc.tolist()))
-    return MomentTable(entries=tuple(rows), order=order, provenance=provenance)
+    # multiplied as one outer product and summed in atom order
+    total = np.zeros((order + 1, order + 1), dtype=complex)
+    for p, m in atoms:
+        p = complex(p)
+        mpj = np.array([m * p**j for j in range(order + 1)])
+        total += mpj[:, None] * np.array([np.conj(p) ** k for k in range(order + 1)])
+    return MomentTable._from_parts(total.real, total.imag, 1, provenance)
 
 
 #: Per (weight, grid) pair: [weight, grid, node values or None, moment
@@ -468,10 +473,9 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
 
 def measure_moments(w: Weight, grid: DiskGrid, order: int) -> MomentTable:
     """Moments integral(z^j conj(z)^k w dA) of the weight: ``disk_moments`` as a table."""
-    return MomentTable(
-        entries=tuple(map(tuple, disk_moments(w, grid, order).tolist())),
-        order=order,
-        provenance=f"measure:r{grid.radial_order}a{grid.angular_order}",
+    W = disk_moments(w, grid, order)
+    return MomentTable._from_parts(
+        W.real, W.imag, 1, f"measure:r{grid.radial_order}a{grid.angular_order}"
     )
 
 
@@ -486,21 +490,18 @@ class WeakMultReport:
 def weak_mult_check(M: MomentTable, tol: float = 0.0) -> WeakMultReport:
     """Residuals of the factorization M[j][k] = M[j][0] M[0][k].
 
-    On exact tables the differences are formed in rational arithmetic, so
-    a residual of 0.0 certifies exact factorization. Ties on the worst
+    One sweep over the numerators: with M = T / D the differences are
+    (T D - T[:,0] T[0,:]) / D^2, in integers on an exact table, so a
+    residual of 0.0 certifies exact factorization. Ties on the worst
     residual resolve to the lexicographically smallest index pair.
     """
-    worst = (0, 0)
-    worst_res = -1.0
-    for j in range(M.order + 1):
-        for k in range(M.order + 1):
-            diff = M.entries[j][k] - M.entries[j][0] * M.entries[0][k]
-            res = _abs(diff)
-            if res > worst_res:
-                worst_res = res
-                worst = (j, k)
+    re, im, d = M.re, M.im, M.denom
+    cr, ci, rr, ri = re[:, :1], im[:, :1], re[:1], im[:1]  # M[j][0], M[0][k]
+    worst, residual = _worst(
+        re * d - (cr * rr - ci * ri), im * d - (cr * ri + ci * rr), d
+    )
     return WeakMultReport(
-        passes=worst_res <= tol, worst=worst, residual=worst_res, tolerance=tol
+        passes=residual <= tol, worst=worst, residual=residual, tolerance=tol
     )
 
 
@@ -516,75 +517,48 @@ def tensor_diag_check(M: MomentTable, tol: float = 0.0) -> TensorDiagReport:
     """Sweep the antisymmetrized rank-one identity over all index tuples.
 
     E(j,k,m,n) uses entries up to row j+1 and k+1, so j, k range over
-    0..order-1 and m, n over 0..order. Requires order >= 1. Exact tables
-    are swept over common-denominator Gaussian integers (no per-operation
-    gcd reduction), which keeps the full order-8 sweep fast while still
-    certifying exact zeros.
+    0..order-1 and m, n over 0..order. Requires order >= 1. One sweep on
+    either kind of table: P[j][k][m][n] = M[j+1][m] M[k][n] is one outer
+    product of the shifted row blocks, and E = ((P + P_jk) - P_jk,mn) -
+    P_mn over its index transposes, in the order of the formula above. On
+    an exact table the numerators are integers over D^2, so a residual of
+    0.0 certifies an exact zero. Ties on the worst residual resolve to the
+    lexicographically smallest tuple. Memory grows as order^4.
     """
     if M.order < 1:
         raise DomainError("tensor_diag_check needs a table of order >= 1")
-    if M.is_exact:
-        return _tensor_diag_exact(M, tol)
-    E = M.entries
-    worst = (0, 0, 0, 0)
-    worst_res = -1.0
-    for j in range(M.order):
-        for k in range(M.order):
-            for m in range(M.order + 1):
-                for n in range(M.order + 1):
-                    val = (
-                        E[j + 1][m] * E[k][n]
-                        + E[k + 1][m] * E[j][n]
-                        - E[j][m] * E[k + 1][n]
-                        - E[k][m] * E[j + 1][n]
-                    )
-                    res = _abs(val)
-                    if res > worst_res:
-                        worst_res = res
-                        worst = (j, k, m, n)
-    return TensorDiagReport(
-        passes=worst_res <= tol, worst=worst, residual=worst_res, tolerance=tol
+    ar, ai = M.re[1:, None, :, None], M.im[1:, None, :, None]  # M[j+1][m]
+    br, bi = M.re[None, :-1, None, :], M.im[None, :-1, None, :]  # M[k][n]
+
+    def antisymmetrized(p):  # the (j,k), (j,k)(m,n) and (m,n) transposes of P
+        t2, t3 = p.transpose(1, 0, 2, 3), p.transpose(1, 0, 3, 2)
+        return ((p + t2) - t3) - p.transpose(0, 1, 3, 2)
+
+    worst, residual = _worst(
+        antisymmetrized(ar * br - ai * bi), antisymmetrized(ar * bi + ai * br), M.denom
     )
-
-
-def _tensor_diag_exact(M: MomentTable, tol: float) -> TensorDiagReport:
-    n_idx = M.order + 1
-    ints, denom = _gaussian_integers(M.entries)
-
-    # product pool over Gaussian integers: P[a][m][b][n] = T[a][m] * T[b][n]
-    def gmul(u, v):
-        return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-    pool: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-
-    def prod(a, m, b, n):
-        key = (a, m, b, n)
-        got = pool.get(key)
-        if got is None:
-            got = gmul(ints[a][m], ints[b][n])
-            pool[key] = got
-        return got
-
-    worst = (0, 0, 0, 0)
-    worst_sq = -1
-    for j in range(M.order):
-        for k in range(M.order):
-            for m in range(n_idx):
-                for n in range(n_idx):
-                    t1 = prod(j + 1, m, k, n)
-                    t2 = prod(k + 1, m, j, n)
-                    t3 = prod(j, m, k + 1, n)
-                    t4 = prod(k, m, j + 1, n)
-                    re = t1[0] + t2[0] - t3[0] - t4[0]
-                    im = t1[1] + t2[1] - t3[1] - t4[1]
-                    sq = re * re + im * im
-                    if sq > worst_sq:
-                        worst_sq = sq
-                        worst = (j, k, m, n)
-    residual = math.sqrt(Fraction(worst_sq, denom**4)) if worst_sq else 0.0
     return TensorDiagReport(
         passes=residual <= tol, worst=worst, residual=residual, tolerance=tol
     )
+
+
+def _worst(re: np.ndarray, im: np.ndarray, denom: int) -> tuple[tuple[int, ...], float]:
+    """First index in C order of the largest |re + i im| / denom^2, and that value.
+
+    The callers round each real product on its own, as Python's complex
+    product does (numpy's complex multiply may fuse one into the following
+    addition). Float parts take np.hypot, as Python's complex abs does;
+    integer parts compare re^2 + im^2 exactly and round once, at the worst.
+    """
+    if re.dtype == object:
+        sq = re * re + im * im
+        flat = int(np.argmax(sq))
+        value = math.sqrt(Fraction(sq.flat[flat], denom**4))
+    else:
+        modulus = np.hypot(re, im)
+        flat = int(np.argmax(modulus))
+        value = float(modulus.flat[flat])
+    return tuple(int(i) for i in np.unravel_index(flat, re.shape)), value
 
 
 @dataclass(frozen=True)
@@ -607,8 +581,8 @@ def factorize(d: PointDistribution) -> FactorizationResult:
     """
     c = d.coeffs
     c00 = c[0][0]
-    near_one = _abs(c00 - _one_entry(d)) <= _C00_SNAP_TOL
-    near_zero = _abs(c00) <= _C00_SNAP_TOL
+    near_one = abs(c00 - _one_entry(d)) <= _C00_SNAP_TOL
+    near_zero = abs(c00) <= _C00_SNAP_TOL
     if not near_one and not near_zero:
         raise NotWeaklyMultiplicativeError(
             f"c_00 = {c00!r} is not 0 or 1 within {_C00_SNAP_TOL}"
@@ -627,7 +601,7 @@ def factorize(d: PointDistribution) -> FactorizationResult:
     for m in range(1, dj + 1):
         for n in range(1, dk + 1):
             diff = c[m][n] - c[m][0] * c[0][n]
-            res = _abs(diff)
+            res = abs(diff)
             exact = isinstance(diff, GaussianRational)
             if (exact and _nonzero(diff)) or (not exact and res > _FACTOR_TOL):
                 return FactorizationResult(

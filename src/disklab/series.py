@@ -171,10 +171,9 @@ def monomial(degree: int, order: int) -> TaylorSeries:
 
 def geometric_series(ratio: complex, order: int) -> TaylorSeries:
     """Truncation of 1/(1 - ratio*z), i.e. coefficients ratio^k."""
-    out = [1.0 + 0j]
-    for _ in range(order):
-        out.append(out[-1] * ratio)
-    return TaylorSeries(out)
+    steps = np.full(order + 1, ratio, dtype=complex)
+    steps[0] = 1.0
+    return TaylorSeries(np.cumprod(steps))
 
 
 def exp_series(g: TaylorSeries) -> TaylorSeries:

@@ -39,6 +39,13 @@ from .quadrature import CircleGrid, DiskGrid, integrate, make_disk_grid
 
 _UNIMODULAR_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
+_UNIT_ROUNDOFF = 4 * 2.0**-52  # |z/|z|| lies within one ulp of 1
+
+
+def _spec_number(x: float) -> str:
+    """x as a label writes it: the short ``:g`` form when it reads back as x."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 class Weight:
@@ -94,7 +101,7 @@ class HarmonicBoundary(Weight):
             )
         self.zeta = zeta
         self.singularities = (zeta,)
-        self.label = f"harm:{zeta.real:g},{zeta.imag:g}"
+        self.label = f"harm:{_spec_number(zeta.real)},{_spec_number(zeta.imag)}"
 
     def _value_many(self, z: np.ndarray) -> np.ndarray:
         return (1.0 - np.abs(z) ** 2) / np.abs(z - self.zeta) ** 2
@@ -111,7 +118,7 @@ class LogGreen(Weight):
             raise DomainError(f"LogGreen needs |zeta| < 1, got |{zeta}| = {abs(zeta)}")
         self.zeta = zeta
         self.singularities = (zeta,)
-        self.label = f"log:{zeta.real:g},{zeta.imag:g}"
+        self.label = f"log:{_spec_number(zeta.real)},{_spec_number(zeta.imag)}"
         self.analytic_mass = (1.0 - abs(zeta) ** 2) / 2.0
 
     def _value_many(self, z: np.ndarray) -> np.ndarray:
@@ -131,7 +138,7 @@ class Scaled(Weight):
         self.inner = inner
         self.is_harmonic = inner.is_harmonic
         self.singularities = inner.singularities
-        self.label = f"scaled:{c:g}:{inner.label}"
+        self.label = f"scaled:{_spec_number(c)}:{inner.label}"
         if inner.analytic_mass is not None:
             self.analytic_mass = c * inner.analytic_mass
 
@@ -318,8 +325,9 @@ def grid_for_weight(
 def parse_weight_spec(spec: str) -> Weight:
     """Parse the CLI mini-language for weights.
 
-    Grammar: ``harm:<re>,<im>`` (boundary point, normalized to the circle),
-    ``log:<re>,<im>`` (interior point), ``scaled:<c>:<spec>``, ``uniform``.
+    Grammar: ``harm:<re>,<im>`` (boundary point, normalized to the circle
+    unless it lies on it to roundoff), ``log:<re>,<im>`` (interior point),
+    ``scaled:<c>:<spec>``, ``uniform``.
     """
     spec = spec.strip()
     if spec == "uniform":
@@ -329,7 +337,8 @@ def parse_weight_spec(spec: str) -> Weight:
         z = _parse_point(rest, spec)
         if abs(z) == 0.0:
             raise WeightSpecError(f"cannot normalize zero point in {spec!r}")
-        return HarmonicBoundary(z / abs(z))
+        # a point on the circle to roundoff (a label's own zeta) is kept as it is
+        return HarmonicBoundary(z if abs(abs(z) - 1.0) <= _UNIT_ROUNDOFF else z / abs(z))
     if head == "log":
         z = _parse_point(rest, spec)
         if abs(z) >= 1.0:

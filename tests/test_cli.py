@@ -192,6 +192,25 @@ class TestRun:
         assert len(report.checks) == 20
 
 
+def _falsification(spec):
+    report, code = run(parse_args(["verify", "--suite", "isometry", "--weight", spec]))
+    check = next(c for c in report.checks if c.name == "isometry-falsification-b-zero")
+    return code, check.value
+
+
+class TestRotatedPoles:
+    """Test points turn with the weight's atom, so a rotated pole gets the same verdicts."""
+
+    @pytest.mark.parametrize("rotated, unrotated", [
+        ("harm:-1,0", "harm:1,0"), ("harm:0,-1", "harm:1,0"),
+        ("harm:0.6,-0.8", "harm:1,0"), ("log:-0.4,0", "log:0.4,0")])
+    def test_falsification_gap_does_not_depend_on_the_angle(self, rotated, unrotated):
+        code, value = _falsification(rotated)
+        ref_code, ref_value = _falsification(unrotated)
+        assert code == 0 and ref_code == 0
+        assert value == pytest.approx(ref_value, rel=1e-8)
+
+
 class TestMainAndFormats:
     def test_json_report_schema(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -274,6 +274,171 @@ class TestTensorDiag:
         with pytest.raises(DomainError):
             tensor_diag_check(dirac_table(0.0, 0))
 
+    def test_nan_table_fails_both_checks(self):
+        nan = complex(float("nan"), 0.0)
+        table = MomentTable(entries=((nan, nan), (nan, nan)), order=1, provenance="nan")
+        assert not weak_mult_check(table, tol=1.0).passes
+        assert not tensor_diag_check(table, tol=1.0).passes
+
+
+def _reference_weak_mult(table):
+    """Reference: the entrywise double loop; the first strict maximum wins."""
+    E = table.entries
+    worst, worst_res = (0, 0), -1.0
+    for j in range(table.order + 1):
+        for k in range(table.order + 1):
+            res = abs(E[j][k] - E[j][0] * E[0][k])
+            if res > worst_res:
+                worst, worst_res = (j, k), res
+    return worst, worst_res
+
+
+def _reference_tensor_diag(table):
+    """Reference: the entrywise quadruple loop over E(j,k,m,n).
+
+    A floating table runs it on Python complex, comparing |E|; an exact one
+    on Gaussian integers (int pairs) over the common denominator D,
+    comparing |E|^2 exactly and rounding the worst once, over D^4.
+    """
+    if table.is_exact:
+        d = math.lcm(*(math.lcm(v.re.denominator, v.im.denominator)
+                       for row in table.entries for v in row))
+        E = [[(int(v.re * d), int(v.im * d)) for v in row] for row in table.entries]
+
+        def mul(u, v):
+            return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+        def size(t1, t2, t3, t4):
+            re = t1[0] + t2[0] - t3[0] - t4[0]
+            im = t1[1] + t2[1] - t3[1] - t4[1]
+            return re * re + im * im
+    else:
+        E = table.entries
+
+        def mul(u, v):
+            return u * v
+
+        def size(t1, t2, t3, t4):
+            return abs(t1 + t2 - t3 - t4)
+
+    worst, worst_size = (0, 0, 0, 0), -1
+    for j in range(table.order):
+        for k in range(table.order):
+            for m in range(table.order + 1):
+                for n in range(table.order + 1):
+                    val = size(mul(E[j + 1][m], E[k][n]), mul(E[k + 1][m], E[j][n]),
+                               mul(E[j][m], E[k + 1][n]), mul(E[k][m], E[j + 1][n]))
+                    if val > worst_size:
+                        worst, worst_size = (j, k, m, n), val
+    if table.is_exact:
+        return worst, math.sqrt(Fraction(worst_size, d**4))
+    return worst, worst_size
+
+
+def _assert_sweeps_equal_reference(table):
+    weak, tensor = weak_mult_check(table), tensor_diag_check(table)
+    assert (weak.worst, weak.residual) == _reference_weak_mult(table)
+    assert (tensor.worst, tensor.residual) == _reference_tensor_diag(table)
+    assert all(type(i) is int for i in weak.worst + tensor.worst)
+
+
+class TestSweepsAgainstReference:
+    """The two checks' array sweeps against the entrywise loops, bit for bit."""
+
+    @pytest.mark.parametrize("seed, generator", [
+        (101, random_rank_one_distribution), (202, random_non_rank_one_distribution)])
+    def test_seeded_exact_tables(self, seed, generator):
+        rng = random.Random(seed)
+        for order in (*range(1, 9), 16):
+            table = point_moments(generator(rng, degree=order), order)
+            assert table.is_exact
+            _assert_sweeps_equal_reference(table)
+
+    @pytest.mark.parametrize("point", [0.0, 0.7 - 0.4j, -1.3 + 0.9j])
+    def test_float_point_tables(self, point):
+        rng = np.random.default_rng(21)
+        for order in (1, 4, 9):
+            coeffs = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+            table = point_moments(PointDistribution(point, coeffs.tolist()), order)
+            assert not table.is_exact
+            _assert_sweeps_equal_reference(table)
+
+    @pytest.mark.parametrize("which", ["uniform", "harm", "log"])
+    def test_measure_tables(self, which, coarse_disk_grid, disk_grid, log04_grid,
+                            uniform, harm_weight, log04_weight):
+        w, grid = {"uniform": (uniform, coarse_disk_grid), "harm": (harm_weight, disk_grid),
+                   "log": (log04_weight, log04_grid)}[which]
+        for order in (1, 3, 8):
+            _assert_sweeps_equal_reference(measure_moments(w, grid, order))
+
+    def test_two_atom_complex_table(self):
+        atoms = ((0.3 + 0.5j, 0.25), (np.exp(2.1j), 0.75))
+        for order in (1, 5, 8):
+            _assert_sweeps_equal_reference(atoms_table(atoms, order))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_atom_tables(self, seed):
+        # the worst residual's last bit depends on the order of E's four terms
+        rng = np.random.default_rng(seed)
+        atoms = [(complex(*rng.normal(size=2)) / 2, float(rng.random())) for _ in range(3)]
+        _assert_sweeps_equal_reference(atoms_table(atoms, 8))
+
+
+class TestTableStorage:
+    def _tables(self, coarse_disk_grid, uniform):
+        d = _rank_one(GaussianRational(Fraction(1, 2), Fraction(-1, 3)), 3, seed=4)
+        return [
+            point_moments(d, 4),
+            point_moments(PointDistribution(0.5 - 0.2j, [[1.0, 2.0j]]), 4),
+            atoms_table(((0.3 + 0.5j, 0.25), (0.9, 0.75)), 4),
+            measure_moments(uniform, coarse_disk_grid, 4),
+            MomentTable(entries=((GaussianRational(1),),), order=0, provenance="x"),
+            MomentTable(entries=((1.5 + 0j,),), order=0, provenance="x"),
+        ]
+
+    def test_stored_arrays_are_read_only(self, coarse_disk_grid, uniform):
+        for table in self._tables(coarse_disk_grid, uniform):
+            for part in (table.re, table.im):
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[0, 0] = 0
+
+    def test_layout_and_denominator(self, coarse_disk_grid, uniform):
+        exact, floating = self._tables(coarse_disk_grid, uniform)[:2]
+        assert exact.re.dtype == object and exact.im.dtype == object
+        assert all(type(v) is int for v in exact.re.flat)
+        assert exact.denom > 1
+        assert floating.re.dtype == np.float64 and floating.denom == 1
+        np.testing.assert_array_equal(
+            exact.to_complex_array(), np.array(exact.entries, dtype=complex))
+
+    def test_gaussian_rational_rows_stay_exact(self):
+        rows = ((GaussianRational(Fraction(1, 3), 2), GaussianRational(0)),
+                (GaussianRational(-1, Fraction(5, 6)), GaussianRational(Fraction(7, 4))))
+        table = MomentTable(entries=rows, order=1, provenance="rows")
+        assert table.is_exact and table.order == 1 and table.provenance == "rows"
+        assert table.entries == rows
+        assert table.denom == 12
+
+    def test_complex_rows_are_floating(self):
+        rows = ((1.0 + 0j, 0.25 - 2j), (-3j, 0.5 + 0.5j))
+        table = MomentTable(entries=rows, order=1, provenance="rows")
+        assert not table.is_exact
+        assert table.entries == rows
+
+    def test_mixed_rows_become_floating(self):
+        rows = ((GaussianRational(Fraction(1, 3)), 0.25 - 2j), (3, Fraction(1, 2)))
+        table = MomentTable(entries=rows, order=1, provenance="rows")
+        assert not table.is_exact
+        assert table.entries == ((complex(1 / 3), 0.25 - 2j), (3 + 0j, 0.5 + 0j))
+        assert all(type(v) is complex for row in table.entries for v in row)
+
+    @pytest.mark.parametrize("rows, order", [
+        (((1.0, 0.0),), 1), (((1.0,), (0.0,)), 1), ((), -1), ((), 0)])
+    def test_shape_must_match_order(self, rows, order):
+        with pytest.raises(DomainError):
+            MomentTable(entries=rows, order=order, provenance="bad")
+
 
 class TestFactorize:
     def test_dirac(self):
@@ -459,6 +624,14 @@ class TestSerialization:
             back.to_complex_array(), table.to_complex_array(), atol=0
         )
         assert back.provenance == table.provenance
+
+    @pytest.mark.parametrize("re, im, order", [
+        ([[1.0, 0.0], [0.0]], [[0.0, 0.0], [0.0]], 1),
+        ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], 2),
+        ([[1.0, 0.0], [0.0, 1.0]], [[0.0], [0.0]], 1)])
+    def test_malformed_json_table_rejected(self, re, im, order):
+        with pytest.raises(DomainError):
+            MomentTable.from_json_dict({"re": re, "im": im, "order": order, "provenance": "x"})
 
     def test_exact_table_serializes_numerically(self):
         table = dirac_table(GaussianRational(Fraction(1, 3)), 2)

@@ -90,6 +90,14 @@ def _kernel_series_reference(b: TaylorSeries, v: complex, order: int) -> list[co
     return _mul_reference(TaylorSeries(coeffs), geometric_series(np.conj(v), order))
 
 
+def _geometric_reference(ratio: complex, order: int) -> list[complex]:
+    """The scalar loop: each coefficient is the previous one times the ratio."""
+    out = [1.0 + 0j]
+    for _ in range(order):
+        out.append(out[-1] * ratio)
+    return out
+
+
 def _random_series(seed: int, order: int, decay: float) -> TaylorSeries:
     rng = np.random.default_rng(seed)
     c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
@@ -130,6 +138,15 @@ def test_kernel_series_matches_the_scalar_loop(order, seed, radius, angle):
     numerator[0] += 1.0
     geometric = geometric_series(np.conj(v), order).array
     _assert_product_close(got, _kernel_series_reference(b, v, order), numerator, geometric)
+
+
+@_series_settings
+@given(order=st.integers(0, 512), radius=st.floats(0.0, 1.5), angle=st.floats(0.0, 6.3))
+def test_geometric_series_equals_the_scalar_loop(order, radius, angle):
+    ratio = radius * complex(math.cos(angle), math.sin(angle))
+    for r in (ratio, np.conj(ratio)):  # kernel_series passes a numpy scalar
+        got = geometric_series(r, order).array
+        assert np.array_equal(got, np.array(_geometric_reference(r, order)))
 
 
 @_series_settings

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disklab import (
     Custom,
@@ -215,6 +217,40 @@ class TestSpecParsing:
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(WeightSpecError):
             parse_weight_spec(bad)
+
+
+def _parameters(w):
+    if isinstance(w, Scaled):
+        return ("scaled", w.c) + _parameters(w.inner)
+    return (type(w).__name__, w.zeta)
+
+
+_coords = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(angle=st.floats(0.0, 2 * math.pi), point=st.tuples(_coords, _coords),
+       pole=st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99)),
+       c=st.floats(1e-6, 1e6))
+def test_labels_parse_back_to_the_weight_that_was_built(angle, point, pole, c):
+    harm = HarmonicBoundary(complex(math.cos(angle), math.sin(angle)))
+    weights = [harm, Scaled(c, harm)]
+    if abs(complex(*point)) > 0:  # a spec point the parser normalizes
+        weights.append(parse_weight_spec(f"harm:{point[0]!r},{point[1]!r}"))
+    if abs(complex(*pole)) < 1:
+        weights += [LogGreen(complex(*pole)), Scaled(c, LogGreen(complex(*pole)))]
+    for w in weights:
+        back = parse_weight_spec(w.label)
+        assert _parameters(back) == _parameters(w)
+        assert back.label == w.label
+
+
+def test_labels_keep_the_short_form_when_it_is_exact():
+    assert parse_weight_spec("harm:1,0").label == "harm:1,0"
+    assert parse_weight_spec("scaled:2:log:0.4,0").label == "scaled:2:log:0.4,0"
+    assert parse_weight_spec("log:0.123456789,0").label == "log:0.123456789,0"
+    assert (parse_weight_spec("scaled:2.000001234:harm:1,0").label
+            == "scaled:2.000001234:harm:1,0")
 
 
 def test_uniform_weight_is_probability_measure(coarse_disk_grid):
