@@ -9,6 +9,7 @@ the reproducing-kernel model (h, a, b) attached to unit-mass weights.
 from .dbr import (
     DbrModel,
     berezin_transform,
+    berezin_transforms,
     build_model,
     charge_moment_table,
     h_from_moments,

@@ -38,9 +38,10 @@ from .errors import (
     DomainError,
     NotDbrWeightError,
     SingularBoundaryDataError,
+    SingularIntegrandError,
 )
-from .moments import MomentTable, atoms_table, disk_moments, weight_values
-from .quadrature import CircleGrid, DiskGrid, integrate, make_circle_grid
+from .moments import MomentTable, _memo_entry, atoms_table, disk_moments, weight_values
+from .quadrature import CircleGrid, DiskGrid, _check_finite, make_circle_grid
 from .series import TaylorSeries, exp_series, geometric_series
 from .weights import Custom, HarmonicBoundary, LogGreen, Scaled, Weight, normalize
 
@@ -48,24 +49,70 @@ _H0_TOL = 1e-6
 _RANK_TOL = 1e-6
 
 
-def berezin_transform(weight: Weight, v: complex, grid: DiskGrid) -> float:
-    """Berezin transform of the weight at v.
+#: Nodes per block of the batched Berezin kernel: a fixed size, so a point's
+#: value does not depend on the batch it is computed in. At 25 points a
+#: block's two working arrays (0.8 MB each) stay in a 4 MiB L2 cache.
+_BEREZIN_BLOCK = 4096
 
-    Average of the weight against the modulus-squared normalized Bergman
-    kernel (1-|v|^2)^2 / |1 - z conj(v)|^4. The weight's node values are
-    read from ``moments.weight_values``, so every point on one grid shares
-    one evaluation of the weight.
+
+def berezin_transforms(
+    weight: Weight, points: Sequence[complex], grid: DiskGrid
+) -> np.ndarray:
+    """Berezin transforms of the weight at each point, in one pass over the grid.
+
+    B(w)(v) = (1-|v|^2)^2 sum_i omega_i w(z_i) / |1 - z_i conj(v)|^4 on the
+    grid's rule, with |1 - z conj(v)|^2 = re^2 + im^2 formed on real arrays
+    (z = x + iy, re = 1 - (x Re v + y Im v), im = y Re v - x Im v) in node
+    blocks of the fixed ``_BEREZIN_BLOCK`` for all points at once, so a
+    point's value is bit-identical alone, in any batch and in any order.
+    Each point is computed once per (weight, grid) pair: its value is
+    memoised beside the weight's node values (``moments.weight_values``).
+    Any |v| >= 1 raises DomainError before any node work; a non-finite
+    weight value or result raises SingularIntegrandError.
     """
-    v = complex(v)
-    if abs(v) >= 1.0:
-        raise DomainError(f"Berezin transform needs |v| < 1, got {abs(v)}")
-    lead = (1.0 - abs(v) ** 2) ** 2
-    vals = weight_values(weight, grid)
+    v = np.array([complex(p) for p in points], dtype=complex)
+    outside = np.abs(v) >= 1.0
+    if outside.any():
+        raise DomainError(f"Berezin transform needs |v| < 1, got {abs(v[outside][0])}")
+    memo = _memo_entry(weight, grid)[4]
+    todo = np.array([p for p in dict.fromkeys(v.tolist()) if p not in memo], dtype=complex)
+    if todo.size:
+        vals = weight_values(weight, grid)
+        _check_finite(vals, grid.nodes)
+        values = (1.0 - np.abs(todo) ** 2) ** 2 * _kernel_sums(
+            todo, grid.nodes, grid.weights * vals
+        )
+        if not np.isfinite(values).all():
+            bad = todo[np.argmin(np.isfinite(values))]
+            raise SingularIntegrandError(f"Berezin transform at v = {bad!r} is not finite")
+        memo.update(zip(todo.tolist(), values.tolist()))
+    return np.array([memo[p] for p in v.tolist()], dtype=float)
 
-    def integrand(z: np.ndarray) -> np.ndarray:  # integrate passes grid.nodes
-        return lead / np.abs(1.0 - z * np.conj(v)) ** 4 * vals
 
-    return float(integrate(grid, integrand))
+def _kernel_sums(v: np.ndarray, nodes: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """sum_i mass_i / |1 - z_i conj(v)|^4 for each v, block by block (no BLAS)."""
+    a, b = v.real[:, None], v.imag[:, None]
+    x, y = np.ascontiguousarray(nodes.real), np.ascontiguousarray(nodes.imag)
+    starts = range(0, nodes.size, _BEREZIN_BLOCK)
+    partial = np.empty((v.size, len(starts)))
+    for k, s in enumerate(starts):
+        xs, ys = x[s : s + _BEREZIN_BLOCK], y[s : s + _BEREZIN_BLOCK]
+        re = xs * a
+        re += ys * b
+        np.subtract(1.0, re, out=re)  # 1 - (x Re v + y Im v)
+        im = ys * a
+        im -= xs * b  # y Re v - x Im v
+        re *= re
+        im *= im
+        re += im  # |1 - z conj(v)|^2
+        re *= re
+        partial[:, k] = np.sum(np.divide(mass[s : s + _BEREZIN_BLOCK], re, out=re), axis=1)
+    return partial.sum(axis=1)
+
+
+def berezin_transform(weight: Weight, v: complex, grid: DiskGrid) -> float:
+    """Berezin transform of the weight at v: ``berezin_transforms`` at one point."""
+    return float(berezin_transforms(weight, [v], grid)[0])
 
 
 def phi_modulus_sq(v: complex, weight: Weight, grid: DiskGrid) -> float:
@@ -248,12 +295,15 @@ def verify_h_identity(
     grid: DiskGrid,
     tol: float,
 ) -> HIdentityReport:
-    """Compare the quartic-kernel integral against |h(v)|^2 pointwise."""
+    """Compare the quartic-kernel integral against |h(v)|^2 pointwise.
+
+    The integrals are one ``berezin_transforms`` batch over all test points.
+    """
+    points = [complex(v) for v in test_points]
     worst = -1.0
     worst_pt = 0j
-    for v in test_points:
-        v = complex(v)
-        lhs = berezin_transform(weight, v, grid) / (1.0 - abs(v) ** 2)
+    for v, b in zip(points, berezin_transforms(weight, points, grid).tolist()):
+        lhs = b / (1.0 - abs(v) ** 2)
         rhs = abs(h.evaluate(v)) ** 2
         err = abs(lhs - rhs)
         if err > worst:

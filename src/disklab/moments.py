@@ -43,7 +43,7 @@ from .errors import (
     InconsistentTableError,
     NotWeaklyMultiplicativeError,
 )
-from .quadrature import DiskGrid, _check_finite
+from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _check_finite
 from .weights import Weight
 
 _C00_SNAP_TOL = 1e-9
@@ -408,7 +408,8 @@ def atoms_table(
 
 
 #: Per (weight, grid) pair: [weight, grid, node values or None, moment
-#: matrix or None]. A verify run uses two pairs.
+#: matrix or None, Berezin transforms by complex point]. A verify run uses
+#: two pairs.
 _MOMENT_MEMO_SIZE = 4
 _moment_memo: list[list] = []
 
@@ -417,7 +418,7 @@ def _memo_entry(w: Weight, grid: DiskGrid) -> list:
     for entry in _moment_memo:
         if entry[0] is w and entry[1] is grid:
             return entry
-    entry = [w, grid, None, None]
+    entry = [w, grid, None, None, {}]
     _moment_memo[:] = [entry] + _moment_memo[: _MOMENT_MEMO_SIZE - 1]
     return entry
 
@@ -426,7 +427,8 @@ def weight_values(w: Weight, grid: DiskGrid) -> np.ndarray:
     """w(z_i) on the grid's nodes, evaluated once per (weight, grid) pair.
 
     The values live in the same fixed-size memo as ``disk_moments``'
-    matrices, keyed by the weight and grid objects; treat them as read-only.
+    matrices and ``dbr.berezin_transforms``' per-point values, keyed by the
+    weight and grid objects; treat them as read-only.
     ``disk_moments`` reads them when they are there but does not keep its
     own evaluation, so a pair that only needs its matrix holds no
     node-sized array.
@@ -523,10 +525,18 @@ def tensor_diag_check(M: MomentTable, tol: float = 0.0) -> TensorDiagReport:
     P_mn over its index transposes, in the order of the formula above. On
     an exact table the numerators are integers over D^2, so a residual of
     0.0 certifies an exact zero. Ties on the worst residual resolve to the
-    lexicographically smallest tuple. Memory grows as order^4.
+    lexicographically smallest tuple. Memory grows as order^4, so a table
+    whose sweep has more than ``MAX_TENSOR_ENTRIES`` entries is refused
+    with DomainError before anything is allocated.
     """
     if M.order < 1:
         raise DomainError("tensor_diag_check needs a table of order >= 1")
+    entries = M.order**2 * (M.order + 1) ** 2
+    if entries > MAX_TENSOR_ENTRIES:
+        raise DomainError(
+            f"tensor_diag_check at order {M.order} needs {entries} entries, "
+            f"over the budget {MAX_TENSOR_ENTRIES}"
+        )
     ar, ai = M.re[1:, None, :, None], M.im[1:, None, :, None]  # M[j+1][m]
     br, bi = M.re[None, :-1, None, :], M.im[None, :-1, None, :]  # M[k][n]
 

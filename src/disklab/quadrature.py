@@ -31,6 +31,7 @@ period sums of odd integrands cancel exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
@@ -47,6 +48,10 @@ ALIAS_GUARD = 18.42
 #: Node budget of a disk grid: over ten times the largest grid the tests and
 #: the default command line build ((240, 512), ~1.2e6 nodes); ~0.4 GiB.
 MAX_DISK_NODES = 2**24
+
+#: Entry budget of ``moments.tensor_diag_check``'s order^2 (order+1)^2 sweep,
+#: refused before it allocates: admits order 31 (~8 MB per float array).
+MAX_TENSOR_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,15 @@ def _ring_angles(count: int, offset: float) -> np.ndarray:
     return np.exp(2j * np.pi * (np.arange(count) + offset) / count)
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _disk_rings(
     radial_order: int,
     angular_order: int,
@@ -123,7 +137,7 @@ def _disk_rings(
     breaks = sorted(set(guarded) - {1.0})
     segments = list(zip([0.0] + breaks, breaks + [1.0]))
     per_segment = max(1, radial_order // len(segments))
-    x, w = np.polynomial.legendre.leggauss(per_segment)
+    x, w = _gauss_legendre(per_segment)
 
     rings = []
     for lo, hi in segments:

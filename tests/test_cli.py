@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from disklab.cli import DEFAULT_TOLS, main, parse_args, run
@@ -177,6 +178,24 @@ class TestRun:
         assert len(grids) == 1
         detail = next(r.detail for r in records if r.name == "weight-table-multiplicative")
         assert "measure-route residual" in detail and "coarse" not in detail
+
+    def test_moments_and_dirichlet_suites_share_one_ring_dft_pass(self):
+        from disklab import cli, uniform_weight
+        from disklab.moments import _memo_entry, measure_moments
+
+        ctx = cli._SuiteContext(
+            parse_args(["verify", "--weight", "uniform", *_fast_flags()])
+        )
+        cli.suite_moments(ctx)
+        entry = _memo_entry(ctx.weight, ctx.disk_grid)
+        matrix = entry[3]
+        assert matrix.shape == (32, 32)  # series order 32 - 1 exceeds order 4
+        cli.suite_dirichlet(ctx)
+        assert entry[3] is matrix
+        # the order-4 corner is bit-identical to a build at order 4
+        fresh = measure_moments(uniform_weight(), ctx.disk_grid, 4)
+        assert np.array_equal(ctx.measure_table.re, fresh.re)
+        assert np.array_equal(ctx.measure_table.im, fresh.im)
 
     def test_exit_code_matches_overall_pass(self):
         config = parse_args(

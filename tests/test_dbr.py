@@ -17,12 +17,14 @@ from disklab import (
     TaylorSeries,
     atoms_table,
     berezin_transform,
+    berezin_transforms,
     build_model,
     charge_moment_table,
     dirac_table,
     geometric_series,
     grid_for_weight,
     h_from_moments,
+    integrate,
     kernel,
     kernel_series,
     laplacian_identity_check,
@@ -37,6 +39,7 @@ from disklab import (
     verify_h_identity,
     verify_isometry,
 )
+from disklab import dbr
 from disklab.dbr import atoms_singular_values, unit_mass_atoms
 
 # closed form for the boundary-pole weight at zeta = 1:
@@ -452,3 +455,61 @@ def test_berezin_transform_rejects_infinite_weight_value(coarse_disk_grid):
     # a second transform on the memoised values still refuses
     with pytest.raises(SingularIntegrandError):
         berezin_transform(w, -0.2j, coarse_disk_grid)
+
+
+def _reference_berezin(weight, v, grid):
+    """Reference: the per-point integrand lead / |1 - z conj(v)|^4 w through integrate."""
+    lead = (1.0 - abs(v) ** 2) ** 2
+    vals = weight.eval_many(grid.nodes)
+    return float(integrate(grid, lambda z: lead / np.abs(1.0 - z * np.conj(v)) ** 4 * vals))
+
+
+class TestBatchedBerezin:
+    @pytest.mark.parametrize("which", ["harm", "log", "uniform"])
+    def test_matches_per_point_integrand(self, which, harm_weight, disk_grid,
+                                         log04_weight, log04_grid, uniform):
+        weight, grid = {
+            "harm": (harm_weight, disk_grid),
+            "log": (log04_weight, log04_grid),
+            "uniform": (uniform, disk_grid),
+        }[which]
+        points = _test_points(count=25, radius=0.95, seed=31)
+        got = berezin_transforms(weight, points, grid)
+        ref = np.array([_reference_berezin(weight, v, grid) for v in points])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 64 * np.finfo(float).eps
+
+    def test_batch_equals_singles_in_any_order(self, disk_grid):
+        # a fresh weight object per call keeps every value out of the memo
+        points = _test_points(count=25, radius=0.9, seed=32)
+        batch = berezin_transforms(HarmonicBoundary(1.0), points, disk_grid)
+        singles = [berezin_transform(HarmonicBoundary(1.0), v, disk_grid) for v in points]
+        reverse = berezin_transforms(HarmonicBoundary(1.0), points[::-1], disk_grid)
+        assert batch.tolist() == singles == reverse[::-1].tolist()
+
+    def test_each_point_is_formed_once(self, disk_grid, monkeypatch):
+        formed = []
+        real = dbr._kernel_sums
+        monkeypatch.setattr(
+            dbr, "_kernel_sums", lambda v, *a: formed.append(v.size) or real(v, *a)
+        )
+        w = HarmonicBoundary(1.0)
+        points = _test_points(count=25, radius=0.8, seed=33)
+        verify_h_identity(w, TaylorSeries([1.0, 1.0]), points, disk_grid, tol=1.0)
+        for v in points[:10]:
+            phi_modulus_sq(v, w, disk_grid)
+        assert formed == [25]
+
+    def test_point_on_circle_refused_before_weight_evaluation(self, coarse_disk_grid):
+        evals = []
+        w = Custom(lambda z: evals.append(1) or np.ones(z.shape), label="counted")
+        with pytest.raises(DomainError):
+            berezin_transforms(w, [0.3, 0.5j, 1.0, 0.1], coarse_disk_grid)
+        assert evals == []
+
+    def test_nan_point_raises(self, uniform, coarse_disk_grid):
+        with pytest.raises(SingularIntegrandError):
+            berezin_transforms(uniform, [0.2, complex(math.nan, 0.0)], coarse_disk_grid)
+
+    def test_empty_batch(self, uniform, coarse_disk_grid):
+        out = berezin_transforms(uniform, [], coarse_disk_grid)
+        assert out.shape == (0,) and out.dtype == float

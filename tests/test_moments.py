@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from disklab import (
     weak_mult_check,
 )
 from disklab.moments import _MOMENT_MEMO_SIZE, weight_values
+from disklab.quadrature import MAX_TENSOR_ENTRIES
 
 
 class TestGaussianRational:
@@ -273,6 +275,22 @@ class TestTensorDiag:
     def test_order_zero_rejected(self):
         with pytest.raises(DomainError):
             tensor_diag_check(dirac_table(0.0, 0))
+
+    def test_order_over_entry_budget_refused_before_allocating(self):
+        # order^2 (order+1)^2 entries: the budget admits order 31, not 32
+        assert 31**2 * 32**2 <= MAX_TENSOR_ENTRIES < 32**2 * 33**2
+        table = atoms_table(((0.3 + 0.1j, 0.5), (-0.2j, 0.5)), 32)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="budget"):
+                tensor_diag_check(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        for order in (8, 16):  # the command line's bound is 16
+            table = atoms_table(((0.3 + 0.1j, 1.0),), order)
+            assert tensor_diag_check(table, tol=1e-12).passes
 
     def test_nan_table_fails_both_checks(self):
         nan = complex(float("nan"), 0.0)

@@ -32,6 +32,24 @@ class TestDiskGridInvariants:
     def test_nodes_strictly_inside(self, disk_grid):
         assert (np.abs(disk_grid.nodes) < 1.0).all()
 
+    def test_gauss_legendre_rule_built_once_and_read_only(self, monkeypatch):
+        quadrature._gauss_legendre.cache_clear()
+        calls = []
+        real = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(
+            np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or real(n)
+        )
+        disk_grid_size(40, 64)
+        grid = make_disk_grid(40, 64)
+        assert calls == [40]
+        x, w = quadrature._gauss_legendre(40)
+        assert not x.flags.writeable and not w.flags.writeable
+        ref_x, ref_w = real(40)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        again = make_disk_grid(40, 64)
+        assert np.array_equal(again.nodes, grid.nodes)
+        assert np.array_equal(again.weights, grid.weights)
+
     def test_orders_below_minimum_rejected(self):
         with pytest.raises(DomainError):
             make_disk_grid(0, 64)
