@@ -41,18 +41,12 @@ from .errors import (
     SingularIntegrandError,
 )
 from .moments import MomentTable, _memo_entry, atoms_table, disk_moments, weight_values
-from .quadrature import CircleGrid, DiskGrid, _check_finite, make_circle_grid
+from .quadrature import NODE_BLOCK, CircleGrid, DiskGrid, _check_finite, make_circle_grid
 from .series import TaylorSeries, exp_series, geometric_series
 from .weights import Custom, HarmonicBoundary, LogGreen, Scaled, Weight, normalize
 
 _H0_TOL = 1e-6
 _RANK_TOL = 1e-6
-
-
-#: Nodes per block of the batched Berezin kernel: a fixed size, so a point's
-#: value does not depend on the batch it is computed in. At 25 points a
-#: block's two working arrays (0.8 MB each) stay in a 4 MiB L2 cache.
-_BEREZIN_BLOCK = 4096
 
 
 def berezin_transforms(
@@ -63,8 +57,8 @@ def berezin_transforms(
     B(w)(v) = (1-|v|^2)^2 sum_i omega_i w(z_i) / |1 - z_i conj(v)|^4 on the
     grid's rule, with |1 - z conj(v)|^2 = re^2 + im^2 formed on real arrays
     (z = x + iy, re = 1 - (x Re v + y Im v), im = y Re v - x Im v) in node
-    blocks of the fixed ``_BEREZIN_BLOCK`` for all points at once, so a
-    point's value is bit-identical alone, in any batch and in any order.
+    blocks of the fixed ``quadrature.NODE_BLOCK`` for all points at once,
+    so a point's value is bit-identical alone, in any batch and in any order.
     Each point is computed once per (weight, grid) pair: its value is
     memoised beside the weight's node values (``moments.weight_values``).
     Any |v| >= 1 raises DomainError before any node work; a non-finite
@@ -79,9 +73,7 @@ def berezin_transforms(
     if todo.size:
         vals = weight_values(weight, grid)
         _check_finite(vals, grid.nodes)
-        values = (1.0 - np.abs(todo) ** 2) ** 2 * _kernel_sums(
-            todo, grid.nodes, grid.weights * vals
-        )
+        values = (1.0 - np.abs(todo) ** 2) ** 2 * _kernel_sums(todo, grid, vals)
         if not np.isfinite(values).all():
             bad = todo[np.argmin(np.isfinite(values))]
             raise SingularIntegrandError(f"Berezin transform at v = {bad!r} is not finite")
@@ -89,14 +81,18 @@ def berezin_transforms(
     return np.array([memo[p] for p in v.tolist()], dtype=float)
 
 
-def _kernel_sums(v: np.ndarray, nodes: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """sum_i mass_i / |1 - z_i conj(v)|^4 for each v, block by block (no BLAS)."""
+def _kernel_sums(v: np.ndarray, grid: DiskGrid, vals: np.ndarray) -> np.ndarray:
+    """sum_i omega_i vals_i / |1 - z_i conj(v)|^4 for each v, block by block (no BLAS).
+
+    x, y and omega * vals are sliced per block, so no whole-grid copy is made.
+    """
     a, b = v.real[:, None], v.imag[:, None]
-    x, y = np.ascontiguousarray(nodes.real), np.ascontiguousarray(nodes.imag)
-    starts = range(0, nodes.size, _BEREZIN_BLOCK)
+    starts = range(0, grid.size, NODE_BLOCK)
     partial = np.empty((v.size, len(starts)))
     for k, s in enumerate(starts):
-        xs, ys = x[s : s + _BEREZIN_BLOCK], y[s : s + _BEREZIN_BLOCK]
+        block = slice(s, s + NODE_BLOCK)
+        z = grid.nodes[block]
+        xs, ys = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
         re = xs * a
         re += ys * b
         np.subtract(1.0, re, out=re)  # 1 - (x Re v + y Im v)
@@ -106,7 +102,8 @@ def _kernel_sums(v: np.ndarray, nodes: np.ndarray, mass: np.ndarray) -> np.ndarr
         im *= im
         re += im  # |1 - z conj(v)|^2
         re *= re
-        partial[:, k] = np.sum(np.divide(mass[s : s + _BEREZIN_BLOCK], re, out=re), axis=1)
+        mass = grid.weights[block] * vals[block]
+        partial[:, k] = np.sum(np.divide(mass, re, out=re), axis=1)
     return partial.sum(axis=1)
 
 
@@ -414,7 +411,7 @@ def _phi_sample_points() -> list[complex]:
 
 def build_model(
     weight: Weight,
-    disk_grid: DiskGrid,
+    disk_grid: Optional[DiskGrid],
     boundary_order: int = 32768,
     order: int = 64,
 ) -> DbrModel:
@@ -432,6 +429,9 @@ def build_model(
     come from one SVD; by the classification only a weight whose charge is
     a single atom passes, and every other weight is rejected with
     NotDbrWeightError.
+
+    Only the second route reads ``disk_grid``; it may be None for a weight
+    with known atoms.
 
     Boundary data for the outer factor is taken in closed form from the
     atom (the truncated h does not converge on the boundary when the pole
@@ -454,6 +454,8 @@ def build_model(
             m / (1.0 - np.conj(p) * e) for p, m in norm_atoms
         )
     else:
+        if disk_grid is None:
+            raise DomainError(f"{weight.label} has no known atoms: its model needs a grid")
         norm_weight = normalize(weight, disk_grid)
         table = moment_table_from_berezin(norm_weight, disk_grid, order=8)
         fac = factor_table(table, residual_tol=1e-4)

@@ -44,7 +44,7 @@ from .errors import (
     NotWeaklyMultiplicativeError,
 )
 from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _check_finite
-from .weights import Weight
+from .weights import Scaled, Weight
 
 _C00_SNAP_TOL = 1e-9
 _FACTOR_TOL = 1e-12
@@ -445,10 +445,19 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     The rule ``integrate`` applies, aliasing included, ring by ring: with
     one evaluation of the weight, a ring of m nodes r u_t, u_t =
     exp(2 pi i (t + 1/2) / m), gives S_r(d) = sum_t w(r u_t) u_t^d from one
-    DFT, and W[j][k] = sum_r (omega_r / m) r^(j+k) S_r(j - k) accumulates in
-    ring order with elementwise numpy (no BLAS), so it is bit-reproducible.
-    Memoised per (weight, grid) object pair; a lower order is a read-only
-    view. A non-finite weight value raises SingularIntegrandError.
+    real DFT F = rfft(w(r u_t)): the values are real, so S_r(d) is
+    conj(F[d mod m]), or F[m - d mod m] past m/2, times exp(i pi d / m).
+    The matrix is Hermitian, W[j][k] = conj(W[k][j]), so only d = j - k >= 0
+    is accumulated: G[k][d] = sum_r (omega_r / m) r^(2k) r^d S_r(d), in ring
+    order, on two real (order+1)^2 arrays with elementwise numpy (no BLAS,
+    no threads), so it is bit-reproducible; then W[j][k] = G[min(j,k)][|j-k|],
+    conjugated above the diagonal. G[k][d] does not depend on the order, so
+    a lower order is a read-only view bit-identical to a fresh build. The
+    values agree with a complex ring DFT over all d to roundoff.
+
+    Memoised per (weight, grid) object pair. A ``Scaled`` weight's matrix is
+    its factor times its inner weight's memoised matrix, with no DFT of its
+    own. A non-finite weight value raises SingularIntegrandError.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
@@ -457,19 +466,43 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     entry = _memo_entry(w, grid)
     if entry[3] is not None and entry[3].shape[0] > order:
         return entry[3][: order + 1, : order + 1]
-    vals = entry[2] if entry[2] is not None else w.eval_many(grid.nodes)
-    _check_finite(vals, grid.nodes)
-    n, ds = np.arange(order + 1), np.arange(-order, order + 1)
-    toeplitz = n[:, None] - n[None, :] + order  # position of d = j - k in ds
-    W = np.zeros((order + 1, order + 1), dtype=complex)
-    for start, m in zip(np.cumsum((0,) + grid.ring_counts[:-1]), grid.ring_counts):
-        # unnormalised inverse DFT: sum_t w_t exp(2 pi i d t / m)
-        S = np.fft.ifft(vals[start : start + m], norm="forward")[ds % m]
-        S *= grid.weights[start] * np.exp(1j * np.pi * ds / m)
-        rp = abs(grid.nodes[start]) ** n
-        W += (rp[:, None] * rp[None, :]) * S[toeplitz]
+    if isinstance(w, Scaled):
+        W = w.c * disk_moments(w.inner, grid, order)
+    else:
+        vals = entry[2] if entry[2] is not None else w.eval_many(grid.nodes)
+        _check_finite(vals, grid.nodes)
+        W = _ring_moments(vals, grid, order)
     W.setflags(write=False)
     entry[3] = W
+    return W
+
+
+def _ring_moments(vals: np.ndarray, grid: DiskGrid, order: int) -> np.ndarray:
+    """W from the half sums G[k][d] = sum_r (omega_r/m) r^(2k) r^d S_r(d), d >= 0."""
+    n = np.arange(order + 1)
+    g_re, g_im = np.zeros((order + 1, order + 1)), np.zeros((order + 1, order + 1))
+    buf = np.empty((order + 1, order + 1))
+    start = 0
+    for m in grid.ring_counts:
+        F = np.fft.rfft(vals[start : start + m])
+        idx = n % m
+        S = F[np.minimum(idx, m - idx)]
+        # sum_t w_t exp(2 pi i d t / m) is conj(F[d]) up to m/2, F[m - d] past it
+        np.conjugate(S, out=S, where=idx <= m // 2)
+        rp = abs(grid.nodes[start]) ** n
+        S *= rp * np.exp(1j * np.pi * n / m)
+        ring = grid.weights[start] * rp * rp
+        np.multiply.outer(ring, S.real, out=buf)
+        g_re += buf
+        np.multiply.outer(ring, S.imag, out=buf)
+        g_im += buf
+        start += m
+    # W[j][k] = G[min(j,k)][|j-k|], conjugated above the diagonal
+    low, gap = np.minimum.outer(n, n), np.abs(np.subtract.outer(n, n))
+    W = np.empty((order + 1, order + 1), dtype=complex)
+    W.real = g_re[low, gap]
+    W.imag = g_im[low, gap]
+    np.negative(W.imag, out=W.imag, where=np.less.outer(n, n))
     return W
 
 

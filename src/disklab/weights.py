@@ -35,7 +35,7 @@ from .errors import (
     SingularPointError,
     WeightSpecError,
 )
-from .quadrature import CircleGrid, DiskGrid, integrate, make_disk_grid
+from .quadrature import NODE_BLOCK, CircleGrid, DiskGrid, integrate, make_disk_grid
 
 _UNIMODULAR_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
@@ -51,10 +51,12 @@ def _spec_number(x: float) -> str:
 class Weight:
     """A nonnegative integrable function on the unit disk.
 
-    Subclasses provide ``_value_many`` on complex arrays. ``singularities``
-    lists the points where the weight blows up; evaluation there raises
-    SingularPointError, and grids for this weight should guard the
-    corresponding radii (see ``singular_radii``).
+    Subclasses provide ``_value_block``, the formula on a 1-D complex
+    block, which ``_value_many`` writes into one float output block by
+    block (``NODE_BLOCK`` nodes at a time), or override ``_value_many``.
+    ``singularities`` lists the points where the weight blows up;
+    evaluation there raises SingularPointError, and grids for this weight
+    should guard the corresponding radii (see ``singular_radii``).
     """
 
     label: str = "weight"
@@ -62,18 +64,26 @@ class Weight:
     singularities: tuple[complex, ...] = ()
     analytic_mass: Optional[float] = None  # closed-form L1 norm, when known
 
-    def _value_many(self, z: np.ndarray) -> np.ndarray:
+    def _value_block(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _value_many(self, z: np.ndarray) -> np.ndarray:
+        out = np.empty(z.shape)
+        for start in range(0, z.size, NODE_BLOCK):
+            block = slice(start, start + NODE_BLOCK)
+            out[block] = self._value_block(z[block])
+        return out
 
     def eval_many(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
         for s in self.singularities:
-            hit = np.abs(z - s) <= _SINGULAR_TOL
-            if hit.any():
-                raise SingularPointError(
-                    f"{self.label} evaluated at singular point {s!r}"
-                )
-        return self._value_many(z)
+            for start in range(0, flat.size, NODE_BLOCK):
+                if (np.abs(flat[start : start + NODE_BLOCK] - s) <= _SINGULAR_TOL).any():
+                    raise SingularPointError(
+                        f"{self.label} evaluated at singular point {s!r}"
+                    )
+        return self._value_many(flat).reshape(z.shape)
 
     def __call__(self, z: complex) -> float:
         return float(self.eval_many(np.asarray([z]))[0])
@@ -103,7 +113,7 @@ class HarmonicBoundary(Weight):
         self.singularities = (zeta,)
         self.label = f"harm:{_spec_number(zeta.real)},{_spec_number(zeta.imag)}"
 
-    def _value_many(self, z: np.ndarray) -> np.ndarray:
+    def _value_block(self, z: np.ndarray) -> np.ndarray:
         return (1.0 - np.abs(z) ** 2) / np.abs(z - self.zeta) ** 2
 
 
@@ -121,7 +131,7 @@ class LogGreen(Weight):
         self.label = f"log:{_spec_number(zeta.real)},{_spec_number(zeta.imag)}"
         self.analytic_mass = (1.0 - abs(zeta) ** 2) / 2.0
 
-    def _value_many(self, z: np.ndarray) -> np.ndarray:
+    def _value_block(self, z: np.ndarray) -> np.ndarray:
         return np.log(
             np.abs((1.0 - np.conj(self.zeta) * z) / (z - self.zeta))
         )

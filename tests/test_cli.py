@@ -197,6 +197,44 @@ class TestRun:
         assert np.array_equal(ctx.measure_table.re, fresh.re)
         assert np.array_equal(ctx.measure_table.im, fresh.im)
 
+    @pytest.mark.parametrize("suite, spec", [
+        ("dirichlet", "log:0.4,0"),  # alone, its first energy is at order 3
+        ("all", "log:0.4,0"),  # the unit-mass model weight is Scaled(1/mass, weight)
+    ])
+    def test_one_ring_dft_pass_per_run(self, suite, spec, monkeypatch):
+        from disklab import moments
+
+        passes = []
+        real = moments._ring_moments
+        monkeypatch.setattr(
+            moments, "_ring_moments",
+            lambda vals, grid, order: passes.append(order) or real(vals, grid, order),
+        )
+        report, code = run(parse_args(["verify", "--suite", suite, "--weight", spec,
+                                       *_fast_flags()]))
+        assert code == 0, [c for c in report.checks if not c.passed]
+        assert passes == [31]  # series order 32 - 1
+
+    def test_dbr_build_on_atomic_weight_builds_no_disk_grid(self, monkeypatch, tmp_path):
+        from disklab import weights
+        from disklab.errors import NotDbrWeightError
+
+        grids = []
+        real = weights.make_disk_grid
+        monkeypatch.setattr(
+            weights, "make_disk_grid",
+            lambda *a, **k: grids.append(a) or real(*a, **k),
+        )
+        out = tmp_path / "model.json"
+        assert main(["dbr", "build", "--weight", "harm:1,0", *_fast_flags(),
+                     "--out", str(out)]) == 0
+        assert grids == []
+        assert json.loads(out.read_text())["weight"] == "harm:1,0"
+        # a weight without atoms still gets its grid, and is then rejected
+        with pytest.raises(NotDbrWeightError):
+            main(["dbr", "build", "--weight", "uniform", *_fast_flags()])
+        assert len(grids) == 1
+
     def test_exit_code_matches_overall_pass(self):
         config = parse_args(
             ["verify", "--suite", "dirichlet", "--weight", "log:0,0", *_fast_flags()]

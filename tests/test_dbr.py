@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,12 @@ class TestBuildModel:
         with pytest.raises(NotDbrWeightError):
             build_model(uniform, grid, boundary_order=1024, order=16)
 
+    def test_only_a_weight_without_atoms_needs_a_grid(self, uniform):
+        model = build_model(LogGreen(0.3j), None, boundary_order=2048, order=16)
+        assert model.diagnostics["h0_deviation"] <= 1e-12
+        with pytest.raises(DomainError, match="needs a grid"):
+            build_model(uniform, None, boundary_order=1024, order=16)
+
     def test_unnormalized_log_green_is_normalized_internally(self, disk_grid):
         model = build_model(LogGreen(0.0), disk_grid, boundary_order=2048, order=32)
         assert model.diagnostics["h0_deviation"] <= 1e-12
@@ -509,6 +516,26 @@ class TestBatchedBerezin:
     def test_nan_point_raises(self, uniform, coarse_disk_grid):
         with pytest.raises(SingularIntegrandError):
             berezin_transforms(uniform, [0.2, complex(math.nan, 0.0)], coarse_disk_grid)
+
+    def test_value_does_not_depend_on_the_batch_size(self, disk_grid):
+        points = _test_points(count=120, radius=0.9, seed=34)
+        alone = [berezin_transform(HarmonicBoundary(1.0), v, disk_grid) for v in points[:3]]
+        for size in (2, 3, 40, 120):
+            batch = berezin_transforms(HarmonicBoundary(1.0), points[:size], disk_grid)
+            assert batch[: min(size, 3)].tolist() == alone[:size]
+
+    def test_peak_memory_is_the_kept_values_plus_a_block(self, disk_grid):
+        # five points: a block's working arrays hold 5 x NODE_BLOCK floats each
+        points = _test_points(count=5, radius=0.8, seed=35)
+        kept = 8 * disk_grid.size  # the weight's node values, one float each
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            berezin_transforms(HarmonicBoundary(1.0), points, disk_grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= kept + 2**20
 
     def test_empty_batch(self, uniform, coarse_disk_grid):
         out = berezin_transforms(uniform, [], coarse_disk_grid)

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from disklab import (
     Custom,
     DomainError,
+    HarmonicBoundary,
+    LogGreen,
+    Scaled,
     GaussianRational,
     InconsistentTableError,
     MomentTable,
@@ -23,6 +26,8 @@ from disklab import (
     dirac_table,
     disk_moments,
     factorize,
+    grid_for_weight,
+    make_disk_grid,
     measure_moments,
     point_moments,
     random_non_rank_one_distribution,
@@ -629,6 +634,68 @@ class TestDiskMoments:
         w = Custom(lambda z: np.where(z == bad, np.nan, 1.0), label="spike")
         with pytest.raises(SingularIntegrandError, match=r"\(index 7\)"):
             measure_moments(w, coarse_disk_grid, 2)
+
+
+def _reference_ring_dft(vals, grid, order):
+    """Reference: the complex ring DFT over every d = j - k in -order..order."""
+    n, ds = np.arange(order + 1), np.arange(-order, order + 1)
+    toeplitz = n[:, None] - n[None, :] + order  # position of d = j - k in ds
+    W = np.zeros((order + 1, order + 1), dtype=complex)
+    for start, m in zip(np.cumsum((0,) + grid.ring_counts[:-1]), grid.ring_counts):
+        # unnormalised inverse DFT: sum_t w_t exp(2 pi i d t / m)
+        S = np.fft.ifft(vals[start : start + m], norm="forward")[ds % m]
+        S *= grid.weights[start] * np.exp(1j * np.pi * ds / m)
+        rp = abs(grid.nodes[start]) ** n
+        W += (rp[:, None] * rp[None, :]) * S[toeplitz]
+    return W
+
+
+def _assert_matches_reference(w, grid, order):
+    W = disk_moments(w, grid, order)
+    ref = _reference_ring_dft(w.eval_many(grid.nodes), grid, order)
+    assert np.max(np.abs(W - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(W))
+    assert np.array_equal(W, W.conj().T)
+    assert np.all(W.diagonal().imag == 0.0)
+
+
+class TestRealRingDft:
+    @pytest.mark.parametrize("order", [8, 63, 255])
+    @pytest.mark.parametrize("which", ["harm", "log", "uniform"])
+    def test_matches_complex_ring_dft(self, which, order, disk_grid, harm_weight,
+                                      log04_weight, log04_grid, uniform):
+        w, grid = {
+            "harm": (harm_weight, disk_grid),
+            "log": (log04_weight, log04_grid),
+            "uniform": (uniform, disk_grid),
+        }[which]
+        _assert_matches_reference(w, grid, order)
+
+    @pytest.mark.parametrize("weight", [HarmonicBoundary(1j), LogGreen(0.3 - 0.2j)])
+    def test_aliased_rings(self, weight):
+        # inner rings of 8 or 10 nodes at order 40: d runs past m/2 and past m
+        grid = grid_for_weight(weight, 6, 8)
+        assert min(grid.ring_counts) <= 10
+        _assert_matches_reference(weight, grid, 40)
+
+    def test_lower_order_view_is_bit_identical_on_aliased_rings(self):
+        grid = make_disk_grid(6, 8)
+        big = disk_moments(HarmonicBoundary(-1.0), grid, 40)
+        fresh = disk_moments(HarmonicBoundary(-1.0), grid, 12)
+        assert np.array_equal(big[:13, :13], fresh)
+
+    def test_scaled_weight_reuses_its_inner_matrix(self, coarse_disk_grid):
+        calls = []
+        inner = Custom(lambda z: calls.append(1) or 1.0 - np.abs(z) ** 2, label="counted")
+        scaled = Scaled(2.5, inner)
+        W = disk_moments(scaled, coarse_disk_grid, 8)
+        assert np.array_equal(W, 2.5 * disk_moments(inner, coarse_disk_grid, 8))
+        assert calls == [1]
+        assert not W.flags.writeable
+        assert disk_moments(scaled, coarse_disk_grid, 6).base is W
+        # the inner weight built first: the scaled matrix still needs no evaluation
+        other = Scaled(0.5, inner)
+        disk_moments(other, coarse_disk_grid, 4)
+        assert calls == [1]
 
 
 class TestSerialization:

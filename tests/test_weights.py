@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from disklab import (
     synthesize,
     uniform_weight,
 )
+from disklab.quadrature import NODE_BLOCK
 
 LATTICE_CENTERS = [0j] + [0.55 * np.exp(1j * np.pi * (2 * t + 1) / 9) for t in range(9)]
 LATTICE_RADII = [0.05, 0.1, 0.15, 0.2, 0.25]
@@ -67,6 +69,58 @@ class TestEval:
         w = LogGreen(0.25)
         vals = [w(0.25 + d) for d in (1e-2, 1e-4, 1e-6)]
         assert vals[0] < vals[1] < vals[2]
+
+
+def _whole_array(w, z):
+    """The weight's formula on the whole array at once, with no blocks."""
+    if isinstance(w, Scaled):
+        return w.c * _whole_array(w.inner, z)
+    return w._value_block(z)
+
+
+class TestBlockedEval:
+    @pytest.mark.parametrize("which", ["harm", "log", "scaled-harm", "scaled-log"])
+    @pytest.mark.parametrize("grid_name", ["harm", "log"])
+    def test_blocks_equal_whole_array(self, which, grid_name, disk_grid, log04_grid):
+        grid = {"harm": disk_grid, "log": log04_grid}[grid_name]
+        w = {
+            "harm": HarmonicBoundary(1.0),
+            "log": LogGreen(0.4),
+            "scaled-harm": Scaled(0.7, HarmonicBoundary(-1j)),
+            "scaled-log": Scaled(1.0 / 0.42, LogGreen(0.4)),
+        }[which]
+        assert grid.size % NODE_BLOCK != 0  # the last block is partial
+        assert np.array_equal(w.eval_many(grid.nodes), _whole_array(w, grid.nodes))
+
+    def test_shape_is_kept(self, coarse_disk_grid):
+        w = LogGreen(0.4)
+        z = coarse_disk_grid.nodes[: 3 * 1000].reshape(3, 1000)
+        out = w.eval_many(z)
+        assert out.shape == (3, 1000)
+        assert np.array_equal(out.ravel(), w.eval_many(z.ravel()))
+        assert w.eval_many(np.asarray(0.5j)).shape == ()
+
+    @pytest.mark.parametrize(
+        "w", [HarmonicBoundary(1j), LogGreen(-0.3), Scaled(2.0, LogGreen(0.1j))]
+    )
+    def test_singular_point_in_last_partial_block(self, w, disk_grid):
+        z = np.append(disk_grid.nodes, w.singularities[0])
+        assert z.size % NODE_BLOCK != 1  # not alone in its block
+        with pytest.raises(SingularPointError):
+            w.eval_many(z)
+
+    def test_peak_memory_is_the_output_plus_a_block(self, disk_grid):
+        w = HarmonicBoundary(1.0)
+        output = 8 * disk_grid.size  # one float per node
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            vals = w.eval_many(disk_grid.nodes)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert vals.nbytes == output
+        assert peak <= output + 2**20
 
 
 class TestMass:
