@@ -33,7 +33,7 @@ import numpy as np
 
 from . import dbr as dbr_mod
 from .dirichlet import dilation_report, energy
-from .errors import DomainError, WeightSpecError
+from .errors import DomainError, NotDbrWeightError, WeightSpecError
 from .moments import (
     atoms_table,
     disk_moments,
@@ -854,10 +854,14 @@ def _run_dbr_build(config: RunConfig) -> int:
     grid = None if dbr_mod.riesz_atoms(weight) is not None else grid_for_weight(
         weight, config.radial_order, config.angular_order
     )
-    model = dbr_mod.build_model(
-        weight, grid, boundary_order=config.boundary_order,
-        order=config.series_order,
-    )
+    try:
+        model = dbr_mod.build_model(
+            weight, grid, boundary_order=config.boundary_order,
+            order=config.series_order,
+        )
+    except NotDbrWeightError as exc:  # a valid spec whose weight has no model
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     payload = {"schema": SCHEMA_VERSION, **model.to_json_dict()}
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.out)
     return 0

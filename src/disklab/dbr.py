@@ -226,19 +226,26 @@ def factor_table(
 
     The singular values come from ``atoms_singular_values`` when the table
     is known to be ``atoms_table(atoms, M.order)`` (an r x r problem, no SVD
-    of the table), and from an SVD of the table otherwise. h, the h_0 check
-    and the residual |M - conj(h) h^T| are always read from the table itself.
+    of the table), and from an SVD of the table otherwise. h, the h_0 check,
+    the residual max |M[j][k] - conj(h_j) h_k| and max |M| are always read
+    from the table itself, one row of ``M.re``/``M.im`` at a time, so no
+    table-sized temporary is built.
     """
-    arr = M.to_complex_array()
     if atoms is None:
-        svals = np.linalg.svd(arr, compute_uv=False)
+        svals = np.linalg.svd(M.to_complex_array(), compute_uv=False)
     else:
         svals = atoms_singular_values(atoms, M.order)
     rank_ratio = float(svals[1] / svals[0]) if svals.size > 1 and svals[0] > 0 else 0.0
-    h = arr[0].copy()
-    outer = np.conj(h)[:, None] * h[None, :]
-    residual = float(np.max(np.abs(arr - outer)))
-    h0_deviation = float(abs(arr[0][0] - 1.0))
+    row = np.empty(M.order + 1, dtype=complex)
+    residuals, moduli = np.empty((2, M.order + 1))
+    for j in range(M.order + 1):
+        row.real, row.imag = M.re[j] / M.denom, M.im[j] / M.denom  # as to_complex_array
+        if j == 0:
+            h = row.copy()
+        moduli[j] = np.max(np.abs(row))
+        residuals[j] = np.max(np.abs(row - np.conj(h[j]) * h))
+    residual = float(np.max(residuals))
+    h0_deviation = float(abs(h[0] - 1.0))
     if h0_deviation > _H0_TOL:
         raise NotDbrWeightError(
             f"table is not unit-normalized: |M[0][0] - 1| = {h0_deviation:.3e}"
@@ -247,7 +254,7 @@ def factor_table(
         raise NotDbrWeightError(
             f"table is not rank one: sigma2/sigma1 = {rank_ratio:.3e}"
         )
-    scale = max(1.0, float(np.max(np.abs(arr))))
+    scale = max(1.0, float(np.max(moduli)))
     if residual > residual_tol * scale:
         raise NotDbrWeightError(
             f"factorization residual {residual:.3e} exceeds tolerance"

@@ -394,16 +394,22 @@ def _one_like(point) -> Entry:
 def atoms_table(
     atoms: Sequence[tuple[complex, float]], order: int, provenance: str = "point"
 ) -> MomentTable:
-    """Moments of a finite positive combination of Dirac masses."""
+    """Moments of a finite positive combination of Dirac masses.
+
+    Per atom, m p^j (Python's complex power) times conj(p)^k (numpy's) is
+    added into the one output array a row j at a time, in atom order, so
+    the build holds the table and O(order) rows, never a second table.
+    """
     if order < 0:
         raise DomainError("order must be nonnegative")
-    # per atom: m p^j with Python's complex power and conj(p)^k with numpy's,
-    # multiplied as one outer product and summed in atom order
     total = np.zeros((order + 1, order + 1), dtype=complex)
+    row = np.empty(order + 1, dtype=complex)
     for p, m in atoms:
         p = complex(p)
         mpj = np.array([m * p**j for j in range(order + 1)])
-        total += mpj[:, None] * np.array([np.conj(p) ** k for k in range(order + 1)])
+        conj_pk = np.array([np.conj(p) ** k for k in range(order + 1)])
+        for j in range(order + 1):
+            total[j] += np.multiply(mpj[j : j + 1], conj_pk, out=row)
     return MomentTable._from_parts(total.real, total.imag, 1, provenance)
 
 

@@ -12,7 +12,8 @@ angular nodes is graded per ring: a ring at radius r resolves angular
 frequencies up to m only as long as r^m (or (r/s)^m for a singularity at
 radius s) stays negligible. Rings close to the boundary, or close to a
 declared singular radius, therefore get their angular count enlarged so
-that the worst aliasing factor stays below exp(-ALIAS_GUARD) ~ 1e-8.
+that the worst aliasing factor stays below exp(-ALIAS_GUARD) ~ 1e-8,
+and each count is rounded up to an even 5-smooth length for the ring DFT.
 A plain tensor rule would stall near 1e-2 absolute error on integrands
 with a boundary pole, far short of what the verification suites need;
 the graded rule reaches ~1e-9 at the default orders at roughly 10x the
@@ -21,8 +22,9 @@ node count.
 Determinism
 -----------
 Node order is fixed (radial-major, each ring listed in angular order) and
-reductions use numpy's pairwise summation on that fixed order for disk
-grids and exact compensated summation (math.fsum) for circle grids.
+reductions use numpy's pairwise summation on that fixed order, per block
+of ``NODE_BLOCK`` nodes with the block sums added in order, for disk grids
+and exact compensated summation (math.fsum) for circle grids.
 Neither reduction is threaded, so results are bit-reproducible across
 runs and thread counts. The grid-wide kernels (weight evaluation and
 Berezin sums) work in blocks of the fixed ``NODE_BLOCK`` nodes, and the
@@ -119,13 +121,73 @@ def _ring_angles(count: int, offset: float) -> np.ndarray:
     return np.exp(2j * np.pi * (np.arange(count) + offset) / count)
 
 
+#: Newton steps of the Gauss-Legendre rule: from the asymptotic start it
+#: converges in 4 steps up to n = 120; the cap only ends a stalled loop.
+_NEWTON_STEPS = 20
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, elementwise over x."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] by Newton's method.
+
+    The nonnegative half of the nodes starts from cos(pi (k - 1/4)/(n + 1/2))
+    and takes Newton steps on P_n, all nodes at once, until the largest step
+    is at roundoff (at most ``_NEWTON_STEPS``); the weights are
+    2/((1 - x^2) P_n'(x)^2). The other half is the mirror image, so the rule
+    is symmetric bitwise and an odd rule has the node 0 exactly. Elementwise
+    float arithmetic only: no LAPACK, no BLAS, no threads.
+    """
+    odd = n % 2
+    x = np.cos(np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(n, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 2 * np.finfo(float).eps:
+            break
+    if odd:
+        x[-1] = 0.0
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.concatenate([-x, x[::-1][odd:]]), np.concatenate([w, w[::-1][odd:]])
+
+
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n.
+
+    ``_legendre_rule`` builds them by Newton's method, with no LAPACK call.
+    """
+    x, w = _legendre_rule(n)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _fft_length(m: int) -> int:
+    """Smallest even 2^a 3^b 5^c >= m, over the O(log^3 m) candidates.
+
+    Each odd 3-5-smooth part q below the best length found so far is
+    doubled the fewest times that reach m, so the search never steps
+    through the lengths themselves (a pole near the circle asks for ~1e12).
+    """
+    best = 2 << max(0, m - 1).bit_length()  # a power of two >= 2m
+    p5 = 1
+    while p5 < best:
+        q = p5
+        while q < best:
+            reps = -(-m // (2 * q))  # 2q * 2^i >= m for the least i with 2^i >= reps
+            best = min(best, 2 * q << (reps - 1).bit_length())
+            q *= 3
+        p5 *= 5
+    return best
 
 
 def _disk_rings(
@@ -143,8 +205,8 @@ def _disk_rings(
     for s in singular_radii:
         if not 0.0 <= s < 1.0:
             raise DomainError(f"singular radius must lie in [0, 1), got {s}")
-        if s > 0.0:
-            guarded.append(float(s))
+        if s >= np.finfo(float).tiny:  # a subnormal radius is the origin: its
+            guarded.append(float(s))  # segment's nodes would underflow to r = 0
 
     breaks = sorted(set(guarded) - {1.0})
     segments = list(zip([0.0] + breaks, breaks + [1.0]))
@@ -159,8 +221,7 @@ def _disk_rings(
             log_r = math.log(ri)
             dist = min(abs(log_r - math.log(s)) for s in guarded)
             m = max(angular_order, math.ceil(alias_guard / dist))
-            m += m % 2
-            rings.append((ri, wi, m))
+            rings.append((ri, wi, _fft_length(m)))
     return breaks, rings
 
 
@@ -185,7 +246,11 @@ def make_disk_grid(
     radial_order : total radial budget (>= 1): the number of
         Gauss-Legendre rings, split evenly across the segments delimited
         by the interior singular radii.
-    angular_order : baseline angular count per ring (>= 4).
+    angular_order : baseline angular count per ring (>= 4). A ring gets
+        at least this many nodes and at least what its alias guard asks
+        for, rounded up to the next even 2^a 3^b 5^c: every ring's real
+        FFT then has a fast plan (no Bluestein), and the even count keeps
+        the ring's two halves exactly antipodal.
     singular_radii : radii in (0, 1) at which integrands may blow up.
         Each one becomes a radial segment boundary (angular means of
         integrands with an interior pole are continuous but kinked
@@ -194,8 +259,10 @@ def make_disk_grid(
         always guarded.
     alias_guard : log of the reciprocal aliasing tolerance.
 
-    Raises DomainError before allocating when the rule needs more than
-    ``MAX_DISK_NODES`` nodes, as a singular radius very close to 1 does.
+    The radial rule comes from ``_gauss_legendre`` (Newton's method, no
+    LAPACK). Raises DomainError before allocating when the rule needs more
+    than ``MAX_DISK_NODES`` nodes, as a singular radius very close to 1
+    does; ``disk_grid_size`` counts the same rounded rings.
     """
     breaks, rings = _disk_rings(
         radial_order, angular_order, singular_radii, alias_guard
@@ -260,8 +327,10 @@ def integrate(grid: Grid, f: Callable) -> complex | float:
 
     f may be a scalar function of a complex point or accept a complex
     ndarray. Non-finite values raise SingularIntegrandError naming the
-    offending node. The reduction is deterministic: numpy pairwise
-    summation for disk grids, exact fsum for circle grids.
+    offending node. The reduction is deterministic: on a disk grid each
+    block of ``NODE_BLOCK`` nodes forms its weighted values and their numpy
+    pairwise sum, and the block sums are added in node order, so no
+    temporary beyond the values is node-sized; circle grids use exact fsum.
     """
     vals = _evaluate_on(f, grid.nodes)
     _check_finite(vals, grid.nodes)
@@ -274,10 +343,13 @@ def integrate(grid: Grid, f: Callable) -> complex | float:
                 math.fsum(vals.real) / m, math.fsum(vals.imag) / m
             )
         return math.fsum(float(v) for v in vals) / m
-    prods = grid.weights * vals
+    total = 0.0
+    for start in range(0, grid.size, NODE_BLOCK):
+        block = slice(start, start + NODE_BLOCK)
+        total += np.sum(grid.weights[block] * vals[block])
     if np.iscomplexobj(vals):
-        return complex(np.sum(prods))
-    return float(np.sum(prods))
+        return complex(total)
+    return float(total)
 
 
 def richardson_check(

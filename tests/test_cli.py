@@ -5,9 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from disklab.cli import DEFAULT_TOLS, main, parse_args, run
 from disklab.quadrature import MAX_DISK_NODES
+from disklab.weights import parse_weight_spec
 
 
 class TestParse:
@@ -91,6 +94,46 @@ class TestParse:
         with pytest.raises(SystemExit) as exc:
             parse_args([])
         assert exc.value.code == 2
+
+
+_numbers = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", " ", "nan", "-inf", "1e999", "1e-400", "5e-324", "0x10",
+                     "1_0", "+.5", "1,", "abc", "0.9999999", "-0"]),
+)
+_coordinates = st.floats(-1.5, 1.5).map(repr)
+_points = st.one_of(
+    st.lists(_numbers, max_size=3).map(",".join),
+    st.tuples(_coordinates, _coordinates).map(",".join),
+    st.tuples(_coordinates, _numbers).map(",".join),
+)
+_kinds = st.sampled_from(["harm", "log", "scaled", "uniform", "", "Harm", " log", "foo"])
+_specs = st.recursive(
+    st.one_of(
+        st.text(max_size=20),
+        st.builds(lambda k, p: f"{k}:{p}", _kinds, _points),
+        st.builds(lambda k, p: f"{k}{p}", _kinds, _points),
+        st.builds(lambda k, x, y: f"{k}:{x},{y}", st.sampled_from(["harm", "log"]),
+                  _coordinates, _coordinates),
+    ),
+    lambda inner: st.builds(lambda c, spec: f"scaled:{c}:{spec}", _numbers, inner),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spec=_specs)
+@example(spec="log:5e-324,0")  # a subnormal pole radius: its grid segment underflows
+@example(spec="harm:1e-320,1e-320")  # a subnormal point normalised to the circle
+def test_junk_spec_is_usage_error_or_round_trips(spec):
+    try:
+        config = parse_args(["weights", "info", "--weight", spec])
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    label = parse_weight_spec(config.weight_spec).label
+    assert parse_weight_spec(label).label == label
 
 
 def _fast_flags(*extra):
@@ -217,7 +260,6 @@ class TestRun:
 
     def test_dbr_build_on_atomic_weight_builds_no_disk_grid(self, monkeypatch, tmp_path):
         from disklab import weights
-        from disklab.errors import NotDbrWeightError
 
         grids = []
         real = weights.make_disk_grid
@@ -231,9 +273,16 @@ class TestRun:
         assert grids == []
         assert json.loads(out.read_text())["weight"] == "harm:1,0"
         # a weight without atoms still gets its grid, and is then rejected
-        with pytest.raises(NotDbrWeightError):
-            main(["dbr", "build", "--weight", "uniform", *_fast_flags()])
+        assert main(["dbr", "build", "--weight", "uniform", *_fast_flags()]) == 1
         assert len(grids) == 1
+
+    def test_dbr_build_of_a_weight_without_a_model_is_one_error_line(self, capsys):
+        code = main(["dbr", "build", "--weight", "uniform", "--radial", "40",
+                     "--angular", "64"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: table is not rank one")
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_exit_code_matches_overall_pass(self):
         config = parse_args(

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from disklab import (
     Custom,
     DegenerateNodeSetError,
     DomainError,
+    GaussianRational,
     GreenDecomposition,
     HarmonicBoundary,
     LogGreen,
@@ -173,6 +175,76 @@ class TestAtomicRankIdentity:
         )
         assert shapes == []
         assert model.diagnostics["rank_ratio"] == 0.0
+
+
+def _random_atoms(rng, count):
+    """``count`` atoms in the disk with masses summing to 1 (so h_0 = 1)."""
+    points = rng.uniform(0.05, 0.95, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+    masses = rng.uniform(0.1, 1.0, count)
+    return tuple(zip(points.tolist(), (masses / masses.sum()).tolist()))
+
+
+def _reference_factorization(table, atoms):
+    """h, rank ratio, residual and max|M| from the full complex array."""
+    arr = table.to_complex_array()
+    svals = atoms_singular_values(atoms, table.order)
+    rank_ratio = float(svals[1] / svals[0]) if svals.size > 1 and svals[0] > 0 else 0.0
+    h = arr[0].copy()
+    residual = float(np.max(np.abs(arr - np.conj(h)[:, None] * h[None, :])))
+    return h, rank_ratio, residual, max(1.0, float(np.max(np.abs(arr))))
+
+
+class TestRowWiseFactorization:
+    """``factor_table`` reads the table row by row: the same values as the full array."""
+
+    @pytest.mark.parametrize("order", [8, 64, 512])
+    def test_equal_to_the_full_array_reference(self, order, monkeypatch):
+        monkeypatch.setattr(dbr, "_RANK_TOL", math.inf)  # multi-atom tables too
+        rng = np.random.default_rng(order)
+        for count in (1, 2, 3, 1, 2, 3):
+            atoms = _random_atoms(rng, count)
+            table = atoms_table(atoms, order)
+            fac = dbr.factor_table(table, residual_tol=math.inf, atoms=atoms)
+            h, rank_ratio, residual, _ = _reference_factorization(table, atoms)
+            assert np.array_equal(fac.h.array, h)
+            assert fac.rank_ratio == rank_ratio and fac.residual == residual
+
+    def test_every_row_is_read(self):
+        # only the last row breaks rank one, and it also sets max|M|
+        atoms = ((0.5, 1.0),)
+        table = atoms_table(atoms, 8)
+        re = table.re.copy()
+        re[-1] += 100.0
+        bent = MomentTable._from_parts(re, table.im, 1, "synthetic")
+        h, _, residual, scale = _reference_factorization(bent, atoms)
+        assert residual > 99.0 and scale > residual
+        fac = dbr.factor_table(bent, residual_tol=residual / scale, atoms=atoms)
+        assert fac.residual == residual
+        with pytest.raises(NotDbrWeightError, match="residual"):
+            dbr.factor_table(bent, residual_tol=0.99 * residual / scale, atoms=atoms)
+
+    def test_exact_table_is_read_over_its_denominator(self):
+        table = dirac_table(GaussianRational(Fraction(1, 3), Fraction(-2, 7)), 6)
+        assert table.is_exact and table.denom > 1
+        fac = dbr.factor_table(table, residual_tol=1e-12)
+        arr = table.to_complex_array()
+        assert np.array_equal(fac.h.array, arr[0])
+        assert fac.residual == float(
+            np.max(np.abs(arr - np.conj(arr[0])[:, None] * arr[0][None, :]))
+        )
+
+    def test_order_512_build_holds_little_beyond_the_table(self):
+        weight = LogGreen(0.4)
+        build_model(weight, None, order=8)  # imports and caches outside the count
+        table_bytes = 2 * 513 * 513 * 8  # the real and imaginary parts
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_model(weight, None, order=512)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * table_bytes
 
 
 class TestBerezinExtraction:

@@ -525,7 +525,27 @@ def _reference_atoms_table(atoms, order):
     return tuple(rows)
 
 
+def _outer_product_atoms_table(atoms, order):
+    """Reference: per atom, one full outer product of m p^j and conj(p)^k, summed."""
+    total = np.zeros((order + 1, order + 1), dtype=complex)
+    for p, m in atoms:
+        p = complex(p)
+        mpj = np.array([m * p**j for j in range(order + 1)])
+        total += mpj[:, None] * np.array([np.conj(p) ** k for k in range(order + 1)])
+    return total
+
+
 class TestAtomsTable:
+    @pytest.mark.parametrize("order", [8, 64, 512])
+    def test_row_sums_are_bitwise_the_outer_products(self, order):
+        rng = np.random.default_rng(order + 1)
+        for count in (1, 2, 3):
+            points = rng.uniform(0.05, 1.0, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+            atoms = tuple(zip(points.tolist(), rng.uniform(0.1, 2.0, count).tolist()))
+            ref = _outer_product_atoms_table(atoms, order)
+            table = atoms_table(atoms, order)
+            assert np.array_equal(table.re, ref.real) and np.array_equal(table.im, ref.imag)
+
     @pytest.mark.parametrize("atoms", [((1.0, 1.0),), ((0.4, 0.42),)])
     def test_real_atom_is_bit_identical_to_reference(self, atoms):
         table = atoms_table(atoms, 128)

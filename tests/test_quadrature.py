@@ -1,7 +1,11 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disklab import (
     DomainError,
@@ -12,7 +16,7 @@ from disklab import (
     richardson_check,
 )
 from disklab import quadrature
-from disklab.quadrature import MAX_DISK_NODES, disk_grid_size
+from disklab.quadrature import ALIAS_GUARD, MAX_DISK_NODES, NODE_BLOCK, disk_grid_size
 
 
 def poisson_kernel(zeta):
@@ -35,9 +39,9 @@ class TestDiskGridInvariants:
     def test_gauss_legendre_rule_built_once_and_read_only(self, monkeypatch):
         quadrature._gauss_legendre.cache_clear()
         calls = []
-        real = np.polynomial.legendre.leggauss
+        real = quadrature._legendre_rule
         monkeypatch.setattr(
-            np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or real(n)
+            quadrature, "_legendre_rule", lambda n: calls.append(n) or real(n)
         )
         disk_grid_size(40, 64)
         grid = make_disk_grid(40, 64)
@@ -61,7 +65,7 @@ class TestDiskGridInvariants:
             make_disk_grid(10, 8, singular_radii=(1.0,))
 
     def test_node_count_matches_built_grid(self, disk_grid):
-        assert disk_grid_size(120, 256) == disk_grid.size == 287_668
+        assert disk_grid_size(120, 256) == disk_grid.size == 290_926
         assert disk_grid_size(40, 64, (0.4,)) == make_disk_grid(40, 64, (0.4,)).size
 
     def test_node_budget(self, monkeypatch):
@@ -218,3 +222,146 @@ def test_summation_is_reproducible():
     f = poisson_kernel(np.exp(1.1j))
     vals = {integrate(grid, f) for _ in range(5)}
     assert len(vals) == 1
+
+
+# ------------------------------------------------------------- ring counts
+
+
+def _least_even_5_smooth(need: int) -> int:
+    """Smallest even 2^a 3^b 5^c >= need, from the list of all of them up to 2 need."""
+    limit = 2 * max(need, 2)  # a power of two lies in [need, 2 need]
+    lengths = []
+    p5 = 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            length = 2 * p35
+            while length <= limit:
+                lengths.append(length)
+                length *= 2
+            p35 *= 3
+        p5 *= 5
+    return min(length for length in lengths if length >= need)
+
+
+def _is_even_5_smooth(m: int) -> bool:
+    if m % 2:
+        return False
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(radial=st.integers(1, 120), angular=st.integers(4, 1024),
+       radii=st.lists(st.floats(0.0, 0.9999999), max_size=3))
+def test_ring_counts_are_the_least_even_5_smooth_lengths(radial, angular, radii):
+    # checked on the counts alone: a pole near the circle asks for ~1e12 nodes
+    _, rings = quadrature._disk_rings(radial, angular, radii, ALIAS_GUARD)
+    guarded = [1.0] + [s for s in radii if s >= np.finfo(float).tiny]
+    for r, _, m in rings:
+        dist = min(abs(math.log(r) - math.log(s)) for s in guarded)
+        need = max(angular, math.ceil(ALIAS_GUARD / dist))
+        assert _is_even_5_smooth(m) and m >= need
+        assert m == _least_even_5_smooth(need)
+    assert disk_grid_size(radial, angular, radii) == sum(m for _, _, m in rings)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(radial=st.integers(1, 16), angular=st.integers(4, 128),
+       radii=st.lists(st.floats(0.0, 0.9), max_size=2))
+def test_counted_size_is_the_built_size(radial, angular, radii):
+    grid = make_disk_grid(radial, angular, radii)
+    assert disk_grid_size(radial, angular, radii) == grid.size == sum(grid.ring_counts)
+    assert all(_is_even_5_smooth(m) for m in grid.ring_counts)
+
+
+def test_subnormal_singular_radius_is_the_origin():
+    # its segment's Gauss nodes would underflow to r = 0
+    assert make_disk_grid(4, 8, (5e-324,)).ring_counts == make_disk_grid(4, 8).ring_counts
+
+
+def test_ring_counts_of_a_pole_near_the_circle_are_found_fast():
+    start = time.perf_counter()
+    size = disk_grid_size(120, 256, (0.9999999,))
+    assert time.perf_counter() - start < 1.0
+    assert size > MAX_DISK_NODES
+
+
+# ---------------------------------------------------------- Gauss-Legendre
+
+
+def _mp_gauss_legendre(n: int, mpmath):
+    """50-digit Gauss-Legendre nodes and weights: Newton on P_n from leggauss."""
+    mpmath.mp.dps = 50
+
+    def legendre(x):
+        p0, p1 = mpmath.mpf(1), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    nodes, weights = [], []
+    for x0 in np.polynomial.legendre.leggauss(n)[0]:
+        x = mpmath.mpf(float(x0))
+        for _ in range(8):
+            p, dp = legendre(x)
+            x -= p / dp
+        _, dp = legendre(x)
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("n", [30, 60, 120])
+def test_gauss_legendre_rule_against_50_digit_reference(n):
+    mpmath = pytest.importorskip("mpmath")
+    ref_x, ref_w = _mp_gauss_legendre(n, mpmath)
+    x, w = quadrature._gauss_legendre(n)
+    eps = np.finfo(float).eps
+
+    def node_error(xs):
+        return max(float(abs(mpmath.mpf(float(a)) - b)) for a, b in zip(xs, ref_x))
+
+    def weight_error(ws):
+        return max(float(abs((mpmath.mpf(float(a)) - b) / b)) for a, b in zip(ws, ref_w))
+
+    assert node_error(x) <= 2 * eps
+    lx, lw = np.polynomial.legendre.leggauss(n)
+    assert weight_error(w) <= 1e-12
+    assert weight_error(w) < weight_error(lw)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(math.fsum(w) - 2.0) <= 4 * eps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8])
+def test_small_gauss_legendre_rules(n):
+    x, w = quadrature._gauss_legendre(n)
+    lx, lw = np.polynomial.legendre.leggauss(n)
+    assert np.allclose(x, lx, rtol=0, atol=4e-16) and np.allclose(w, lw, rtol=1e-14, atol=0)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+
+
+# -------------------------------------------------------------- integrate
+
+
+def test_disk_integral_is_summed_in_node_blocks(disk_grid):
+    vals = 1.0 / np.abs(1.0 - disk_grid.nodes) ** 2 * (1 - np.abs(disk_grid.nodes) ** 2)
+    unblocked = float(np.sum(disk_grid.weights * vals))
+    tracemalloc.start()
+    try:
+        value = integrate(disk_grid, lambda z: vals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert disk_grid.size > 10 * NODE_BLOCK
+    assert peak <= 2**20  # the values exist already: no node-sized product
+    assert abs(value - unblocked) <= 4 * np.finfo(float).eps * abs(unblocked)
+    blocks = [
+        np.sum(disk_grid.weights[i : i + NODE_BLOCK] * vals[i : i + NODE_BLOCK])
+        for i in range(0, disk_grid.size, NODE_BLOCK)
+    ]
+    assert value == float(sum(blocks))
