@@ -105,7 +105,6 @@ _numbers = st.one_of(
 _coordinates = st.floats(-1.5, 1.5).map(repr)
 _points = st.one_of(
     st.lists(_numbers, max_size=3).map(",".join),
-    st.tuples(_coordinates, _coordinates).map(",".join),
     st.tuples(_coordinates, _numbers).map(",".join),
 )
 _kinds = st.sampled_from(["harm", "log", "scaled", "uniform", "", "Harm", " log", "foo"])
