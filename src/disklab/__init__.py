@@ -75,6 +75,7 @@ from .series import (
     zero_series,
 )
 from .weights import (
+    AtomicWeight,
     Custom,
     GreenDecomposition,
     HarmonicBoundary,

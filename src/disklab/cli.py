@@ -183,6 +183,29 @@ def _digest(*parts) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+_CEILING, _FLOOR, _INFO = "ceiling", "floor", "info"
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One row of the check table.
+
+    ``fn(ctx)`` returns (value, detail), or (value, detail, tol, sense)
+    when the weight's route sets another tolerance; a detail may be a
+    function of the resolved tolerance. ``tol`` is a ``DEFAULT_TOLS`` key
+    (overridable with ``--tol``) or a fixed literal. The sense is a
+    ceiling (passes when value <= tol), a floor (value > tol), or info
+    (always passes, tol None). ``seeds`` join the digest.
+    """
+
+    name: str
+    suite: str
+    seeds: tuple
+    tol: str | float | None
+    sense: str
+    fn: Callable[[_SuiteContext], tuple]
+
+
 class _SuiteContext:
     """Lazily built shared objects for one verify run."""
 
@@ -257,107 +280,103 @@ class _SuiteContext:
             raise self._model_error
         return self._model
 
-    def check(
-        self,
-        checks: list[CheckRecord],
-        name: str,
-        fn: Callable[[], tuple[float, float, bool, str]],
-        *digest_parts,
-    ) -> None:
-        """Run one check; exceptions become failing records."""
+    def check(self, row: _Check) -> CheckRecord:
+        """Run one table row: its verdict is its sense applied to its tolerance.
+
+        Exceptions become failing records with no value and no tolerance.
+        """
         start = time.perf_counter()
-        digest = _digest(name, self.config.weight_spec, self.config.order,
+        digest = _digest(row.name, self.config.weight_spec, self.config.order,
                          self.config.radial_order, self.config.angular_order,
-                         *digest_parts)
+                         *row.seeds)
         try:
-            value, tol, passed, detail = fn()
+            value, detail, *route = row.fn(self)
+            tol, sense = route or (row.tol, row.sense)
+            if isinstance(tol, str):
+                tol = self.config.tols[tol]
+            if callable(detail):
+                detail = detail(tol)
+            passed = sense == _INFO or (value <= tol if sense == _CEILING else value > tol)
         except Exception as exc:
             value, tol, passed = None, None, False
             detail = f"{type(exc).__name__}: {exc}"
-        checks.append(
-            CheckRecord(
-                name=name,
-                digest=digest,
-                value=None if value is None else float(value),
-                tolerance=None if tol is None else float(tol),
-                passed=bool(passed),
-                detail=str(detail),
-                elapsed_s=time.perf_counter() - start,
-            )
+        return CheckRecord(
+            name=row.name,
+            digest=digest,
+            value=None if value is None else float(value),
+            tolerance=None if tol is None else float(tol),
+            passed=bool(passed),
+            detail=str(detail),
+            elapsed_s=time.perf_counter() - start,
         )
 
 
-def suite_moments(ctx: _SuiteContext) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
-    tols = ctx.config.tols
-    order = ctx.config.order
+def _point_forward(ctx: _SuiteContext):
+    tables = ctx.seeded_tables
+    worst = max(weak_mult_check(t).residual for t in tables)
+    return worst, f"{len(tables)} exact rank-one tables"
 
-    def point_forward():
-        tables = ctx.seeded_tables
-        worst = max(weak_mult_check(t).residual for t in tables)
-        return worst, 0.0, worst == 0.0, f"{len(tables)} exact rank-one tables"
 
-    ctx.check(checks, "point-forward-exact", point_forward, _SEED_POINT_TABLES)
+def _point_reject(ctx: _SuiteContext):
+    from .moments import factorize
 
-    def point_reject():
-        from .moments import factorize
+    rng = random.Random(_SEED_NON_RANK_ONE)
+    min_res = float("inf")
+    for _ in range(10):
+        d = random_non_rank_one_distribution(rng, degree=ctx.config.order)
+        if factorize(d).ok:
+            return 0.0, "factorize accepted a non-rank-one matrix"
+        res = weak_mult_check(point_moments(d, ctx.config.order)).residual
+        min_res = min(min_res, res)
+    return min_res, "10 non-rank-one matrices rejected"
 
-        rng = random.Random(_SEED_NON_RANK_ONE)
-        min_res = float("inf")
-        for _ in range(10):
-            d = random_non_rank_one_distribution(rng, degree=order)
-            if factorize(d).ok:
-                return 0.0, 0.0, False, "factorize accepted a non-rank-one matrix"
-            res = weak_mult_check(point_moments(d, order)).residual
-            min_res = min(min_res, res)
-        return min_res, 0.0, min_res > 0.0, "10 non-rank-one matrices rejected"
 
-    ctx.check(checks, "point-reject-non-rank-one", point_reject, _SEED_NON_RANK_ONE)
-
-    def weight_table():
-        table, route = ctx.weight_table
-        report = weak_mult_check(table)
-        if route == "atom":
-            fine = weak_mult_check(ctx.measure_table)
-            return (
-                report.residual,
-                tols["weak_mult"],
-                report.residual <= tols["weak_mult"],
-                f"atom table, worst index {report.worst}; measure-route residual "
-                f"{fine.residual:.6g} (the spread-out measure itself is not "
-                "multiplicative)",
-            )
-        floor = tols["falsification_floor"]
-        detail = (
-            f"measure table, worst index {report.worst}; non-atomic weight "
-            f"must fail factorization (residual floor {floor})"
+def _weight_table_multiplicative(ctx: _SuiteContext):
+    table, route = ctx.weight_table
+    report = weak_mult_check(table)
+    if route == "atom":
+        fine = weak_mult_check(ctx.measure_table)
+        return report.residual, (
+            f"atom table, worst index {report.worst}; measure-route residual "
+            f"{fine.residual:.6g} (the spread-out measure itself is not "
+            "multiplicative)"
         )
-        return report.residual, floor, report.residual > floor, detail
+    def detail(floor):
+        return (f"measure table, worst index {report.worst}; non-atomic weight "
+                f"must fail factorization (residual floor {floor})")
 
-    ctx.check(checks, "weight-table-multiplicative", weight_table)
-    return checks
+    return report.residual, detail, "falsification_floor", _FLOOR
 
 
-def suite_tensor(ctx: _SuiteContext) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
-    tols = ctx.config.tols
+def _point_tensor(ctx: _SuiteContext):
+    tables = ctx.seeded_tables
+    worst = max(tensor_diag_check(t).residual for t in tables)
+    return worst, f"{len(tables)} exact rank-one tables"
 
-    def point_tensor():
-        tables = ctx.seeded_tables
-        worst = max(tensor_diag_check(t).residual for t in tables)
-        return worst, 0.0, worst == 0.0, f"{len(tables)} exact rank-one tables"
 
-    ctx.check(checks, "point-tensor-vanishing", point_tensor, _SEED_POINT_TABLES)
+def _weight_tensor(ctx: _SuiteContext):
+    table, route = ctx.weight_table
+    report = tensor_diag_check(table)
+    return report.residual, f"{route} table, worst tuple {report.worst}"
 
-    def weight_tensor():
-        table, route = ctx.weight_table
-        report = tensor_diag_check(table)
-        tol = tols["tensor"]
-        detail = f"{route} table, worst tuple {report.worst}"
-        return report.residual, tol, report.residual <= tol, detail
 
-    ctx.check(checks, "weight-table-tensor", weight_tensor)
-    return checks
+def _energy_identity(ctx: _SuiteContext):
+    ctx.measure_table  # one ring-DFT pass at the largest order the run reads
+    e = energy(monomial(1, 4), ctx.weight, ctx.disk_grid)
+    mass = l1_norm(ctx.weight, ctx.disk_grid)
+    return abs(e - mass), f"energy(z)={e:.9g} vs mass={mass:.9g}"
+
+
+def _energy_quadratic(ctx: _SuiteContext):
+    f = TaylorSeries([0, 1, 0.5 + 0.25j, -0.125])
+    e1 = energy(f, ctx.weight, ctx.disk_grid)
+    e2 = energy(f.scale(2.0), ctx.weight, ctx.disk_grid)
+    return abs(e2 - 4.0 * e1) / max(1.0, abs(e2)), "energy(2f) = 4 energy(f)"
+
+
+def _energy_constant(ctx: _SuiteContext):
+    e = energy(TaylorSeries([3.5, 0, 0]), ctx.weight, ctx.disk_grid)
+    return e, "constants carry no energy"
 
 
 _LATTICE_CENTERS = [0j] + [
@@ -367,99 +386,42 @@ _LATTICE_RADII = [0.05, 0.1, 0.15, 0.2, 0.25]
 _LATTICE_CLEARANCE = 0.02
 
 
-def _admissible_lattice(weight: Weight):
-    """Drop lattice cells whose center or circle runs into a singularity."""
+def _lattice_scan(weight: Weight):
+    """Worst circle-mean margin of the weight over the lattice, and its cell.
+
+    Cells whose center or circle runs into an interior singularity are
+    dropped; with no cell left the margin is inf and the cell None.
+    """
     interior = [s for s in weight.singularities if abs(s) < 1.0]
-    centers = [
-        c for c in _LATTICE_CENTERS
-        if all(abs(c - s) > _LATTICE_CLEARANCE for s in interior)
-    ]
-    cells = [
-        (c, r)
-        for c in centers
-        for r in _LATTICE_RADII
-        if all(abs(abs(c - s) - r) > _LATTICE_CLEARANCE for s in interior)
-    ]
-    return cells
-
-
-def suite_dirichlet(ctx: _SuiteContext) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
-    tols = ctx.config.tols
-    grid = ctx.disk_grid
-    n_series = ctx.config.series_order
-
-    def energy_identity():
-        ctx.measure_table  # one ring-DFT pass at the largest order the run reads
-        f = monomial(1, 4)
-        e = energy(f, ctx.weight, grid)
-        mass = l1_norm(ctx.weight, grid)
-        err = abs(e - mass)
-        tol = tols["energy_identity"]
-        return err, tol, err <= tol, f"energy(z)={e:.9g} vs mass={mass:.9g}"
-
-    ctx.check(checks, "energy-of-identity-vs-mass", energy_identity)
-
-    def energy_quadratic():
-        f = TaylorSeries([0, 1, 0.5 + 0.25j, -0.125])
-        e1 = energy(f, ctx.weight, grid)
-        e2 = energy(f.scale(2.0), ctx.weight, grid)
-        err = abs(e2 - 4.0 * e1) / max(1.0, abs(e2))
-        return err, 1e-12, err <= 1e-12, "energy(2f) = 4 energy(f)"
-
-    ctx.check(checks, "energy-quadratic-scaling", energy_quadratic)
-
-    def energy_constant():
-        e = energy(TaylorSeries([3.5, 0, 0]), ctx.weight, grid)
-        return e, 1e-12, e <= 1e-12, "constants carry no energy"
-
-    ctx.check(checks, "energy-constant-zero", energy_constant)
-
-    def superharmonic():
-        cgrid = make_circle_grid(256)
-        worst_margin = float("inf")
-        worst_case = None
-        for center, radius in _admissible_lattice(ctx.weight):
-            report = superharmonic_test(
-                ctx.weight, [center], [radius], cgrid, tol=tols["superharmonic"]
-            )
+    cgrid = make_circle_grid(256)
+    worst_margin, worst_case = float("inf"), None
+    for c in _LATTICE_CENTERS:
+        for r in _LATTICE_RADII:
+            if any(abs(c - s) <= _LATTICE_CLEARANCE
+                   or abs(abs(c - s) - r) <= _LATTICE_CLEARANCE for s in interior):
+                continue
+            report = superharmonic_test(weight, [c], [r], cgrid)
             if report.worst_margin < worst_margin:
-                worst_margin = report.worst_margin
-                worst_case = report.worst_case
-        violation = max(0.0, -worst_margin)
-        return (
-            violation,
-            tols["superharmonic"],
-            violation <= tols["superharmonic"],
-            f"worst margin {worst_margin:.3e} at {worst_case}",
-        )
+                worst_margin, worst_case = report.worst_margin, report.worst_case
+    return worst_margin, worst_case
 
-    ctx.check(checks, "superharmonic-lattice", superharmonic)
 
-    def dilation():
-        rng = random.Random(_SEED_DILATION)
-        radii = (0.2, 0.4, 0.6, 0.8, 0.95)
-        worst = 0.0
-        for _ in range(3):
-            coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                      for _ in range(11)]
-            f = TaylorSeries(coeffs + [0j] * (n_series - 10))
-            rep = dilation_report(f, ctx.weight, radii, grid,
-                                  tol=tols["dilation"])
-            worst = max(worst, rep.max_violation)
-        if ctx.weight.is_harmonic:
-            return (
-                worst,
-                tols["dilation"],
-                worst <= tols["dilation"],
-                "harmonic weight: monotone dilation energies asserted",
-            )
-        return worst, None, True, (
-            "non-harmonic weight: monotonicity reported, not asserted"
-        )
+def _superharmonic(ctx: _SuiteContext):
+    worst_margin, worst_case = _lattice_scan(ctx.weight)
+    return max(0.0, -worst_margin), f"worst margin {worst_margin:.3e} at {worst_case}"
 
-    ctx.check(checks, "dilation-monotone", dilation, _SEED_DILATION)
-    return checks
+
+def _dilation(ctx: _SuiteContext):
+    rng = random.Random(_SEED_DILATION)
+    worst = 0.0
+    for _ in range(3):
+        coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(11)]
+        f = TaylorSeries(coeffs + [0j] * (ctx.config.series_order - 10))
+        rep = dilation_report(f, ctx.weight, (0.2, 0.4, 0.6, 0.8, 0.95), ctx.disk_grid)
+        worst = max(worst, rep.max_violation)
+    if ctx.weight.is_harmonic:
+        return worst, "harmonic weight: monotone dilation energies asserted"
+    return worst, "non-harmonic weight: monotonicity reported, not asserted", None, _INFO
 
 
 def _h_identity_points(
@@ -474,113 +436,69 @@ def _h_identity_points(
     return pts
 
 
-def suite_dbr(ctx: _SuiteContext) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
-    tols = ctx.config.tols
-    grid = ctx.disk_grid
+def _model_build(ctx: _SuiteContext):
+    diagnostics = ctx.model().diagnostics
+    return diagnostics["rank_ratio"], f"model built, a(0)={diagnostics['a0']:.6g}"
 
-    def build():
-        model = ctx.model()
-        return (
-            model.diagnostics["rank_ratio"],
-            None,
-            True,
-            f"model built, a(0)={model.diagnostics['a0']:.6g}",
-        )
 
-    ctx.check(checks, "model-build", build)
+def _h0(ctx: _SuiteContext):
+    return ctx.model().diagnostics["h0_deviation"], "unit-mass normalization of h"
 
-    def h0():
-        model = ctx.model()
-        dev = model.diagnostics["h0_deviation"]
-        return dev, tols["h0"], dev <= tols["h0"], "unit-mass normalization of h"
 
-    ctx.check(checks, "h0-normalization", h0)
+def _l1_consistency(ctx: _SuiteContext):
+    mass = l1_norm(ctx.model().weight, ctx.disk_grid)
+    return abs(mass - 1.0), f"quadrature mass {mass:.8g} vs exact 1"
 
-    def l1_consistency():
-        model = ctx.model()
-        mass = l1_norm(model.weight, grid)
-        err = abs(mass - 1.0)
-        tol = tols["l1_consistency"]
-        return err, tol, err <= tol, f"quadrature mass {mass:.8g} vs exact 1"
 
-    ctx.check(checks, "l1-quadrature-consistency", l1_consistency)
+def _h_identity(ctx: _SuiteContext):
+    model = ctx.model()
+    report = dbr_mod.verify_h_identity(
+        model.weight, model.h, _h_identity_points(ctx.direction), ctx.disk_grid
+    )
+    return report.worst_error, f"worst point {report.worst_point:.4f}"
 
-    def h_identity():
-        model = ctx.model()
-        report = dbr_mod.verify_h_identity(
-            model.weight, model.h, _h_identity_points(ctx.direction), grid,
-            tol=tols["h_identity"],
-        )
-        return (
-            report.worst_error,
-            tols["h_identity"],
-            report.passes,
-            f"worst point {report.worst_point:.4f}",
-        )
 
-    ctx.check(checks, "h-identity", h_identity, _SEED_TEST_POINTS)
+def _laplacian(ctx: _SuiteContext):
+    rng = random.Random(_SEED_TEST_POINTS)
+    worst = 0.0
+    for _ in range(5):
+        z0 = 0.6 * rng.random() * np.exp(2j * np.pi * rng.random())
+        w0 = 0.6 * rng.random() * np.exp(2j * np.pi * rng.random())
+        worst = max(worst, dbr_mod.laplacian_identity_check(z0, w0, 1e-3))
+    return worst, "five-point stencil at step 1e-3"
 
-    def laplacian():
-        rng = random.Random(_SEED_TEST_POINTS)
-        worst = 0.0
-        for _ in range(5):
-            z0 = 0.6 * rng.random() * np.exp(2j * np.pi * rng.random())
-            w0 = 0.6 * rng.random() * np.exp(2j * np.pi * rng.random())
-            worst = max(worst, dbr_mod.laplacian_identity_check(z0, w0, 1e-3))
-        tol = tols["laplacian"]
-        return worst, tol, worst <= tol, "five-point stencil at step 1e-3"
 
-    ctx.check(checks, "laplacian-identity", laplacian, _SEED_TEST_POINTS)
+def _phi_consistency(ctx: _SuiteContext):
+    model = ctx.model()
+    worst = 0.0
+    phi = model.h.shift()
+    for v in _h_identity_points(ctx.direction, count=10):
+        direct = dbr_mod.phi_modulus_sq(v, model.weight, ctx.disk_grid)
+        worst = max(worst, abs(direct - abs(phi.evaluate(v)) ** 2))
+    return worst, "integral route vs series route"
 
-    def phi_consistency():
-        model = ctx.model()
-        worst = 0.0
-        phi = model.h.shift()
-        for v in _h_identity_points(ctx.direction, count=10):
-            direct = dbr_mod.phi_modulus_sq(v, model.weight, grid)
-            from_series = abs(phi.evaluate(v)) ** 2
-            worst = max(worst, abs(direct - from_series))
-        tol = tols["phi_consistency"]
-        return worst, tol, worst <= tol, "integral route vs series route"
 
-    ctx.check(checks, "phi-consistency", phi_consistency, _SEED_TEST_POINTS)
+def _b_contraction(ctx: _SuiteContext):
+    b_max = ctx.model().diagnostics["b_max_sample"]
+    return max(0.0, b_max - 1.0), f"max sampled |b| = {b_max:.8g}"
 
-    def b_contraction():
-        model = ctx.model()
-        excess = max(0.0, model.diagnostics["b_max_sample"] - 1.0)
-        tol = tols["b_contraction"]
-        return (
-            excess,
-            tol,
-            excess <= tol,
-            f"max sampled |b| = {model.diagnostics['b_max_sample']:.8g}",
-        )
 
-    ctx.check(checks, "b-contraction", b_contraction)
+def _outer_consistency(ctx: _SuiteContext):
+    """|a| against 1/sqrt(1 + |phi|^2), phi recomputed from the atoms.
 
-    def outer_consistency():
-        model = ctx.model()
-        holdout = make_circle_grid(model.boundary_order // 2, offset=0.25)
-        boundary_singular = any(
-            abs(abs(s) - 1.0) < 1e-9 for s in ctx.weight.singularities
-        )
-        # Recompute the target modulus on held-out nodes from the atoms.
-        atoms = dbr_mod.riesz_atoms(model.weight)
-        if atoms is None:
-            return None, None, True, "no atomic boundary data to check"
-        e = holdout.nodes
-        phi_b = e * sum(m / (1.0 - np.conj(p) * e) for p, m in atoms)
-        target = 1.0 / np.sqrt(1.0 + np.abs(phi_b) ** 2)
-        got = np.abs(model.a.evaluate_many(e))
-        err = float(np.max(np.abs(got - target)))
-        tol = tols["outer_consistency"] if boundary_singular else 1e-6
-        return err, tol, err <= tol, (
-            "boundary-singular target" if boundary_singular else "smooth target"
-        )
-
-    ctx.check(checks, "outer-consistency", outer_consistency)
-    return checks
+    It is sampled on a second circle: half the boundary order, offset 1/4.
+    """
+    model = ctx.model()
+    holdout = make_circle_grid(model.boundary_order // 2, offset=0.25)
+    atoms = dbr_mod.riesz_atoms(model.weight)
+    if atoms is None:
+        return None, "no atomic boundary data to check", None, _INFO
+    e = holdout.nodes
+    target = 1.0 / np.sqrt(1.0 + np.abs(dbr_mod._atoms_phi(atoms, e)) ** 2)
+    err = float(np.max(np.abs(np.abs(model.a.evaluate_many(e)) - target)))
+    if any(abs(abs(s) - 1.0) < 1e-9 for s in ctx.weight.singularities):
+        return err, "boundary-singular target"
+    return err, "smooth target", 1e-6, _CEILING
 
 
 # Fixed kernel node sets of sizes 1..4 inside |w| <= 0.6, biased toward
@@ -627,44 +545,86 @@ def _isometry_cases(count: int = 20, direction: complex = 1.0):
     return cases
 
 
+def _isometry_gap(ctx: _SuiteContext):
+    model = ctx.model()
+    worst = 0.0
+    min_eig = float("inf")
+    for nodes, coeffs in _isometry_cases(direction=ctx.direction):
+        rep = dbr_mod.verify_isometry(model, nodes, coeffs, ctx.disk_grid)
+        worst = max(worst, rep.relative_gap)
+        min_eig = min(min_eig, rep.min_gram_eigenvalue)
+    return worst, f"20 kernel combinations, min Gram eigenvalue {min_eig:.3e}"
+
+
+def _isometry_falsification(ctx: _SuiteContext):
+    wrong = dbr_mod.szego_model(ctx.model())
+    min_gap = float("inf")
+    for nodes, coeffs in _isometry_cases(direction=ctx.direction):
+        rep = dbr_mod.verify_isometry(wrong, nodes, coeffs, ctx.disk_grid)
+        min_gap = min(min_gap, rep.relative_gap)
+    return min_gap, "replacing the symbol by 0 must break the identity"
+
+
+#: Every verify check, in report order: (name, suite, seeds, tol, sense, fn).
+_CHECKS = tuple(_Check(*row) for row in (
+    ("point-forward-exact", "moments", (_SEED_POINT_TABLES,), 0.0, _CEILING,
+     _point_forward),
+    ("point-reject-non-rank-one", "moments", (_SEED_NON_RANK_ONE,), 0.0, _FLOOR,
+     _point_reject),
+    ("weight-table-multiplicative", "moments", (), "weak_mult", _CEILING,
+     _weight_table_multiplicative),
+    ("point-tensor-vanishing", "tensor", (_SEED_POINT_TABLES,), 0.0, _CEILING,
+     _point_tensor),
+    ("weight-table-tensor", "tensor", (), "tensor", _CEILING, _weight_tensor),
+    ("energy-of-identity-vs-mass", "dirichlet", (), "energy_identity", _CEILING,
+     _energy_identity),
+    ("energy-quadratic-scaling", "dirichlet", (), 1e-12, _CEILING, _energy_quadratic),
+    ("energy-constant-zero", "dirichlet", (), 1e-12, _CEILING, _energy_constant),
+    ("superharmonic-lattice", "dirichlet", (), "superharmonic", _CEILING,
+     _superharmonic),
+    ("dilation-monotone", "dirichlet", (_SEED_DILATION,), "dilation", _CEILING,
+     _dilation),
+    ("model-build", "dbr", (), None, _INFO, _model_build),
+    ("h0-normalization", "dbr", (), "h0", _CEILING, _h0),
+    ("l1-quadrature-consistency", "dbr", (), "l1_consistency", _CEILING,
+     _l1_consistency),
+    ("h-identity", "dbr", (_SEED_TEST_POINTS,), "h_identity", _CEILING, _h_identity),
+    ("laplacian-identity", "dbr", (_SEED_TEST_POINTS,), "laplacian", _CEILING,
+     _laplacian),
+    ("phi-consistency", "dbr", (_SEED_TEST_POINTS,), "phi_consistency", _CEILING,
+     _phi_consistency),
+    ("b-contraction", "dbr", (), "b_contraction", _CEILING, _b_contraction),
+    ("outer-consistency", "dbr", (), "outer_consistency", _CEILING,
+     _outer_consistency),
+    ("isometry-gap", "isometry", (_SEED_ISOMETRY,), "isometry", _CEILING,
+     _isometry_gap),
+    ("isometry-falsification-b-zero", "isometry", (_SEED_ISOMETRY,),
+     "isometry_falsification", _FLOOR, _isometry_falsification),
+))
+
+
+def _suite(ctx: _SuiteContext, suite: str) -> list[CheckRecord]:
+    return [ctx.check(row) for row in _CHECKS if row.suite == suite]
+
+
+def suite_moments(ctx: _SuiteContext) -> list[CheckRecord]:
+    return _suite(ctx, "moments")
+
+
+def suite_tensor(ctx: _SuiteContext) -> list[CheckRecord]:
+    return _suite(ctx, "tensor")
+
+
+def suite_dirichlet(ctx: _SuiteContext) -> list[CheckRecord]:
+    return _suite(ctx, "dirichlet")
+
+
+def suite_dbr(ctx: _SuiteContext) -> list[CheckRecord]:
+    return _suite(ctx, "dbr")
+
+
 def suite_isometry(ctx: _SuiteContext) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
-    tols = ctx.config.tols
-    grid = ctx.disk_grid
-
-    def gap():
-        model = ctx.model()
-        worst = 0.0
-        min_eig = float("inf")
-        for nodes, coeffs in _isometry_cases(direction=ctx.direction):
-            rep = dbr_mod.verify_isometry(
-                model, nodes, coeffs, grid, tol=tols["isometry"]
-            )
-            worst = max(worst, rep.relative_gap)
-            min_eig = min(min_eig, rep.min_gram_eigenvalue)
-        tol = tols["isometry"]
-        return worst, tol, worst <= tol, (
-            f"20 kernel combinations, min Gram eigenvalue {min_eig:.3e}"
-        )
-
-    ctx.check(checks, "isometry-gap", gap, _SEED_ISOMETRY)
-
-    def falsification():
-        model = ctx.model()
-        wrong = dbr_mod.szego_model(model)
-        min_gap = float("inf")
-        for nodes, coeffs in _isometry_cases(direction=ctx.direction):
-            rep = dbr_mod.verify_isometry(
-                wrong, nodes, coeffs, grid, tol=tols["isometry"]
-            )
-            min_gap = min(min_gap, rep.relative_gap)
-        floor = tols["isometry_falsification"]
-        return min_gap, floor, min_gap > floor, (
-            "replacing the symbol by 0 must break the identity"
-        )
-
-    ctx.check(checks, "isometry-falsification-b-zero", falsification, _SEED_ISOMETRY)
-    return checks
+    return _suite(ctx, "isometry")
 
 
 _SUITE_RUNNERS = {
@@ -793,9 +753,10 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
             parser.error(f"tolerance in {item!r} must be finite and nonnegative")
     try:
         weight = parse_weight_spec(config.weight_spec)
+        nodes = disk_grid_size(config.radial_order, config.angular_order,
+                               weight.singular_radii)
     except (WeightSpecError, DomainError) as exc:
         parser.error(str(exc))
-    nodes = disk_grid_size(config.radial_order, config.angular_order, weight.singular_radii)
     if nodes > MAX_DISK_NODES:
         parser.error(f"the grid for {config.weight_spec!r} needs {nodes} nodes, "
                      f"over the budget {MAX_DISK_NODES}")
@@ -877,13 +838,7 @@ def _run_weights_info(config: RunConfig) -> int:
         grid, fine_grid, weight.eval_many
     )
     mass = l1_norm(weight, grid)
-    cgrid = make_circle_grid(256)
-    worst_margin = float("inf")
-    for center, radius in _admissible_lattice(weight):
-        rep = superharmonic_test(
-            weight, [center], [radius], cgrid, tol=config.tols["superharmonic"]
-        )
-        worst_margin = min(worst_margin, rep.worst_margin)
+    worst_margin, _ = _lattice_scan(weight)
     violation = max(0.0, -worst_margin)
     payload = {
         "schema": SCHEMA_VERSION,

@@ -43,7 +43,7 @@ from .errors import (
 from .moments import MomentTable, _memo_entry, atoms_table, disk_moments, weight_values
 from .quadrature import NODE_BLOCK, CircleGrid, DiskGrid, _check_finite, make_circle_grid
 from .series import TaylorSeries, exp_series, geometric_series
-from .weights import Custom, HarmonicBoundary, LogGreen, Scaled, Weight, normalize
+from .weights import Scaled, Weight, normalize
 
 _H0_TOL = 1e-6
 _RANK_TOL = 1e-6
@@ -121,27 +121,15 @@ def phi_modulus_sq(v: complex, weight: Weight, grid: DiskGrid) -> float:
 
 
 def riesz_atoms(weight: Weight) -> Optional[tuple[tuple[complex, float], ...]]:
-    """Atoms (point, mass) of the distribution carried by the weight.
+    """Atoms (point, mass) of the distribution carried by the weight: ``weight.atoms``.
 
-    Catalog weights carry a single atom: the boundary pole with the
-    weight's mass for the harmonic family, the interior pole with mass
-    (1-|zeta|^2)/2 for the logarithmic family. Scaling multiplies masses;
-    synthesized weights carry their decomposition's atoms. Returns None
-    when no atomic realization is known (e.g. a generic Custom weight).
+    An ``AtomicWeight`` carries the atoms of its decomposition (the
+    catalog weights one each: the boundary pole with unit mass, or the
+    interior pole with mass (1-|zeta|^2)/2), and ``Scaled`` multiplies
+    the masses. None when no atomic realization is known (e.g. a
+    ``Custom`` weight).
     """
-    if isinstance(weight, HarmonicBoundary):
-        return ((weight.zeta, 1.0),)
-    if isinstance(weight, LogGreen):
-        return ((weight.zeta, (1.0 - abs(weight.zeta) ** 2) / 2.0),)
-    if isinstance(weight, Scaled):
-        inner = riesz_atoms(weight.inner)
-        if inner is None:
-            return None
-        return tuple((p, weight.c * m) for p, m in inner)
-    if isinstance(weight, Custom) and weight.decomposition is not None:
-        d = weight.decomposition
-        return tuple(d.interior) + tuple(d.boundary)
-    return None
+    return weight.atoms
 
 
 def charge_moment_table(weight: Weight, order: int) -> Optional[MomentTable]:
@@ -297,7 +285,7 @@ def verify_h_identity(
     h: TaylorSeries,
     test_points: Sequence[complex],
     grid: DiskGrid,
-    tol: float,
+    tol: float = 1e-4,
 ) -> HIdentityReport:
     """Compare the quartic-kernel integral against |h(v)|^2 pointwise.
 
@@ -405,6 +393,15 @@ class DbrModel:
         }
 
 
+def _atoms_phi(atoms: Sequence[tuple[complex, float]], e: np.ndarray) -> np.ndarray:
+    """phi(v) = v sum m_i / (1 - conj(p_i) v) of unit-mass atoms, in closed form.
+
+    It continues to |v| = 1, where the truncated h does not converge when
+    a pole sits on the circle.
+    """
+    return e * sum(m / (1.0 - np.conj(p) * e) for p, m in atoms)
+
+
 _PHI_SAMPLE_RADII = (0.3, 0.6, 0.8)
 
 
@@ -454,12 +451,7 @@ def build_model(
             atoms_table(norm_atoms, order), residual_tol=1e-9, atoms=norm_atoms
         )
         h = fac.h
-        # |phi| on the boundary, in closed form from the atoms:
-        # phi(v) = v sum m_i / (1 - conj(p_i) v) continues to |v| = 1.
-        e = bgrid.nodes
-        phi_boundary = e * sum(
-            m / (1.0 - np.conj(p) * e) for p, m in norm_atoms
-        )
+        phi_boundary = _atoms_phi(norm_atoms, bgrid.nodes)
     else:
         if disk_grid is None:
             raise DomainError(f"{weight.label} has no known atoms: its model needs a grid")

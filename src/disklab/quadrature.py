@@ -220,6 +220,11 @@ def _disk_rings(
         for ri, wi in zip(r, wr):
             log_r = math.log(ri)
             dist = min(abs(log_r - math.log(s)) for s in guarded)
+            if dist == 0.0:  # the Gauss nodes of a segment a few ulps wide round onto its ends
+                raise DomainError(
+                    f"a ring falls on the singular radius {float(ri)!r}: singular radii "
+                    f"{breaks} are too close together to separate"
+                )
             m = max(angular_order, math.ceil(alias_guard / dist))
             rings.append((ri, wi, _fft_length(m)))
     return breaks, rings
@@ -262,7 +267,9 @@ def make_disk_grid(
     The radial rule comes from ``_gauss_legendre`` (Newton's method, no
     LAPACK). Raises DomainError before allocating when the rule needs more
     than ``MAX_DISK_NODES`` nodes, as a singular radius very close to 1
-    does; ``disk_grid_size`` counts the same rounded rings.
+    does, or when two singular radii are so close (an ulp apart) that a
+    ring falls on one; ``disk_grid_size`` counts the same rounded rings and
+    raises the same way.
     """
     breaks, rings = _disk_rings(
         radial_order, angular_order, singular_radii, alias_guard

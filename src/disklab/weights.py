@@ -1,21 +1,21 @@
 """Weight catalog on the unit disk.
 
-Two parametric families are built in:
+Every weight with a known charge is an ``AtomicWeight``: a finite
+positive combination of boundary kernels (1 - |z|^2) / |z - zeta|^2 and
+scaled logarithmic kernels log |(1 - conj(zeta) z) / (z - zeta)|, one per
+atom of its ``GreenDecomposition``. It carries its ``atoms``, which are
+what the moment and kernel-model pipelines branch on. The two catalog
+families are one-atom subclasses:
 
-* ``HarmonicBoundary(zeta)``: (1 - |z|^2) / |z - zeta|^2 for a boundary
-  point zeta. Harmonic in the disk, unit mass against dA, singular at the
-  boundary point itself.
-* ``LogGreen(zeta)``: log |(1 - conj(zeta) z) / (z - zeta)| for an interior
-  point zeta. Superharmonic, mass (1 - |zeta|^2)/2, logarithmic pole at
-  zeta.
+* ``HarmonicBoundary(zeta)``: one boundary atom of unit mass at |zeta| = 1.
+  Harmonic in the disk, unit mass against dA, singular at zeta.
+* ``LogGreen(zeta)``: one interior atom of mass (1 - |zeta|^2)/2 at
+  |zeta| < 1. Superharmonic, logarithmic pole at zeta.
 
-``Scaled`` multiplies any weight by a positive constant and ``Custom``
-wraps an arbitrary pointwise function together with its singular points.
-``synthesize`` assembles a weight from a finite positive combination of
-scaled logarithmic kernels (interior atoms) and boundary kernels
-(boundary atoms); one interior atom of mass (1-|zeta|^2)/2 reproduces
-``LogGreen(zeta)`` exactly, and one boundary atom of unit mass reproduces
-``HarmonicBoundary(zeta)``.
+``synthesize`` builds the ``AtomicWeight`` of any decomposition.
+``Scaled`` multiplies any weight by a positive constant (and its atoms'
+masses alike), and ``Custom`` wraps an arbitrary pointwise function
+together with its singular points; its charge is unknown (``atoms`` None).
 
 Superharmonicity is tested directly through the defining circle-mean
 inequality on a caller-supplied lattice of centers and radii.
@@ -63,6 +63,8 @@ class Weight:
     is_harmonic: bool = False
     singularities: tuple[complex, ...] = ()
     analytic_mass: Optional[float] = None  # closed-form L1 norm, when known
+    # (point, mass) of each atom of the weight's charge, when known
+    atoms: Optional[tuple[tuple[complex, float], ...]] = None
 
     def _value_block(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -96,49 +98,102 @@ class Weight:
         return tuple(sorted(inner))
 
 
-class HarmonicBoundary(Weight):
+@dataclass(frozen=True)
+class GreenDecomposition:
+    """Finite atomic data (interior atoms, boundary atoms) for synthesis.
+
+    Interior atoms live strictly inside the disk and boundary atoms on the
+    circle; every mass is positive and finite. A NaN or infinite point or
+    mass fails these tests, so it is rejected too.
+    """
+
+    interior: tuple[tuple[complex, float], ...] = ()
+    boundary: tuple[tuple[complex, float], ...] = ()
+
+    def __post_init__(self):
+        for p, _ in self.interior:
+            if not abs(p) < 1.0:
+                raise DomainError(f"interior atom {p!r} is not inside the disk")
+        for p, _ in self.boundary:
+            if not abs(abs(p) - 1.0) <= _UNIMODULAR_TOL:
+                raise DomainError(f"boundary atom {p!r} is not on the circle")
+        for _, m in (*self.interior, *self.boundary):
+            if not 0.0 < m < math.inf:
+                raise DomainError(f"atom masses must be positive and finite, got {m!r}")
+
+    @property
+    def total_mass(self) -> float:
+        return math.fsum(m for _, m in self.interior) + math.fsum(
+            m for _, m in self.boundary
+        )
+
+
+class AtomicWeight(Weight):
+    """The weight of a finite positive charge: a sum of one kernel per atom.
+
+    An interior atom (p, m) contributes m * 2/(1-|p|^2) *
+    log|(1 - conj(p) z)/(z - p)| and a boundary atom (p, m) contributes
+    m * (1-|z|^2)/|z - p|^2, so the mass against dA is the total atom mass.
+    ``atoms`` lists (point, mass), interior atoms first; the weight is
+    harmonic when no atom is interior. No atoms give the zero weight.
+    """
+
+    def __init__(self, d: GreenDecomposition, label: str):
+        interior = tuple((complex(p), float(m)) for p, m in d.interior)
+        boundary = tuple((complex(p), float(m)) for p, m in d.boundary)
+        self.atoms = interior + boundary
+        self.singularities = tuple(p for p, _ in self.atoms)
+        self.is_harmonic = not interior
+        self.analytic_mass = d.total_mass
+        self.label = label
+        # left to right, m * 2.0 is exact: a LogGreen multiplier is exactly 1.0
+        self._log_terms = tuple((p, m * 2.0 / (1.0 - abs(p) ** 2)) for p, m in interior)
+        self._boundary = boundary
+
+    def _terms(self, z: np.ndarray):
+        for p, c in self._log_terms:
+            term = np.log(np.abs((1.0 - np.conj(p) * z) / (z - p)))
+            term *= c
+            yield term
+        for p, m in self._boundary:
+            term = (1.0 - np.abs(z) ** 2) / np.abs(z - p) ** 2
+            term *= m
+            yield term
+
+    def _value_block(self, z: np.ndarray) -> np.ndarray:
+        terms = self._terms(z)
+        total = next(terms, None)
+        if total is None:
+            return np.zeros(z.shape)
+        for term in terms:  # in place: one atom allocates only its own kernel
+            total += term
+        return total
+
+
+class HarmonicBoundary(AtomicWeight):
     """Boundary-pole harmonic weight (1 - |z|^2) / |z - zeta|^2, |zeta| = 1."""
 
-    is_harmonic = True
-    analytic_mass = 1.0
-
     def __init__(self, zeta: complex):
-        zeta = complex(zeta)
-        if abs(abs(zeta) - 1.0) > _UNIMODULAR_TOL:
-            raise DomainError(
-                f"HarmonicBoundary needs |zeta| = 1 within {_UNIMODULAR_TOL}, "
-                f"got |{zeta}| = {abs(zeta)}"
-            )
-        self.zeta = zeta
-        self.singularities = (zeta,)
-        self.label = f"harm:{_spec_number(zeta.real)},{_spec_number(zeta.imag)}"
-
-    def _value_block(self, z: np.ndarray) -> np.ndarray:
-        return (1.0 - np.abs(z) ** 2) / np.abs(z - self.zeta) ** 2
+        self.zeta = complex(zeta)
+        super().__init__(
+            GreenDecomposition(boundary=((self.zeta, 1.0),)),
+            f"harm:{_spec_number(self.zeta.real)},{_spec_number(self.zeta.imag)}",
+        )
 
 
-class LogGreen(Weight):
+class LogGreen(AtomicWeight):
     """Logarithmic interior-pole weight log |(1 - conj(zeta) z)/(z - zeta)|."""
 
-    is_harmonic = False
-
     def __init__(self, zeta: complex):
-        zeta = complex(zeta)
-        if abs(zeta) >= 1.0:
-            raise DomainError(f"LogGreen needs |zeta| < 1, got |{zeta}| = {abs(zeta)}")
-        self.zeta = zeta
-        self.singularities = (zeta,)
-        self.label = f"log:{_spec_number(zeta.real)},{_spec_number(zeta.imag)}"
-        self.analytic_mass = (1.0 - abs(zeta) ** 2) / 2.0
-
-    def _value_block(self, z: np.ndarray) -> np.ndarray:
-        return np.log(
-            np.abs((1.0 - np.conj(self.zeta) * z) / (z - self.zeta))
+        self.zeta = complex(zeta)
+        super().__init__(
+            GreenDecomposition(interior=((self.zeta, (1.0 - abs(self.zeta) ** 2) / 2.0),)),
+            f"log:{_spec_number(self.zeta.real)},{_spec_number(self.zeta.imag)}",
         )
 
 
 class Scaled(Weight):
-    """A positive multiple c * inner."""
+    """A positive multiple c * inner; its atoms are the inner atoms times c."""
 
     def __init__(self, c: float, inner: Weight):
         c = float(c)
@@ -151,6 +206,8 @@ class Scaled(Weight):
         self.label = f"scaled:{_spec_number(c)}:{inner.label}"
         if inner.analytic_mass is not None:
             self.analytic_mass = c * inner.analytic_mass
+        if inner.atoms is not None:
+            self.atoms = tuple((p, c * m) for p, m in inner.atoms)
 
     def _value_many(self, z: np.ndarray) -> np.ndarray:
         return self.c * self.inner._value_many(z)
@@ -166,14 +223,12 @@ class Custom(Weight):
         label: str = "custom",
         is_harmonic: bool = False,
         analytic_mass: Optional[float] = None,
-        decomposition: Optional["GreenDecomposition"] = None,
     ):
         self._fn = fn
         self.singularities = tuple(complex(s) for s in singularities)
         self.label = label
         self.is_harmonic = is_harmonic
         self.analytic_mass = analytic_mass
-        self.decomposition = decomposition
 
     def _value_many(self, z: np.ndarray) -> np.ndarray:
         try:
@@ -195,66 +250,14 @@ def uniform_weight() -> Custom:
     )
 
 
-@dataclass(frozen=True)
-class GreenDecomposition:
-    """Finite atomic data (interior atoms, boundary atoms) for synthesis.
+def synthesize(d: GreenDecomposition) -> AtomicWeight:
+    """The ``AtomicWeight`` of the decomposition, labelled ``synthesized``.
 
-    Interior atoms live strictly inside the disk and boundary atoms on the
-    circle; every mass is strictly positive.
+    One interior atom of mass (1-|zeta|^2)/2 gives ``LogGreen(zeta)``'s
+    values exactly, and one boundary atom of unit mass gives
+    ``HarmonicBoundary(zeta)``'s.
     """
-
-    interior: tuple[tuple[complex, float], ...] = ()
-    boundary: tuple[tuple[complex, float], ...] = ()
-
-    def __post_init__(self):
-        for p, m in self.interior:
-            if abs(p) >= 1.0:
-                raise DomainError(f"interior atom {p!r} is not inside the disk")
-            if m <= 0.0:
-                raise DomainError("atom masses must be positive")
-        for p, m in self.boundary:
-            if abs(abs(p) - 1.0) > _UNIMODULAR_TOL:
-                raise DomainError(f"boundary atom {p!r} is not on the circle")
-            if m <= 0.0:
-                raise DomainError("atom masses must be positive")
-
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(m for _, m in self.interior) + math.fsum(
-            m for _, m in self.boundary
-        )
-
-
-def synthesize(d: GreenDecomposition) -> Custom:
-    """Weight built from the atomic decomposition.
-
-    Each interior atom (zeta, m) contributes
-    m * 2/(1-|zeta|^2) * log|(1 - conj(zeta) z)/(zeta - z)| and each
-    boundary atom (zeta, m) contributes m * (1-|z|^2)/|zeta - z|^2.
-    An empty decomposition synthesizes the zero weight. The synthesized
-    mass against dA equals the total atom mass.
-    """
-    interior = tuple((complex(p), float(m)) for p, m in d.interior)
-    boundary = tuple((complex(p), float(m)) for p, m in d.boundary)
-
-    def fn(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros(z.shape, dtype=float)
-        for p, m in interior:
-            kernel = np.log(np.abs((1.0 - np.conj(p) * z) / (p - z)))
-            acc = acc + m * (2.0 / (1.0 - abs(p) ** 2)) * kernel
-        for p, m in boundary:
-            acc = acc + m * (1.0 - np.abs(z) ** 2) / np.abs(p - z) ** 2
-        return acc
-
-    return Custom(
-        fn=fn,
-        singularities=[p for p, _ in interior] + [p for p, _ in boundary],
-        label="synthesized",
-        is_harmonic=not interior,
-        analytic_mass=d.total_mass,
-        decomposition=d,
-    )
+    return AtomicWeight(d, "synthesized")
 
 
 def l1_norm(w: Weight, grid: DiskGrid) -> float:

@@ -420,3 +420,113 @@ class TestProcessEntryPoint:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["diagnostics"]["rank_ratio"] == 0.0
+
+
+# (suite, check name, digest, value, tolerance, passed) of `verify --suite all` at
+# _fast_flags(), in report order, with the exit code, as produced before the
+# checks became one table; values may move by a relative 1e-12 at most.
+_VERIFY_ALL_PINS = {
+    "harm:1,0": (1, [
+        ("moments", "point-forward-exact", "03bb7cfe6540", 0.0, 0.0, True),
+        ("moments", "point-reject-non-rank-one", "dbdf540fcdb4", 13154.291538778098, 0.0, True),
+        ("moments", "weight-table-multiplicative", "df213e1c48be", 0.0, 1e-12, True),
+        ("tensor", "point-tensor-vanishing", "bfab65edb15f", 0.0, 0.0, True),
+        ("tensor", "weight-table-tensor", "b19fce18aa11", 0.0, 1e-10, True),
+        ("dirichlet", "energy-of-identity-vs-mass", "9bfce8155463", 1.1102230246251565e-16, 1e-09, True),
+        ("dirichlet", "energy-quadratic-scaling", "c319ba90b4e0", 0.0, 1e-12, True),
+        ("dirichlet", "energy-constant-zero", "23945cc48e31", 0.0, 1e-12, True),
+        ("dirichlet", "superharmonic-lattice", "73a938b1182e", 1.1102230246251565e-16, 1e-08, True),
+        ("dirichlet", "dilation-monotone", "2de4167e7c90", 0.0, 1e-08, True),
+        ("dbr", "model-build", "b58d67dc1c77", 0.0, None, True),
+        ("dbr", "h0-normalization", "92de75aa3bc4", 0.0, 1e-06, True),
+        ("dbr", "l1-quadrature-consistency", "ed68b6c80675", 3.2544312800197872e-09, 0.0001, True),
+        ("dbr", "h-identity", "3be6d69ed383", 0.00564881116411442, 0.0001, False),
+        ("dbr", "laplacian-identity", "94973ced2a1d", 1.8151844815849986e-07, 1e-05, True),
+        ("dbr", "phi-consistency", "f277c2ca4054", 0.00043377656795939856, 0.0001, False),
+        ("dbr", "b-contraction", "c9377a5d33f2", 0.0, 1e-06, True),
+        ("dbr", "outer-consistency", "11320d087927", 0.000145554893609902, 0.01, True),
+        ("isometry", "isometry-gap", "d2c06add9746", 0.04146281420747071, 0.01, False),
+        ("isometry", "isometry-falsification-b-zero", "7fe81d60962b", 0.3855259748176716, 0.1, True),
+    ]),
+    "log:0.4,0": (0, [
+        ("moments", "point-forward-exact", "6d2cc1ce346e", 0.0, 0.0, True),
+        ("moments", "point-reject-non-rank-one", "9f3b762e6b04", 13154.291538778098, 0.0, True),
+        ("moments", "weight-table-multiplicative", "75fdb91fb084", 0.0, 1e-12, True),
+        ("tensor", "point-tensor-vanishing", "066238e0b572", 0.0, 0.0, True),
+        ("tensor", "weight-table-tensor", "b22bf8d957ed", 6.938893903907228e-18, 1e-10, True),
+        ("dirichlet", "energy-of-identity-vs-mass", "0de9c93969e9", 5.551115123125783e-17, 1e-09, True),
+        ("dirichlet", "energy-quadratic-scaling", "57751a2aa393", 0.0, 1e-12, True),
+        ("dirichlet", "energy-constant-zero", "af5adf755fde", 0.0, 1e-12, True),
+        ("dirichlet", "superharmonic-lattice", "dc68f0b3e81e", 2.220446049250313e-16, 1e-08, True),
+        ("dirichlet", "dilation-monotone", "8beeaebb41a5", 0.0, None, True),
+        ("dbr", "model-build", "15dad18eef25", 0.0, None, True),
+        ("dbr", "h0-normalization", "ef6a79ff1c0f", 0.0, 1e-06, True),
+        ("dbr", "l1-quadrature-consistency", "1af894e3883c", 4.477640480615719e-12, 0.0001, True),
+        ("dbr", "h-identity", "b8a9a74a3c71", 8.708145315949878e-12, 0.0001, True),
+        ("dbr", "laplacian-identity", "f5267eb14b2e", 1.8151844815849986e-07, 1e-05, True),
+        ("dbr", "phi-consistency", "caaecdfcd4bb", 4.107270079600767e-12, 0.0001, True),
+        ("dbr", "b-contraction", "683536e8aeb2", 0.0, 1e-06, True),
+        ("dbr", "outer-consistency", "b59bdca971d8", 2.220446049250313e-16, 1e-06, True),
+        ("isometry", "isometry-gap", "3e39647b6b2d", 2.4476197512633797e-12, 0.01, True),
+        ("isometry", "isometry-falsification-b-zero", "ff91a4186e0c", 0.20129886208359052, 0.1, True),
+    ]),
+    "uniform": (1, [
+        ("moments", "point-forward-exact", "544bf3638fee", 0.0, 0.0, True),
+        ("moments", "point-reject-non-rank-one", "d2515eb52218", 13154.291538778098, 0.0, True),
+        ("moments", "weight-table-multiplicative", "aa41ee8c499b", 0.5000000000000002, 0.05, True),
+        ("tensor", "point-tensor-vanishing", "67ec66693da8", 0.0, 0.0, True),
+        ("tensor", "weight-table-tensor", "aa90fe4bac93", 1.0000000000000002, 1e-10, False),
+        ("dirichlet", "energy-of-identity-vs-mass", "f253cc7b585f", 1.1102230246251565e-16, 1e-09, True),
+        ("dirichlet", "energy-quadratic-scaling", "eddf61a5ed62", 0.0, 1e-12, True),
+        ("dirichlet", "energy-constant-zero", "75683c2991e3", 0.0, 1e-12, True),
+        ("dirichlet", "superharmonic-lattice", "61a0eff22c82", 0.0, 1e-08, True),
+        ("dirichlet", "dilation-monotone", "ab0d33d307e5", 0.0, 1e-08, True),
+        ("dbr", "model-build", "ab3edcc67f98", None, None, False),
+        ("dbr", "h0-normalization", "9f512a49e546", None, None, False),
+        ("dbr", "l1-quadrature-consistency", "2eead61a523f", None, None, False),
+        ("dbr", "h-identity", "f948be3b13aa", None, None, False),
+        ("dbr", "laplacian-identity", "065f64a48c7e", 1.8151844815849986e-07, 1e-05, True),
+        ("dbr", "phi-consistency", "4fa67c075ff0", None, None, False),
+        ("dbr", "b-contraction", "3128c1515cc3", None, None, False),
+        ("dbr", "outer-consistency", "bcb5c3b170c3", None, None, False),
+        ("isometry", "isometry-gap", "4867ad8c0ca9", None, None, False),
+        ("isometry", "isometry-falsification-b-zero", "6e9ff9bcc966", None, None, False),
+    ]),
+}
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize("spec", sorted(_VERIFY_ALL_PINS))
+    def test_verify_all_matches_its_pins(self, spec):
+        from disklab.cli import _CHECKS
+
+        report, code = run(parse_args(["verify", "--suite", "all", "--weight", spec,
+                                       *_fast_flags()]))
+        pinned_code, pins = _VERIFY_ALL_PINS[spec]
+        assert code == pinned_code
+        suite_of = {row.name: row.suite for row in _CHECKS}
+        got = [(suite_of[c.name], c.name, c.digest, c.tolerance, c.passed)
+               for c in report.checks]
+        assert got == [(suite, name, digest, tol, ok)
+                       for suite, name, digest, _, tol, ok in pins]
+        for c, pin in zip(report.checks, pins):
+            if pin[3] is None:
+                assert c.value is None, c.name
+            else:
+                assert c.value == pytest.approx(pin[3], rel=1e-12, abs=0.0), c.name
+
+    @pytest.mark.parametrize("name, sense", [
+        ("energy-constant-zero", "ceiling"),
+        ("point-reject-non-rank-one", "floor"),
+    ])
+    def test_a_nan_value_fails_a_ceiling_and_a_floor(self, name, sense):
+        from dataclasses import replace
+
+        from disklab import cli
+
+        row = next(r for r in cli._CHECKS if r.name == name)
+        assert row.sense == sense
+        ctx = cli._SuiteContext(parse_args(["verify", "--weight", "harm:1,0",
+                                            *_fast_flags()]))
+        record = ctx.check(replace(row, fn=lambda ctx: (float("nan"), "planted")))
+        assert np.isnan(record.value) and not record.passed

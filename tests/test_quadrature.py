@@ -277,6 +277,16 @@ def test_counted_size_is_the_built_size(radial, angular, radii):
     assert all(_is_even_5_smooth(m) for m in grid.ring_counts)
 
 
+@pytest.mark.parametrize("orders", [(4, 8), (120, 256)])
+def test_singular_radii_an_ulp_apart_are_a_domain_error(orders):
+    # the one-ulp segment's Gauss nodes round onto its ends, at distance 0
+    radii = (0.5, 0.5000000000000001)
+    with pytest.raises(DomainError, match="too close"):
+        disk_grid_size(*orders, radii)
+    with pytest.raises(DomainError, match="too close"):
+        make_disk_grid(*orders, radii)
+
+
 def test_subnormal_singular_radius_is_the_origin():
     # its segment's Gauss nodes would underflow to r = 0
     assert make_disk_grid(4, 8, (5e-324,)).ring_counts == make_disk_grid(4, 8).ring_counts

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disklab import (
+    AtomicWeight,
     Custom,
     DegenerateWeightError,
     DomainError,
@@ -20,6 +21,7 @@ from disklab import (
     l1_norm,
     normalize,
     parse_weight_spec,
+    riesz_atoms,
     superharmonic_test,
     synthesize,
     uniform_weight,
@@ -121,6 +123,24 @@ class TestBlockedEval:
             tracemalloc.stop()
         assert vals.nbytes == output
         assert peak <= output + 2**20
+
+
+class TestCatalogFormulas:
+    """Each catalog weight's values are its literal formula, bit for bit."""
+
+    @pytest.mark.parametrize("zeta", [1.0, np.exp(0.7j), -1j, 0.6 - 0.8j])
+    @pytest.mark.parametrize("grid_name", ["harm", "log"])
+    def test_harmonic_boundary(self, zeta, grid_name, disk_grid, log04_grid):
+        z = {"harm": disk_grid, "log": log04_grid}[grid_name].nodes
+        expected = (1.0 - np.abs(z) ** 2) / np.abs(z - zeta) ** 2
+        assert np.array_equal(HarmonicBoundary(zeta).eval_many(z), expected)
+
+    @pytest.mark.parametrize("zeta", [0.4, -0.3 + 0.5j, 0.35 - 0.2j, 0.0])
+    @pytest.mark.parametrize("grid_name", ["harm", "log"])
+    def test_log_green(self, zeta, grid_name, disk_grid, log04_grid):
+        z = {"harm": disk_grid, "log": log04_grid}[grid_name].nodes
+        expected = np.log(np.abs((1.0 - np.conj(zeta) * z) / (z - zeta)))
+        assert np.array_equal(LogGreen(zeta).eval_many(z), expected)
 
 
 class TestMass:
@@ -228,6 +248,38 @@ class TestSynthesize:
     def test_masses_must_be_positive(self):
         with pytest.raises(DomainError):
             GreenDecomposition(interior=((0.3, -1.0),))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GreenDecomposition(interior=((0.3, math.nan),)),
+            lambda: GreenDecomposition(interior=((0.3, math.inf),)),
+            lambda: GreenDecomposition(interior=((complex(0.3, math.nan), 0.1),)),
+            lambda: GreenDecomposition(boundary=((complex(math.nan, 0.0), 1.0),)),
+            lambda: GreenDecomposition(boundary=((1.0, math.nan),)),
+            lambda: GreenDecomposition(boundary=((1.0, math.inf),)),
+            lambda: HarmonicBoundary(math.nan),
+            lambda: HarmonicBoundary(complex(math.inf, 0.0)),
+            lambda: LogGreen(math.nan),
+            lambda: LogGreen(complex(0.0, math.nan)),
+            lambda: LogGreen(-math.inf),
+        ],
+        ids=["interior-nan-mass", "interior-inf-mass", "interior-nan-point",
+             "boundary-nan-point", "boundary-nan-mass", "boundary-inf-mass",
+             "harm-nan", "harm-inf", "log-nan", "log-nan-imag", "log-inf"],
+    )
+    def test_non_finite_atoms_are_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    def test_synthesized_weight_carries_its_atoms(self):
+        d = GreenDecomposition(interior=((0.2, 0.3),), boundary=((1j, 0.5),))
+        w = synthesize(d)
+        assert isinstance(w, AtomicWeight) and w.label == "synthesized"
+        assert not w.is_harmonic
+        assert w.atoms == riesz_atoms(w) == ((0.2 + 0j, 0.3), (1j, 0.5))
+        assert riesz_atoms(Scaled(2.0, w)) == ((0.2 + 0j, 0.6), (1j, 1.0))
+        assert synthesize(GreenDecomposition(boundary=d.boundary)).is_harmonic
 
     def test_synthesized_mass_is_total_atom_mass(self, disk_grid):
         d = GreenDecomposition(interior=((0.2, 0.3),), boundary=((1j, 0.5),))
