@@ -19,12 +19,13 @@ vanish identically; ``tensor_diag_check`` sweeps it over all index tuples.
 When the support point and every coefficient are rational (including
 rational real and imaginary parts), all tables are exact and the checks
 certify exact zeros instead of small residuals; otherwise double
-precision is used throughout. A ``MomentTable`` holds real and imaginary
-numerator arrays over one denominator: float64 over 1, or Python ints
-over a common integer denominator, so exact arithmetic runs on Gaussian
-integers with no per-operation gcd reduction. ``point_moments`` and both
-checks are the same array sweeps on either kind; ``GaussianRational`` is
-the exact type of inputs and of the ``entries`` view.
+precision is used throughout. A ``PointDistribution`` and a
+``MomentTable`` hold real and imaginary numerator arrays over one
+denominator: float64 over 1, or Python ints over a common integer
+denominator, so exact arithmetic runs on Gaussian integers with no
+per-operation gcd reduction. ``point_moments``, ``factorize`` and both
+checks are the same array sweeps on either kind; ``GaussianRational``,
+which has no arithmetic, is the exact type of inputs and of the views.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InconsistentTableError,
-    NotWeaklyMultiplicativeError,
-)
+from .errors import DomainError, InconsistentTableError, NotWeaklyMultiplicativeError
 from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _check_finite
 from .weights import Scaled, Weight
 
@@ -51,7 +48,12 @@ _FACTOR_TOL = 1e-12
 
 
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational real and imaginary parts.
+
+    The boundary type of exact data: it is accepted as input and returned
+    by the ``entries``-style views, while all arithmetic runs on integer
+    numerator arrays, so the type carries no operators.
+    """
 
     __slots__ = ("re", "im")
 
@@ -59,62 +61,8 @@ class GaussianRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        if isinstance(other, int):  # integer scaling needs no cross terms
-            return GaussianRational(self.re * other, self.im * other)
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative powers are not needed here")
-        acc = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
-
-    def __abs__(self) -> float:
-        return math.sqrt(float(self.abs2()))
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -146,18 +94,93 @@ def _coerce(v) -> Optional[GaussianRational]:
     return None
 
 
-def _as_entry(v) -> Entry:
-    exact = _coerce(v)
-    return exact if exact is not None else complex(v)
+def _is_exact(values) -> bool:
+    return all(_coerce(v) is not None for v in values)
+
+
+def _parts(values, exact: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """Numbers (a list, or rectangular rows) as real and imaginary numerator
+    arrays of the same shape over one denominator.
+
+    With ``_entries``, the one conversion between the boundary types and
+    the array layout: exact values become Python ints over their least
+    common denominator, any other values float64 over 1.
+    """
+    values = np.array(values, dtype=object)
+    if not exact:
+        z = np.array([complex(v) for v in values.flat], dtype=complex)
+        return z.real.reshape(values.shape), z.imag.reshape(values.shape), 1
+    exact_values = [_coerce(v) for v in values.flat]
+    denom = math.lcm(1, *(f.denominator for v in exact_values for f in (v.re, v.im)))
+    re = [v.re.numerator * (denom // v.re.denominator) for v in exact_values]
+    im = [v.im.numerator * (denom // v.im.denominator) for v in exact_values]
+    return (np.array(re, dtype=object).reshape(values.shape),
+            np.array(im, dtype=object).reshape(values.shape), denom)
+
+
+def _entries(re: np.ndarray, im: np.ndarray, denom: int) -> tuple:
+    """Boundary view of 1-D or 2-D numerator arrays, as (nested) tuples.
+
+    Python-int numerators give reduced GaussianRationals, floats complex.
+    """
+    if re.ndim == 2:
+        return tuple(_entries(r, i, denom) for r, i in zip(re, im))
+    if re.dtype != object:
+        return tuple(_complex(re, im, denom).tolist())
+    return tuple(
+        GaussianRational(Fraction(a, denom), Fraction(b, denom))
+        for a, b in zip(re.tolist(), im.tolist())
+    )
+
+
+def _complex(re: np.ndarray, im: np.ndarray, denom: int) -> np.ndarray:
+    # int / int rounds once, as float(Fraction) does
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re / denom, im / denom
+    return out
+
+
+def _outer(pr, pi, qr, qi) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the outer product p q^T, numerators alike."""
+    mul = np.multiply.outer
+    return mul(pr, qr) - mul(pi, qi), mul(pr, qi) + mul(pi, qr)
+
+
+def _factor_defect(re: np.ndarray, im: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators over d^2 of X[j][k] - X[j][0] X[0][k] for X = (re + i im) / d.
+
+    Each real product is rounded on its own, as Python's complex product
+    does (numpy's complex multiply may fuse one into the following
+    addition); on Python ints the parts are exact.
+    """
+    cr, ci, rr, ri = re[:, :1], im[:, :1], re[:1], im[:1]  # X[j][0], X[0][k]
+    return re * d - (cr * rr - ci * ri), im * d - (cr * ri + ci * rr)
+
+
+def _magnitude(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Entrywise re^2 + im^2 on Python ints, np.hypot(re, im) on floats.
+
+    Either orders entries by modulus and vanishes exactly at zero; float
+    parts take np.hypot, as Python's complex abs does.
+    """
+    return re * re + im * im if re.dtype == object else np.hypot(re, im)
 
 
 class PointDistribution:
     """Support point a and coefficient matrix c of a point distribution.
 
-    Coefficients may be numbers or (when both the point and every entry
-    are int/Fraction/GaussianRational) exact Gaussian rationals, in which
-    case all derived moment tables stay exact.
+    Stored in the layout of a ``MomentTable``: ``a`` holds the point as
+    one-entry numerator arrays over its own denominator, (re, im, denom),
+    and ``re``, ``im`` the coefficients as read-only numerator arrays over
+    ``denom``. When the point and every coefficient are int, Fraction or
+    GaussianRational the numerators are Python ints over common integer
+    denominators and every derived table stays exact; otherwise all data
+    is float64 over 1 (mixed data degrades uniformly), and a non-finite
+    point or coefficient raises DomainError. ``point`` and ``coeffs`` are
+    the GaussianRational/complex views.
     """
+
+    __slots__ = ("a", "re", "im", "denom")
 
     def __init__(self, point, coeffs: Sequence[Sequence]):
         rows = [list(row) for row in coeffs]
@@ -166,32 +189,43 @@ class PointDistribution:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise DomainError("coefficient matrix must be rectangular")
-        point = _as_entry(point)
-        entries = [[_as_entry(v) for v in row] for row in rows]
-        self.is_exact = isinstance(point, GaussianRational) and all(
-            isinstance(v, GaussianRational) for row in entries for v in row
-        )
-        if not self.is_exact:
-            # mixed exact/float data degrades uniformly to complex, so all
-            # later arithmetic stays within one number type
-            point = complex(point)
-            entries = [[complex(v) for v in row] for row in entries]
-        self.point = point
-        self.coeffs = tuple(tuple(row) for row in entries)
+        exact = _is_exact([point, *(v for row in rows for v in row)])
+        a, (re, im, denom) = _parts([point], exact), _parts(rows, exact)
+        if not exact and not all(np.isfinite(x).all() for x in (a[0], a[1], re, im)):
+            raise DomainError("point and coefficients must be finite")
+        self._init(a, re, im, denom)
+
+    @classmethod
+    def _from_parts(cls, a, re, im, denom: int) -> "PointDistribution":
+        """The distribution of point a = (re, im, denom) and coefficients (re + i im) / denom."""
+        d = object.__new__(cls)
+        d._init(a, re, im, denom)
+        return d
+
+    def _init(self, a, re, im, denom):
+        for part in (a[0], a[1], re, im):
+            part.setflags(write=False)
+        self.a, self.re, self.im, self.denom = a, re, im, denom
+
+    @property
+    def point(self) -> Entry:
+        return _entries(*self.a)[0]
+
+    @property
+    def coeffs(self) -> tuple[tuple[Entry, ...], ...]:
+        return _entries(self.re, self.im, self.denom)
+
+    @property
+    def is_exact(self) -> bool:
+        return self.re.dtype == object
 
     @property
     def degree(self) -> tuple[int, int]:
-        return (len(self.coeffs) - 1, len(self.coeffs[0]) - 1)
+        return (self.re.shape[0] - 1, self.re.shape[1] - 1)
 
     @property
     def is_zero(self) -> bool:
-        return all(not _nonzero(v) for row in self.coeffs for v in row)
-
-
-def _nonzero(v: Entry) -> bool:
-    if isinstance(v, GaussianRational):
-        return bool(v)
-    return v != 0
+        return not (self.re.any() or self.im.any())
 
 
 class MomentTable:
@@ -202,21 +236,17 @@ class MomentTable:
     of Python ints over a common integer denominator for an exact one.
     ``entries`` is the boundary view, rows of GaussianRational or complex;
     the constructor takes such rows, and the table is exact only when every
-    entry is a GaussianRational (mixed rows become complex).
+    entry is exact (int, Fraction or GaussianRational; mixed rows become
+    complex).
     """
 
     __slots__ = ("re", "im", "denom", "order", "provenance")
 
     def __init__(self, entries, order: int, provenance: str):
         rows = [list(row) for row in entries]
-        if len(rows) != order + 1 or any(len(row) != order + 1 for row in rows):
+        if order < 0 or len(rows) != order + 1 or any(len(row) != order + 1 for row in rows):
             raise DomainError("moment table shape does not match its order")
-        if all(isinstance(v, GaussianRational) for row in rows for v in row):
-            re, im, denom = _gaussian_integers(rows)
-        else:
-            arr = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
-            re, im, denom = arr.real, arr.imag, 1
-        self._init(re, im, denom, provenance)
+        self._init(*_parts(rows, _is_exact(v for row in rows for v in row)), provenance)
 
     @classmethod
     def _from_parts(cls, re, im, denom: int, provenance: str) -> "MomentTable":
@@ -235,23 +265,14 @@ class MomentTable:
 
     @property
     def entries(self) -> tuple[tuple[Entry, ...], ...]:
-        if not self.is_exact:
-            return tuple(map(tuple, self.to_complex_array().tolist()))
-        d = self.denom
-        return tuple(
-            tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(*row))
-            for row in zip(self.re.tolist(), self.im.tolist())
-        )
+        return _entries(self.re, self.im, self.denom)
 
     @property
     def is_exact(self) -> bool:
         return self.re.dtype == object
 
     def to_complex_array(self) -> np.ndarray:
-        # int / int rounds once, as float(Fraction) does
-        out = np.empty(self.re.shape, dtype=complex)
-        out.real, out.imag = self.re / self.denom, self.im / self.denom
-        return out
+        return _complex(self.re, self.im, self.denom)
 
     def to_json_dict(self) -> dict:
         arr = self.to_complex_array()
@@ -277,23 +298,25 @@ class MomentTable:
         return table
 
 
+def _centered(d: PointDistribution, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators over d.denom of Cen[m][n] = (-1)^(m+n) m! n! c_mn, m, n <= order.
+
+    One elementwise product of the coefficients with the outer product of
+    the (-1)^m m! and (-1)^n n! vectors, formed in integers and cast to the
+    data's dtype once, so a float entry's factor is rounded once.
+    """
+    rows, cols = (min(g, order) + 1 for g in d.degree)
+    s = np.array([(-1) ** m * math.factorial(m) for m in range(max(rows, cols))], dtype=object)
+    f = np.multiply.outer(s[:rows], s[:cols]).astype(d.re.dtype)
+    cr = np.zeros((order + 1, order + 1), dtype=d.re.dtype)
+    ci = np.zeros_like(cr)
+    cr[:rows, :cols], ci[:rows, :cols] = f * d.re[:rows, :cols], f * d.im[:rows, :cols]
+    return cr, ci
+
+
 def centered_moments(d: PointDistribution, order: int) -> list[list[Entry]]:
     """Pairings <u, (z-a)^m conj(z-a)^n> = (-1)^{m+n} m! n! c_{mn}."""
-    zero: Entry = GaussianRational(0) if d.is_exact else 0j
-    dj, dk = d.degree
-    out = []
-    for m in range(order + 1):
-        row = []
-        for n in range(order + 1):
-            if m <= dj and n <= dk:
-                sign = -1 if (m + n) % 2 else 1
-                row.append(
-                    (sign * math.factorial(m) * math.factorial(n)) * d.coeffs[m][n]
-                )
-            else:
-                row.append(zero)
-        out.append(row)
-    return out
+    return [list(row) for row in _entries(*_centered(d, order), d.denom)]
 
 
 def point_moments(d: PointDistribution, order: int) -> MomentTable:
@@ -302,63 +325,27 @@ def point_moments(d: PointDistribution, order: int) -> MomentTable:
     M[j][k] = sum_{m,n} C(j,m) a^(j-m) Cen[m][n] C(k,n) conj(a)^(k-n) is
     M = P Cen conj(P)^T with the lower-triangular P[j][m] = C(j,m) a^(j-m)
     and Cen the centered pairings: two triangular products, O(order^3).
-    Exact whenever the distribution data is rational: with a = A / D_a and
-    Cen = Cen' / D_c over Gaussian integers, P'[j][m] = C(j,m) A^(j-m) D_a^m
-    gives M[j][k] = (P' Cen' conj(P')^T)[j][k] / (D_c D_a^(j+k)) in integer
-    arithmetic, each entry then lifted to the one denominator D_c
-    D_a^(2 order). Double precision otherwise, through the same products.
+    One route for both kinds of data: with a = A / D_a and Cen = Cen' / D_c
+    on numerators, P'[j][m] = C(j,m) A^(j-m) D_a^(order-j+m) gives
+    M = P' Cen' conj(P')^T / (D_c D_a^(2 order)). Exact data runs the
+    products on Python ints (Gaussian integers); float data has D_a = D_c
+    = 1, so P' = P and the same products run in float64.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
-    n = order + 1
-    centered = centered_moments(d, order)
-    if not d.is_exact:
-        apow = [1.0 + 0j]
-        for _ in range(order):
-            apow.append(apow[-1] * d.point)
-        cen = np.array(centered, dtype=complex)
-        pr, pi = _binomial_matrix(
-            [z.real for z in apow], [z.imag for z in apow], [1] * n, float
-        )
-        mr, mi = _recenter(pr, pi, cen.real, cen.imag)
-        return MomentTable._from_parts(mr, mi, 1, "point")
-    [[ar]], [[ai]], da = _gaussian_integers([[d.point]])
-    cr, ci, dc = _gaussian_integers(centered)
+    (ar,), (ai,), da = d.a
     apow = [(1, 0)]
     for _ in range(order):
         zr, zi = apow[-1]
         apow.append((zr * ar - zi * ai, zr * ai + zi * ar))
-    dapow = [da**m for m in range(2 * order + 1)]
-    pr, pi = _binomial_matrix(*zip(*apow), dapow, object)
-    mr, mi = _recenter(pr, pi, cr, ci)
-    idx = np.arange(n)
-    lift = np.array(dapow, dtype=object)[2 * order - idx[:, None] - idx[None, :]]
-    return MomentTable._from_parts(mr * lift, mi * lift, dc * dapow[-1], "point")
-
-
-def _gaussian_integers(rows) -> tuple[np.ndarray, np.ndarray, int]:
-    """Gaussian rationals as integer numerators over one common denominator D.
-
-    Returns (re, im, D), object arrays of Python ints with v = (re + i im) / D.
-    """
-    denom = 1
-    for row in rows:
-        for v in row:
-            denom = math.lcm(denom, v.re.denominator, v.im.denominator)
-    re = [[v.re.numerator * (denom // v.re.denominator) for v in row] for row in rows]
-    im = [[v.im.numerator * (denom // v.im.denominator) for v in row] for row in rows]
-    return np.array(re, dtype=object), np.array(im, dtype=object), denom
-
-
-def _binomial_matrix(zre, zim, scale, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of P[j][m] = C(j,m) z_(j-m) scale[m], m <= j."""
-    n = len(zre)
-    pr, pi = np.zeros((n, n), dtype), np.zeros((n, n), dtype)
-    for j in range(n):
+    pr = np.zeros((order + 1, order + 1), dtype=d.re.dtype)
+    pi = np.zeros_like(pr)
+    for j in range(order + 1):
         for m in range(j + 1):
-            c = math.comb(j, m) * scale[m]
-            pr[j, m], pi[j, m] = c * zre[j - m], c * zim[j - m]
-    return pr, pi
+            c = math.comb(j, m) * da ** (order - j + m)
+            pr[j, m], pi[j, m] = c * apow[j - m][0], c * apow[j - m][1]
+    mr, mi = _recenter(pr, pi, *_centered(d, order))
+    return MomentTable._from_parts(mr, mi, d.denom * da ** (2 * order), "point")
 
 
 def _recenter(pr, pi, cr, ci) -> tuple[np.ndarray, np.ndarray]:
@@ -384,11 +371,7 @@ def _recenter(pr, pi, cr, ci) -> tuple[np.ndarray, np.ndarray]:
 
 def dirac_table(point, order: int) -> MomentTable:
     """Moments of a unit Dirac mass: M[j][k] = a^j conj(a)^k."""
-    return point_moments(PointDistribution(point, [[_one_like(point)]]), order)
-
-
-def _one_like(point) -> Entry:
-    return GaussianRational(1) if _coerce(point) is not None else 1.0 + 0j
+    return point_moments(PointDistribution(point, [[1]]), order)
 
 
 def atoms_table(
@@ -536,11 +519,7 @@ def weak_mult_check(M: MomentTable, tol: float = 0.0) -> WeakMultReport:
     residual of 0.0 certifies exact factorization. Ties on the worst
     residual resolve to the lexicographically smallest index pair.
     """
-    re, im, d = M.re, M.im, M.denom
-    cr, ci, rr, ri = re[:, :1], im[:, :1], re[:1], im[:1]  # M[j][0], M[0][k]
-    worst, residual = _worst(
-        re * d - (cr * rr - ci * ri), im * d - (cr * ri + ci * rr), d
-    )
+    worst, residual = _worst(*_factor_defect(M.re, M.im, M.denom), M.denom)
     return WeakMultReport(
         passes=residual <= tol, worst=worst, residual=residual, tolerance=tol
     )
@@ -595,18 +574,15 @@ def _worst(re: np.ndarray, im: np.ndarray, denom: int) -> tuple[tuple[int, ...],
     """First index in C order of the largest |re + i im| / denom^2, and that value.
 
     The callers round each real product on its own, as Python's complex
-    product does (numpy's complex multiply may fuse one into the following
-    addition). Float parts take np.hypot, as Python's complex abs does;
-    integer parts compare re^2 + im^2 exactly and round once, at the worst.
+    product does. Integer parts compare re^2 + im^2 exactly and round once,
+    at the worst.
     """
+    size = _magnitude(re, im)
+    flat = int(np.argmax(size))
     if re.dtype == object:
-        sq = re * re + im * im
-        flat = int(np.argmax(sq))
-        value = math.sqrt(Fraction(sq.flat[flat], denom**4))
+        value = math.sqrt(Fraction(size.flat[flat], denom**4))
     else:
-        modulus = np.hypot(re, im)
-        flat = int(np.argmax(modulus))
-        value = float(modulus.flat[flat])
+        value = float(size.flat[flat])
     return tuple(int(i) for i in np.unravel_index(flat, re.shape)), value
 
 
@@ -622,21 +598,23 @@ class FactorizationResult:
 def factorize(d: PointDistribution) -> FactorizationResult:
     """Recover p_j = c_{j0} and q_k = c_{0k} from a rank-one table.
 
-    Succeeds iff c_{mn} = c_{m0} c_{0n} holds for every entry (exactly in
-    rational arithmetic, within 1e-12 otherwise); on failure the first
-    violated index pair is reported. c_{00} must snap to 0 or 1 within
-    1e-9; a vanishing c_{00} with any other nonzero entry is inconsistent,
+    Succeeds iff c_{mn} = c_{m0} c_{0n} holds for every entry, tested on
+    the numerator arrays as C D - C[:,0] C[0,:]: exactly on exact data,
+    within 1e-12 on floats. On failure the first violating interior index
+    pair, in C order, is reported with its residual. c_{00} must be 0 or
+    1, exactly on exact data and within 1e-9 on floats (where it snaps to
+    1); a vanishing c_{00} with any other nonzero entry is inconsistent,
     while the all-zero matrix is the zero distribution.
     """
-    c = d.coeffs
-    c00 = c[0][0]
-    near_one = abs(c00 - _one_entry(d)) <= _C00_SNAP_TOL
-    near_zero = abs(c00) <= _C00_SNAP_TOL
-    if not near_one and not near_zero:
+    D = d.denom
+    snap, tol = (0, 0) if d.is_exact else (_C00_SNAP_TOL, _FACTOR_TOL)
+    r00, i00 = d.re[:1, :1], d.im[:1, :1]
+    near_one = _magnitude(r00 - D, i00)[0, 0] <= snap
+    if not near_one and not _magnitude(r00, i00)[0, 0] <= snap:
         raise NotWeaklyMultiplicativeError(
-            f"c_00 = {c00!r} is not 0 or 1 within {_C00_SNAP_TOL}"
+            f"c_00 = {d.coeffs[0][0]!r} is not 0 or 1 within {snap}"
         )
-    if near_zero:
+    if not near_one:
         if d.is_zero:
             return FactorizationResult(
                 ok=True, p=(), q=(), violation=None, zero_distribution=True
@@ -644,68 +622,75 @@ def factorize(d: PointDistribution) -> FactorizationResult:
         raise InconsistentTableError(
             "c_00 = 0 forces the zero distribution, but other entries are nonzero"
         )
-    dj, dk = d.degree
     # c_00 snaps to 1, so p_0 = q_0 = 1 and the first row and column
     # factor trivially; only interior entries can violate the identity.
-    for m in range(1, dj + 1):
-        for n in range(1, dk + 1):
-            diff = c[m][n] - c[m][0] * c[0][n]
-            res = abs(diff)
-            exact = isinstance(diff, GaussianRational)
-            if (exact and _nonzero(diff)) or (not exact and res > _FACTOR_TOL):
-                return FactorizationResult(
-                    ok=False, p=None, q=None, violation=(m, n, res)
-                )
-    one = _one_entry(d)
-    p = (one,) + tuple(c[m][0] for m in range(1, dj + 1))
-    q = (one,) + tuple(c[0][n] for n in range(1, dk + 1))
-    return FactorizationResult(ok=True, p=p, q=q, violation=None)
+    re, im = _factor_defect(d.re, d.im, D)
+    bad = _magnitude(re, im)[1:, 1:] > tol
+    if bad.any():
+        m, n = (int(i) + 1 for i in np.unravel_index(np.argmax(bad), bad.shape))
+        _, res = _worst(re[m : m + 1, n : n + 1], im[m : m + 1, n : n + 1], D)
+        return FactorizationResult(ok=False, p=None, q=None, violation=(m, n, res))
+
+    def snapped(re, im):  # p or q with its first entry exactly 1
+        re, im = re.copy(), im.copy()
+        re[0], im[0] = D, 0
+        return _entries(re, im, D)
+
+    return FactorizationResult(
+        ok=True,
+        p=snapped(d.re[:, 0], d.im[:, 0]),
+        q=snapped(d.re[0], d.im[0]),
+        violation=None,
+    )
 
 
-def _one_entry(d: PointDistribution) -> Entry:
-    return GaussianRational(1) if d.is_exact else 1.0 + 0j
+def rank_one_coeffs(p: Sequence, q: Sequence) -> list[list[Entry]]:
+    """Outer-product coefficient matrix c_{jk} = p_j q_k, exact when all values are."""
+    p, q = list(p), list(q)
+    exact = _is_exact(p + q)
+    (pr, pi, dp), (qr, qi, dq) = _parts(p, exact), _parts(q, exact)
+    return [list(row) for row in _entries(*_outer(pr, pi, qr, qi), dp * dq)]
 
 
-def rank_one_coeffs(
-    p: Sequence, q: Sequence
-) -> list[list[Entry]]:
-    """Outer-product coefficient matrix c_{jk} = p_j q_k."""
-    ps = [_as_entry(v) for v in p]
-    qs = [_as_entry(v) for v in q]
-    return [[pj * qk for qk in qs] for pj in ps]
+#: Denominators of the seeded generators: coefficients n/d with d <= 4
+#: are numerators over lcm(1, 2, 3, 4) = 12, points are tenths.
+_COEFF_DENOM, _POINT_DENOM = 12, 10
 
 
-def _random_fraction(rng: random.Random, num_bound: int = 9, den_bound: int = 4) -> Fraction:
-    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+def _random_numerators(rng: random.Random, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Random Gaussian rationals (n/d, n in -9..9, d in 1..4; real part
+    first, numerator before denominator, in C order) as numerators over 12."""
+    re, im = np.empty(shape, dtype=object), np.empty(shape, dtype=object)
+    for i in np.ndindex(shape):
+        re[i] = rng.randint(-9, 9) * (_COEFF_DENOM // rng.randint(1, 4))
+        im[i] = rng.randint(-9, 9) * (_COEFF_DENOM // rng.randint(1, 4))
+    return re, im
 
 
-def _random_gaussian_rational(rng: random.Random) -> GaussianRational:
-    return GaussianRational(_random_fraction(rng), _random_fraction(rng))
+def _random_point_parts(rng: random.Random, modulus_bound: float):
+    """(re, im, 10) of a random point with |a| <= modulus_bound (rejection sampling)."""
+    while True:
+        x, y = rng.randint(-20, 20), rng.randint(-20, 20)
+        if (x * x + y * y) / _POINT_DENOM**2 <= modulus_bound**2:
+            return np.array([x], dtype=object), np.array([y], dtype=object), _POINT_DENOM
 
 
 def random_point(rng: random.Random, modulus_bound: float = 2.0) -> GaussianRational:
     """Rational point with |a| <= modulus_bound (rejection sampling)."""
-    while True:
-        a = GaussianRational(
-            Fraction(rng.randint(-20, 20), 10), Fraction(rng.randint(-20, 20), 10)
-        )
-        if float(a.abs2()) <= modulus_bound**2:
-            return a
+    return _entries(*_random_point_parts(rng, modulus_bound))[0]
 
 
 def random_rank_one_distribution(
     rng: random.Random, degree: int = 8, modulus_bound: float = 2.0
 ) -> PointDistribution:
     """Rational point distribution with rank-one coefficients, c_00 = 1."""
-    p = [GaussianRational(1)] + [
-        _random_gaussian_rational(rng) for _ in range(degree)
-    ]
-    q = [GaussianRational(1)] + [
-        _random_gaussian_rational(rng) for _ in range(degree)
-    ]
-    return PointDistribution(
-        random_point(rng, modulus_bound), rank_one_coeffs(p, q)
-    )
+    def factor():  # 1 followed by degree random entries
+        re, im = _random_numerators(rng, degree)
+        return np.concatenate(([_COEFF_DENOM], re)), np.concatenate(([0], im))
+
+    (pr, pi), (qr, qi) = factor(), factor()
+    a = _random_point_parts(rng, modulus_bound)
+    return PointDistribution._from_parts(a, *_outer(pr, pi, qr, qi), _COEFF_DENOM**2)
 
 
 def random_non_rank_one_distribution(
@@ -714,18 +699,11 @@ def random_non_rank_one_distribution(
     """Rational point distribution with c_00 = 1 whose matrix is not rank one."""
     if degree < 1:
         raise DomainError("a non-rank-one matrix needs degree >= 1")
+    shape = (degree + 1, degree + 1)
     while True:
-        rows = [
-            [_random_gaussian_rational(rng) for _ in range(degree + 1)]
-            for _ in range(degree + 1)
-        ]
-        rows[0][0] = GaussianRational(1)
-        d = PointDistribution(random_point(rng, modulus_bound), rows)
-        c = d.coeffs
-        rank_one = all(
-            c[m][n] == c[m][0] * c[0][n]
-            for m in range(degree + 1)
-            for n in range(degree + 1)
-        )
-        if not rank_one:
-            return d
+        re, im = _random_numerators(rng, shape)
+        re[0, 0], im[0, 0] = _COEFF_DENOM, 0
+        a = _random_point_parts(rng, modulus_bound)
+        dr, di = _factor_defect(re, im, _COEFF_DENOM)
+        if dr.any() or di.any():
+            return PointDistribution._from_parts(a, re, im, _COEFF_DENOM)

@@ -308,24 +308,32 @@ def make_circle_grid(order: int, offset: float = 0.0) -> CircleGrid:
 
 
 def _evaluate_on(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate f on all nodes, vectorized when f supports arrays."""
+    """Evaluate f on all nodes, vectorized when f supports arrays.
+
+    Otherwise f is called node by node; an array at the first node (a
+    closure over whole-grid values, say) raises DomainError at once.
+    """
     try:
         vals = np.asarray(f(nodes))
         if vals.shape != nodes.shape:
             raise TypeError
     except (TypeError, ValueError, AttributeError):
+        if np.ndim(f(nodes[0])):
+            raise DomainError("integrand must give one value per node") from None
         vals = np.array([f(z) for z in nodes])
     return vals
 
 
-def _check_finite(vals: np.ndarray, nodes: np.ndarray) -> None:
+def _check_finite(vals: np.ndarray, nodes: np.ndarray, start: int = 0) -> None:
+    """Raise SingularIntegrandError at the first non-finite value; ``nodes``
+    begin at grid index ``start``."""
     finite = np.isfinite(vals.real)
     if np.iscomplexobj(vals):
         finite &= np.isfinite(vals.imag)
     if not finite.all():
         i = int(np.argmin(finite))
         raise SingularIntegrandError(
-            f"integrand is not finite at node {nodes[i]!r} (index {i})"
+            f"integrand is not finite at node {nodes[i]!r} (index {start + i})"
         )
 
 
@@ -334,14 +342,16 @@ def integrate(grid: Grid, f: Callable) -> complex | float:
 
     f may be a scalar function of a complex point or accept a complex
     ndarray. Non-finite values raise SingularIntegrandError naming the
-    offending node. The reduction is deterministic: on a disk grid each
-    block of ``NODE_BLOCK`` nodes forms its weighted values and their numpy
-    pairwise sum, and the block sums are added in node order, so no
-    temporary beyond the values is node-sized; circle grids use exact fsum.
+    offending node and its index. The reduction is deterministic: on a
+    disk grid f is evaluated one block of ``NODE_BLOCK`` nodes at a time
+    (the blocks of ``Weight.eval_many``, so a weight's values keep their
+    bits), each block forms its weighted values and their numpy pairwise
+    sum, and the block sums are added in node order, so no temporary is
+    node-sized; circle grids evaluate f once and use exact fsum.
     """
-    vals = _evaluate_on(f, grid.nodes)
-    _check_finite(vals, grid.nodes)
     if isinstance(grid, CircleGrid):
+        vals = _evaluate_on(f, grid.nodes)
+        _check_finite(vals, grid.nodes)
         # Uniform weights: sum first, divide once. fsum makes exact
         # cancellations (antipodal node pairs) come out as exact zeros.
         m = grid.size
@@ -353,8 +363,10 @@ def integrate(grid: Grid, f: Callable) -> complex | float:
     total = 0.0
     for start in range(0, grid.size, NODE_BLOCK):
         block = slice(start, start + NODE_BLOCK)
-        total += np.sum(grid.weights[block] * vals[block])
-    if np.iscomplexobj(vals):
+        vals = _evaluate_on(f, grid.nodes[block])
+        _check_finite(vals, grid.nodes[block], start)
+        total += np.sum(grid.weights[block] * vals)
+    if np.iscomplexobj(total):
         return complex(total)
     return float(total)
 

@@ -495,7 +495,47 @@ _VERIFY_ALL_PINS = {
 }
 
 
+# (check name, digest, value, tolerance, passed) of `verify --suite moments` and
+# `--suite tensor` at default flags, with the exit code: order 8, where the
+# exact tables need Python ints (a table denominator of 144 * 10**16).
+# The point-table values are exact; weight-table values may move by a
+# relative 1e-12 at most.
+_DEFAULT_ORDER_PINS = {
+    ("harm:1,0", "moments"): (0, [
+        ("point-forward-exact", "701a846916d8", 0.0, 0.0, True),
+        ("point-reject-non-rank-one", "17900a668d9f", 8734035433.715912, 0.0, True),
+        ("weight-table-multiplicative", "9fc2de5fb5d3", 0.0, 1e-12, True),
+    ]),
+    ("harm:1,0", "tensor"): (0, [
+        ("point-tensor-vanishing", "8a373e77450b", 0.0, 0.0, True),
+        ("weight-table-tensor", "6ba9923e667e", 0.0, 1e-10, True),
+    ]),
+    ("uniform", "moments"): (0, [
+        ("point-forward-exact", "2e5de1244c65", 0.0, 0.0, True),
+        ("point-reject-non-rank-one", "dafe4e40927e", 8734035433.715912, 0.0, True),
+        ("weight-table-multiplicative", "f7c62aaf17e4", 0.4999999999999998, 0.05, True),
+    ]),
+    ("uniform", "tensor"): (1, [
+        ("point-tensor-vanishing", "2c800d29af89", 0.0, 0.0, True),
+        ("weight-table-tensor", "01a14315750c", 0.9999999999999988, 1e-10, False),
+    ]),
+}
+
+
 class TestCheckTable:
+    @pytest.mark.parametrize("spec, suite", sorted(_DEFAULT_ORDER_PINS))
+    def test_default_order_point_checks_match_their_pins(self, spec, suite):
+        report, code = run(parse_args(["verify", "--suite", suite, "--weight", spec]))
+        pinned_code, pins = _DEFAULT_ORDER_PINS[spec, suite]
+        assert code == pinned_code
+        assert [(c.name, c.digest, c.tolerance, c.passed) for c in report.checks] == [
+            (name, digest, tol, ok) for name, digest, _, tol, ok in pins]
+        for c, (name, _, value, _, _) in zip(report.checks, pins):
+            if name.startswith("point-"):
+                assert c.value == value, name
+            else:
+                assert c.value == pytest.approx(value, rel=1e-12, abs=0.0), name
+
     @pytest.mark.parametrize("spec", sorted(_VERIFY_ALL_PINS))
     def test_verify_all_matches_its_pins(self, spec):
         from disklab.cli import _CHECKS

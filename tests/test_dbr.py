@@ -539,8 +539,8 @@ def test_berezin_transform_rejects_infinite_weight_value(coarse_disk_grid):
 def _reference_berezin(weight, v, grid):
     """Reference: the per-point integrand lead / |1 - z conj(v)|^4 w through integrate."""
     lead = (1.0 - abs(v) ** 2) ** 2
-    vals = weight.eval_many(grid.nodes)
-    return float(integrate(grid, lambda z: lead / np.abs(1.0 - z * np.conj(v)) ** 4 * vals))
+    return float(integrate(
+        grid, lambda z: lead / np.abs(1.0 - z * np.conj(v)) ** 4 * weight.eval_many(z)))
 
 
 class TestBatchedBerezin:

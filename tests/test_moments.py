@@ -39,21 +39,24 @@ from disklab import (
 from disklab.moments import _MOMENT_MEMO_SIZE, weight_values
 from disklab.quadrature import MAX_TENSOR_ENTRIES
 
+from exact_complex import Exact
+
 
 class TestGaussianRational:
-    def test_arithmetic(self):
-        a = GaussianRational(Fraction(1, 2), Fraction(1, 3))
+    def test_boundary_methods(self):
         b = GaussianRational(2, -1)
-        assert (a + b).re == Fraction(5, 2)
-        assert (a * b).im == Fraction(1, 6)
-        assert (a - a) == GaussianRational(0)
         assert complex(b) == 2 - 1j
+        assert GaussianRational(3, 4).abs2() == 25
+        assert bool(b) and not GaussianRational(0)
+        assert repr(b) == "GaussianRational(Fraction(2, 1), Fraction(-1, 1))"
 
-    def test_powers_and_conjugate(self):
-        a = GaussianRational(1, 1)
-        assert a**2 == GaussianRational(0, 2)
-        assert a.conjugate() * a == GaussianRational(2)
-        assert abs(GaussianRational(3, 4)) == 5.0
+    def test_carries_no_arithmetic(self):
+        a = GaussianRational(Fraction(1, 2), Fraction(1, 3))
+        for op in (lambda: a + a, lambda: a - 1, lambda: a * 2, lambda: a**2,
+                   lambda: -a, lambda: abs(a)):
+            with pytest.raises(TypeError):
+                op()
+        assert not hasattr(a, "conjugate")
 
     def test_hash_agrees_with_equality(self):
         # equal values hash alike, so sets and dicts treat them as one key
@@ -70,11 +73,11 @@ class TestGaussianRational:
 
 class TestPointMoments:
     def test_dirac_table_is_evaluation_functional(self):
-        a = GaussianRational(Fraction(1, 2), Fraction(1, 4))
-        table = dirac_table(a, 4)
+        a = Exact(Fraction(1, 2), Fraction(1, 4))
+        table = dirac_table(a.gaussian(), 4)
         for j in range(5):
             for k in range(5):
-                assert table.entries[j][k] == a**j * a.conjugate() ** k
+                assert a**j * a.conjugate() ** k == table.entries[j][k]
 
     def test_first_derivative_of_dirac_at_origin(self):
         # single coefficient c_10: centered pairing is (-1) 1! 0! c_10
@@ -99,8 +102,8 @@ class TestPointMoments:
             for j in range(7):
                 for k in range(7):
                     assert (
-                        table.entries[j][k]
-                        == table.entries[j][0] * table.entries[0][k]
+                        Exact(table.entries[j][0]) * table.entries[0][k]
+                        == table.entries[j][k]
                     )
 
     def test_float_point_still_works(self):
@@ -113,11 +116,14 @@ class TestPointMoments:
 
 
 def _reference_point_moments(d, order):
-    """Reference: the O(order^4) binomial recentering, entry by entry."""
-    centered = centered_moments(d, order)
-    a = d.point
-    one = GaussianRational(1) if d.is_exact else 1.0 + 0j
-    apow, abarpow = [one], [one]
+    """Reference: the O(order^4) binomial recentering, entry by entry.
+
+    Exact data runs on ``Exact`` Fraction pairs, float data on Python complex.
+    """
+    num = Exact if d.is_exact else complex
+    centered = [[num(v) for v in row] for row in centered_moments(d, order)]
+    a = num(d.point)
+    apow, abarpow = [num(1)], [num(1)]
     for _ in range(order):
         apow.append(apow[-1] * a)
         abarpow.append(abarpow[-1] * a.conjugate())
@@ -125,12 +131,12 @@ def _reference_point_moments(d, order):
     for j in range(order + 1):
         row = []
         for k in range(order + 1):
-            acc = GaussianRational(0) if d.is_exact else 0j
+            acc = num(0)
             for m in range(j + 1):
                 for n in range(k + 1):
                     term = apow[j - m] * abarpow[k - n] * centered[m][n]
                     acc = acc + (math.comb(j, m) * math.comb(k, n)) * term
-            row.append(acc)
+            row.append(acc.gaussian() if d.is_exact else acc)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -306,7 +312,8 @@ class TestTensorDiag:
 
 def _reference_weak_mult(table):
     """Reference: the entrywise double loop; the first strict maximum wins."""
-    E = table.entries
+    num = Exact if table.is_exact else complex
+    E = [[num(v) for v in row] for row in table.entries]
     worst, worst_res = (0, 0), -1.0
     for j in range(table.order + 1):
         for k in range(table.order + 1):
@@ -497,6 +504,26 @@ class TestFactorize:
         d = PointDistribution(0.0, [[1.0 + 1e-10, 0.0], [0.0, 0.0]])
         assert factorize(d).ok
 
+    @pytest.mark.parametrize("c00", [
+        1 + Fraction(1, 10**10), GaussianRational(1, Fraction(1, 10**10)),
+        Fraction(1, 10**10)])
+    def test_exact_c00_must_be_exactly_zero_or_one(self, c00):
+        d = PointDistribution(0, [[c00, 0], [0, 0]])
+        with pytest.raises(NotWeaklyMultiplicativeError, match="within 0"):
+            factorize(d)
+
+    def test_exact_c00_off_one_is_seen_by_the_table_check(self):
+        d = PointDistribution(0, [[1 + Fraction(1, 10**10), 0], [0, 0]])
+        report = weak_mult_check(point_moments(d, 2))
+        assert report.worst == (0, 0) and report.residual == pytest.approx(1e-10)
+
+    def test_exact_round_trip_rebuilds_the_table(self):
+        d = PointDistribution(GaussianRational(Fraction(1, 3), -1),
+                              rank_one_coeffs([1, Fraction(1, 2)], [1, GaussianRational(0, 3)]))
+        result = factorize(d)
+        rebuilt = PointDistribution(d.point, rank_one_coeffs(result.p, result.q))
+        assert point_moments(rebuilt, 4).entries == point_moments(d, 4).entries
+
     def test_bad_c00_rejected(self):
         with pytest.raises(NotWeaklyMultiplicativeError):
             factorize(PointDistribution(0, [[2, 0], [0, 0]]))
@@ -508,6 +535,56 @@ class TestFactorize:
     def test_zero_distribution_is_consistent(self):
         result = factorize(PointDistribution(0, [[0, 0], [0, 0]]))
         assert result.ok and result.zero_distribution
+
+
+class TestPointDistributionData:
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), complex(0.0, -float("inf")), complex(float("nan"), 1.0)])
+    @pytest.mark.parametrize("where", ["point", "c00", "interior"])
+    def test_non_finite_data_rejected(self, bad, where):
+        point, coeffs = 0.5, [[1, 0], [0, 0]]
+        if where == "point":
+            point = bad
+        elif where == "c00":
+            coeffs[0][0] = bad
+        else:
+            coeffs[1][1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            PointDistribution(point, coeffs)
+
+    def test_non_finite_entries_cannot_pass_as_rank_one(self):
+        # nan > 1e-12 is False, so a NaN entry once factorized with ok=True
+        with pytest.raises(DomainError):
+            factorize(PointDistribution(0.5, [[1, 0], [0, float("nan")]]))
+        with pytest.raises(DomainError):
+            factorize(PointDistribution(0.5, [[1, float("inf")], [0, 0]]))
+
+    def test_layout(self):
+        d = PointDistribution(GaussianRational(Fraction(1, 2), Fraction(-1, 3)),
+                              [[1, Fraction(1, 4)], [GaussianRational(0, Fraction(2, 3)), 0]])
+        assert d.is_exact and d.denom == 12 and d.a[2] == 6
+        assert d.re.tolist() == [[12, 3], [0, 0]] and d.im.tolist() == [[0, 0], [8, 0]]
+        assert all(type(v) is int for v in (*d.re.flat, *d.im.flat, *d.a[0], *d.a[1]))
+        floating = PointDistribution(0.5, [[1, 0.25j]])
+        assert not floating.is_exact and floating.denom == 1 and floating.a[2] == 1
+        assert floating.re.dtype == np.float64 and floating.coeffs == ((1 + 0j, 0.25j),)
+        for part in (d.re, d.im, d.a[0], floating.im):
+            assert not part.flags.writeable
+
+    def test_seeded_generators_use_fixed_denominators(self):
+        rng = random.Random(3)
+        d = random_rank_one_distribution(rng, degree=4)
+        assert (d.denom, d.a[2]) == (144, 10)
+        d = random_non_rank_one_distribution(rng, degree=4)
+        assert (d.denom, d.a[2]) == (12, 10)
+
+    def test_rank_one_coeffs_is_one_outer_product(self):
+        p, q = [1, Fraction(1, 2), GaussianRational(0, 1)], [1, GaussianRational(2, -1)]
+        c = rank_one_coeffs(p, q)
+        assert [[Exact(pj) * qk for qk in q] for pj in p] == c
+        assert all(isinstance(v, GaussianRational) for row in c for v in row)
+        # float data on either side makes the whole product float
+        assert rank_one_coeffs([1, 0.5j], [1, Fraction(1, 2)]) == [[1, 0.5], [0.5j, 0.25j]]
 
 
 def _reference_atoms_table(atoms, order):

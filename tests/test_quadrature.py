@@ -120,6 +120,22 @@ class TestDiskIntegration:
             integrate(coarse_disk_grid, f)
         assert "17" in str(err.value)
 
+    def test_singular_node_past_the_first_block_names_its_grid_index(self, disk_grid):
+        index = 3 * NODE_BLOCK + 5
+        bad_node = disk_grid.nodes[index]
+
+        def f(z):
+            return np.where(z == bad_node, np.nan, 1.0)
+
+        with pytest.raises(SingularIntegrandError, match=rf"\(index {index}\)"):
+            integrate(disk_grid, f)
+
+    def test_array_valued_scalar_fallback_is_refused(self, coarse_disk_grid):
+        # a closure over whole-grid values gives one array per node
+        vals = np.ones(coarse_disk_grid.size)
+        with pytest.raises(DomainError, match="one value per node"):
+            integrate(coarse_disk_grid, lambda z: vals)
+
     def test_linearity(self, coarse_disk_grid):
         f = lambda z: np.abs(z) ** 2
         g = lambda z: np.real(z) ** 2
@@ -359,16 +375,19 @@ def test_small_gauss_legendre_rules(n):
 
 
 def test_disk_integral_is_summed_in_node_blocks(disk_grid):
-    vals = 1.0 / np.abs(1.0 - disk_grid.nodes) ** 2 * (1 - np.abs(disk_grid.nodes) ** 2)
+    def poisson(z):
+        return 1.0 / np.abs(1.0 - z) ** 2 * (1 - np.abs(z) ** 2)
+
+    vals = poisson(disk_grid.nodes)
     unblocked = float(np.sum(disk_grid.weights * vals))
     tracemalloc.start()
     try:
-        value = integrate(disk_grid, lambda z: vals)
+        value = integrate(disk_grid, poisson)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert disk_grid.size > 10 * NODE_BLOCK
-    assert peak <= 2**20  # the values exist already: no node-sized product
+    assert peak <= 2**20  # evaluated block by block: no node-sized array
     assert abs(value - unblocked) <= 4 * np.finfo(float).eps * abs(unblocked)
     blocks = [
         np.sum(disk_grid.weights[i : i + NODE_BLOCK] * vals[i : i + NODE_BLOCK])

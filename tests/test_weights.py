@@ -182,6 +182,18 @@ class TestMass:
             grid = grid_for_weight(w, 120, 256)
             assert l1_norm(w, grid) == pytest.approx(w.analytic_mass, abs=2e-6)
 
+    def test_mass_is_evaluated_in_node_blocks(self, disk_grid, harm_weight):
+        # the harm:1,0 grid; its values were 2.2 MiB when evaluated at once
+        assert disk_grid.size == 290_926
+        tracemalloc.start()
+        try:
+            mass = l1_norm(harm_weight, disk_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
+        assert mass == 0.9999999982524391  # the whole-array evaluation's sum
+
 
 class TestSuperharmonic:
     def test_one_minus_abs_square_passes(self, circle_grid):
