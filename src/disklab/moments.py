@@ -50,9 +50,9 @@ _FACTOR_TOL = 1e-12
 class GaussianRational:
     """Exact complex number with rational real and imaginary parts.
 
-    The boundary type of exact data: it is accepted as input and returned
-    by the ``entries``-style views, while all arithmetic runs on integer
-    numerator arrays, so the type carries no operators.
+    The boundary type of exact data: inputs may use it, and the ``point``,
+    ``coeffs`` and ``entries`` views return it, while all arithmetic runs
+    on integer numerator arrays, so the type carries no operators.
     """
 
     __slots__ = ("re", "im")

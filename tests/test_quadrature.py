@@ -131,8 +131,8 @@ class TestDiskIntegration:
             integrate(disk_grid, f)
 
     def test_array_valued_scalar_fallback_is_refused(self, coarse_disk_grid):
-        # a closure over whole-grid values gives one array per node
-        vals = np.ones(coarse_disk_grid.size)
+        # like a closure over whole-grid values, it gives an array per node
+        vals = np.ones(7)
         with pytest.raises(DomainError, match="one value per node"):
             integrate(coarse_disk_grid, lambda z: vals)
 
