@@ -233,7 +233,8 @@ class MomentTable:
 
     Stored as read-only numerator arrays over one denominator, M = (re + i
     im) / denom: float64 arrays over 1 for a floating table, object arrays
-    of Python ints over a common integer denominator for an exact one.
+    of Python ints over a common integer denominator, in lowest terms, for
+    an exact one.
     ``entries`` is the boundary view, rows of GaussianRational or complex;
     the constructor takes such rows, and the table is exact only when every
     entry is exact (int, Fraction or GaussianRational; mixed rows become
@@ -258,6 +259,9 @@ class MomentTable:
     def _init(self, re, im, denom, provenance):
         if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
             raise DomainError("moment table must be a nonempty square array")
+        if re.dtype == object:  # lowest terms keep the checks' integer products small
+            g = math.gcd(denom, *re.flat, *im.flat)
+            re, im, denom = re // g, im // g, denom // g
         re.setflags(write=False)
         im.setflags(write=False)
         self.re, self.im, self.denom = re, im, denom
@@ -308,8 +312,7 @@ def _centered(d: PointDistribution, order: int) -> tuple[np.ndarray, np.ndarray]
     rows, cols = (min(g, order) + 1 for g in d.degree)
     s = np.array([(-1) ** m * math.factorial(m) for m in range(max(rows, cols))], dtype=object)
     f = np.multiply.outer(s[:rows], s[:cols]).astype(d.re.dtype)
-    cr = np.zeros((order + 1, order + 1), dtype=d.re.dtype)
-    ci = np.zeros_like(cr)
+    cr, ci = np.zeros((2, order + 1, order + 1), dtype=d.re.dtype)
     cr[:rows, :cols], ci[:rows, :cols] = f * d.re[:rows, :cols], f * d.im[:rows, :cols]
     return cr, ci
 
@@ -338,8 +341,7 @@ def point_moments(d: PointDistribution, order: int) -> MomentTable:
     for _ in range(order):
         zr, zi = apow[-1]
         apow.append((zr * ar - zi * ai, zr * ai + zi * ar))
-    pr = np.zeros((order + 1, order + 1), dtype=d.re.dtype)
-    pi = np.zeros_like(pr)
+    pr, pi = np.zeros((2, order + 1, order + 1), dtype=d.re.dtype)
     for j in range(order + 1):
         for m in range(j + 1):
             c = math.comb(j, m) * da ** (order - j + m)

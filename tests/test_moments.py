@@ -438,6 +438,7 @@ class TestTableStorage:
         assert exact.re.dtype == object and exact.im.dtype == object
         assert all(type(v) is int for v in exact.re.flat)
         assert exact.denom > 1
+        assert math.gcd(exact.denom, *exact.re.flat, *exact.im.flat) == 1  # lowest terms
         assert floating.re.dtype == np.float64 and floating.denom == 1
         np.testing.assert_array_equal(
             exact.to_complex_array(), np.array(exact.entries, dtype=complex))
