@@ -251,7 +251,7 @@ class MomentTable:
 
     @classmethod
     def _from_parts(cls, re, im, denom: int, provenance: str) -> "MomentTable":
-        """The table (re + i im) / denom; the arrays are kept, read-only."""
+        """The table (re + i im) / denom, kept read-only (exact parts in lowest terms)."""
         table = object.__new__(cls)
         table._init(re, im, denom, provenance)
         return table
