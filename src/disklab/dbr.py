@@ -41,7 +41,7 @@ from .errors import (
     SingularIntegrandError,
 )
 from .moments import MomentTable, _memo_entry, atoms_table, disk_moments, weight_values
-from .quadrature import NODE_BLOCK, CircleGrid, DiskGrid, _check_finite, make_circle_grid
+from .quadrature import NODE_BLOCK, CircleGrid, DiskGrid, _disk_blocks, make_circle_grid
 from .series import TaylorSeries, exp_series, geometric_series
 from .weights import Scaled, Weight, normalize
 
@@ -72,7 +72,6 @@ def berezin_transforms(
     todo = np.array([p for p in dict.fromkeys(v.tolist()) if p not in memo], dtype=complex)
     if todo.size:
         vals = weight_values(weight, grid)
-        _check_finite(vals, grid.nodes)
         values = (1.0 - np.abs(todo) ** 2) ** 2 * _kernel_sums(todo, grid, vals)
         if not np.isfinite(values).all():
             bad = todo[np.argmin(np.isfinite(values))]
@@ -84,14 +83,12 @@ def berezin_transforms(
 def _kernel_sums(v: np.ndarray, grid: DiskGrid, vals: np.ndarray) -> np.ndarray:
     """sum_i omega_i vals_i / |1 - z_i conj(v)|^4 for each v, block by block (no BLAS).
 
-    x, y and omega * vals are sliced per block, so no whole-grid copy is made.
+    The grid's nodes and weights are formed per block and vals sliced per
+    block, so no whole-grid copy is made.
     """
     a, b = v.real[:, None], v.imag[:, None]
-    starts = range(0, grid.size, NODE_BLOCK)
-    partial = np.empty((v.size, len(starts)))
-    for k, s in enumerate(starts):
-        block = slice(s, s + NODE_BLOCK)
-        z = grid.nodes[block]
+    partial = np.empty((v.size, len(range(0, grid.size, NODE_BLOCK))))
+    for k, (s, z, wts) in enumerate(_disk_blocks(grid)):
         xs, ys = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
         re = xs * a
         re += ys * b
@@ -102,7 +99,7 @@ def _kernel_sums(v: np.ndarray, grid: DiskGrid, vals: np.ndarray) -> np.ndarray:
         im *= im
         re += im  # |1 - z conj(v)|^2
         re *= re
-        mass = grid.weights[block] * vals[block]
+        mass = wts * vals[s : s + z.size]
         partial[:, k] = np.sum(np.divide(mass, re, out=re), axis=1)
     return partial.sum(axis=1)
 

@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InconsistentTableError, NotWeaklyMultiplicativeError
-from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _check_finite
+from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _check_finite, _disk_blocks, _ring_angles
 from .weights import Scaled, Weight
 
 _C00_SNAP_TOL = 1e-9
@@ -417,16 +417,20 @@ def _memo_entry(w: Weight, grid: DiskGrid) -> list:
 def weight_values(w: Weight, grid: DiskGrid) -> np.ndarray:
     """w(z_i) on the grid's nodes, evaluated once per (weight, grid) pair.
 
-    The values live in the same fixed-size memo as ``disk_moments``'
-    matrices and ``dbr.berezin_transforms``' per-point values, keyed by the
-    weight and grid objects; treat them as read-only.
-    ``disk_moments`` reads them when they are there but does not keep its
-    own evaluation, so a pair that only needs its matrix holds no
-    node-sized array.
+    The nodes are formed and evaluated one ``NODE_BLOCK`` block at a time,
+    so the values are the only node-sized array. A non-finite value raises
+    SingularIntegrandError naming its node and grid index. The values live
+    in the same fixed-size memo as ``disk_moments``' matrices and
+    ``dbr.berezin_transforms``' per-point values, keyed by the weight and
+    grid objects; treat them as read-only.
     """
     entry = _memo_entry(w, grid)
     if entry[2] is None:
-        entry[2] = w.eval_many(grid.nodes)
+        vals = np.empty(grid.size)
+        for start, z, _ in _disk_blocks(grid):
+            vals[start : start + z.size] = w.eval_many(z)
+            _check_finite(vals[start : start + z.size], z, start)
+        entry[2] = vals
     return entry[2]
 
 
@@ -446,23 +450,20 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     a lower order is a read-only view bit-identical to a fresh build. The
     values agree with a complex ring DFT over all d to roundoff.
 
-    Memoised per (weight, grid) object pair. A ``Scaled`` weight's matrix is
-    its factor times its inner weight's memoised matrix, with no DFT of its
-    own. A non-finite weight value raises SingularIntegrandError.
+    Memoised per (weight, grid) object pair, beside ``weight_values``. A
+    ``Scaled`` weight's matrix is its factor times its inner weight's
+    memoised matrix, with no DFT of its own. A non-finite weight value
+    raises SingularIntegrandError.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
-    if sum(grid.ring_counts) != grid.size:
-        raise DomainError("disk_moments needs the grid's ring layout (ring_counts)")
     entry = _memo_entry(w, grid)
     if entry[3] is not None and entry[3].shape[0] > order:
         return entry[3][: order + 1, : order + 1]
     if isinstance(w, Scaled):
         W = w.c * disk_moments(w.inner, grid, order)
     else:
-        vals = entry[2] if entry[2] is not None else w.eval_many(grid.nodes)
-        _check_finite(vals, grid.nodes)
-        W = _ring_moments(vals, grid, order)
+        W = _ring_moments(weight_values(w, grid), grid, order)
     W.setflags(write=False)
     entry[3] = W
     return W
@@ -474,15 +475,15 @@ def _ring_moments(vals: np.ndarray, grid: DiskGrid, order: int) -> np.ndarray:
     g_re, g_im = np.zeros((order + 1, order + 1)), np.zeros((order + 1, order + 1))
     buf = np.empty((order + 1, order + 1))
     start = 0
-    for m in grid.ring_counts:
+    for r, weight, m in zip(grid.ring_radii, grid.ring_weights, grid.ring_counts):
         F = np.fft.rfft(vals[start : start + m])
         idx = n % m
         S = F[np.minimum(idx, m - idx)]
         # sum_t w_t exp(2 pi i d t / m) is conj(F[d]) up to m/2, F[m - d] past it
         np.conjugate(S, out=S, where=idx <= m // 2)
-        rp = abs(grid.nodes[start]) ** n
+        rp = abs((r * _ring_angles(m, 0.5, 0, 1))[0]) ** n  # |the ring's first node|
         S *= rp * np.exp(1j * np.pi * n / m)
-        ring = grid.weights[start] * rp * rp
+        ring = weight * rp * rp
         np.multiply.outer(ring, S.real, out=buf)
         g_re += buf
         np.multiply.outer(ring, S.imag, out=buf)

@@ -26,15 +26,15 @@ reductions use numpy's pairwise summation on that fixed order, per block
 of ``NODE_BLOCK`` nodes with the block sums added in order, for disk grids
 and exact compensated summation (math.fsum) for circle grids.
 Neither reduction is threaded, so results are bit-reproducible across
-runs and thread counts. The grid-wide kernels (weight evaluation and
-Berezin sums) work in blocks of the fixed ``NODE_BLOCK`` nodes, and the
-moment matrix in rings: elementwise values do not depend on the
-blocking, and a blocked reduction adds its block sums in the same order
-whatever the batch. Their temporaries are sized by a block or a ring,
-not by the grid, so no layer builds node-sized arrays beyond the ones
-it keeps. Circle grids with an even node count are built antipodally
-(second half is the exact negation of the first), so full period sums
-of odd integrands cancel exactly.
+runs and thread counts. A disk grid keeps only a ring table (radius,
+node weight and node count per ring). The grid-wide kernels (integration,
+weight evaluation, Berezin sums) form its nodes and weights one block of
+the fixed ``NODE_BLOCK`` nodes at a time, bit-identical to slices of the
+whole rule, and the moment matrix works ring by ring, so no temporary is
+node-sized; a blocked reduction adds its block sums in the same order
+whatever the batch. Circle grids with an even node count are built
+antipodally (second half is the exact negation of the first), so full
+period sums of odd integrands cancel exactly.
 """
 
 from __future__ import annotations
@@ -70,22 +70,35 @@ NODE_BLOCK = 4096
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Quadrature nodes and weights for normalized area measure on the disk."""
+    """Ring table of a polar rule for normalized area measure on the disk:
+    ring k holds ``ring_counts[k]`` nodes ``ring_radii[k] * u_t``, u_t =
+    exp(2 pi i (t + 1/2) / m), each of weight ``ring_weights[k]``."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    ring_radii: tuple[float, ...] = field(repr=False)
+    ring_weights: tuple[float, ...] = field(repr=False)
+    ring_counts: tuple[int, ...] = field(repr=False)
     radial_order: int
     angular_order: int
     singular_radii: tuple[float, ...] = ()
-    ring_counts: tuple[int, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        lengths = (len(self.ring_radii), len(self.ring_weights))
+        if lengths != (len(self.ring_counts),) * 2 or min(self.ring_counts, default=0) < 1:
+            raise DomainError("a disk grid needs one radius, weight and node count per ring")
 
     @property
     def size(self) -> int:
-        return self.nodes.size
+        return sum(self.ring_counts)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """All nodes in one array, formed anew on each access."""
+        return np.concatenate([z for _, z, _ in _disk_blocks(self)])
+
+    @property
+    def weights(self) -> np.ndarray:
+        """All node weights in one array, formed anew on each access."""
+        return np.concatenate([wts for _, _, wts in _disk_blocks(self, nodes=False)])
 
 
 @dataclass(frozen=True)
@@ -109,16 +122,18 @@ class CircleGrid:
 Grid = Union[DiskGrid, CircleGrid]
 
 
-def _ring_angles(count: int, offset: float) -> np.ndarray:
-    """Unit-modulus nodes at angles 2 pi (j + offset) / count.
+def _ring_angles(count: int, offset: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Unit-modulus nodes j = lo..hi-1 (all by default) at angles 2 pi (j + offset) / count.
 
     For even counts the second half is the exact negation of the first,
     which makes full-period sums of odd powers cancel without roundoff.
+    Node j has the same bits whatever range it is formed in.
     """
-    if count % 2 == 0:
-        half = np.exp(2j * np.pi * (np.arange(count // 2) + offset) / count)
-        return np.concatenate([half, -half])
-    return np.exp(2j * np.pi * (np.arange(count) + offset) / count)
+    hi = count if hi is None else hi
+    half = count if count % 2 else count // 2
+    first = np.exp(2j * np.pi * (np.arange(lo, min(hi, half)) + offset) / count)
+    second = np.exp(2j * np.pi * (np.arange(max(lo, half) - half, hi - half) + offset) / count)
+    return np.concatenate([first, -second])
 
 
 #: Newton steps of the Gauss-Legendre rule: from the asymptotic start it
@@ -277,20 +292,39 @@ def make_disk_grid(
     size = sum(m for _, _, m in rings)
     if size > MAX_DISK_NODES:
         raise DomainError(f"disk grid needs {size} nodes, over the budget {MAX_DISK_NODES}")
-    nodes, weights = np.empty(size, dtype=complex), np.empty(size)
-    start = 0
-    for r, w, m in rings:  # each ring written in place, no per-ring list
-        np.multiply(r, _ring_angles(m, 0.5), out=nodes[start : start + m])
-        weights[start : start + m] = w / m
-        start += m
     return DiskGrid(
-        nodes=nodes,
-        weights=weights,
+        ring_radii=tuple(float(r) for r, _, _ in rings),
+        ring_weights=tuple(float(w / m) for _, w, m in rings),
+        ring_counts=tuple(m for _, _, m in rings),
         radial_order=radial_order,
         angular_order=angular_order,
         singular_radii=tuple(breaks),
-        ring_counts=tuple(m for _, _, m in rings),
     )
+
+
+def _disk_blocks(grid: DiskGrid, nodes: bool = True):
+    """(start, nodes, weights) of each block of ``NODE_BLOCK`` nodes, in node order.
+
+    Bit-identical to the slices [start, start + NODE_BLOCK) of the whole
+    rule's arrays, formed with block-sized temporaries; ``nodes=False``
+    yields None for the nodes and forms none.
+    """
+    ring, first = 0, 0  # the ring holding the next node, and its first node index
+    for start in range(0, grid.size, NODE_BLOCK):
+        stop = min(start + NODE_BLOCK, grid.size)
+        z = np.empty(stop - start, dtype=complex) if nodes else None
+        wts = np.empty(stop - start)
+        pos = start
+        while pos < stop:  # the part of ring `ring` in this block
+            m, end = grid.ring_counts[ring], min(stop, first + grid.ring_counts[ring])
+            part = slice(pos - start, end - start)
+            wts[part] = grid.ring_weights[ring]
+            if nodes:
+                z[part] = grid.ring_radii[ring] * _ring_angles(m, 0.5, pos - first, end - first)
+            pos = end
+            if end == first + m:
+                ring, first = ring + 1, end
+        yield start, z, wts
 
 
 def make_circle_grid(order: int, offset: float = 0.0) -> CircleGrid:
@@ -361,11 +395,10 @@ def integrate(grid: Grid, f: Callable) -> complex | float:
             )
         return math.fsum(float(v) for v in vals) / m
     total = 0.0
-    for start in range(0, grid.size, NODE_BLOCK):
-        block = slice(start, start + NODE_BLOCK)
-        vals = _evaluate_on(f, grid.nodes[block])
-        _check_finite(vals, grid.nodes[block], start)
-        total += np.sum(grid.weights[block] * vals)
+    for start, z, wts in _disk_blocks(grid):
+        vals = _evaluate_on(f, z)
+        _check_finite(vals, z, start)
+        total += np.sum(wts * vals)
     if np.iscomplexobj(total):
         return complex(total)
     return float(total)

@@ -35,7 +35,7 @@ from .errors import (
     SingularPointError,
     WeightSpecError,
 )
-from .quadrature import NODE_BLOCK, CircleGrid, DiskGrid, integrate, make_disk_grid
+from .quadrature import NODE_BLOCK, CircleGrid, DiskGrid, _disk_blocks, integrate, make_disk_grid
 
 _UNIMODULAR_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
@@ -261,8 +261,16 @@ def synthesize(d: GreenDecomposition) -> AtomicWeight:
 
 
 def l1_norm(w: Weight, grid: DiskGrid) -> float:
-    """Mass of the weight against normalized area measure, by quadrature."""
-    return float(integrate(grid, w.eval_many))
+    """Mass of the weight against normalized area measure, by quadrature: its
+    memoised node values (``moments.weight_values``) summed as ``integrate``
+    sums, block by block, with no node formed."""
+    from .moments import weight_values  # moments imports this module
+
+    vals = weight_values(w, grid)
+    total = 0.0
+    for start, _, wts in _disk_blocks(grid, nodes=False):
+        total += np.sum(wts * vals[start : start + wts.size])
+    return float(total)
 
 
 def normalize(w: Weight, grid: DiskGrid) -> Scaled:

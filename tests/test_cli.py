@@ -188,6 +188,23 @@ class TestRun:
         assert not build.passed
         assert "NotDbrWeightError" in build.detail
 
+    @pytest.mark.parametrize("spec", ["harm:1,0", "log:0.4,0", "uniform", "scaled:2:log:0.4,0"])
+    def test_verify_all_never_forms_a_whole_grid(self, spec, monkeypatch):
+        from disklab import DiskGrid
+
+        whole = []
+
+        def refuse(grid):
+            whole.append(grid)
+            raise AssertionError("a whole grid's arrays were formed")
+
+        monkeypatch.setattr(DiskGrid, "nodes", property(refuse))
+        monkeypatch.setattr(DiskGrid, "weights", property(refuse))
+        report, _ = run(parse_args(["verify", "--suite", "all", "--weight", spec,
+                                    *_fast_flags()]))
+        assert whole == []
+        assert not any("AssertionError" in c.detail for c in report.checks)
+
     def test_moments_and_tensor_suites_share_seeded_tables(self, monkeypatch):
         from disklab import cli
 

@@ -22,6 +22,7 @@ from disklab import (
     PointDistribution,
     SingularIntegrandError,
     atoms_table,
+    berezin_transforms,
     centered_moments,
     dirac_table,
     disk_moments,
@@ -33,11 +34,12 @@ from disklab import (
     random_non_rank_one_distribution,
     random_rank_one_distribution,
     rank_one_coeffs,
+    l1_norm,
     tensor_diag_check,
     weak_mult_check,
 )
 from disklab.moments import _MOMENT_MEMO_SIZE, weight_values
-from disklab.quadrature import MAX_TENSOR_ENTRIES
+from disklab.quadrature import MAX_TENSOR_ENTRIES, NODE_BLOCK
 
 from exact_complex import Exact
 
@@ -668,6 +670,17 @@ def _node_sum_moments(w, grid, order):
     )
 
 
+def _counted(calls, label):
+    """The constant weight 1, recording the size of each node block it is evaluated on."""
+    return Custom(lambda z: calls.append(z.size) or np.ones(z.shape), label=label)
+
+
+def _passes(calls, grid):
+    """Whole passes over the grid's nodes that the recorded blocks add up to."""
+    assert max(calls) <= NODE_BLOCK and sum(calls) % grid.size == 0
+    return sum(calls) // grid.size
+
+
 class TestDiskMoments:
     @pytest.mark.parametrize("which", ["harm", "log"])
     def test_measure_moments_match_node_sum(self, which, disk_grid, harm_weight,
@@ -679,46 +692,46 @@ class TestDiskMoments:
 
     def test_matrix_is_memoised_up_to_largest_order(self, coarse_disk_grid):
         calls = []
-        w = Custom(lambda z: calls.append(1) or np.ones(z.shape), label="counted")
+        w = _counted(calls, "counted")
         big = disk_moments(w, coarse_disk_grid, 8)
         small = disk_moments(w, coarse_disk_grid, 4)
-        assert calls == [1]
+        assert _passes(calls, coarse_disk_grid) == 1
         assert np.array_equal(small, big[:5, :5])
         # a view of a larger build is bit-identical to a build at its order
         fresh = disk_moments(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid, 4)
         assert np.array_equal(small, fresh)
         assert not small.flags.writeable
-        disk_moments(w, coarse_disk_grid, 9)
-        assert calls == [1, 1]
+        disk_moments(w, coarse_disk_grid, 9)  # a larger order: the kept values again
+        assert _passes(calls, coarse_disk_grid) == 1
 
     def test_memo_keeps_a_fixed_number_of_matrices(self, coarse_disk_grid):
         calls = []
-        first = Custom(lambda z: calls.append(1) or np.ones(z.shape), label="first")
+        first = _counted(calls, "first")
         disk_moments(first, coarse_disk_grid, 2)
         for _ in range(_MOMENT_MEMO_SIZE):
             disk_moments(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid, 2)
         disk_moments(first, coarse_disk_grid, 2)
-        assert calls == [1, 1]
+        assert _passes(calls, coarse_disk_grid) == 2
 
     def test_node_values_are_kept_in_the_same_memo(self, coarse_disk_grid):
         calls = []
-        w = Custom(lambda z: calls.append(1) or np.ones(z.shape), label="counted")
+        w = _counted(calls, "counted")
         vals = weight_values(w, coarse_disk_grid)
         assert weight_values(w, coarse_disk_grid) is vals
         disk_moments(w, coarse_disk_grid, 4)  # reads the kept values
-        assert calls == [1]
+        assert _passes(calls, coarse_disk_grid) == 1
         for _ in range(_MOMENT_MEMO_SIZE):
             weight_values(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid)
         weight_values(w, coarse_disk_grid)
-        assert calls == [1, 1]
+        assert _passes(calls, coarse_disk_grid) == 2
 
-    def test_grid_without_ring_layout_rejected(self, coarse_disk_grid, uniform):
-        from disklab import DiskGrid
-
-        bare = DiskGrid(coarse_disk_grid.nodes.copy(), coarse_disk_grid.weights.copy(),
-                        coarse_disk_grid.radial_order, coarse_disk_grid.angular_order)
-        with pytest.raises(DomainError):
-            disk_moments(uniform, bare, 2)
+    def test_disk_moments_keeps_its_evaluation(self, coarse_disk_grid):
+        calls = []
+        w = _counted(calls, "counted")
+        disk_moments(w, coarse_disk_grid, 4)
+        assert weight_values(w, coarse_disk_grid) is weight_values(w, coarse_disk_grid)
+        assert l1_norm(w, coarse_disk_grid) == pytest.approx(1.0, abs=1e-12)
+        assert _passes(calls, coarse_disk_grid) == 1
 
     def test_non_finite_weight_raises(self, coarse_disk_grid):
         bad = coarse_disk_grid.nodes[7]
@@ -726,17 +739,31 @@ class TestDiskMoments:
         with pytest.raises(SingularIntegrandError, match=r"\(index 7\)"):
             measure_moments(w, coarse_disk_grid, 2)
 
+    @pytest.mark.parametrize("route", ["disk_moments", "berezin_transforms"])
+    def test_non_finite_weight_names_its_node_past_the_first_block(self, route,
+                                                                   coarse_disk_grid):
+        index = 2 * NODE_BLOCK + 13
+        bad = coarse_disk_grid.nodes[index]
+        w = Custom(lambda z: np.where(z == bad, np.inf, 1.0), label="spike")
+        with pytest.raises(SingularIntegrandError) as err:
+            if route == "disk_moments":
+                disk_moments(w, coarse_disk_grid, 2)
+            else:
+                berezin_transforms(w, [0.3], coarse_disk_grid)
+        assert f"at node {bad!r} (index {index})" in str(err.value)
+
 
 def _reference_ring_dft(vals, grid, order):
     """Reference: the complex ring DFT over every d = j - k in -order..order."""
     n, ds = np.arange(order + 1), np.arange(-order, order + 1)
     toeplitz = n[:, None] - n[None, :] + order  # position of d = j - k in ds
     W = np.zeros((order + 1, order + 1), dtype=complex)
+    nodes, weights = grid.nodes, grid.weights
     for start, m in zip(np.cumsum((0,) + grid.ring_counts[:-1]), grid.ring_counts):
         # unnormalised inverse DFT: sum_t w_t exp(2 pi i d t / m)
         S = np.fft.ifft(vals[start : start + m], norm="forward")[ds % m]
-        S *= grid.weights[start] * np.exp(1j * np.pi * ds / m)
-        rp = abs(grid.nodes[start]) ** n
+        S *= weights[start] * np.exp(1j * np.pi * ds / m)
+        rp = abs(nodes[start]) ** n
         W += (rp[:, None] * rp[None, :]) * S[toeplitz]
     return W
 
@@ -776,17 +803,17 @@ class TestRealRingDft:
 
     def test_scaled_weight_reuses_its_inner_matrix(self, coarse_disk_grid):
         calls = []
-        inner = Custom(lambda z: calls.append(1) or 1.0 - np.abs(z) ** 2, label="counted")
+        inner = Custom(lambda z: calls.append(z.size) or 1.0 - np.abs(z) ** 2, label="counted")
         scaled = Scaled(2.5, inner)
         W = disk_moments(scaled, coarse_disk_grid, 8)
         assert np.array_equal(W, 2.5 * disk_moments(inner, coarse_disk_grid, 8))
-        assert calls == [1]
+        assert _passes(calls, coarse_disk_grid) == 1
         assert not W.flags.writeable
         assert disk_moments(scaled, coarse_disk_grid, 6).base is W
         # the inner weight built first: the scaled matrix still needs no evaluation
         other = Scaled(0.5, inner)
         disk_moments(other, coarse_disk_grid, 4)
-        assert calls == [1]
+        assert _passes(calls, coarse_disk_grid) == 1
 
 
 class TestSerialization:

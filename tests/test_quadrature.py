@@ -68,6 +68,18 @@ class TestDiskGridInvariants:
         assert disk_grid_size(120, 256) == disk_grid.size == 290_926
         assert disk_grid_size(40, 64, (0.4,)) == make_disk_grid(40, 64, (0.4,)).size
 
+    def test_inconsistent_ring_table_rejected(self):
+        from disklab import DiskGrid
+
+        with pytest.raises(DomainError):  # a count with no radius and weight
+            DiskGrid((0.5,), (0.1,), (8, 8), radial_order=1, angular_order=8)
+        with pytest.raises(DomainError):
+            DiskGrid((), (), (), radial_order=1, angular_order=8)
+        with pytest.raises(DomainError):
+            DiskGrid((0.5,), (0.1,), (0,), radial_order=1, angular_order=8)
+        grid = DiskGrid((0.5,), (0.125,), (8,), radial_order=1, angular_order=8)
+        assert grid.size == 8 and np.array_equal(grid.weights, np.full(8, 0.125))
+
     def test_node_budget(self, monkeypatch):
         # a pole this close to the circle asks for ~1e12 nodes; only the
         # count is computed, the grid is never built
@@ -394,3 +406,59 @@ def test_disk_integral_is_summed_in_node_blocks(disk_grid):
         for i in range(0, disk_grid.size, NODE_BLOCK)
     ]
     assert value == float(sum(blocks))
+
+
+# -------------------------------------------------------------- ring table
+
+
+def _materialised_disk_grid(radial_order, angular_order, singular_radii=()):
+    """Reference: the whole rule's node and weight arrays, each ring written in place."""
+    _, rings = quadrature._disk_rings(radial_order, angular_order, singular_radii, ALIAS_GUARD)
+    size = sum(m for _, _, m in rings)
+    nodes, weights = np.empty(size, dtype=complex), np.empty(size)
+    start = 0
+    for r, w, m in rings:
+        if m % 2 == 0:
+            half = np.exp(2j * np.pi * (np.arange(m // 2) + 0.5) / m)
+            angles = np.concatenate([half, -half])
+        else:
+            angles = np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)
+        np.multiply(r, angles, out=nodes[start : start + m])
+        weights[start : start + m] = w / m
+        start += m
+    return nodes, weights
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [(120, 256, ()), (120, 256, (0.4,)), (3, 4, ()), (5, 8, (0.5,)), (9, 6, (0.2, 0.9))],
+    ids=["harm-and-uniform", "log-0.4", "tiny", "one-radius", "two-radii"],
+)
+def test_blocks_are_the_materialised_rule_bit_for_bit(orders):
+    grid = make_disk_grid(*orders)
+    nodes, weights = _materialised_disk_grid(*orders)
+    assert grid.size == nodes.size
+    starts = []
+    for start, z, wts in quadrature._disk_blocks(grid):
+        starts.append(start)
+        stop = min(start + NODE_BLOCK, grid.size)
+        # bytes, so signed zeros count
+        assert z.tobytes() == nodes[start:stop].tobytes()
+        assert wts.tobytes() == weights[start:stop].tobytes()
+    assert starts == list(range(0, grid.size, NODE_BLOCK))
+    for start, z, wts in quadrature._disk_blocks(grid, nodes=False):
+        assert z is None and wts.tobytes() == weights[start : start + NODE_BLOCK].tobytes()
+    assert grid.nodes.tobytes() == nodes.tobytes()
+    assert grid.weights.tobytes() == weights.tobytes()
+
+
+def test_grid_holds_no_node_sized_array():
+    quadrature._gauss_legendre.cache_clear()
+    tracemalloc.start()
+    try:
+        grid = make_disk_grid(120, 256, (0.4,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.size == 240_460
+    assert peak < 2**16

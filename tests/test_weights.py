@@ -114,10 +114,11 @@ class TestBlockedEval:
     def test_peak_memory_is_the_output_plus_a_block(self, disk_grid):
         w = HarmonicBoundary(1.0)
         output = 8 * disk_grid.size  # one float per node
+        nodes = disk_grid.nodes  # formed outside the count: the grid keeps none
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            vals = w.eval_many(disk_grid.nodes)
+            vals = w.eval_many(nodes)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -182,17 +183,25 @@ class TestMass:
             grid = grid_for_weight(w, 120, 256)
             assert l1_norm(w, grid) == pytest.approx(w.analytic_mass, abs=2e-6)
 
-    def test_mass_is_evaluated_in_node_blocks(self, disk_grid, harm_weight):
-        # the harm:1,0 grid; its values were 2.2 MiB when evaluated at once
+    def test_mass_is_evaluated_in_node_blocks(self, disk_grid):
+        # the harm:1,0 grid; the mass keeps the weight's values (2.2 MiB) and
+        # forms its nodes a block at a time
         assert disk_grid.size == 290_926
+        w = HarmonicBoundary(1.0)  # a fresh object: no values memoised yet
+        kept = 8 * disk_grid.size
         tracemalloc.start()
         try:
-            mass = l1_norm(harm_weight, disk_grid)
+            mass = l1_norm(w, disk_grid)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            again = l1_norm(w, disk_grid)  # reads the kept values, forms no node
+            repeat = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak < 2**19
-        assert mass == 0.9999999982524391  # the whole-array evaluation's sum
+        assert peak < kept + 2**19
+        assert repeat < 2**17
+        assert mass == again == 0.9999999982524391  # the whole-array evaluation's sum
 
 
 class TestSuperharmonic:
