@@ -1,17 +1,17 @@
 """Command-line front end: named verification suites and ad-hoc computations.
 
-Subcommands
------------
-``verify``       run one suite (or all) against a weight, emit a report.
-``moments``      compute and emit a moment table for a weight.
-``dbr build``    build the kernel model for a weight and emit it.
-``weights info`` parse a weight spec and summarize its basic quantities.
+``verify`` runs one suite (or all) against a weight and emits a report;
+``moments``, ``dbr build`` and ``weights info`` emit a weight's moment
+table, its kernel model and a summary of its spec. The argparse namespace
+is the run config: each flag's ``dest`` is the field the code reads, and
+``parse_args`` adds ``tols`` and the ``weight`` it parsed, once per run.
 
 Reports are deterministic: every check uses fixed seeds and fixed
 reduction orders, so two runs of the same configuration produce
 byte-identical JSON except for the timing fields (each check's
 ``elapsed_s`` and the top-level ``timings``). Exit codes: 0 when every
-check passes, 1 on any failure, 2 on usage errors.
+check passes, 1 on any failure, 2 on usage errors, among them a
+``--boundary`` below the outer factor's bound and an unwritable ``--out``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -89,22 +89,6 @@ _SEED_TEST_POINTS = 505
 
 
 @dataclass
-class RunConfig:
-    command: str = "verify"
-    suite: str = "all"
-    weight_spec: str = "harm:1,0"
-    order: int = 8  # moment-table order
-    series_order: int = 64  # truncation order for series pipelines
-    radial_order: int = 120
-    angular_order: int = 256
-    boundary_order: int = 32768
-    tols: dict = field(default_factory=lambda: dict(DEFAULT_TOLS))
-    out: Optional[str] = None
-    format: str = "json"
-    route: str = "auto"  # moments subcommand: auto | atom | measure
-
-
-@dataclass
 class CheckRecord:
     name: str
     digest: str
@@ -113,17 +97,6 @@ class CheckRecord:
     passed: bool
     detail: str
     elapsed_s: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "digest": self.digest,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "detail": self.detail,
-            "elapsed_s": self.elapsed_s,
-        }
 
 
 @dataclass
@@ -140,17 +113,16 @@ class Report:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": SCHEMA_VERSION,
             "suite": self.suite,
             "weight": self.weight_spec,
             "config": self.config,
-            "checks": [c.to_json_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "passed": self.passed,
             "timings": {"total_s": self.total_elapsed_s},
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.to_json_dict())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -177,6 +149,12 @@ class Report:
             )
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
+
+
+def _json_text(payload: dict) -> str:
+    """The one JSON layout of every report and payload: the schema, sorted keys."""
+    payload = {"schema": SCHEMA_VERSION, **payload}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _digest(*parts) -> str:
@@ -210,20 +188,14 @@ class _Check:
 class _SuiteContext:
     """Lazily built shared objects for one verify run."""
 
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: argparse.Namespace):
         self.config = config
-        self.weight = parse_weight_spec(config.weight_spec)
-        self._disk_grid = None
-        self._model = None
-        self._model_error: Optional[Exception] = None
+        self.weight = config.weight
 
-    @property
+    @cached_property
     def disk_grid(self):
-        if self._disk_grid is None:
-            self._disk_grid = grid_for_weight(
-                self.weight, self.config.radial_order, self.config.angular_order
-            )
-        return self._disk_grid
+        return grid_for_weight(self.weight, self.config.radial_order,
+                               self.config.angular_order)
 
     @cached_property
     def seeded_tables(self):
@@ -266,20 +238,20 @@ class _SuiteContext:
         p = complex(atoms[0][0]) if len(atoms) == 1 else 0j
         return p / abs(p) if p else 1.0
 
+    @cached_property
+    def _model_or_error(self):
+        """The kernel model, or the exception its one build raised."""
+        try:
+            return dbr_mod.build_model(self.weight, self.disk_grid,
+                                       boundary_order=self.config.boundary_order,
+                                       order=self.config.series_order)
+        except Exception as exc:  # surfaces as failed checks, not a crash
+            return exc
+
     def model(self):
-        if self._model is None and self._model_error is None:
-            try:
-                self._model = dbr_mod.build_model(
-                    self.weight,
-                    self.disk_grid,
-                    boundary_order=self.config.boundary_order,
-                    order=self.config.series_order,
-                )
-            except Exception as exc:  # surfaces as failed checks, not a crash
-                self._model_error = exc
-        if self._model_error is not None:
-            raise self._model_error
-        return self._model
+        if isinstance(self._model_or_error, Exception):
+            raise self._model_or_error
+        return self._model_or_error
 
     def check(self, row: _Check) -> CheckRecord:
         """Run one table row: its verdict is its sense applied to its tolerance.
@@ -642,7 +614,7 @@ _SUITE_RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> tuple[Report, int]:
+def run(config: argparse.Namespace) -> tuple[Report, int]:
     """Execute the configured suites in fixed order."""
     start = time.perf_counter()
     ctx = _SuiteContext(config)
@@ -667,27 +639,30 @@ def run(config: RunConfig) -> tuple[Report, int]:
     return report, 0 if report.passed else 1
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--weight", default="harm:1,0", metavar="SPEC",
+def _add_common_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """Give a subcommand's parser its ``command`` and the flags all of them take."""
+    p.set_defaults(command=command)
+    p.add_argument("--weight", dest="weight_spec", default="harm:1,0", metavar="SPEC",
                    help="weight spec: harm:<re>,<im> | log:<re>,<im> | "
                         "scaled:<c>:<spec> | uniform")
     p.add_argument("--order", type=int, default=8,
-                   help="moment-table order (default 8)")
+                   help="moment-table order (default %(default)s)")
     p.add_argument("--series-order", type=int, default=64,
-                   help="series truncation order (default 64)")
-    p.add_argument("--radial", type=int, default=120, dest="radial",
-                   help="radial quadrature order (default 120)")
-    p.add_argument("--angular", type=int, default=256, dest="angular",
-                   help="baseline angular quadrature order (default 256)")
-    p.add_argument("--boundary", type=int, default=32768, dest="boundary",
-                   help="boundary circle order for the outer factor")
+                   help="series truncation order (default %(default)s)")
+    p.add_argument("--radial", type=int, default=120, dest="radial_order",
+                   metavar="RADIAL", help="radial quadrature order (default %(default)s)")
+    p.add_argument("--angular", type=int, default=256, dest="angular_order",
+                   metavar="ANGULAR",
+                   help="baseline angular quadrature order (default %(default)s)")
+    p.add_argument("--boundary", type=int, default=32768, dest="boundary_order",
+                   metavar="BOUNDARY", help="boundary circle order for the outer factor")
     p.add_argument("--tol", action="append", default=[], metavar="NAME=V",
                    help="override a named tolerance (repeatable)")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
 
-def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
+def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="disklab",
         description="verification suites for disk quadrature, moment tables, "
@@ -697,43 +672,24 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    _add_common_flags(p_verify)
+    _add_common_flags(p_verify, "verify")
 
     p_moments = sub.add_parser("moments", help="emit a moment table for a weight")
     p_moments.add_argument("--route", choices=("auto", "atom", "measure"),
                            default="auto")
-    _add_common_flags(p_moments)
+    _add_common_flags(p_moments, "moments")
 
     p_dbr = sub.add_parser("dbr", help="kernel-model commands")
     dbr_sub = p_dbr.add_subparsers(dest="dbr_command", required=True)
     p_build = dbr_sub.add_parser("build", help="build and emit a kernel model")
-    _add_common_flags(p_build)
+    _add_common_flags(p_build, "dbr-build")
 
     p_weights = sub.add_parser("weights", help="weight utilities")
     w_sub = p_weights.add_subparsers(dest="weights_command", required=True)
     p_info = w_sub.add_parser("info", help="summarize a weight spec")
-    _add_common_flags(p_info)
+    _add_common_flags(p_info, "weights-info")
 
-    ns = parser.parse_args(argv)
-
-    config = RunConfig()
-    config.command = ns.command
-    if ns.command == "dbr":
-        config.command = "dbr-build"
-    if ns.command == "weights":
-        config.command = "weights-info"
-    if ns.command == "verify":
-        config.suite = ns.suite
-    if ns.command == "moments":
-        config.route = ns.route
-    config.weight_spec = ns.weight
-    config.order = ns.order
-    config.series_order = ns.series_order
-    config.radial_order = ns.radial
-    config.angular_order = ns.angular
-    config.boundary_order = ns.boundary
-    config.out = ns.out
-    config.format = ns.format
+    config = parser.parse_args(argv)
 
     if config.order < 1 or config.order > 16:
         parser.error(f"--order must lie in [1, 16], got {config.order}")
@@ -743,10 +699,12 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
         parser.error("--radial must be >= 1")
     if config.angular_order < 4:
         parser.error("--angular must be >= 4")
-    if config.boundary_order > MAX_DISK_NODES:
-        parser.error(f"--boundary must be at most {MAX_DISK_NODES}, "
-                     f"got {config.boundary_order}")
-    for item in ns.tol:
+    min_boundary = 2 * (config.series_order + 1)  # outer_function's own bound
+    if not min_boundary <= config.boundary_order <= MAX_DISK_NODES:
+        parser.error(f"--boundary must lie in [{min_boundary}, {MAX_DISK_NODES}] at "
+                     f"series order {config.series_order}, got {config.boundary_order}")
+    config.tols = dict(DEFAULT_TOLS)
+    for item in config.tol:
         name, sep, value = item.partition("=")
         if not sep or name not in config.tols:
             parser.error(f"unknown tolerance override {item!r} "
@@ -758,9 +716,9 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
         if not 0.0 <= config.tols[name] < math.inf:
             parser.error(f"tolerance in {item!r} must be finite and nonnegative")
     try:
-        weight = parse_weight_spec(config.weight_spec)
+        config.weight = parse_weight_spec(config.weight_spec)
         nodes = disk_grid_size(config.radial_order, config.angular_order,
-                               weight.singular_radii)
+                               config.weight.singular_radii)
     except (WeightSpecError, DomainError) as exc:
         parser.error(str(exc))
     if nodes > MAX_DISK_NODES:
@@ -771,39 +729,34 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
-def _run_verify(config: RunConfig) -> int:
+def _run_verify(config: argparse.Namespace) -> int:
     report, code = run(config)
-    if config.format == "json":
-        _emit(report.to_json(), config.out)
-    elif config.format == "csv":
-        _emit(report.to_csv(), config.out)
-    else:
-        _emit(report.to_text(), config.out)
+    _emit(getattr(report, f"to_{config.format}")(), config.out)
     return code
 
 
-def _run_moments(config: RunConfig) -> int:
-    weight = parse_weight_spec(config.weight_spec)
-    grid = grid_for_weight(weight, config.radial_order, config.angular_order)
-    route = config.route
+def _run_moments(config: argparse.Namespace) -> int:
     table = None
-    if route in ("auto", "atom"):
-        table = dbr_mod.charge_moment_table(weight, config.order)
-        if table is None and route == "atom":
+    if config.route != "measure":
+        table = dbr_mod.charge_moment_table(config.weight, config.order)
+        if table is None and config.route == "atom":
             sys.stderr.write("no atomic realization is known for this weight\n")
             return 2
     if table is None:
-        table = measure_moments(weight, grid, config.order)
+        grid = grid_for_weight(config.weight, config.radial_order, config.angular_order)
+        table = measure_moments(config.weight, grid, config.order)
     weak = weak_mult_check(table)
     tensor = tensor_diag_check(table)
     payload = {
-        "schema": SCHEMA_VERSION,
         "weight": config.weight_spec,
         "table": table.to_json_dict(),
         "weak_mult_residual": weak.residual,
@@ -811,31 +764,29 @@ def _run_moments(config: RunConfig) -> int:
         "tensor_residual": tensor.residual,
         "tensor_worst": list(tensor.worst),
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.out)
+    _emit(_json_text(payload), config.out)
     return 0
 
 
-def _run_dbr_build(config: RunConfig) -> int:
-    weight = parse_weight_spec(config.weight_spec)
+def _run_dbr_build(config: argparse.Namespace) -> int:
     # build_model reads no quadrature for a weight with known atoms
-    grid = None if dbr_mod.riesz_atoms(weight) is not None else grid_for_weight(
-        weight, config.radial_order, config.angular_order
+    grid = None if dbr_mod.riesz_atoms(config.weight) is not None else grid_for_weight(
+        config.weight, config.radial_order, config.angular_order
     )
     try:
         model = dbr_mod.build_model(
-            weight, grid, boundary_order=config.boundary_order,
+            config.weight, grid, boundary_order=config.boundary_order,
             order=config.series_order,
         )
     except NotDbrWeightError as exc:  # a valid spec whose weight has no model
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    payload = {"schema": SCHEMA_VERSION, **model.to_json_dict()}
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.out)
+    _emit(_json_text(model.to_json_dict()), config.out)
     return 0
 
 
-def _run_weights_info(config: RunConfig) -> int:
-    weight = parse_weight_spec(config.weight_spec)
+def _run_weights_info(config: argparse.Namespace) -> int:
+    weight = config.weight
     grid = grid_for_weight(weight, config.radial_order, config.angular_order)
     fine_grid = grid_for_weight(
         weight, 2 * config.radial_order, 2 * config.angular_order
@@ -847,7 +798,6 @@ def _run_weights_info(config: RunConfig) -> int:
     worst_margin, _ = _lattice_scan(weight)
     violation = max(0.0, -worst_margin)
     payload = {
-        "schema": SCHEMA_VERSION,
         "weight": config.weight_spec,
         "label": weight.label,
         "is_harmonic": weight.is_harmonic,
@@ -862,23 +812,19 @@ def _run_weights_info(config: RunConfig) -> int:
             "worst_margin": worst_margin,
         },
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.out)
+    _emit(_json_text(payload), config.out)
     return 0
+
+
+_COMMANDS = {"verify": _run_verify, "moments": _run_moments,
+             "dbr-build": _run_dbr_build, "weights-info": _run_weights_info}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     config = parse_args(argv)
     try:
-        if config.command == "verify":
-            return _run_verify(config)
-        if config.command == "moments":
-            return _run_moments(config)
-        if config.command == "dbr-build":
-            return _run_dbr_build(config)
-        if config.command == "weights-info":
-            return _run_weights_info(config)
-        raise DomainError(f"unknown command {config.command!r}")
-    except (WeightSpecError, DomainError) as exc:
+        return _COMMANDS[config.command](config)
+    except DomainError as exc:  # an input out of its domain, or an unwritable --out
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

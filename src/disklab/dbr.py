@@ -26,7 +26,7 @@ weighted Dirichlet energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -368,8 +368,6 @@ class DbrModel:
     h: TaylorSeries
     a: TaylorSeries
     b: TaylorSeries
-    phi_samples: tuple[tuple[complex, complex], ...]
-    boundary_modulus: np.ndarray
     boundary_order: int
     diagnostics: dict = field(compare=False)
 
@@ -462,14 +460,11 @@ def build_model(
 
     target = -0.5 * np.log1p(np.abs(phi_boundary) ** 2)
     a = outer_function(target, bgrid, order)
-    phi_series = h.shift()
-    b = phi_series * a
+    b = h.shift() * a  # b = phi a, phi = z h
 
-    sample_pts = _phi_sample_points()
-    phi_samples = tuple((w, phi_series.evaluate(w)) for w in sample_pts)
     b_samples = [
         abs(b.evaluate(0.9 * np.exp(2j * np.pi * (t + 0.5) / 16))) for t in range(16)
-    ] + [abs(b.evaluate(w)) for w in sample_pts]
+    ] + [abs(b.evaluate(w)) for w in _phi_sample_points()]
     diagnostics = {
         "rank_ratio": fac.rank_ratio,
         "factor_residual": fac.residual,
@@ -484,8 +479,6 @@ def build_model(
         h=h,
         a=a,
         b=b,
-        phi_samples=phi_samples,
-        boundary_modulus=np.exp(target),
         boundary_order=boundary_order,
         diagnostics=diagnostics,
     )
@@ -579,16 +572,12 @@ def szego_model(reference: DbrModel) -> DbrModel:
     """
     zero = TaylorSeries([0j] * (reference.order + 1))
     one = TaylorSeries([1.0 + 0j] + [0j] * reference.order)
-    return DbrModel(
-        weight=reference.weight,
+    return replace(
+        reference,
         weight_spec=reference.weight_spec + "|b=0",
-        order=reference.order,
         h=one,
         a=one,
         b=zero,
-        phi_samples=(),
-        boundary_modulus=np.ones_like(reference.boundary_modulus),
-        boundary_order=reference.boundary_order,
         diagnostics={"rank_ratio": 0.0, "factor_residual": 0.0,
                      "h0_deviation": 0.0, "b_max_sample": 0.0, "a0": 1.0},
     )

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -94,6 +95,153 @@ class TestParse:
         with pytest.raises(SystemExit) as exc:
             parse_args([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [["verify"], ["dbr", "build"]])
+    @pytest.mark.parametrize("boundary", ["2", "100", "-5"])
+    def test_boundary_below_the_outer_factor_bound_is_usage_error(
+        self, command, boundary, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--boundary", boundary])
+        assert exc.value.code == 2
+        assert "--boundary must lie in [130, " in capsys.readouterr().err
+
+    def test_boundary_bound_is_twice_series_order_plus_one(self):
+        assert parse_args(["dbr", "build", "--series-order", "8",
+                           "--boundary", "18"]).boundary_order == 18
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["dbr", "build", "--series-order", "8", "--boundary", "17"])
+        assert exc.value.code == 2
+
+
+_SUBCOMMANDS = {
+    "verify": ["verify"],
+    "moments": ["moments"],
+    "dbr-build": ["dbr", "build"],
+    "weights-info": ["weights", "info"],
+}
+_COMMON_OPTIONS = {"-h", "--help", "--weight", "--order", "--series-order", "--radial",
+                   "--angular", "--boundary", "--tol", "--out", "--format"}
+# every option string each subcommand accepts, as its --help lists them
+_OPTIONS = {
+    "verify": _COMMON_OPTIONS | {"--suite"},
+    "moments": _COMMON_OPTIONS | {"--route"},
+    "dbr-build": _COMMON_OPTIONS,
+    "weights-info": _COMMON_OPTIONS,
+}
+
+
+def _help(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestFrontEnd:
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+    def test_each_subcommand_parses_its_command(self, command):
+        assert parse_args(_SUBCOMMANDS[command]).command == command
+
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+    def test_defaults_are_the_help_defaults(self, command, capsys):
+        argv = _SUBCOMMANDS[command]
+        shown = dict(re.findall(r"(--[a-z-]+) [A-Z_]+\s+[a-z -]+\(default (\d+)\)",
+                                _help(argv, capsys)))
+        fields = {"--order": "order", "--series-order": "series_order",
+                  "--radial": "radial_order", "--angular": "angular_order"}
+        assert shown.keys() == fields.keys()
+        config = parse_args(argv)
+        assert {flag: int(value) for flag, value in shown.items()} == {
+            flag: getattr(config, field) for flag, field in fields.items()}
+
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+    def test_each_subcommand_accepts_its_option_strings(self, command, capsys):
+        text = _help(_SUBCOMMANDS[command], capsys)
+        section = text.split("options:\n", 1)[1]
+        listed = {opt.split()[0] for line in section.splitlines()
+                  if line.startswith("  -") for opt in line.strip().split(", ")}
+        assert listed == _OPTIONS[command]
+        for option, value in (("--suite", "all"), ("--route", "auto")):
+            argv = [*_SUBCOMMANDS[command], option, value]
+            if option in _OPTIONS[command]:
+                assert getattr(parse_args(argv), option[2:]) == value
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parse_args(argv)
+                assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "tensor"],
+        ["moments"],
+        ["dbr", "build"],
+        ["weights", "info"],
+    ])
+    def test_weight_spec_is_parsed_once_per_main(self, argv, monkeypatch, tmp_path):
+        from disklab import cli
+
+        specs = []
+        real = cli.parse_weight_spec
+        monkeypatch.setattr(cli, "parse_weight_spec",
+                            lambda spec: specs.append(spec) or real(spec))
+        out = tmp_path / "out"
+        assert main([*argv, "--weight", "harm:1,0", *_fast_flags("--out", str(out))]) == 0
+        assert specs == ["harm:1,0"]
+
+    @pytest.mark.parametrize("route, grids_built", [
+        ("auto", 0), ("atom", 0), ("measure", 1)])
+    def test_moments_builds_a_grid_only_on_the_measure_route(
+        self, route, grids_built, monkeypatch, tmp_path
+    ):
+        from disklab import weights
+
+        grids = []
+        real = weights.make_disk_grid
+        monkeypatch.setattr(weights, "make_disk_grid",
+                            lambda *a, **k: grids.append(a) or real(*a, **k))
+        out = tmp_path / "table.json"
+        assert main(["moments", "--weight", "harm:1,0", "--route", route,
+                     *_fast_flags("--out", str(out))]) == 0
+        assert len(grids) == grids_built
+        assert json.loads(out.read_text())["table"]["order"] == 4
+
+    def test_a_failed_model_build_runs_once_and_fails_every_dependent_check(
+        self, monkeypatch
+    ):
+        from disklab import cli, dbr
+
+        builds = []
+        real = dbr.build_model
+        monkeypatch.setattr(dbr, "build_model",
+                            lambda *a, **k: builds.append(a) or real(*a, **k))
+        ctx = cli._SuiteContext(parse_args(["verify", "--weight", "uniform",
+                                            *_fast_flags()]))
+        records = cli.suite_dbr(ctx) + cli.suite_isometry(ctx)
+        assert len(builds) == 1
+        failed = [r.name for r in records if not r.passed]
+        assert failed == [r.name for r in records if r.name != "laplacian-identity"]
+        assert all(r.detail.startswith("NotDbrWeightError") for r in records
+                   if r.name in failed)
+
+    @pytest.mark.parametrize("argv", [["verify", "--suite", "moments"], ["moments"]])
+    def test_unwritable_out_is_one_error_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.json"
+        assert main([*argv, *_fast_flags("--out", str(out))]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+        assert not out.parent.exists()
+
+    def test_suite_runners_are_the_plain_suite_functions(self):
+        # the traced benchmark swaps each runner for its wrapper by identity
+        import types
+
+        from disklab import cli
+
+        assert tuple(cli._SUITE_RUNNERS) == cli.SUITES
+        for suite, fn in cli._SUITE_RUNNERS.items():
+            assert fn is getattr(cli, f"suite_{suite}")
+            assert isinstance(fn, types.FunctionType)
+            assert fn.__module__ == "disklab.cli" and fn.__name__ == f"suite_{suite}"
 
 
 _numbers = st.one_of(
