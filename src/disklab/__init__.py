@@ -11,16 +11,11 @@ from .dbr import (
     berezin_transform,
     berezin_transforms,
     build_model,
-    charge_moment_table,
-    h_from_moments,
     kernel,
     kernel_series,
     laplacian_identity_check,
     moment_table_from_berezin,
     outer_function,
-    phi_modulus_sq,
-    rank_one_fit,
-    riesz_atoms,
     szego_model,
     verify_h_identity,
     verify_isometry,
@@ -44,15 +39,12 @@ from .moments import (
     MomentTable,
     PointDistribution,
     atoms_table,
-    centered_moments,
-    dirac_table,
     disk_moments,
     factorize,
     measure_moments,
     point_moments,
     random_non_rank_one_distribution,
     random_rank_one_distribution,
-    rank_one_coeffs,
     tensor_diag_check,
     weak_mult_check,
 )
@@ -67,8 +59,6 @@ from .quadrature import (
 )
 from .series import (
     TaylorSeries,
-    constant_series,
-    exp_reference,
     exp_series,
     geometric_series,
     monomial,

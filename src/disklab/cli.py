@@ -395,14 +395,12 @@ def _dilation(ctx: _SuiteContext):
     return worst, "non-harmonic weight: monotonicity reported, not asserted", None, _INFO
 
 
-def _h_identity_points(
-    direction: complex, count: int = 25, radius: float = 0.8
-) -> list[complex]:
-    """Seeded points in |v| <= radius, turned by the unit ``direction``."""
+def _h_identity_points(direction: complex, count: int = 25) -> list[complex]:
+    """Seeded points in |v| <= 0.8, turned by the unit ``direction``."""
     rng = random.Random(_SEED_TEST_POINTS)
     pts = []
     for _ in range(count):
-        r = radius * (0.2 + 0.8 * rng.random())
+        r = 0.8 * (0.2 + 0.8 * rng.random())
         pts.append(direction * (r * np.exp(2j * np.pi * rng.random())))
     return pts
 
@@ -440,11 +438,15 @@ def _laplacian(ctx: _SuiteContext):
 
 
 def _phi_consistency(ctx: _SuiteContext):
+    """|phi(v)|^2 = |v|^2 B(w)(v) / (1 - |v|^2) against the series phi = z h."""
     model = ctx.model()
     worst = 0.0
     phi = model.h.shift()
-    for v in _h_identity_points(ctx.direction, count=10):
-        direct = dbr_mod.phi_modulus_sq(v, model.weight, ctx.disk_grid)
+    points = _h_identity_points(ctx.direction, count=10)
+    berezin = dbr_mod.berezin_transforms(model.weight, points, ctx.disk_grid)
+    for v, b in zip(points, berezin.tolist()):
+        r2 = abs(complex(v)) ** 2
+        direct = r2 * b / (1.0 - r2)
         worst = max(worst, abs(direct - abs(phi.evaluate(v)) ** 2))
     return worst, "integral route vs series route"
 
@@ -468,7 +470,7 @@ def _outer_consistency(ctx: _SuiteContext):
     """
     model = ctx.model()
     holdout = make_circle_grid(model.boundary_order // 2, offset=0.25)
-    atoms = dbr_mod.riesz_atoms(model.weight)
+    atoms = model.weight.atoms
     if atoms is None:
         return None, "no atomic boundary data to check", None, _INFO
     e = holdout.nodes
@@ -494,8 +496,8 @@ _ISOMETRY_NODE_SETS = (
 _MEAN_DOMINANCE_CAP = 0.85
 
 
-def _isometry_cases(count: int = 20, direction: complex = 1.0):
-    """Fixed node sets cycled with seeded Gaussian coefficient draws.
+def _isometry_cases(direction: complex = 1.0):
+    """20 cases: fixed node sets cycled with seeded Gaussian coefficient draws.
 
     Draws whose kernel combination is dominated by its mean value are
     redrawn: constants carry no energy, so a near-constant test function
@@ -509,7 +511,7 @@ def _isometry_cases(count: int = 20, direction: complex = 1.0):
         for s in _ISOMETRY_NODE_SETS
     ]
     cases = []
-    for i in range(count):
+    for i in range(20):
         pick = i % len(_ISOMETRY_NODE_SETS)
         nodes = [direction * u for u in _ISOMETRY_NODE_SETS[pick]]
         while True:
@@ -745,13 +747,12 @@ def _run_verify(config: argparse.Namespace) -> int:
 
 
 def _run_moments(config: argparse.Namespace) -> int:
-    table = None
-    if config.route != "measure":
-        table = dbr_mod.charge_moment_table(config.weight, config.order)
-        if table is None and config.route == "atom":
-            sys.stderr.write("no atomic realization is known for this weight\n")
-            return 2
-    if table is None:
+    atoms = None if config.route == "measure" else config.weight.atoms
+    if atoms is not None:
+        table = atoms_table(atoms, config.order)
+    elif config.route == "atom":
+        raise DomainError("no atomic realization is known for this weight")
+    else:
         grid = grid_for_weight(config.weight, config.radial_order, config.angular_order)
         table = measure_moments(config.weight, grid, config.order)
     weak = weak_mult_check(table)
@@ -770,7 +771,7 @@ def _run_moments(config: argparse.Namespace) -> int:
 
 def _run_dbr_build(config: argparse.Namespace) -> int:
     # build_model reads no quadrature for a weight with known atoms
-    grid = None if dbr_mod.riesz_atoms(config.weight) is not None else grid_for_weight(
+    grid = None if config.weight.atoms is not None else grid_for_weight(
         config.weight, config.radial_order, config.angular_order
     )
     try:

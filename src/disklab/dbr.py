@@ -18,9 +18,9 @@ W[j-1][k-1], and the rank-one test decides whether a model exists at all.
 From h the symbol is assembled as b = (z h) * a, where a is the outer
 function with a(0) > 0 whose boundary modulus satisfies
 |a|^2 = 1 / (1 + |phi|^2) with phi(v) = v h(v). The model's kernel is
-(1 - b(z) conj(b(v))) / (1 - z conj(v)), and ``verify_isometry`` checks,
-on finite kernel spans, that the Gram norm equals the Hardy norm plus the
-weighted Dirichlet energy.
+(1 - b(z) conj(b(v))) / (1 - z conj(v)), and ``verify_isometry`` measures,
+on finite kernel spans, how far the Gram norm is from the Hardy norm plus
+the weighted Dirichlet energy.
 """
 
 from __future__ import annotations
@@ -109,34 +109,6 @@ def berezin_transform(weight: Weight, v: complex, grid: DiskGrid) -> float:
     return float(berezin_transforms(weight, [v], grid)[0])
 
 
-def phi_modulus_sq(v: complex, weight: Weight, grid: DiskGrid) -> float:
-    """|phi(v)|^2 = (1-|v|^2) integral |v|^2 / |1 - z conj(v)|^4 w dA."""
-    v = complex(v)
-    if v == 0:
-        return 0.0
-    return abs(v) ** 2 * berezin_transform(weight, v, grid) / (1.0 - abs(v) ** 2)
-
-
-def riesz_atoms(weight: Weight) -> Optional[tuple[tuple[complex, float], ...]]:
-    """Atoms (point, mass) of the distribution carried by the weight: ``weight.atoms``.
-
-    An ``AtomicWeight`` carries the atoms of its decomposition (the
-    catalog weights one each: the boundary pole with unit mass, or the
-    interior pole with mass (1-|zeta|^2)/2), and ``Scaled`` multiplies
-    the masses. None when no atomic realization is known (e.g. a
-    ``Custom`` weight).
-    """
-    return weight.atoms
-
-
-def charge_moment_table(weight: Weight, order: int) -> Optional[MomentTable]:
-    """Moment table of the weight's atomic distribution, when known."""
-    atoms = riesz_atoms(weight)
-    if atoms is None:
-        return None
-    return atoms_table(atoms, order)
-
-
 def unit_mass_atoms(
     weight: Weight,
 ) -> Optional[tuple[Weight, tuple[tuple[complex, float], ...]]]:
@@ -146,7 +118,7 @@ def unit_mass_atoms(
     closed forms, so the rescaled masses sum to 1 to roundoff; a weight
     already of unit mass is returned as it is.
     """
-    atoms = riesz_atoms(weight)
+    atoms = weight.atoms
     if atoms is None:
         return None
     total = math.fsum(m for _, m in atoms)
@@ -207,7 +179,12 @@ def factor_table(
     residual_tol: float,
     atoms: Optional[Sequence[tuple[complex, float]]] = None,
 ) -> TableFactorization:
-    """h, sigma2/sigma1 and residual of a table, checked as ``h_from_moments`` states.
+    """h, sigma2/sigma1 and residual of a rank-one table (h_k = M[0][k], h_0 = 1).
+
+    Raises NotDbrWeightError when the table is not numerically rank one
+    (sigma2/sigma1 above ``_RANK_TOL``), when |M[0][0] - 1| exceeds
+    ``_H0_TOL`` (unit-mass normalization), or when the residual exceeds
+    ``residual_tol`` times max(1, max |M|).
 
     The singular values come from ``atoms_singular_values`` when the table
     is known to be ``atoms_table(atoms, M.order)`` (an r x r problem, no SVD
@@ -247,34 +224,10 @@ def factor_table(
     return TableFactorization(h=TaylorSeries(h), rank_ratio=rank_ratio, residual=residual)
 
 
-def h_from_moments(M: MomentTable, residual_tol: float = 1e-4) -> TaylorSeries:
-    """Extract h from a rank-one moment table (h_k = M[0][k], h_0 = 1).
-
-    Raises NotDbrWeightError when the table is not numerically rank one
-    or fails the factorization residual; the constant entry must equal 1
-    within ``_H0_TOL`` (unit-mass normalization).
-    """
-    return factor_table(M, residual_tol).h
-
-
-def rank_one_fit(M: MomentTable) -> TaylorSeries:
-    """Best-effort h from a possibly non-rank-one table (no rank test).
-
-    Used to demonstrate that no h can satisfy the radial-expansion
-    identity for weights whose table has higher rank.
-    """
-    arr = M.to_complex_array()
-    m00 = arr[0][0].real
-    scale = math.sqrt(m00) if m00 > 0 else 1.0
-    return TaylorSeries(arr[0] / scale)
-
-
 @dataclass(frozen=True)
 class HIdentityReport:
-    passes: bool
     worst_error: float
     worst_point: complex
-    tolerance: float
 
 
 def verify_h_identity(
@@ -282,7 +235,6 @@ def verify_h_identity(
     h: TaylorSeries,
     test_points: Sequence[complex],
     grid: DiskGrid,
-    tol: float = 1e-4,
 ) -> HIdentityReport:
     """Compare the quartic-kernel integral against |h(v)|^2 pointwise.
 
@@ -298,9 +250,7 @@ def verify_h_identity(
         if err > worst:
             worst = err
             worst_pt = v
-    return HIdentityReport(
-        passes=worst <= tol, worst_error=worst, worst_point=worst_pt, tolerance=tol
-    )
+    return HIdentityReport(worst_error=worst, worst_point=worst_pt)
 
 
 def laplacian_identity_check(z0: complex, w0: complex, step: float) -> float:
@@ -503,13 +453,11 @@ def kernel_series(model: DbrModel, v: complex) -> TaylorSeries:
 
 @dataclass(frozen=True)
 class IsometryReport:
-    passes: bool
     relative_gap: float
     gram_norm_sq: float
     h2_part: float
     energy_part: float
     min_gram_eigenvalue: float
-    tolerance: float
 
 
 def verify_isometry(
@@ -517,7 +465,6 @@ def verify_isometry(
     nodes: Sequence[complex],
     coefficients: Sequence[complex],
     disk_grid: DiskGrid,
-    tol: float = 1e-2,
 ) -> IsometryReport:
     """Gram norm of a kernel combination vs Hardy norm plus energy.
 
@@ -554,13 +501,11 @@ def verify_isometry(
     rhs = h2 + en
     gap = abs(lhs - rhs) / lhs if lhs > 0 else (0.0 if abs(rhs) < 1e-14 else math.inf)
     return IsometryReport(
-        passes=gap <= tol,
         relative_gap=gap,
         gram_norm_sq=lhs,
         h2_part=h2,
         energy_part=en,
         min_gram_eigenvalue=float(eigs.min()),
-        tolerance=tol,
     )
 
 

@@ -35,9 +35,7 @@ def energy(f: TaylorSeries, w: Weight, grid: DiskGrid) -> float:
 @dataclass(frozen=True)
 class DilationReport:
     entries: tuple[tuple[float, float], ...]  # (r, energy of f_r)
-    nondecreasing: bool
-    max_violation: float
-    tolerance: float
+    max_violation: float  # largest drop e(r_i) - e(r_{i+1}), 0 when nondecreasing
 
 
 def dilation_report(
@@ -45,13 +43,11 @@ def dilation_report(
     w: Weight,
     radii: Sequence[float],
     grid: DiskGrid,
-    tol: float = 1e-8,
 ) -> DilationReport:
     """Energies of the dilations f_r for strictly increasing radii.
 
-    The monotonicity flag records whether consecutive energies are
-    nondecreasing up to ``tol``; no assertion is made here since the
-    inequality is only guaranteed for harmonic weights.
+    The largest drop between consecutive energies is reported, not
+    judged: the inequality is only guaranteed for harmonic weights.
     """
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -62,9 +58,4 @@ def dilation_report(
     violation = 0.0
     for (_, e1), (_, e2) in zip(entries, entries[1:]):
         violation = max(violation, e1 - e2)
-    return DilationReport(
-        entries=entries,
-        nondecreasing=violation <= tol,
-        max_violation=violation,
-        tolerance=tol,
-    )
+    return DilationReport(entries=entries, max_violation=violation)

@@ -317,11 +317,6 @@ def _centered(d: PointDistribution, order: int) -> tuple[np.ndarray, np.ndarray]
     return cr, ci
 
 
-def centered_moments(d: PointDistribution, order: int) -> list[list[Entry]]:
-    """Pairings <u, (z-a)^m conj(z-a)^n> = (-1)^{m+n} m! n! c_{mn}."""
-    return [list(row) for row in _entries(*_centered(d, order), d.denom)]
-
-
 def point_moments(d: PointDistribution, order: int) -> MomentTable:
     """Raw moments of a point distribution by binomial recentering.
 
@@ -371,14 +366,7 @@ def _recenter(pr, pi, cr, ci) -> tuple[np.ndarray, np.ndarray]:
     return mr, mi
 
 
-def dirac_table(point, order: int) -> MomentTable:
-    """Moments of a unit Dirac mass: M[j][k] = a^j conj(a)^k."""
-    return point_moments(PointDistribution(point, [[1]]), order)
-
-
-def atoms_table(
-    atoms: Sequence[tuple[complex, float]], order: int, provenance: str = "point"
-) -> MomentTable:
+def atoms_table(atoms: Sequence[tuple[complex, float]], order: int) -> MomentTable:
     """Moments of a finite positive combination of Dirac masses.
 
     Per atom, m p^j (Python's complex power) times conj(p)^k (numpy's) is
@@ -395,7 +383,7 @@ def atoms_table(
         conj_pk = np.array([np.conj(p) ** k for k in range(order + 1)])
         for j in range(order + 1):
             total[j] += np.multiply(mpj[j : j + 1], conj_pk, out=row)
-    return MomentTable._from_parts(total.real, total.imag, 1, provenance)
+    return MomentTable._from_parts(total.real, total.imag, 1, "point")
 
 
 #: Per (weight, grid) pair: [weight, grid, node values or None, moment
@@ -508,13 +496,11 @@ def measure_moments(w: Weight, grid: DiskGrid, order: int) -> MomentTable:
 
 @dataclass(frozen=True)
 class WeakMultReport:
-    passes: bool
     worst: tuple[int, int]
     residual: float
-    tolerance: float
 
 
-def weak_mult_check(M: MomentTable, tol: float = 0.0) -> WeakMultReport:
+def weak_mult_check(M: MomentTable) -> WeakMultReport:
     """Residuals of the factorization M[j][k] = M[j][0] M[0][k].
 
     One sweep over the numerators: with M = T / D the differences are
@@ -523,20 +509,16 @@ def weak_mult_check(M: MomentTable, tol: float = 0.0) -> WeakMultReport:
     residual resolve to the lexicographically smallest index pair.
     """
     worst, residual = _worst(*_factor_defect(M.re, M.im, M.denom), M.denom)
-    return WeakMultReport(
-        passes=residual <= tol, worst=worst, residual=residual, tolerance=tol
-    )
+    return WeakMultReport(worst, residual)
 
 
 @dataclass(frozen=True)
 class TensorDiagReport:
-    passes: bool
     worst: tuple[int, int, int, int]
     residual: float
-    tolerance: float
 
 
-def tensor_diag_check(M: MomentTable, tol: float = 0.0) -> TensorDiagReport:
+def tensor_diag_check(M: MomentTable) -> TensorDiagReport:
     """Sweep the antisymmetrized rank-one identity over all index tuples.
 
     E(j,k,m,n) uses entries up to row j+1 and k+1, so j, k range over
@@ -568,9 +550,7 @@ def tensor_diag_check(M: MomentTable, tol: float = 0.0) -> TensorDiagReport:
     worst, residual = _worst(
         antisymmetrized(ar * br - ai * bi), antisymmetrized(ar * bi + ai * br), M.denom
     )
-    return TensorDiagReport(
-        passes=residual <= tol, worst=worst, residual=residual, tolerance=tol
-    )
+    return TensorDiagReport(worst, residual)
 
 
 def _worst(re: np.ndarray, im: np.ndarray, denom: int) -> tuple[tuple[int, ...], float]:
@@ -647,14 +627,6 @@ def factorize(d: PointDistribution) -> FactorizationResult:
     )
 
 
-def rank_one_coeffs(p: Sequence, q: Sequence) -> list[list[Entry]]:
-    """Outer-product coefficient matrix c_{jk} = p_j q_k, exact when all values are."""
-    p, q = list(p), list(q)
-    exact = _is_exact(p + q)
-    (pr, pi, dp), (qr, qi, dq) = _parts(p, exact), _parts(q, exact)
-    return [list(row) for row in _entries(*_outer(pr, pi, qr, qi), dp * dq)]
-
-
 #: Denominators of the seeded generators: coefficients n/d with d <= 4
 #: are numerators over lcm(1, 2, 3, 4) = 12, points are tenths.
 _COEFF_DENOM, _POINT_DENOM = 12, 10
@@ -676,11 +648,6 @@ def _random_point_parts(rng: random.Random, modulus_bound: float):
         x, y = rng.randint(-20, 20), rng.randint(-20, 20)
         if (x * x + y * y) / _POINT_DENOM**2 <= modulus_bound**2:
             return np.array([x], dtype=object), np.array([y], dtype=object), _POINT_DENOM
-
-
-def random_point(rng: random.Random, modulus_bound: float = 2.0) -> GaussianRational:
-    """Rational point with |a| <= modulus_bound (rejection sampling)."""
-    return _entries(*_random_point_parts(rng, modulus_bound))[0]
 
 
 def random_rank_one_distribution(

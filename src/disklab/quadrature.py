@@ -209,7 +209,6 @@ def _disk_rings(
     radial_order: int,
     angular_order: int,
     singular_radii: Sequence[float],
-    alias_guard: float,
 ) -> tuple[list[float], list[tuple[float, float, int]]]:
     """Segment breaks and (radius, radial weight, angular count) per ring."""
     if radial_order < 1:
@@ -240,7 +239,7 @@ def _disk_rings(
                     f"a ring falls on the singular radius {float(ri)!r}: singular radii "
                     f"{breaks} are too close together to separate"
                 )
-            m = max(angular_order, math.ceil(alias_guard / dist))
+            m = max(angular_order, math.ceil(ALIAS_GUARD / dist))
             rings.append((ri, wi, _fft_length(m)))
     return breaks, rings
 
@@ -249,7 +248,7 @@ def disk_grid_size(
     radial_order: int, angular_order: int, singular_radii: Sequence[float] = ()
 ) -> int:
     """Node count ``make_disk_grid`` would allocate, computed without allocating."""
-    _, rings = _disk_rings(radial_order, angular_order, singular_radii, ALIAS_GUARD)
+    _, rings = _disk_rings(radial_order, angular_order, singular_radii)
     return sum(m for _, _, m in rings)
 
 
@@ -257,7 +256,6 @@ def make_disk_grid(
     radial_order: int,
     angular_order: int,
     singular_radii: Sequence[float] = (),
-    alias_guard: float = ALIAS_GUARD,
 ) -> DiskGrid:
     """Build a graded polar grid for the normalized area measure.
 
@@ -267,7 +265,7 @@ def make_disk_grid(
         Gauss-Legendre rings, split evenly across the segments delimited
         by the interior singular radii.
     angular_order : baseline angular count per ring (>= 4). A ring gets
-        at least this many nodes and at least what its alias guard asks
+        at least this many nodes and at least what ``ALIAS_GUARD`` asks
         for, rounded up to the next even 2^a 3^b 5^c: every ring's real
         FFT then has a fast plan (no Bluestein), and the even count keeps
         the ring's two halves exactly antipodal.
@@ -277,7 +275,6 @@ def make_disk_grid(
         there, which would degrade a single Gauss rule to low order) and
         a grading target for nearby rings. The boundary radius 1 is
         always guarded.
-    alias_guard : log of the reciprocal aliasing tolerance.
 
     The radial rule comes from ``_gauss_legendre`` (Newton's method, no
     LAPACK). Raises DomainError before allocating when the rule needs more
@@ -286,9 +283,7 @@ def make_disk_grid(
     ring falls on one; ``disk_grid_size`` counts the same rounded rings and
     raises the same way.
     """
-    breaks, rings = _disk_rings(
-        radial_order, angular_order, singular_radii, alias_guard
-    )
+    breaks, rings = _disk_rings(radial_order, angular_order, singular_radii)
     size = sum(m for _, _, m in rings)
     if size > MAX_DISK_NODES:
         raise DomainError(f"disk grid needs {size} nodes, over the budget {MAX_DISK_NODES}")

@@ -157,10 +157,6 @@ def zero_series(order: int) -> TaylorSeries:
     return TaylorSeries([0j] * (order + 1))
 
 
-def constant_series(value: complex, order: int) -> TaylorSeries:
-    return TaylorSeries([complex(value)] + [0j] * order)
-
-
 def monomial(degree: int, order: int) -> TaylorSeries:
     """The series of z^degree at the given truncation order."""
     if degree > order:
@@ -193,11 +189,3 @@ def exp_series(g: TaylorSeries) -> TaylorSeries:
         acc = np.cumsum(_product(kg[1 : m + 1], e[m - 1 :: -1]))[-1]
         e[m] = complex(acc.real / m, acc.imag / m)
     return TaylorSeries(e)
-
-
-def exp_reference(order: int) -> TaylorSeries:
-    """Coefficients 1/k! of the scalar exponential (handy test function)."""
-    out = [1.0 + 0j]
-    for k in range(1, order + 1):
-        out.append(out[-1] / k)
-    return TaylorSeries(out)

@@ -283,11 +283,9 @@ def normalize(w: Weight, grid: DiskGrid) -> Scaled:
 
 @dataclass(frozen=True)
 class SuperharmonicReport:
-    passes: bool
     worst_violation: float  # largest positive excess of circle mean over center
     worst_margin: float  # most negative of center - mean
     worst_case: tuple[complex, float]
-    tolerance: float
 
 
 def superharmonic_test(
@@ -295,13 +293,12 @@ def superharmonic_test(
     centers: Sequence[complex],
     radii: Sequence[float],
     circle_grid: CircleGrid,
-    tol: float = 1e-8,
 ) -> SuperharmonicReport:
-    """Check the circle sub-mean-value inequality on a lattice.
+    """Measure the circle sub-mean-value inequality on a lattice.
 
     For every center z0 and radius r the circle {z0 + r e^{i t}} must lie
-    inside the open disk; the test requires w(z0) >= (circle mean) - tol
-    and reports the worst margin found.
+    inside the open disk; the report gives the worst margin w(z0) - (circle
+    mean) found, where it was found, and its negative part as the violation.
     """
     worst_margin = math.inf
     worst_case = (0j, 0.0)
@@ -326,11 +323,9 @@ def superharmonic_test(
                 worst_case = (z0, r)
     violation = max(0.0, -worst_margin)
     return SuperharmonicReport(
-        passes=violation <= tol,
         worst_violation=violation,
         worst_margin=worst_margin,
         worst_case=worst_case,
-        tolerance=tol,
     )
 
 

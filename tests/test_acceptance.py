@@ -28,7 +28,6 @@ from disklab import (
     point_moments,
     random_non_rank_one_distribution,
     random_rank_one_distribution,
-    rank_one_fit,
     richardson_check,
     superharmonic_test,
     szego_model,
@@ -38,10 +37,11 @@ from disklab import (
     weak_mult_check,
 )
 from disklab.cli import _isometry_cases
+from disklab.dbr import factor_table
 from disklab.dirichlet import dilation_report
-from disklab.moments import centered_moments
 
 from conftest import random_disk_points
+from reference import centered_moments, rank_one_fit
 
 
 def _report(n, text):
@@ -63,7 +63,7 @@ def test_criterion_1_point_table_factorization_exact(rank_one_tables):
         assert d.is_exact
         assert float(d.point.abs2()) <= 4.0
         report = weak_mult_check(table)
-        assert report.passes and report.residual == 0.0
+        assert report.residual == 0.0
 
     rng = random.Random(20240502)
     for _ in range(50):
@@ -77,15 +77,15 @@ def test_criterion_1_point_table_factorization_exact(rank_one_tables):
 
 def test_criterion_2_tensor_vanishing(rank_one_tables, coarse_disk_grid, uniform):
     for _, table in rank_one_tables:
-        if weak_mult_check(table).passes:
+        if weak_mult_check(table).residual <= 0.0:
             report = tensor_diag_check(table)
-            assert report.passes and report.residual == 0.0
+            assert report.residual == 0.0
 
     from disklab import measure_moments
 
     uniform_table = measure_moments(uniform, coarse_disk_grid, 8)
-    report = tensor_diag_check(uniform_table, tol=1e-9)
-    assert not report.passes
+    report = tensor_diag_check(uniform_table)
+    assert not report.residual <= 1e-9
     assert report.residual >= 0.5
     _report(2, "tensor identity vanishes exactly on all multiplicative tables; "
                f"uniform table fails with residual {report.residual:.3f}")
@@ -194,24 +194,24 @@ def test_criterion_6_h_identity(disk_grid, harm_weight, log04_weight, log04_grid
     pts = list(random_disk_points(rng, 25, 0.8))
 
     h_harm = geometric_series(1.0, 64)
-    rep_harm = verify_h_identity(harm_weight, h_harm, pts, disk_grid, tol=1e-4)
-    assert rep_harm.passes, rep_harm
+    rep_harm = verify_h_identity(harm_weight, h_harm, pts, disk_grid)
+    assert rep_harm.worst_error <= 1e-4, rep_harm
 
     # h recovered from the unit-mass interior atom through the moment route
-    from disklab import charge_moment_table, h_from_moments
+    from disklab import atoms_table
 
     w_log = Scaled(1.0 / log04_weight.analytic_mass, log04_weight)
-    h_log = h_from_moments(charge_moment_table(w_log, 64), residual_tol=1e-9)
+    h_log = factor_table(atoms_table(w_log.atoms, 64), residual_tol=1e-9).h
     np.testing.assert_allclose(h_log.coeffs, geometric_series(0.4, 64).coeffs,
                                atol=1e-12)
-    rep_log = verify_h_identity(w_log, h_log, pts, log04_grid, tol=1e-4)
-    assert rep_log.passes, rep_log
+    rep_log = verify_h_identity(w_log, h_log, pts, log04_grid)
+    assert rep_log.worst_error <= 1e-4, rep_log
 
     small_grid = make_disk_grid(40, 64)
     table = moment_table_from_berezin(uniform, small_grid, order=3)
     h_fit = rank_one_fit(table)
-    rep_uniform = verify_h_identity(uniform, h_fit, pts, small_grid, tol=1e-2)
-    assert not rep_uniform.passes
+    rep_uniform = verify_h_identity(uniform, h_fit, pts, small_grid)
+    assert not rep_uniform.worst_error <= 1e-2
     assert rep_uniform.worst_error > 1e-2
     _report(6, f"harmonic worst error {rep_harm.worst_error:.2e}, "
                f"log worst error {rep_log.worst_error:.2e} (tol 1e-4); "
@@ -220,15 +220,15 @@ def test_criterion_6_h_identity(disk_grid, harm_weight, log04_weight, log04_grid
 
 def test_criterion_7_isometry(harm_model, disk_grid):
     worst = 0.0
-    for nodes, coeffs in _isometry_cases(20):
-        rep = verify_isometry(harm_model, nodes, coeffs, disk_grid, tol=1e-2)
-        assert rep.passes, rep
+    for nodes, coeffs in _isometry_cases():
+        rep = verify_isometry(harm_model, nodes, coeffs, disk_grid)
+        assert rep.relative_gap <= 1e-2, rep
         worst = max(worst, rep.relative_gap)
 
     wrong = szego_model(harm_model)
     min_gap = float("inf")
-    for nodes, coeffs in _isometry_cases(20):
-        rep = verify_isometry(wrong, nodes, coeffs, disk_grid, tol=1e-2)
+    for nodes, coeffs in _isometry_cases():
+        rep = verify_isometry(wrong, nodes, coeffs, disk_grid)
         min_gap = min(min_gap, rep.relative_gap)
     assert min_gap > 0.1
     _report(7, f"20 kernel combinations: worst relative gap {worst:.2e} "
@@ -241,15 +241,13 @@ LATTICE_RADII = [0.05, 0.1, 0.15, 0.2, 0.25]
 
 def test_criterion_8_superharmonicity(circle_grid, harm_weight, log04_weight):
     for w in (harm_weight, log04_weight):
-        report = superharmonic_test(
-            w, LATTICE_CENTERS, LATTICE_RADII, circle_grid, tol=1e-8
-        )
-        assert report.passes, (w.label, report)
+        report = superharmonic_test(w, LATTICE_CENTERS, LATTICE_RADII, circle_grid)
+        assert report.worst_violation <= 1e-8, (w.label, report)
         assert report.worst_margin >= -1e-8
 
     bowl = Custom(lambda z: np.abs(z) ** 2, label="bowl")
-    report = superharmonic_test(bowl, [0j], [0.1], circle_grid, tol=1e-8)
-    assert not report.passes
+    report = superharmonic_test(bowl, [0j], [0.1], circle_grid)
+    assert not report.worst_violation <= 1e-8
     assert report.worst_violation >= 0.009
     _report(8, "both catalog families pass the 10x5 lattice (margin >= -1e-8); "
                f"|z|^2 fails with violation {report.worst_violation:.4f}")
@@ -266,8 +264,8 @@ def test_criterion_9_dilation_inequality(disk_grid):
         for _ in range(10):
             coeffs = rng.normal(size=11) + 1j * rng.normal(size=11)
             f = TaylorSeries(list(coeffs) + [0j] * 22)
-            report = dilation_report(f, w, radii, disk_grid, tol=1e-8)
-            assert report.nondecreasing, (w.label, report)
+            report = dilation_report(f, w, radii, disk_grid)
+            assert report.max_violation <= 1e-8, (w.label, report)
             worst = max(worst, report.max_violation)
     assert worst <= 1e-8
     _report(9, f"energies nondecreasing in r for 10 polynomials under both "

@@ -529,6 +529,12 @@ class TestMainAndFormats:
         assert data["table"]["order"] == 4
         assert data["weak_mult_residual"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_atom_route_without_atoms_is_one_error_line(self, capsys):
+        assert main(["moments", "--weight", "uniform", "--route", "atom"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: no atomic realization is known for this weight\n"
+
     def test_dbr_build_subcommand(self, tmp_path):
         out = tmp_path / "model.json"
         code = main(

@@ -286,7 +286,7 @@ def _is_even_5_smooth(m: int) -> bool:
        radii=st.lists(st.floats(0.0, 0.9999999), max_size=3))
 def test_ring_counts_are_the_least_even_5_smooth_lengths(radial, angular, radii):
     # checked on the counts alone: a pole near the circle asks for ~1e12 nodes
-    _, rings = quadrature._disk_rings(radial, angular, radii, ALIAS_GUARD)
+    _, rings = quadrature._disk_rings(radial, angular, radii)
     guarded = [1.0] + [s for s in radii if s >= np.finfo(float).tiny]
     for r, _, m in rings:
         dist = min(abs(math.log(r) - math.log(s)) for s in guarded)
@@ -413,7 +413,7 @@ def test_disk_integral_is_summed_in_node_blocks(disk_grid):
 
 def _materialised_disk_grid(radial_order, angular_order, singular_radii=()):
     """Reference: the whole rule's node and weight arrays, each ring written in place."""
-    _, rings = quadrature._disk_rings(radial_order, angular_order, singular_radii, ALIAS_GUARD)
+    _, rings = quadrature._disk_rings(radial_order, angular_order, singular_radii)
     size = sum(m for _, _, m in rings)
     nodes, weights = np.empty(size, dtype=complex), np.empty(size)
     start = 0

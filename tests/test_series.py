@@ -7,12 +7,12 @@ import pytest
 from disklab import (
     DomainError,
     TaylorSeries,
-    constant_series,
-    exp_reference,
     exp_series,
     geometric_series,
     monomial,
 )
+
+from reference import constant_series, exp_reference
 
 
 def test_evaluate_identity_function():
