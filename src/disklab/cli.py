@@ -2,16 +2,17 @@
 
 ``verify`` runs one suite (or all) against a weight and emits a report;
 ``moments``, ``dbr build`` and ``weights info`` emit a weight's moment
-table, its kernel model and a summary of its spec. The argparse namespace
-is the run config: each flag's ``dest`` is the field the code reads, and
-``parse_args`` adds ``tols`` and the ``weight`` it parsed, once per run.
+table, its kernel model and a summary of its spec. Each command takes only
+the flags it reads, and the argparse namespace is the run config: each
+flag's ``dest`` is the field the code reads; ``parse_args`` adds the
+``weight`` it parsed, once per run, and ``tols`` where ``--tol`` is taken.
 
-Reports are deterministic: every check uses fixed seeds and fixed
-reduction orders, so two runs of the same configuration produce
-byte-identical JSON except for the timing fields (each check's
-``elapsed_s`` and the top-level ``timings``). Exit codes: 0 when every
-check passes, 1 on any failure, 2 on usage errors, among them a
-``--boundary`` below the outer factor's bound and an unwritable ``--out``.
+Reports are deterministic: fixed seeds and fixed reduction orders make two
+runs of one configuration byte-identical outside the timing fields (each
+check's ``elapsed_s`` and the top-level ``timings``). Exit codes: 0 when
+every check passes, 1 on any failure, 2 on usage errors, among them a
+``--boundary`` below the outer factor's bound, an unwritable ``--out``
+and a disk grid over the node budget, refused when the command builds it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .moments import (
 )
 from .quadrature import (
     MAX_DISK_NODES,
-    disk_grid_size,
     make_circle_grid,
     richardson_check,
 )
@@ -170,11 +170,10 @@ class _Check:
     """One row of the check table.
 
     ``fn(ctx)`` returns (value, detail), or (value, detail, tol, sense)
-    when the weight's route sets another tolerance; a detail may be a
-    function of the resolved tolerance. ``tol`` is a ``DEFAULT_TOLS`` key
-    (overridable with ``--tol``) or a fixed literal. The sense is a
-    ceiling (passes when value <= tol), a floor (value > tol), or info
-    (always passes, tol None). ``seeds`` join the digest.
+    when the weight's route sets another tolerance. ``tol`` is a
+    ``DEFAULT_TOLS`` key (overridable with ``--tol``) or a fixed literal.
+    The sense is a ceiling (passes when value <= tol), a floor (value > tol),
+    or info (always passes, tol None). ``seeds`` join the digest.
     """
 
     name: str
@@ -186,16 +185,14 @@ class _Check:
 
 
 class _SuiteContext:
-    """Lazily built shared objects for one verify run."""
+    """Shared objects of one verify run: the disk grid, built before any check
+    so that one over the node budget is a usage error, and the rest lazily."""
 
     def __init__(self, config: argparse.Namespace):
         self.config = config
         self.weight = config.weight
-
-    @cached_property
-    def disk_grid(self):
-        return grid_for_weight(self.weight, self.config.radial_order,
-                               self.config.angular_order)
+        self.disk_grid = grid_for_weight(self.weight, config.radial_order,
+                                         config.angular_order)
 
     @cached_property
     def seeded_tables(self):
@@ -267,8 +264,6 @@ class _SuiteContext:
             tol, sense = route or (row.tol, row.sense)
             if isinstance(tol, str):
                 tol = self.config.tols[tol]
-            if callable(detail):
-                detail = detail(tol)
             passed = sense == _INFO or (value <= tol if sense == _CEILING else value > tol)
         except Exception as exc:
             value, tol, passed = None, None, False
@@ -312,11 +307,11 @@ def _weight_table_multiplicative(ctx: _SuiteContext):
             f"{fine.residual:.6g} (the spread-out measure itself is not "
             "multiplicative)"
         )
-    def detail(floor):
-        return (f"measure table, worst index {report.worst}; non-atomic weight "
-                f"must fail factorization (residual floor {floor})")
-
-    return report.residual, detail, "falsification_floor", _FLOOR
+    floor = ctx.config.tols["falsification_floor"]
+    return report.residual, (
+        f"measure table, worst index {report.worst}; non-atomic weight "
+        f"must fail factorization (residual floor {floor})"
+    ), "falsification_floor", _FLOOR
 
 
 def _point_tensor(ctx: _SuiteContext):
@@ -641,27 +636,32 @@ def run(config: argparse.Namespace) -> tuple[Report, int]:
     return report, 0 if report.passed else 1
 
 
-def _add_common_flags(p: argparse.ArgumentParser, command: str) -> None:
-    """Give a subcommand's parser its ``command`` and the flags all of them take."""
+#: Every subcommand flag, in ``--help`` order: option -> add_argument keywords.
+_FLAGS = {
+    "--weight": dict(dest="weight_spec", default="harm:1,0", metavar="SPEC",
+                     help="weight spec: harm:<re>,<im> | log:<re>,<im> | "
+                          "scaled:<c>:<spec> | uniform"),
+    "--order": dict(type=int, default=8, help="moment-table order (default %(default)s)"),
+    "--series-order": dict(type=int, default=64,
+                           help="series truncation order (default %(default)s)"),
+    "--radial": dict(type=int, default=120, dest="radial_order", metavar="RADIAL",
+                     help="radial quadrature order (default %(default)s)"),
+    "--angular": dict(type=int, default=256, dest="angular_order", metavar="ANGULAR",
+                      help="baseline angular quadrature order (default %(default)s)"),
+    "--boundary": dict(type=int, default=32768, dest="boundary_order", metavar="BOUNDARY",
+                       help="boundary circle order for the outer factor"),
+    "--tol": dict(action="append", default=[], metavar="NAME=V",
+                  help="override a named tolerance (repeatable)"),
+    "--out": dict(default=None, help="write the report to this path"),
+    "--format": dict(choices=("json", "csv", "text"), default="json"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, command: str, *options: str) -> None:
+    """Give a subcommand's parser its ``command`` and the named ``_FLAGS``."""
     p.set_defaults(command=command)
-    p.add_argument("--weight", dest="weight_spec", default="harm:1,0", metavar="SPEC",
-                   help="weight spec: harm:<re>,<im> | log:<re>,<im> | "
-                        "scaled:<c>:<spec> | uniform")
-    p.add_argument("--order", type=int, default=8,
-                   help="moment-table order (default %(default)s)")
-    p.add_argument("--series-order", type=int, default=64,
-                   help="series truncation order (default %(default)s)")
-    p.add_argument("--radial", type=int, default=120, dest="radial_order",
-                   metavar="RADIAL", help="radial quadrature order (default %(default)s)")
-    p.add_argument("--angular", type=int, default=256, dest="angular_order",
-                   metavar="ANGULAR",
-                   help="baseline angular quadrature order (default %(default)s)")
-    p.add_argument("--boundary", type=int, default=32768, dest="boundary_order",
-                   metavar="BOUNDARY", help="boundary circle order for the outer factor")
-    p.add_argument("--tol", action="append", default=[], metavar="NAME=V",
-                   help="override a named tolerance (repeatable)")
-    p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    for option in options:
+        p.add_argument(option, **_FLAGS[option])
 
 
 def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
@@ -674,58 +674,58 @@ def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    _add_common_flags(p_verify, "verify")
+    _add_flags(p_verify, "verify", *_FLAGS)
 
     p_moments = sub.add_parser("moments", help="emit a moment table for a weight")
     p_moments.add_argument("--route", choices=("auto", "atom", "measure"),
                            default="auto")
-    _add_common_flags(p_moments, "moments")
+    _add_flags(p_moments, "moments", "--weight", "--order", "--radial", "--angular",
+               "--out")
 
     p_dbr = sub.add_parser("dbr", help="kernel-model commands")
     dbr_sub = p_dbr.add_subparsers(dest="dbr_command", required=True)
     p_build = dbr_sub.add_parser("build", help="build and emit a kernel model")
-    _add_common_flags(p_build, "dbr-build")
+    _add_flags(p_build, "dbr-build", "--weight", "--series-order", "--radial",
+               "--angular", "--boundary", "--out")
 
     p_weights = sub.add_parser("weights", help="weight utilities")
     w_sub = p_weights.add_subparsers(dest="weights_command", required=True)
     p_info = w_sub.add_parser("info", help="summarize a weight spec")
-    _add_common_flags(p_info, "weights-info")
+    _add_flags(p_info, "weights-info", "--weight", "--radial", "--angular", "--tol",
+               "--out")
 
     config = parser.parse_args(argv)
 
-    if config.order < 1 or config.order > 16:
+    if "order" in config and not 1 <= config.order <= 16:
         parser.error(f"--order must lie in [1, 16], got {config.order}")
-    if config.series_order < 8 or config.series_order > 512:
+    if "series_order" in config and not 8 <= config.series_order <= 512:
         parser.error(f"--series-order must lie in [8, 512], got {config.series_order}")
     if config.radial_order < 1:
         parser.error("--radial must be >= 1")
     if config.angular_order < 4:
         parser.error("--angular must be >= 4")
-    min_boundary = 2 * (config.series_order + 1)  # outer_function's own bound
-    if not min_boundary <= config.boundary_order <= MAX_DISK_NODES:
-        parser.error(f"--boundary must lie in [{min_boundary}, {MAX_DISK_NODES}] at "
-                     f"series order {config.series_order}, got {config.boundary_order}")
-    config.tols = dict(DEFAULT_TOLS)
-    for item in config.tol:
-        name, sep, value = item.partition("=")
-        if not sep or name not in config.tols:
-            parser.error(f"unknown tolerance override {item!r} "
-                         f"(known: {', '.join(sorted(config.tols))})")
-        try:
-            config.tols[name] = float(value)
-        except ValueError:
-            parser.error(f"bad tolerance value in {item!r}")
-        if not 0.0 <= config.tols[name] < math.inf:
-            parser.error(f"tolerance in {item!r} must be finite and nonnegative")
+    if "boundary_order" in config:
+        min_boundary = 2 * (config.series_order + 1)  # outer_function's own bound
+        if not min_boundary <= config.boundary_order <= MAX_DISK_NODES:
+            parser.error(f"--boundary must lie in [{min_boundary}, {MAX_DISK_NODES}] at "
+                         f"series order {config.series_order}, got {config.boundary_order}")
+    if "tol" in config:
+        config.tols = dict(DEFAULT_TOLS)
+        for item in config.tol:
+            name, sep, value = item.partition("=")
+            if not sep or name not in config.tols:
+                parser.error(f"unknown tolerance override {item!r} "
+                             f"(known: {', '.join(sorted(config.tols))})")
+            try:
+                config.tols[name] = float(value)
+            except ValueError:
+                parser.error(f"bad tolerance value in {item!r}")
+            if not 0.0 <= config.tols[name] < math.inf:
+                parser.error(f"tolerance in {item!r} must be finite and nonnegative")
     try:
         config.weight = parse_weight_spec(config.weight_spec)
-        nodes = disk_grid_size(config.radial_order, config.angular_order,
-                               config.weight.singular_radii)
     except (WeightSpecError, DomainError) as exc:
         parser.error(str(exc))
-    if nodes > MAX_DISK_NODES:
-        parser.error(f"the grid for {config.weight_spec!r} needs {nodes} nodes, "
-                     f"over the budget {MAX_DISK_NODES}")
     return config
 
 

@@ -642,16 +642,16 @@ def _random_numerators(rng: random.Random, shape) -> tuple[np.ndarray, np.ndarra
     return re, im
 
 
-def _random_point_parts(rng: random.Random, modulus_bound: float):
-    """(re, im, 10) of a random point with |a| <= modulus_bound (rejection sampling)."""
+def _random_point_parts(rng: random.Random):
+    """(re, im, 10) of a random point with |a| <= 2 (rejection sampling)."""
     while True:
         x, y = rng.randint(-20, 20), rng.randint(-20, 20)
-        if (x * x + y * y) / _POINT_DENOM**2 <= modulus_bound**2:
+        if (x * x + y * y) / _POINT_DENOM**2 <= 4.0:
             return np.array([x], dtype=object), np.array([y], dtype=object), _POINT_DENOM
 
 
 def random_rank_one_distribution(
-    rng: random.Random, degree: int = 8, modulus_bound: float = 2.0
+    rng: random.Random, degree: int = 8
 ) -> PointDistribution:
     """Rational point distribution with rank-one coefficients, c_00 = 1."""
     def factor():  # 1 followed by degree random entries
@@ -659,12 +659,12 @@ def random_rank_one_distribution(
         return np.concatenate(([_COEFF_DENOM], re)), np.concatenate(([0], im))
 
     (pr, pi), (qr, qi) = factor(), factor()
-    a = _random_point_parts(rng, modulus_bound)
+    a = _random_point_parts(rng)
     return PointDistribution._from_parts(a, *_outer(pr, pi, qr, qi), _COEFF_DENOM**2)
 
 
 def random_non_rank_one_distribution(
-    rng: random.Random, degree: int = 8, modulus_bound: float = 2.0
+    rng: random.Random, degree: int = 8
 ) -> PointDistribution:
     """Rational point distribution with c_00 = 1 whose matrix is not rank one."""
     if degree < 1:
@@ -673,7 +673,7 @@ def random_non_rank_one_distribution(
     while True:
         re, im = _random_numerators(rng, shape)
         re[0, 0], im[0, 0] = _COEFF_DENOM, 0
-        a = _random_point_parts(rng, modulus_bound)
+        a = _random_point_parts(rng)
         dr, di = _factor_defect(re, im, _COEFF_DENOM)
         if dr.any() or di.any():
             return PointDistribution._from_parts(a, re, im, _COEFF_DENOM)

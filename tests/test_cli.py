@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disklab.cli import DEFAULT_TOLS, main, parse_args, run
-from disklab.quadrature import MAX_DISK_NODES
+from disklab.quadrature import MAX_DISK_NODES, disk_grid_size
 from disklab.weights import parse_weight_spec
 
 
@@ -49,11 +49,15 @@ class TestParse:
             parse_args(["verify", "--weight", spec])
         assert exc.value.code == 2
 
-    def test_grid_over_node_budget_is_usage_error(self):
-        # parse_args only counts the nodes; the grid is never built
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["verify", "--weight", "log:0.9999999,0"])
-        assert exc.value.code == 2
+    def test_grid_over_node_budget_is_usage_error(self, tmp_path, capsys):
+        # make_disk_grid refuses the grid before allocating; verify builds it first
+        nodes = disk_grid_size(120, 256, parse_weight_spec(_NEAR_CIRCLE).singular_radii)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--weight", _NEAR_CIRCLE, "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"error: disk grid needs {nodes} nodes, over the budget {MAX_DISK_NODES}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["harm:1,1", "harm:3,7"])
     def test_boundary_pole_off_the_axes_parses(self, spec):
@@ -120,15 +124,27 @@ _SUBCOMMANDS = {
     "dbr-build": ["dbr", "build"],
     "weights-info": ["weights", "info"],
 }
-_COMMON_OPTIONS = {"-h", "--help", "--weight", "--order", "--series-order", "--radial",
-                   "--angular", "--boundary", "--tol", "--out", "--format"}
-# every option string each subcommand accepts, as its --help lists them
+# every option string each subcommand accepts, as its --help lists them: the
+# flags its runner reads
 _OPTIONS = {
-    "verify": _COMMON_OPTIONS | {"--suite"},
-    "moments": _COMMON_OPTIONS | {"--route"},
-    "dbr-build": _COMMON_OPTIONS,
-    "weights-info": _COMMON_OPTIONS,
+    "verify": {"-h", "--help", "--suite", "--weight", "--order", "--series-order",
+               "--radial", "--angular", "--boundary", "--tol", "--out", "--format"},
+    "moments": {"-h", "--help", "--route", "--weight", "--order", "--radial",
+                "--angular", "--out"},
+    "dbr-build": {"-h", "--help", "--weight", "--series-order", "--radial", "--angular",
+                  "--boundary", "--out"},
+    "weights-info": {"-h", "--help", "--weight", "--radial", "--angular", "--tol",
+                     "--out"},
 }
+# a valid value of every settable option of any subcommand
+_VALID_VALUES = {
+    "--suite": "all", "--route": "auto", "--weight": "harm:1,0", "--order": "8",
+    "--series-order": "64", "--radial": "120", "--angular": "256",
+    "--boundary": "32768", "--tol": "h0=1e-6", "--out": "report.json",
+    "--format": "json",
+}
+# the pole almost on the circle whose graded grid is over the node budget
+_NEAR_CIRCLE = "log:0.9999999,0"
 
 
 def _help(argv, capsys):
@@ -148,8 +164,10 @@ class TestFrontEnd:
         argv = _SUBCOMMANDS[command]
         shown = dict(re.findall(r"(--[a-z-]+) [A-Z_]+\s+[a-z -]+\(default (\d+)\)",
                                 _help(argv, capsys)))
-        fields = {"--order": "order", "--series-order": "series_order",
-                  "--radial": "radial_order", "--angular": "angular_order"}
+        fields = {flag: field for flag, field in (
+            ("--order", "order"), ("--series-order", "series_order"),
+            ("--radial", "radial_order"), ("--angular", "angular_order"))
+            if flag in _OPTIONS[command]}
         assert shown.keys() == fields.keys()
         config = parse_args(argv)
         assert {flag: int(value) for flag, value in shown.items()} == {
@@ -162,14 +180,15 @@ class TestFrontEnd:
         listed = {opt.split()[0] for line in section.splitlines()
                   if line.startswith("  -") for opt in line.strip().split(", ")}
         assert listed == _OPTIONS[command]
-        for option, value in (("--suite", "all"), ("--route", "auto")):
+        for option, value in _VALID_VALUES.items():
             argv = [*_SUBCOMMANDS[command], option, value]
-            if option in _OPTIONS[command]:
-                assert getattr(parse_args(argv), option[2:]) == value
-            else:
+            if option not in _OPTIONS[command]:
                 with pytest.raises(SystemExit) as exc:
                     parse_args(argv)
                 assert exc.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
+            elif option in ("--suite", "--route"):
+                assert getattr(parse_args(argv), option[2:]) == value
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "tensor"],
@@ -180,12 +199,14 @@ class TestFrontEnd:
     def test_weight_spec_is_parsed_once_per_main(self, argv, monkeypatch, tmp_path):
         from disklab import cli
 
+        command = parse_args(argv).command
         specs = []
         real = cli.parse_weight_spec
         monkeypatch.setattr(cli, "parse_weight_spec",
                             lambda spec: specs.append(spec) or real(spec))
         out = tmp_path / "out"
-        assert main([*argv, "--weight", "harm:1,0", *_fast_flags("--out", str(out))]) == 0
+        assert main([*argv, "--weight", "harm:1,0",
+                     *_fast_flags("--out", str(out), command=command)]) == 0
         assert specs == ["harm:1,0"]
 
     @pytest.mark.parametrize("route, grids_built", [
@@ -201,7 +222,7 @@ class TestFrontEnd:
                             lambda *a, **k: grids.append(a) or real(*a, **k))
         out = tmp_path / "table.json"
         assert main(["moments", "--weight", "harm:1,0", "--route", route,
-                     *_fast_flags("--out", str(out))]) == 0
+                     *_fast_flags("--out", str(out), command="moments")]) == 0
         assert len(grids) == grids_built
         assert json.loads(out.read_text())["table"]["order"] == 4
 
@@ -226,7 +247,8 @@ class TestFrontEnd:
     @pytest.mark.parametrize("argv", [["verify", "--suite", "moments"], ["moments"]])
     def test_unwritable_out_is_one_error_line(self, argv, tmp_path, capsys):
         out = tmp_path / "missing" / "t.json"
-        assert main([*argv, *_fast_flags("--out", str(out))]) == 2
+        flags = _fast_flags("--out", str(out), command=parse_args(argv).command)
+        assert main([*argv, *flags]) == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out}: No such file or directory\n"
         assert not out.parent.exists()
@@ -283,11 +305,14 @@ def test_junk_spec_is_usage_error_or_round_trips(spec):
     assert parse_weight_spec(label).label == label
 
 
-def _fast_flags(*extra):
-    return [
-        "--radial", "60", "--angular", "128", "--boundary", "2048",
-        "--series-order", "32", "--order", "4", *extra,
-    ]
+_FAST_FLAGS = (("--radial", "60"), ("--angular", "128"), ("--boundary", "2048"),
+               ("--series-order", "32"), ("--order", "4"))
+
+
+def _fast_flags(*extra, command="verify"):
+    """The small orders among the flags ``command`` reads, then ``extra``."""
+    return [arg for flag, value in _FAST_FLAGS if flag in _OPTIONS[command]
+            for arg in (flag, value)] + list(extra)
 
 
 class TestRun:
@@ -432,12 +457,13 @@ class TestRun:
             lambda *a, **k: grids.append(a) or real(*a, **k),
         )
         out = tmp_path / "model.json"
-        assert main(["dbr", "build", "--weight", "harm:1,0", *_fast_flags(),
+        flags = _fast_flags(command="dbr-build")
+        assert main(["dbr", "build", "--weight", "harm:1,0", *flags,
                      "--out", str(out)]) == 0
         assert grids == []
         assert json.loads(out.read_text())["weight"] == "harm:1,0"
         # a weight without atoms still gets its grid, and is then rejected
-        assert main(["dbr", "build", "--weight", "uniform", *_fast_flags()]) == 1
+        assert main(["dbr", "build", "--weight", "uniform", *flags]) == 1
         assert len(grids) == 1
 
     def test_dbr_build_of_a_weight_without_a_model_is_one_error_line(self, capsys):
@@ -522,7 +548,7 @@ class TestMainAndFormats:
         out = tmp_path / "table.json"
         code = main(
             ["moments", "--weight", "uniform", "--route", "measure",
-             *_fast_flags("--out", str(out))]
+             *_fast_flags("--out", str(out), command="moments")]
         )
         assert code == 0
         data = json.loads(out.read_text())
@@ -538,7 +564,8 @@ class TestMainAndFormats:
     def test_dbr_build_subcommand(self, tmp_path):
         out = tmp_path / "model.json"
         code = main(
-            ["dbr", "build", "--weight", "harm:1,0", *_fast_flags("--out", str(out))]
+            ["dbr", "build", "--weight", "harm:1,0",
+             *_fast_flags("--out", str(out), command="dbr-build")]
         )
         assert code == 0
         data = json.loads(out.read_text())
@@ -549,13 +576,45 @@ class TestMainAndFormats:
     def test_weights_info_subcommand(self, tmp_path):
         out = tmp_path / "info.json"
         code = main(
-            ["weights", "info", "--weight", "log:0,0", *_fast_flags("--out", str(out))]
+            ["weights", "info", "--weight", "log:0,0",
+             *_fast_flags("--out", str(out), command="weights-info")]
         )
         assert code == 0
         data = json.loads(out.read_text())
         assert data["is_harmonic"] is False
         assert data["l1_norm"] == pytest.approx(0.5, abs=1e-6)
         assert data["superharmonic"]["passes"] is True
+
+
+class TestNodeBudget:
+    """The budget is checked where a grid is built, so a command that builds none runs."""
+
+    def test_dbr_build_of_an_atomic_weight_over_the_budget(self, tmp_path):
+        from disklab import cli, dbr
+
+        out = tmp_path / "model.json"
+        assert main(["dbr", "build", "--weight", _NEAR_CIRCLE, "--series-order", "8",
+                     "--out", str(out)]) == 0
+        model = dbr.build_model(parse_weight_spec(_NEAR_CIRCLE), None,
+                                boundary_order=32768, order=8)
+        assert out.read_text() == cli._json_text(model.to_json_dict())
+
+    @pytest.mark.parametrize("route", ["auto", "atom"])
+    def test_moments_from_atoms_over_the_budget(self, route, capsys):
+        assert main(["moments", "--weight", _NEAR_CIRCLE, "--route", route]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["table"]["order"] == 8 and err == ""
+
+    @pytest.mark.parametrize("argv", [["moments", "--route", "measure"],
+                                      ["weights", "info"]])
+    def test_a_grid_over_the_budget_is_one_error_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--weight", _NEAR_CIRCLE, "--out", str(out)]) == 2
+        nodes = disk_grid_size(120, 256, parse_weight_spec(_NEAR_CIRCLE).singular_radii)
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"error: disk grid needs {nodes} nodes, over the budget {MAX_DISK_NODES}\n"
+        assert not out.exists()
 
 
 class TestProcessEntryPoint:

@@ -1,9 +1,12 @@
-"""The traced benchmark still finds every per-layer figure it declares.
+"""The benchmark still runs: every per-layer figure it declares is traced,
+and every command line it spawns parses.
 
 ``perfbench/trace.py`` wraps the package's public functions by name, and
 ``perfbench/run.py`` reads the figures named in ``BENCHMARK.json``'s
 ``per_layer`` list from the spans. A figure whose function is gone from
-the package would fail the traced run with a KeyError; this test names it.
+the package would fail the traced run with a KeyError; the first test
+names it. A flag the CLI no longer takes would fail every pass of its
+workload with exit 2; the second test names the command line.
 """
 
 import importlib.util
@@ -36,3 +39,18 @@ def test_every_declared_layer_figure_is_traced(tmp_path):
     wanted = [m["name"] for m in declared
               if m["name"] != "cli.checks" and not m["name"].startswith("trace.")]
     assert [name for name in wanted if name not in figures] == []
+
+
+def test_every_benchmark_command_line_parses():
+    from disklab.cli import parse_args
+
+    run = _load_run_module()
+    refused = []
+    for workload in run.WORKLOADS:
+        for seed in range(8):
+            for argv in run.invocations(workload, seed):
+                try:
+                    parse_args(argv)
+                except SystemExit:
+                    refused.append(argv)
+    assert refused == []
