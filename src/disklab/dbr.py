@@ -40,10 +40,10 @@ from .errors import (
     SingularBoundaryDataError,
     SingularIntegrandError,
 )
-from .moments import MomentTable, _memo_entry, atoms_table, disk_moments, weight_values
+from .moments import MomentTable, atoms_table, disk_moments
 from .quadrature import NODE_BLOCK, CircleGrid, DiskGrid, _disk_blocks, make_circle_grid
 from .series import TaylorSeries, exp_series, geometric_series
-from .weights import Scaled, Weight, normalize
+from .weights import Scaled, Weight, _on_grid, normalize, weight_values
 
 _H0_TOL = 1e-6
 _RANK_TOL = 1e-6
@@ -59,8 +59,8 @@ def berezin_transforms(
     (z = x + iy, re = 1 - (x Re v + y Im v), im = y Re v - x Im v) in node
     blocks of the fixed ``quadrature.NODE_BLOCK`` for all points at once,
     so a point's value is bit-identical alone, in any batch and in any order.
-    Each point is computed once per (weight, grid) pair: its value is
-    memoised beside the weight's node values (``moments.weight_values``).
+    Each point is computed once per weight and grid: its value is kept on
+    the weight beside its node values (``weights.weight_values``).
     Any |v| >= 1 raises DomainError before any node work; a non-finite
     weight value or result raises SingularIntegrandError.
     """
@@ -68,7 +68,7 @@ def berezin_transforms(
     outside = np.abs(v) >= 1.0
     if outside.any():
         raise DomainError(f"Berezin transform needs |v| < 1, got {abs(v[outside][0])}")
-    memo = _memo_entry(weight, grid)[4]
+    memo = _on_grid(weight, grid).berezin
     todo = np.array([p for p in dict.fromkeys(v.tolist()) if p not in memo], dtype=complex)
     if todo.size:
         vals = weight_values(weight, grid)

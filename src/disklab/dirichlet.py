@@ -2,7 +2,7 @@
 
 The energy of f against a weight w is the integral of |f'|^2 w over the
 disk in normalized area measure: with c the coefficients of f', the
-Hermitian form sum_{j,k} c_j conj(c_k) W[j][k] on the weight's memoised
+Hermitian form sum_{j,k} c_j conj(c_k) W[j][k] on the weight's kept
 moment matrix W (``moments.disk_moments``). For harmonic weights the
 energy of the dilation f_r(z) = f(rz) is nondecreasing in r;
 ``dilation_report`` measures that monotonicity.

@@ -40,8 +40,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InconsistentTableError, NotWeaklyMultiplicativeError
-from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _check_finite, _disk_blocks, _ring_angles
-from .weights import Scaled, Weight
+from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _ring_angles
+from .weights import Scaled, Weight, _on_grid, weight_values
 
 _C00_SNAP_TOL = 1e-9
 _FACTOR_TOL = 1e-12
@@ -386,42 +386,6 @@ def atoms_table(atoms: Sequence[tuple[complex, float]], order: int) -> MomentTab
     return MomentTable._from_parts(total.real, total.imag, 1, "point")
 
 
-#: Per (weight, grid) pair: [weight, grid, node values or None, moment
-#: matrix or None, Berezin transforms by complex point]. A verify run uses
-#: two pairs.
-_MOMENT_MEMO_SIZE = 4
-_moment_memo: list[list] = []
-
-
-def _memo_entry(w: Weight, grid: DiskGrid) -> list:
-    for entry in _moment_memo:
-        if entry[0] is w and entry[1] is grid:
-            return entry
-    entry = [w, grid, None, None, {}]
-    _moment_memo[:] = [entry] + _moment_memo[: _MOMENT_MEMO_SIZE - 1]
-    return entry
-
-
-def weight_values(w: Weight, grid: DiskGrid) -> np.ndarray:
-    """w(z_i) on the grid's nodes, evaluated once per (weight, grid) pair.
-
-    The nodes are formed and evaluated one ``NODE_BLOCK`` block at a time,
-    so the values are the only node-sized array. A non-finite value raises
-    SingularIntegrandError naming its node and grid index. The values live
-    in the same fixed-size memo as ``disk_moments``' matrices and
-    ``dbr.berezin_transforms``' per-point values, keyed by the weight and
-    grid objects; treat them as read-only.
-    """
-    entry = _memo_entry(w, grid)
-    if entry[2] is None:
-        vals = np.empty(grid.size)
-        for start, z, _ in _disk_blocks(grid):
-            vals[start : start + z.size] = w.eval_many(z)
-            _check_finite(vals[start : start + z.size], z, start)
-        entry[2] = vals
-    return entry[2]
-
-
 def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     """W[j][k] = sum_i omega_i w(z_i) z_i^j conj(z_i)^k on the grid, j, k <= order.
 
@@ -438,22 +402,22 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     a lower order is a read-only view bit-identical to a fresh build. The
     values agree with a complex ring DFT over all d to roundoff.
 
-    Memoised per (weight, grid) object pair, beside ``weight_values``. A
+    Kept on the weight per grid, beside ``weights.weight_values``. A
     ``Scaled`` weight's matrix is its factor times its inner weight's
-    memoised matrix, with no DFT of its own. A non-finite weight value
-    raises SingularIntegrandError.
+    kept matrix, with no DFT of its own. A non-finite weight value raises
+    SingularIntegrandError.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
-    entry = _memo_entry(w, grid)
-    if entry[3] is not None and entry[3].shape[0] > order:
-        return entry[3][: order + 1, : order + 1]
+    data = _on_grid(w, grid)
+    if data.W is not None and data.W.shape[0] > order:
+        return data.W[: order + 1, : order + 1]
     if isinstance(w, Scaled):
         W = w.c * disk_moments(w.inner, grid, order)
     else:
         W = _ring_moments(weight_values(w, grid), grid, order)
     W.setflags(write=False)
-    entry[3] = W
+    data.W = W
     return W
 
 

@@ -244,14 +244,6 @@ def _disk_rings(
     return breaks, rings
 
 
-def disk_grid_size(
-    radial_order: int, angular_order: int, singular_radii: Sequence[float] = ()
-) -> int:
-    """Node count ``make_disk_grid`` would allocate, computed without allocating."""
-    _, rings = _disk_rings(radial_order, angular_order, singular_radii)
-    return sum(m for _, _, m in rings)
-
-
 def make_disk_grid(
     radial_order: int,
     angular_order: int,
@@ -279,9 +271,8 @@ def make_disk_grid(
     The radial rule comes from ``_gauss_legendre`` (Newton's method, no
     LAPACK). Raises DomainError before allocating when the rule needs more
     than ``MAX_DISK_NODES`` nodes, as a singular radius very close to 1
-    does, or when two singular radii are so close (an ulp apart) that a
-    ring falls on one; ``disk_grid_size`` counts the same rounded rings and
-    raises the same way.
+    does (the count comes from the ring table alone), or when two singular
+    radii are so close (an ulp apart) that a ring falls on one.
     """
     breaks, rings = _disk_rings(radial_order, angular_order, singular_radii)
     size = sum(m for _, _, m in rings)

@@ -24,7 +24,7 @@ inequality on a caller-supplied lattice of centers and radii.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,9 @@ from .errors import (
     SingularPointError,
     WeightSpecError,
 )
-from .quadrature import NODE_BLOCK, CircleGrid, DiskGrid, _disk_blocks, integrate, make_disk_grid
+from .quadrature import (
+    NODE_BLOCK, CircleGrid, DiskGrid, _check_finite, _disk_blocks, integrate, make_disk_grid,
+)
 
 _UNIMODULAR_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
@@ -260,12 +262,52 @@ def synthesize(d: GreenDecomposition) -> AtomicWeight:
     return AtomicWeight(d, "synthesized")
 
 
+@dataclass
+class _GridData:
+    """What is derived from one weight on one grid: its node values, the
+    largest moment matrix W built so far and its Berezin transforms by point."""
+
+    values: Optional[np.ndarray] = None
+    W: Optional[np.ndarray] = None
+    berezin: dict = field(default_factory=dict)
+
+
+def _on_grid(w: Weight, grid: DiskGrid) -> _GridData:
+    """The weight's record for the grid, kept on the weight for its lifetime.
+
+    Keyed by the grid's value, not its identity: equal grids share one
+    record, which is right because the data depends only on the grid.
+    """
+    records = vars(w).setdefault("_grid_data", {})
+    data = records.get(grid)
+    if data is None:
+        data = records[grid] = _GridData()
+    return data
+
+
+def weight_values(w: Weight, grid: DiskGrid) -> np.ndarray:
+    """w(z_i) on the grid's nodes, evaluated once per weight and grid.
+
+    The nodes are formed and evaluated one ``NODE_BLOCK`` block at a time,
+    so the values are the only node-sized array. A non-finite value raises
+    SingularIntegrandError naming its node and grid index. The values are
+    kept on the weight beside ``moments.disk_moments``' matrix and
+    ``dbr.berezin_transforms``' per-point values; treat them as read-only.
+    """
+    data = _on_grid(w, grid)
+    if data.values is None:
+        vals = np.empty(grid.size)
+        for start, z, _ in _disk_blocks(grid):
+            vals[start : start + z.size] = w.eval_many(z)
+            _check_finite(vals[start : start + z.size], z, start)
+        data.values = vals
+    return data.values
+
+
 def l1_norm(w: Weight, grid: DiskGrid) -> float:
     """Mass of the weight against normalized area measure, by quadrature: its
-    memoised node values (``moments.weight_values``) summed as ``integrate``
-    sums, block by block, with no node formed."""
-    from .moments import weight_values  # moments imports this module
-
+    kept node values (``weight_values``) summed as ``integrate`` sums, block
+    by block, with no node formed."""
     vals = weight_values(w, grid)
     total = 0.0
     for start, _, wts in _disk_blocks(grid, nodes=False):

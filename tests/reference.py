@@ -10,6 +10,7 @@ import math
 
 from disklab import MomentTable, PointDistribution, TaylorSeries, point_moments
 from disklab.moments import _centered, _entries, _is_exact, _outer, _parts
+from disklab.quadrature import _disk_rings
 
 
 def constant_series(value: complex, order: int) -> TaylorSeries:
@@ -27,6 +28,13 @@ def exp_reference(order: int) -> TaylorSeries:
 def centered_moments(d: PointDistribution, order: int) -> list[list]:
     """Pairings <u, (z-a)^m conj(z-a)^n> = (-1)^{m+n} m! n! c_{mn}."""
     return [list(row) for row in _entries(*_centered(d, order), d.denom)]
+
+
+def disk_grid_size(radial_order: int, angular_order: int, singular_radii=()) -> int:
+    """Node count ``make_disk_grid`` would allocate, from the ring table alone:
+    a grid over the node budget is counted without being built."""
+    _, rings = _disk_rings(radial_order, angular_order, singular_radii)
+    return sum(m for _, _, m in rings)
 
 
 def dirac_table(point, order: int) -> MomentTable:

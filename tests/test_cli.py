@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disklab.cli import DEFAULT_TOLS, main, parse_args, run
-from disklab.quadrature import MAX_DISK_NODES, disk_grid_size
+from disklab.quadrature import MAX_DISK_NODES
 from disklab.weights import parse_weight_spec
+
+from reference import disk_grid_size
 
 
 class TestParse:
@@ -110,6 +112,20 @@ class TestParse:
         assert exc.value.code == 2
         assert "--boundary must lie in [130, " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prog, flags, error", [
+        ("disklab dbr build", ["--boundary", "100"],
+         f"--boundary must lie in [130, {MAX_DISK_NODES}] at series order 64, got 100"),
+        ("disklab verify", ["--order", "99"], "--order must lie in [1, 16], got 99"),
+        ("disklab weights info", ["--format", "csv"], "unrecognized arguments: --format csv"),
+    ], ids=["dbr-build", "verify", "weights-info"])
+    def test_usage_error_names_the_subcommand(self, prog, flags, error, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*prog.split()[1:], *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert err.endswith(f"\n{prog}: error: {error}\n")
+
     def test_boundary_bound_is_twice_series_order_plus_one(self):
         assert parse_args(["dbr", "build", "--series-order", "8",
                            "--boundary", "18"]).boundary_order == 18
@@ -133,8 +149,7 @@ _OPTIONS = {
                 "--angular", "--out"},
     "dbr-build": {"-h", "--help", "--weight", "--series-order", "--radial", "--angular",
                   "--boundary", "--out"},
-    "weights-info": {"-h", "--help", "--weight", "--radial", "--angular", "--tol",
-                     "--out"},
+    "weights-info": {"-h", "--help", "--weight", "--radial", "--angular", "--out"},
 }
 # a valid value of every settable option of any subcommand
 _VALID_VALUES = {
@@ -411,19 +426,23 @@ class TestRun:
         detail = next(r.detail for r in records if r.name == "weight-table-multiplicative")
         assert "measure-route residual" in detail and "coarse" not in detail
 
-    def test_moments_and_dirichlet_suites_share_one_ring_dft_pass(self):
-        from disklab import cli, uniform_weight
-        from disklab.moments import _memo_entry, measure_moments
+    def test_moments_and_dirichlet_suites_share_one_ring_dft_pass(self, monkeypatch):
+        from disklab import cli, moments, uniform_weight
+        from disklab.moments import measure_moments
 
+        passes = []
+        real = moments._ring_moments
+        monkeypatch.setattr(
+            moments, "_ring_moments",
+            lambda vals, grid, order: passes.append(order) or real(vals, grid, order),
+        )
         ctx = cli._SuiteContext(
             parse_args(["verify", "--weight", "uniform", *_fast_flags()])
         )
         cli.suite_moments(ctx)
-        entry = _memo_entry(ctx.weight, ctx.disk_grid)
-        matrix = entry[3]
-        assert matrix.shape == (32, 32)  # series order 32 - 1 exceeds order 4
+        assert passes == [31]  # series order 32 - 1 exceeds order 4
         cli.suite_dirichlet(ctx)
-        assert entry[3] is matrix
+        assert passes == [31]
         # the order-4 corner is bit-identical to a build at order 4
         fresh = measure_moments(uniform_weight(), ctx.disk_grid, 4)
         assert np.array_equal(ctx.measure_table.re, fresh.re)
@@ -583,7 +602,9 @@ class TestMainAndFormats:
         data = json.loads(out.read_text())
         assert data["is_harmonic"] is False
         assert data["l1_norm"] == pytest.approx(0.5, abs=1e-6)
-        assert data["superharmonic"]["passes"] is True
+        # values only: the verdict belongs to verify's superharmonic-lattice check
+        assert set(data["superharmonic"]) == {"worst_violation", "worst_margin"}
+        assert data["superharmonic"]["worst_violation"] <= DEFAULT_TOLS["superharmonic"]
 
 
 class TestNodeBudget:

@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +37,7 @@ from disklab import (
     tensor_diag_check,
     weak_mult_check,
 )
-from disklab.moments import _MOMENT_MEMO_SIZE, weight_values
+from disklab.moments import weight_values
 from disklab.quadrature import MAX_TENSOR_ENTRIES, NODE_BLOCK
 
 from exact_complex import Exact
@@ -702,26 +704,36 @@ class TestDiskMoments:
         disk_moments(w, coarse_disk_grid, 9)  # a larger order: the kept values again
         assert _passes(calls, coarse_disk_grid) == 1
 
-    def test_memo_keeps_a_fixed_number_of_matrices(self, coarse_disk_grid):
+    def test_other_weights_do_not_force_a_re_evaluation(self, coarse_disk_grid):
         calls = []
         first = _counted(calls, "first")
-        disk_moments(first, coarse_disk_grid, 2)
-        for _ in range(_MOMENT_MEMO_SIZE):
+        vals = weight_values(first, coarse_disk_grid)
+        disk_moments(first, coarse_disk_grid, 2)  # reads the kept values
+        for _ in range(5):
             disk_moments(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid, 2)
+        assert weight_values(first, coarse_disk_grid) is vals
         disk_moments(first, coarse_disk_grid, 2)
-        assert _passes(calls, coarse_disk_grid) == 2
+        assert _passes(calls, coarse_disk_grid) == 1
 
-    def test_node_values_are_kept_in_the_same_memo(self, coarse_disk_grid):
+    def test_data_is_freed_with_the_weight(self, coarse_disk_grid):
+        w = _counted([], "counted")
+        disk_moments(w, coarse_disk_grid, 2)
+        berezin_transforms(w, [0.3], coarse_disk_grid)
+        values = weakref.ref(weight_values(w, coarse_disk_grid))
+        del w
+        gc.collect()
+        assert values() is None
+
+    def test_equal_grids_built_apart_share_one_evaluation(self):
         calls = []
         w = _counted(calls, "counted")
-        vals = weight_values(w, coarse_disk_grid)
-        assert weight_values(w, coarse_disk_grid) is vals
-        disk_moments(w, coarse_disk_grid, 4)  # reads the kept values
-        assert _passes(calls, coarse_disk_grid) == 1
-        for _ in range(_MOMENT_MEMO_SIZE):
-            weight_values(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid)
-        weight_values(w, coarse_disk_grid)
-        assert _passes(calls, coarse_disk_grid) == 2
+        first, second = make_disk_grid(12, 16), make_disk_grid(12, 16)
+        assert first is not second and first == second
+        vals = weight_values(w, first)
+        assert weight_values(w, second) is vals
+        W = disk_moments(w, first, 4)
+        assert disk_moments(w, second, 4).base is W  # a view of the kept matrix
+        assert _passes(calls, first) == 1
 
     def test_disk_moments_keeps_its_evaluation(self, coarse_disk_grid):
         calls = []

