@@ -49,10 +49,12 @@ from .moments import (
 )
 from .quadrature import (
     MAX_DISK_NODES,
+    NODE_BLOCK,
+    _ring_angles,
     make_circle_grid,
     richardson_check,
 )
-from .series import TaylorSeries, monomial
+from .series import TaylorSeries
 from .weights import (
     Weight,
     grid_for_weight,
@@ -214,12 +216,16 @@ class _SuiteContext:
     def measure_table(self):
         """Measure moments of the weight at ``order``, from one ring-DFT pass.
 
-        The pass runs ``disk_moments`` at the largest order the run reads (the
-        series suites' energies need ``series_order - 1``); the table is its
+        A weight with atoms reads no other moment from the grid (its energy
+        is the closed form), so the pass runs at ``order``. Any other weight
+        runs it at the largest order the run reads (the series suites'
+        energies need ``series_order - 1``), and the table is its
         order-``order`` corner, bit-identical to a build at that order.
         """
-        order, series_order = self.config.order, self.config.series_order
-        disk_moments(self.weight, self.disk_grid, max(order, series_order - 1))
+        order = self.config.order
+        if self.weight.atoms is None:
+            disk_moments(self.weight, self.disk_grid,
+                         max(order, self.config.series_order - 1))
         return measure_moments(self.weight, self.disk_grid, order)
 
     @cached_property
@@ -328,8 +334,13 @@ def _weight_tensor(ctx: _SuiteContext):
 
 
 def _energy_identity(ctx: _SuiteContext):
-    ctx.measure_table  # one ring-DFT pass at the largest order the run reads
-    e = energy(monomial(1, 4), ctx.weight, ctx.disk_grid)
+    """The ring-DFT W[0][0], energy(z) on the grid's rule, against the blocked mass.
+
+    Two code routes on one rule; the closed-form energy of a weight with
+    atoms would be a third route, off the rule by the quadrature error.
+    """
+    ctx.measure_table  # the run's one ring-DFT pass; W[0][0] is its corner
+    e = float(disk_moments(ctx.weight, ctx.disk_grid, 0)[0, 0].real)
     mass = l1_norm(ctx.weight, ctx.disk_grid)
     return abs(e - mass), f"energy(z)={e:.9g} vs mass={mass:.9g}"
 
@@ -453,28 +464,37 @@ def _b_contraction(ctx: _SuiteContext):
 
 
 def _outer_consistency(ctx: _SuiteContext):
-    """|a| against 1/sqrt(1 + |phi|^2), phi recomputed from the atoms.
+    """The FFT outer factor's |a| against 1/sqrt(1 + |phi|^2), phi from the atoms.
 
-    Sampled on the circle of half the boundary order at offset 1/4, whose
-    points are every other node of the boundary grid a was fitted on
-    (offset 1/2), so they are not held out. None need be: a is a series of
+    The cross-check of the model's factors: ``dbr._fft_outer_factor`` fits a
+    from the atoms' boundary data at ``boundary_order`` nodes (offset 1/2),
+    one node block at a time, and |a| is compared on the circle of half the
+    boundary order at offset 1/4, whose points are every other node of the
+    fitting grid, so they are not held out. None need be: a is a series of
     order ``series_order`` (64 by default), which does not interpolate the
     N boundary samples, and the check measures its truncation error.
     Truly held-out circles read the same: 16,385 nodes at offset 1/4 and
     32,767 at offset 1/2 give 8.9427e-6 and 8.9420e-6 on ``harm:1,0``
-    against 8.9422e-6 here, and about 3e-16 on log poles.
+    against 8.9422e-6 here, and about 3e-16 on log poles. The detail
+    gives max|b_fft - b| against the model's b (closed form on one atom).
     """
     model = ctx.model()
-    holdout = make_circle_grid(model.boundary_order // 2, offset=0.25)
     atoms = model.weight.atoms
     if atoms is None:
         return None, "no atomic boundary data to check", None, _INFO
-    e = holdout.nodes
-    target = 1.0 / np.sqrt(1.0 + np.abs(dbr_mod._atoms_phi(atoms, e)) ** 2)
-    err = float(np.max(np.abs(np.abs(model.a.evaluate_many(e)) - target)))
+    a = dbr_mod._fft_outer_factor(lambda e: dbr_mod._atoms_phi(atoms, e),
+                                  model.boundary_order, model.order)
+    b_err = float(np.max(np.abs((model.h.shift() * a).array - model.b.array)))
+    m = model.boundary_order // 2
+    err = 0.0
+    for lo in range(0, m, NODE_BLOCK):
+        e = _ring_angles(m, 0.25, lo, min(lo + NODE_BLOCK, m))
+        target = 1.0 / np.sqrt(1.0 + np.abs(dbr_mod._atoms_phi(atoms, e)) ** 2)
+        err = max(err, float(np.max(np.abs(np.abs(a.evaluate_many(e)) - target))))
+    detail = f"max|b_fft - b| {b_err:.3e}"
     if any(abs(abs(s) - 1.0) < 1e-9 for s in ctx.weight.singularities):
-        return err, "boundary-singular target"
-    return err, "smooth target", 1e-6, _CEILING
+        return err, f"boundary-singular target, {detail}"
+    return err, f"smooth target, {detail}", 1e-6, _CEILING
 
 
 # Fixed kernel node sets of sizes 1..4 inside |w| <= 0.6, biased toward

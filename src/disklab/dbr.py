@@ -7,20 +7,31 @@ kernel, the radial-expansion identity
 
 whose double expansion in (v, conj(v)) has coefficients
 <u, z^j conj(z)^k> = conj(h_j) h_k for the distribution u carried by the
-weight. For catalog weights u is a single atom: a unit Dirac mass at the
-boundary pole for the harmonic family, and at the interior pole (after
-unit-mass normalization) for the logarithmic family; its moment table is
-rank one and yields h directly (h_k = M[0][k], h_0 = 1). For other
-weights the table follows exactly from the weight's measure moments W by
-expanding the quartic kernel, M[j][k] = (j+1)(k+1) W[j][k] - j k
-W[j-1][k-1], and the rank-one test decides whether a model exists at all.
+weight. The symbol is b = phi a, phi(v) = v h(v), where a is the outer
+function with a(0) > 0 and |a|^2 = 1 / (1 + |phi|^2) on the circle. The
+model's kernel is (1 - b(z) conj(b(v))) / (1 - z conj(v)), and
+``verify_isometry`` measures, on finite kernel spans, how far the Gram
+norm is from the Hardy norm plus the weighted Dirichlet energy.
 
-From h the symbol is assembled as b = (z h) * a, where a is the outer
-function with a(0) > 0 whose boundary modulus satisfies
-|a|^2 = 1 / (1 + |phi|^2) with phi(v) = v h(v). The model's kernel is
-(1 - b(z) conj(b(v))) / (1 - z conj(v)), and ``verify_isometry`` measures,
-on finite kernel spans, how far the Gram norm is from the Hardy norm plus
-the weighted Dirichlet energy.
+Each step takes one of two routes:
+
+* A weight with atoms (every catalog weight) carries u itself: its atoms
+  after unit-mass normalization. Its table is ``atoms_table`` (rank one
+  for one atom, h_k = M[0][k], h_0 = 1), and its rank test reads the r
+  atoms. By the classification a model exists only for one atom p: then
+  a = (1 - conj(p) z)/(alpha - (conj(p)/alpha) z) and b = z/(alpha -
+  (conj(p)/alpha) z) in closed form (``_one_atom_factors``; Sarason's for
+  p = 1), with no boundary grid, and its energy is the closed form of
+  ``dirichlet.energy``.
+* Any other weight is normalized by quadrature, its table follows from
+  its measure moments W by expanding the quartic kernel, M[j][k] =
+  (j+1)(k+1) W[j][k] - j k W[j-1][k-1], and the rank-one test decides
+  whether a model exists at all; a is then fitted by FFT to |phi|^2 on a
+  boundary circle grid (``_fft_outer_factor``, ``outer_function``) and
+  b = z h a.
+
+The FFT fit of a one-atom weight is the verify suite's cross-check of
+the closed form (``outer-consistency``).
 """
 
 from __future__ import annotations
@@ -41,7 +52,9 @@ from .errors import (
     SingularIntegrandError,
 )
 from .moments import MomentTable, atoms_table, disk_moments
-from .quadrature import NODE_BLOCK, CircleGrid, DiskGrid, _disk_blocks, make_circle_grid
+from .quadrature import (
+    NODE_BLOCK, CircleGrid, DiskGrid, _disk_blocks, _ring_angles, make_circle_grid,
+)
 from .series import TaylorSeries, exp_series, geometric_series
 from .weights import Scaled, Weight, _on_grid, normalize, weight_values
 
@@ -285,21 +298,22 @@ def outer_function(
     Given real samples T of log |a| on the circle grid, the analytic
     completion log a = c_0 + 2 sum_{k>=1} c_k z^k is formed from the
     discrete Fourier coefficients c_k of T and exponentiated as a formal
-    series; a(0) = exp(c_0) > 0 by construction.
+    series; a(0) = exp(c_0) > 0 by construction. The coefficients come
+    from one real FFT, whose output is the size of the samples, and the
+    grid's nodes are not formed.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != circle_grid.nodes.shape:
+    if samples.shape != (circle_grid.size,):
         raise DomainError("samples must align with the circle grid nodes")
     if not np.isfinite(samples).all():
         i = int(np.argmin(np.isfinite(samples)))
-        raise SingularBoundaryDataError(
-            f"boundary sample at node {circle_grid.nodes[i]!r} is not finite"
-        )
+        node = _ring_angles(circle_grid.size, circle_grid.offset, i, i + 1)[0]
+        raise SingularBoundaryDataError(f"boundary sample at node {node!r} is not finite")
     m = circle_grid.size
     if m < 2 * (order + 1):
         raise DomainError("circle grid too coarse for the requested order")
     ks = np.arange(order + 1)
-    fft = np.fft.fft(samples)[: order + 1] / m
+    fft = np.fft.rfft(samples)[: order + 1] / m
     # grid nodes sit at angles 2 pi (j + offset)/m; remove the offset phase
     coeffs = fft * np.exp(-2j * np.pi * ks * circle_grid.offset / m)
     log_a = np.zeros(order + 1, dtype=complex)
@@ -347,6 +361,45 @@ def _atoms_phi(atoms: Sequence[tuple[complex, float]], e: np.ndarray) -> np.ndar
     return e * sum(m / (1.0 - np.conj(p) * e) for p, m in atoms)
 
 
+def _one_atom_factors(p: complex, order: int) -> tuple[TaylorSeries, TaylorSeries]:
+    """a and b of a unit atom at p, in closed form (Sarason's for p = 1).
+
+    On the circle |1 - conj(p) z|^2 + 1 = |alpha - (conj(p)/alpha) z|^2 with
+    alpha^2 = (2 + |p|^2 + sqrt((2 + |p|^2)^2 - 4 |p|^2)) / 2, so the outer
+    a = (1 - conj(p) z)/(alpha - (conj(p)/alpha) z) has |a|^2 = 1/(1 + |phi|^2)
+    for phi = z/(1 - conj(p) z), and b = phi a = z/(alpha - (conj(p)/alpha) z).
+    With q = conj(p)/alpha^2: a_0 = 1/alpha, a_k = (q^k - conj(p) q^(k-1))/alpha
+    and b_k = q^(k-1)/alpha for k >= 1.
+    """
+    p = complex(p)
+    s = 2.0 + abs(p) ** 2
+    alpha = math.sqrt((s + math.sqrt(s * s - 4.0 * abs(p) ** 2)) / 2.0)
+    q = p.conjugate() / alpha**2
+    qk = q ** np.arange(order + 1) / alpha  # q^k / alpha
+    a = np.empty(order + 1, dtype=complex)
+    a[0] = qk[0]
+    a[1:] = qk[1:] - p.conjugate() * qk[:-1]
+    b = np.zeros(order + 1, dtype=complex)
+    b[1:] = qk[:-1]
+    return TaylorSeries(a), TaylorSeries(b)
+
+
+def _fft_outer_factor(phi, boundary_order: int, order: int) -> TaylorSeries:
+    """The outer a with |a|^2 = 1/(1 + |phi|^2) on the circle, by FFT.
+
+    phi is sampled at the ``boundary_order`` nodes of the half-offset
+    circle grid, formed one ``NODE_BLOCK`` block at a time, bit-identical
+    to ``make_circle_grid(boundary_order, 0.5).nodes``, so the log-modulus
+    samples and ``outer_function``'s real FFT of them are the only
+    node-sized arrays.
+    """
+    samples = np.empty(boundary_order)
+    for lo in range(0, boundary_order, NODE_BLOCK):
+        e = _ring_angles(boundary_order, 0.5, lo, min(lo + NODE_BLOCK, boundary_order))
+        samples[lo : lo + e.size] = -0.5 * np.log1p(np.abs(phi(e)) ** 2)
+    return outer_function(samples, make_circle_grid(boundary_order, offset=0.5), order)
+
+
 _PHI_SAMPLE_RADII = (0.3, 0.6, 0.8)
 
 
@@ -382,21 +435,19 @@ def build_model(
     Only the second route reads ``disk_grid``; it may be None for a weight
     with known atoms.
 
-    Boundary data for the outer factor is taken in closed form from the
-    atom (the truncated h does not converge on the boundary when the pole
-    sits there) and sampled on a half-offset circle grid so no node hits
-    the pole of the harmonic family.
+    A one-atom weight takes a and b in closed form (``_one_atom_factors``)
+    and builds no boundary grid. Any other weight gets the outer factor a
+    from boundary data sampled on a half-offset circle grid of
+    ``boundary_order`` nodes (``_fft_outer_factor``), so no node hits a
+    boundary pole, and b = z h a.
     """
     unit = unit_mass_atoms(weight)
-    bgrid = make_circle_grid(boundary_order, offset=0.5)
-
     if unit is not None:
         norm_weight, norm_atoms = unit
         fac = factor_table(
             atoms_table(norm_atoms, order), residual_tol=1e-9, atoms=norm_atoms
         )
         h = fac.h
-        phi_boundary = _atoms_phi(norm_atoms, bgrid.nodes)
     else:
         if disk_grid is None:
             raise DomainError(f"{weight.label} has no known atoms: its model needs a grid")
@@ -406,11 +457,15 @@ def build_model(
         h = fac.h
         if h.order < order:
             h = TaylorSeries(tuple(h.coeffs) + (0j,) * (order - h.order))
-        phi_boundary = bgrid.nodes * h.evaluate_many(bgrid.nodes)
 
-    target = -0.5 * np.log1p(np.abs(phi_boundary) ** 2)
-    a = outer_function(target, bgrid, order)
-    b = h.shift() * a  # b = phi a, phi = z h
+    if unit is not None and len(norm_atoms) == 1:
+        a, b = _one_atom_factors(norm_atoms[0][0], order)
+    else:
+        def phi(e):  # without atoms, the truncated h stands in for their closed form
+            return e * h.evaluate_many(e) if unit is None else _atoms_phi(norm_atoms, e)
+
+        a = _fft_outer_factor(phi, boundary_order, order)
+        b = h.shift() * a  # b = phi a, phi = z h
 
     b_samples = [
         abs(b.evaluate(0.9 * np.exp(2j * np.pi * (t + 0.5) / 16))) for t in range(16)

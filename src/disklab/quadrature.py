@@ -27,7 +27,8 @@ of ``NODE_BLOCK`` nodes with the block sums added in order, for disk grids
 and exact compensated summation (math.fsum) for circle grids.
 Neither reduction is threaded, so results are bit-reproducible across
 runs and thread counts. A disk grid keeps only a ring table (radius,
-node weight and node count per ring). The grid-wide kernels (integration,
+node weight and node count per ring), and a circle grid only its order
+and offset. The grid-wide kernels (integration,
 weight evaluation, Berezin sums) form its nodes and weights one block of
 the fixed ``NODE_BLOCK`` nodes at a time, bit-identical to slices of the
 whole rule, and the moment matrix works ring by ring, so no temporary is
@@ -103,20 +104,31 @@ class DiskGrid:
 
 @dataclass(frozen=True)
 class CircleGrid:
-    """Uniform nodes on the unit circle for normalized arclength."""
+    """Uniform rule for normalized arclength on the unit circle: ``order``
+    nodes e^{2 pi i (j + offset)/order}, each of weight 1/order."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
     order: int
     offset: float = 0.0
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        if self.order < 4:
+            raise DomainError(f"circle order must be >= 4, got {self.order}")
+        if not 0.0 <= self.offset < 1.0:
+            raise DomainError(f"offset must lie in [0, 1), got {self.offset}")
 
     @property
     def size(self) -> int:
-        return self.nodes.size
+        return self.order
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """All nodes in one array, formed anew on each access."""
+        return _ring_angles(self.order, self.offset)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """All node weights in one array, formed anew on each access."""
+        return np.full(self.order, 1.0 / self.order)
 
 
 Grid = Union[DiskGrid, CircleGrid]
@@ -315,16 +327,7 @@ def _disk_blocks(grid: DiskGrid, nodes: bool = True):
 
 def make_circle_grid(order: int, offset: float = 0.0) -> CircleGrid:
     """Uniform arclength rule with `order` nodes e^{2 pi i (j+offset)/order}."""
-    if order < 4:
-        raise DomainError(f"circle order must be >= 4, got {order}")
-    if not 0.0 <= offset < 1.0:
-        raise DomainError(f"offset must lie in [0, 1), got {offset}")
-    return CircleGrid(
-        nodes=_ring_angles(order, offset),
-        weights=np.full(order, 1.0 / order),
-        order=order,
-        offset=offset,
-    )
+    return CircleGrid(order, offset)
 
 
 def _evaluate_on(f: Callable, nodes: np.ndarray) -> np.ndarray:
@@ -370,8 +373,9 @@ def integrate(grid: Grid, f: Callable) -> complex | float:
     node-sized; circle grids evaluate f once and use exact fsum.
     """
     if isinstance(grid, CircleGrid):
-        vals = _evaluate_on(f, grid.nodes)
-        _check_finite(vals, grid.nodes)
+        nodes = grid.nodes
+        vals = _evaluate_on(f, nodes)
+        _check_finite(vals, nodes)
         # Uniform weights: sum first, divide once. fsum makes exact
         # cancellations (antipodal node pairs) come out as exact zeros.
         m = grid.size

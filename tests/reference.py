@@ -8,7 +8,9 @@ beside the tests that use them.
 
 import math
 
-from disklab import MomentTable, PointDistribution, TaylorSeries, point_moments
+import numpy as np
+
+from disklab import MomentTable, PointDistribution, TaylorSeries, atoms_table, point_moments
 from disklab.moments import _centered, _entries, _is_exact, _outer, _parts
 from disklab.quadrature import _disk_rings
 
@@ -60,3 +62,25 @@ def rank_one_fit(M: MomentTable) -> TaylorSeries:
     m00 = arr[0][0].real
     scale = math.sqrt(m00) if m00 > 0 else 1.0
     return TaylorSeries(arr[0] / scale)
+
+
+def atoms_moment_matrix(atoms, order: int) -> np.ndarray:
+    """Closed-form W[j][k] = integral z^j conj(z)^k w dA of a weight with atoms.
+
+    The quartic-kernel expansion M[j][k] = (j+1)(k+1) W[j][k] - j k W[j-1][k-1]
+    inverted along diagonals, W[j][k] = sum_{i <= min(j,k)} M[j-i][k-i] /
+    ((j+1)(k+1)), with M = atoms_table(atoms, order): for a harmonic atom z
+    W[j][k] = z^(j-k)/(max(j,k)+1), for an interior atom the Richter-Sundberg
+    local Dirichlet integral in matrix form.
+    """
+    V = atoms_table(atoms, order).to_complex_array()
+    for j in range(1, order + 1):  # V[j][k] = M[j][k] + V[j-1][k-1]
+        V[j, 1:] += V[j - 1, :-1]
+    n = np.arange(1, order + 2)
+    return V / np.outer(n, n)
+
+
+def hermitian_form(f: TaylorSeries, W: np.ndarray) -> float:
+    """sum_{j,k} c_j conj(c_k) W[j][k], c the coefficients of f', as ``energy`` forms it."""
+    c = f.derivative().array
+    return float(np.sum(c[:, None] * np.conj(c)[None, :] * W[: c.size, : c.size]).real)

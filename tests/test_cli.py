@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 import os
 import re
 import subprocess
@@ -449,7 +451,7 @@ class TestRun:
         assert np.array_equal(ctx.measure_table.im, fresh.im)
 
     @pytest.mark.parametrize("suite, spec", [
-        ("dirichlet", "log:0.4,0"),  # alone, its first energy is at order 3
+        ("dirichlet", "log:0.4,0"),  # alone: energy-of-identity reads the measure table
         ("all", "log:0.4,0"),  # the unit-mass model weight is Scaled(1/mass, weight)
     ])
     def test_one_ring_dft_pass_per_run(self, suite, spec, monkeypatch):
@@ -464,10 +466,66 @@ class TestRun:
         report, code = run(parse_args(["verify", "--suite", suite, "--weight", spec,
                                        *_fast_flags()]))
         assert code == 0, [c for c in report.checks if not c.passed]
-        assert passes == [31]  # series order 32 - 1
+        # at order 4: a weight with atoms takes the closed-form energy
+        assert passes == [4]
+
+    def test_one_ring_dft_pass_on_a_weight_without_atoms(self, monkeypatch):
+        from disklab import moments
+
+        passes = []
+        real = moments._ring_moments
+        monkeypatch.setattr(
+            moments, "_ring_moments",
+            lambda vals, grid, order: passes.append(order) or real(vals, grid, order),
+        )
+        report, code = run(parse_args(["verify", "--suite", "all", "--weight", "uniform",
+                                       *_fast_flags()]))
+        assert code == 1
+        assert passes == [31]  # series order 32 - 1: its energies read the grid
+
+    def test_isometry_suite_on_a_log_pole_reads_no_grid_values(self, monkeypatch):
+        from disklab import dbr, moments, weights
+
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        counting(moments, "_ring_moments")
+        for module in (weights, moments, dbr):
+            counting(module, "weight_values")
+        counting(dbr, "outer_function")
+        report, code = run(parse_args(["verify", "--suite", "isometry", "--weight",
+                                       "log:0.4,0", "--series-order", "256"]))
+        assert code == 0, [c for c in report.checks if not c.passed]
+        assert calls == []
+
+    def test_outer_consistency_cross_check_is_blocked(self):
+        import tracemalloc
+
+        from disklab import cli
+        from disklab.quadrature import NODE_BLOCK
+
+        ctx = cli._SuiteContext(parse_args(["verify", "--weight", "harm:1,0"]))
+        first = cli._outer_consistency(ctx)  # builds the model
+        assert "max|b_fft - b| 4.2" in first[1]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert cli._outer_consistency(ctx) == first
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the 32,768 log-modulus samples and their real FFT (8 bytes a node
+        # each), plus about one block of complex nodes; whole-circle arrays
+        # would add 16 bytes a node apiece
+        m = ctx.config.boundary_order
+        assert peak <= 16 * m + 3 * 16 * NODE_BLOCK
 
     def test_dbr_build_on_atomic_weight_builds_no_disk_grid(self, monkeypatch, tmp_path):
-        from disklab import weights
+        from disklab import dbr, weights
 
         grids = []
         real = weights.make_disk_grid
@@ -475,6 +533,12 @@ class TestRun:
             weights, "make_disk_grid",
             lambda *a, **k: grids.append(a) or real(*a, **k),
         )
+
+        def refuse(*args, **kwargs):  # nor a boundary circle grid and its FFT
+            raise AssertionError("a one-atom model took the FFT route")
+
+        monkeypatch.setattr(dbr, "make_circle_grid", refuse)
+        monkeypatch.setattr(dbr, "outer_function", refuse)
         out = tmp_path / "model.json"
         flags = _fast_flags(command="dbr-build")
         assert main(["dbr", "build", "--weight", "harm:1,0", *flags,
@@ -675,7 +739,10 @@ class TestProcessEntryPoint:
 
 # (suite, check name, digest, value, tolerance, passed) of `verify --suite all` at
 # _fast_flags(), in report order, with the exit code, as produced before the
-# checks became one table; values may move by a relative 1e-12 at most.
+# checks became one table; values may move by a relative 1e-12 at most. The
+# isometry rows read the closed-form symbol and energy of the one atom: on
+# harm:1,0 the gap went from 0.0415 (a failure on this coarse boundary grid)
+# to 7.3e-15, and on log:0.4,0 from 2.4e-12 to 1.4e-15.
 _VERIFY_ALL_PINS = {
     "harm:1,0": (1, [
         ("moments", "point-forward-exact", "03bb7cfe6540", 0.0, 0.0, True),
@@ -696,8 +763,8 @@ _VERIFY_ALL_PINS = {
         ("dbr", "phi-consistency", "f277c2ca4054", 0.00043377656795939856, 0.0001, False),
         ("dbr", "b-contraction", "c9377a5d33f2", 0.0, 1e-06, True),
         ("dbr", "outer-consistency", "11320d087927", 0.000145554893609902, 0.01, True),
-        ("isometry", "isometry-gap", "d2c06add9746", 0.04146281420747071, 0.01, False),
-        ("isometry", "isometry-falsification-b-zero", "7fe81d60962b", 0.3855259748176716, 0.1, True),
+        ("isometry", "isometry-gap", "d2c06add9746", 7.326808913700246e-15, 0.01, True),
+        ("isometry", "isometry-falsification-b-zero", "7fe81d60962b", 0.38552597704014724, 0.1, True),
     ]),
     "log:0.4,0": (0, [
         ("moments", "point-forward-exact", "6d2cc1ce346e", 0.0, 0.0, True),
@@ -718,8 +785,8 @@ _VERIFY_ALL_PINS = {
         ("dbr", "phi-consistency", "caaecdfcd4bb", 4.107270079600767e-12, 0.0001, True),
         ("dbr", "b-contraction", "683536e8aeb2", 0.0, 1e-06, True),
         ("dbr", "outer-consistency", "b59bdca971d8", 2.220446049250313e-16, 1e-06, True),
-        ("isometry", "isometry-gap", "3e39647b6b2d", 2.4476197512633797e-12, 0.01, True),
-        ("isometry", "isometry-falsification-b-zero", "ff91a4186e0c", 0.20129886208359052, 0.1, True),
+        ("isometry", "isometry-gap", "3e39647b6b2d", 1.4211143337132335e-15, 0.01, True),
+        ("isometry", "isometry-falsification-b-zero", "ff91a4186e0c", 0.2012988620842954, 0.1, True),
     ]),
     "uniform": (1, [
         ("moments", "point-forward-exact", "544bf3638fee", 0.0, 0.0, True),
@@ -821,3 +888,39 @@ class TestCheckTable:
                                             *_fast_flags()]))
         record = ctx.check(replace(row, fn=lambda ctx: (float("nan"), "planted")))
         assert np.isnan(record.value) and not record.passed
+
+
+# Rows whose value is a closed form of the atom, or does not read the weight:
+# a turned pole must give them within 1e-12. The other rows read the grid,
+# which does not turn with the pole, so only their verdicts are compared.
+_CLOSED_FORM_ROWS = {
+    "point-forward-exact", "point-reject-non-rank-one", "weight-table-multiplicative",
+    "point-tensor-vanishing", "weight-table-tensor", "energy-quadratic-scaling",
+    "energy-constant-zero", "model-build", "h0-normalization", "laplacian-identity",
+    "b-contraction", "isometry-gap", "isometry-falsification-b-zero",
+}
+_POLE_MODULUS = {"harm": 1.0, "log": 0.4}
+
+
+@functools.lru_cache(maxsize=None)
+def _all_suites(spec: str) -> tuple:
+    """(name, passed, value) of every row of every suite, run in process at default flags."""
+    from disklab import cli
+
+    ctx = cli._SuiteContext(parse_args(["verify", "--weight", spec]))
+    return tuple((r.name, r.passed, r.value)
+                 for suite in cli.SUITES for r in cli._SUITE_RUNNERS[suite](ctx))
+
+
+@pytest.mark.parametrize("family", sorted(_POLE_MODULUS))
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_turning_the_pole_keeps_names_verdicts_and_closed_form_values(family, theta):
+    r = _POLE_MODULUS[family]
+    turned = _all_suites(f"{family}:{r * math.cos(theta)!r},{r * math.sin(theta)!r}")
+    reference = _all_suites(f"{family}:{r!r},0")
+    assert [(n, ok) for n, ok, _ in turned] == [(n, ok) for n, ok, _ in reference]
+    assert all(ok for _, ok, _ in turned)
+    for (name, _, value), (_, _, ref) in zip(turned, reference):
+        if name in _CLOSED_FORM_ROWS:
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), name

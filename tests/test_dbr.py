@@ -29,6 +29,7 @@ from disklab import (
     kernel_series,
     laplacian_identity_check,
     make_circle_grid,
+    make_disk_grid,
     moment_table_from_berezin,
     outer_function,
     synthesize,
@@ -382,6 +383,51 @@ class TestOuterFunction:
             outer_function(samples, grid, 8)
 
 
+_ONE_ATOM_POLES = [1.0, 0.6 - 0.8j, np.exp(2.5j), 0.4, -0.28 + 0.28j, 0.0]
+
+
+class TestOneAtomFactors:
+    """The closed-form a and b of a unit atom, and the FFT route that cross-checks them."""
+
+    @pytest.mark.parametrize("p", _ONE_ATOM_POLES)
+    def test_modulus_identity_on_a_circle_grid(self, p):
+        a, b = dbr._one_atom_factors(p, 64)
+        e = make_circle_grid(512, offset=0.5).nodes
+        av, bv = a.evaluate_many(e), b.evaluate_many(e)
+        assert np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0)) <= 1e-14
+        # b = phi a with phi = z/(1 - conj(p) z), continued to the circle, where
+        # |phi| reaches about 160 next to a boundary pole (5.2e-14 measured)
+        assert np.max(np.abs(bv - dbr._atoms_phi(((p, 1.0),), e) * av)) <= 1e-12
+
+    @pytest.mark.parametrize("p", _ONE_ATOM_POLES)
+    def test_b_is_z_h_a(self, p):
+        a, b = dbr._one_atom_factors(p, 64)
+        h = dbr.factor_table(atoms_table(((p, 1.0),), 64), 1e-9).h
+        np.testing.assert_allclose((h.shift() * a).coeffs, b.coeffs, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("p, bound", [(1.0, 1e-4), (0.4, 1e-15)])
+    def test_fft_b_against_closed_form(self, p, bound):
+        # measured: 4.24e-5 on the boundary pole, about 1e-17 at 0.4
+        atoms = ((complex(p), 1.0),)
+        a = dbr._fft_outer_factor(lambda e: dbr._atoms_phi(atoms, e), 32768, 64)
+        h = dbr.factor_table(atoms_table(atoms, 64), 1e-9).h
+        _, b = dbr._one_atom_factors(p, 64)
+        assert np.max(np.abs((h.shift() * a).array - b.array)) <= bound
+
+    def test_non_atomic_weight_keeps_the_fft_route(self, monkeypatch):
+        calls = []
+        real = dbr.outer_function
+        monkeypatch.setattr(dbr, "outer_function",
+                            lambda *a: calls.append(a[1]) or real(*a))
+        log = LogGreen(0.3)  # its values, with no atoms: the measure route
+        w = Custom(log.eval_many, singularities=log.singularities, label="log values")
+        model = build_model(w, grid_for_weight(w, 60, 128), boundary_order=512, order=16)
+        assert [g.size for g in calls] == [512]
+        # its h has the order-8 table's 9 coefficients, so b agrees up to z^8
+        closed = dbr._one_atom_factors(0.3, 16)[1]
+        np.testing.assert_allclose(model.b.coeffs[:9], closed.coeffs[:9], atol=1e-6)
+
+
 class TestBuildModel:
     def test_harmonic_model_h_is_geometric(self, harm_model):
         np.testing.assert_allclose(
@@ -390,13 +436,13 @@ class TestBuildModel:
 
     def test_harmonic_model_b_matches_closed_form(self, harm_model):
         expected = [0.0] + [math.sqrt(_S) * _S ** (k - 1) for k in range(1, 65)]
-        np.testing.assert_allclose(harm_model.b.coeffs, expected, atol=1e-4)
+        np.testing.assert_allclose(harm_model.b.coeffs, expected, atol=1e-12)
 
     def test_harmonic_model_a_matches_closed_form(self, harm_model):
         expected = [math.sqrt(_S)] + [
             math.sqrt(_S) * (_S**k - _S ** (k - 1)) for k in range(1, 65)
         ]
-        np.testing.assert_allclose(harm_model.a.coeffs, expected, atol=1e-4)
+        np.testing.assert_allclose(harm_model.a.coeffs, expected, atol=1e-12)
 
     def test_log_origin_model_b_is_scaled_z(self, log0_model):
         # normalized weight 2 log(1/|z|): h = 1, |a| = 1/sqrt(2), b = z/sqrt 2

@@ -4,6 +4,7 @@ import pytest
 from disklab import (
     Custom,
     DomainError,
+    GreenDecomposition,
     HarmonicBoundary,
     LogGreen,
     Scaled,
@@ -14,10 +15,12 @@ from disklab import (
     grid_for_weight,
     integrate,
     monomial,
+    synthesize,
     uniform_weight,
 )
 
-from reference import constant_series, exp_reference
+from reference import atoms_moment_matrix, constant_series, exp_reference, hermitian_form
+from disklab.moments import disk_moments
 from disklab.quadrature import NODE_BLOCK
 
 
@@ -126,7 +129,9 @@ _ROUTE_WEIGHTS = {
 
 
 class TestMomentRoute:
-    """energy is the Hermitian form on the ring-DFT moment matrix."""
+    """The grid route: the Hermitian form on the ring-DFT moment matrix is the
+    grid's quadrature. It is ``energy`` for a weight without atoms; a weight
+    with atoms takes the closed form, here against its diagonal-sum W."""
 
     @pytest.mark.parametrize("order", [4, 64, 256])
     @pytest.mark.parametrize("kind", sorted(_ROUTE_WEIGHTS))
@@ -136,7 +141,13 @@ class TestMomentRoute:
         rng = np.random.default_rng(order)
         f = TaylorSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
         ref = _quadrature_energy(f, w, grid)
-        assert energy(f, w, grid) == pytest.approx(ref, rel=1e-13, abs=0)
+        form = hermitian_form(f, disk_moments(w, grid, order - 1))
+        assert form == pytest.approx(ref, rel=1e-13, abs=0)
+        if w.atoms is None:
+            assert energy(f, w, grid) == form
+        else:
+            closed = hermitian_form(f, atoms_moment_matrix(w.atoms, order - 1))
+            assert energy(f, w, grid) == pytest.approx(closed, rel=1e-13, abs=0)
 
     def test_weight_evaluated_once_across_dilation_energies(self, coarse_disk_grid):
         # the dilation check's 15 energies: 3 functions at 5 radii
@@ -154,3 +165,61 @@ class TestMomentRoute:
         w = Custom(lambda z: np.where(z == bad, np.inf, 1.0), label="spike")
         with pytest.raises(SingularIntegrandError, match=r"\(index 5\)"):
             energy(monomial(1, 4), w, coarse_disk_grid)
+
+
+_CATALOG_POLES = {  # spec -> (weight, bound on its W gap at order 64)
+    "harm:1,0": (HarmonicBoundary(1.0), 1e-8),
+    "harm:0.6,-0.8": (HarmonicBoundary(0.6 - 0.8j), 1e-9),
+    "log:0.4,0": (LogGreen(0.4), 1e-11),
+    "log:-0.28,0.28": (LogGreen(-0.28 + 0.28j), 1e-11),
+}
+
+
+class TestClosedForm:
+    """The closed-form energy of a weight with atoms, against the grid route."""
+
+    @pytest.mark.parametrize("spec", sorted(_CATALOG_POLES))
+    def test_atoms_moment_matrix_matches_disk_moments(self, spec):
+        # measured at order 64: 1.75e-9 (harm:1,0), 1.1e-10 (harm:0.6,-0.8),
+        # at most 7.1e-13 on the log poles
+        w, bound = _CATALOG_POLES[spec]
+        grid = grid_for_weight(w, 120, 256)
+        gap = np.max(np.abs(atoms_moment_matrix(w.atoms, 64) - disk_moments(w, grid, 64)))
+        assert gap <= bound
+
+    def test_atoms_moment_matrix_matches_disk_moments_at_order_255(self, log04_weight,
+                                                                    log04_grid):
+        W = atoms_moment_matrix(log04_weight.atoms, 255)
+        assert np.max(np.abs(W - disk_moments(log04_weight, log04_grid, 255))) <= 1e-11
+
+    def test_harmonic_atom_entries(self):
+        zeta = np.exp(0.9j)
+        W = atoms_moment_matrix(HarmonicBoundary(zeta).atoms, 12)
+        j, k = np.meshgrid(np.arange(13), np.arange(13), indexing="ij")
+        expected = zeta ** (j - k).astype(float) / (np.maximum(j, k) + 1)
+        np.testing.assert_allclose(W, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("order", [8, 64, 256])
+    @pytest.mark.parametrize("spec", sorted(_CATALOG_POLES) + ["scaled"])
+    def test_horner_energy_is_the_closed_form_hermitian_form(self, spec, order):
+        w = Scaled(2.5, LogGreen(0.3j)) if spec == "scaled" else _CATALOG_POLES[spec][0]
+        rng = np.random.default_rng(order)
+        f = TaylorSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+        closed = hermitian_form(f, atoms_moment_matrix(w.atoms, order - 1))
+        assert energy(f, w, None) == pytest.approx(closed, rel=1e-13, abs=0)
+
+    def test_reads_no_grid(self, monkeypatch):
+        from disklab import dirichlet
+
+        def refuse(*args):
+            raise AssertionError("the grid route was taken")
+
+        monkeypatch.setattr(dirichlet, "disk_moments", refuse)
+        assert energy(monomial(1, 4), LogGreen(0.4), None) == pytest.approx(0.42)
+        assert energy(monomial(1, 4), Scaled(2.0, HarmonicBoundary(1.0)), None) == 2.0
+        assert energy(monomial(1, 4), synthesize(GreenDecomposition()), None) == 0.0
+
+    def test_non_finite_energy_raises(self):
+        f = TaylorSeries([0.0, 1e200, 1e200])
+        with pytest.raises(SingularIntegrandError, match="not finite"):
+            energy(f, HarmonicBoundary(1.0), None)

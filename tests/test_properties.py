@@ -24,6 +24,9 @@ from disklab import (
     kernel_series,
     uniform_weight,
 )
+from disklab.moments import disk_moments
+
+from reference import atoms_moment_matrix, hermitian_form
 
 _WEIGHTS = [HarmonicBoundary(np.exp(1.3j)), LogGreen(-0.2 + 0.3j), uniform_weight()]
 _GRIDS = [grid_for_weight(w, 30, 48) for w in _WEIGHTS]
@@ -41,6 +44,12 @@ def test_energy_is_the_nonnegative_quadratic_quadrature_value(coeffs, alpha, whi
     f = TaylorSeries(coeffs)
     fp = f.derivative()
     ref = integrate(grid, lambda z: np.abs(fp.evaluate_many(z)) ** 2 * w.eval_many(z))
+    # the grid route is the quadrature value; a weight with atoms takes the
+    # closed form, whose reference is its diagonal-sum moment matrix
+    form = hermitian_form(f, disk_moments(w, grid, f.order - 1))
+    assert form == pytest.approx(ref, rel=1e-13, abs=1e-300)
+    if w.atoms is not None:
+        ref = hermitian_form(f, atoms_moment_matrix(w.atoms, f.order - 1))
     e = energy(f, w, grid)
     assert e >= 0.0
     assert e == pytest.approx(ref, rel=1e-13, abs=1e-300)
