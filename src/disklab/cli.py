@@ -12,15 +12,15 @@ Reports are deterministic: fixed seeds and fixed reduction orders make two
 runs of one configuration byte-identical outside the timing fields (each
 check's ``elapsed_s`` and the top-level ``timings``). Exit codes: 0 when
 every check passes, 1 on any failure, 2 on usage errors, among them a
-``--boundary`` below the outer factor's bound, an unwritable ``--out``
-and a disk grid over the node budget, refused when the command builds it.
+``--boundary`` below the outer factor's bound, an unwritable ``--out``,
+a disk grid over the node budget, refused when the command builds it, and
+a weight whose values or moment checks overflow the float range.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -31,11 +31,26 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
+# hashlib loads OpenSSL (about 3.6 MiB a process) for one 12-character label
+# per check; the interpreter's built-in SHA-256 gives the same digests
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 import numpy as np
 
 from . import dbr as dbr_mod
 from .dirichlet import dilation_report, energy
-from .errors import DomainError, NotDbrWeightError, WeightSpecError
+from .errors import (
+    DomainError,
+    NotDbrWeightError,
+    SingularIntegrandError,
+    WeightSpecError,
+)
 from .moments import (
     atoms_table,
     disk_moments,
@@ -162,7 +177,7 @@ def _json_text(payload: dict) -> str:
 
 def _digest(*parts) -> str:
     blob = "|".join(str(p) for p in parts)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return sha256(blob.encode()).hexdigest()[:12]
 
 
 _CEILING, _FLOOR, _INFO = "ceiling", "floor", "info"
@@ -778,8 +793,12 @@ def _run_moments(config: argparse.Namespace) -> int:
     else:
         grid = grid_for_weight(config.weight, config.radial_order, config.angular_order)
         table = measure_moments(config.weight, grid, config.order)
-    weak = weak_mult_check(table)
-    tensor = tensor_diag_check(table)
+    # the checks multiply entries, so a table of entries near 1e308 overflows them
+    with np.errstate(over="ignore", invalid="ignore"):
+        weak = weak_mult_check(table)
+        tensor = tensor_diag_check(table)
+    if not (math.isfinite(weak.residual) and math.isfinite(tensor.residual)):
+        raise DomainError(f"the moment checks of {config.weight_spec} overflow")
     payload = {
         "weight": config.weight_spec,
         "table": table.to_json_dict(),
@@ -846,7 +865,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     config = parse_args(argv)
     try:
         return _COMMANDS[config.command](config)
-    except DomainError as exc:  # an input out of its domain, or an unwritable --out
+    except (DomainError, SingularIntegrandError) as exc:
+        # an input out of its domain, an unwritable --out, or a weight whose
+        # values overflow the float range on its grid
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -39,7 +39,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InconsistentTableError, NotWeaklyMultiplicativeError
+from .errors import (
+    DomainError,
+    InconsistentTableError,
+    NotWeaklyMultiplicativeError,
+    SingularIntegrandError,
+)
 from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _ring_angles
 from .weights import Scaled, Weight, _on_grid, weight_values
 
@@ -413,12 +418,26 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     if data.W is not None and data.W.shape[0] > order:
         return data.W[: order + 1, : order + 1]
     if isinstance(w, Scaled):
+        lo, hi = _value_range(w, grid)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise SingularIntegrandError(f"values of {w.label} are not finite on the grid")
         W = w.c * disk_moments(w.inner, grid, order)
     else:
         W = _ring_moments(weight_values(w, grid), grid, order)
     W.setflags(write=False)
     data.W = W
     return W
+
+
+def _value_range(w: Weight, grid: DiskGrid) -> tuple[float, float]:
+    """Least and largest value of w on the grid; a ``Scaled`` weight's are its
+    factor times its inner weight's, rounded as its values are, which are
+    never formed."""
+    if isinstance(w, Scaled):
+        lo, hi = _value_range(w.inner, grid)
+        return w.c * lo, w.c * hi
+    vals = weight_values(w, grid)
+    return float(vals.min()), float(vals.max())
 
 
 def _ring_moments(vals: np.ndarray, grid: DiskGrid, order: int) -> np.ndarray:

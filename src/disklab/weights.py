@@ -212,7 +212,8 @@ class Scaled(Weight):
             self.atoms = tuple((p, c * m) for p, m in inner.atoms)
 
     def _value_many(self, z: np.ndarray) -> np.ndarray:
-        return self.c * self.inner._value_many(z)
+        with np.errstate(over="ignore"):  # an overflow is an inf, which callers refuse
+            return self.c * self.inner._value_many(z)
 
 
 class Custom(Weight):
@@ -385,7 +386,8 @@ def parse_weight_spec(spec: str) -> Weight:
 
     Grammar: ``harm:<re>,<im>`` (boundary point, normalized to the circle
     unless it lies on it to roundoff), ``log:<re>,<im>`` (interior point),
-    ``scaled:<c>:<spec>``, ``uniform``.
+    ``scaled:<c>:<spec>``, ``uniform``. The factors of nested ``scaled`` specs
+    must multiply, innermost first, to a positive finite number.
     """
     spec = spec.strip()
     if spec == "uniform":
@@ -416,8 +418,21 @@ def parse_weight_spec(spec: str) -> Weight:
             raise WeightSpecError(
                 f"scale factor must be positive and finite in {spec!r}"
             )
-        return Scaled(c, parse_weight_spec(inner))
+        weight = parse_weight_spec(inner)
+        # nested factors compose, inner first, into the atoms' masses and the
+        # values: 1e308 twice overflows them, 1e-300 twice underflows them to 0
+        product = c * _scale_factor(weight)
+        if not (product > 0.0 and math.isfinite(product)):
+            raise WeightSpecError(
+                f"scale factors multiply to {product:g}, not positive and finite, in {spec!r}"
+            )
+        return Scaled(c, weight)
     raise WeightSpecError(f"unknown weight kind {head!r} in {spec!r}")
+
+
+def _scale_factor(w: Weight) -> float:
+    """Product of the factors of nested ``Scaled`` weights, innermost first."""
+    return w.c * _scale_factor(w.inner) if isinstance(w, Scaled) else 1.0
 
 
 def _parse_point(token: str, spec: str) -> complex:

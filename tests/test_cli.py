@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from disklab.cli import DEFAULT_TOLS, main, parse_args, run
 from disklab.quadrature import MAX_DISK_NODES
-from disklab.weights import parse_weight_spec
+from disklab.weights import Scaled, parse_weight_spec
 
 from reference import disk_grid_size
 
@@ -287,7 +289,7 @@ _numbers = st.one_of(
     st.floats().map(repr),
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["", " ", "nan", "-inf", "1e999", "1e-400", "5e-324", "0x10",
-                     "1_0", "+.5", "1,", "abc", "0.9999999", "-0"]),
+                     "1_0", "+.5", "1,", "abc", "0.9999999", "-0", "1e308", "1e-300"]),
 )
 _coordinates = st.floats(-1.5, 1.5).map(repr)
 _points = st.one_of(
@@ -312,6 +314,8 @@ _specs = st.recursive(
 @given(spec=_specs)
 @example(spec="log:5e-324,0")  # a subnormal pole radius: its grid segment underflows
 @example(spec="harm:1e-320,1e-320")  # a subnormal point normalised to the circle
+@example(spec="scaled:1e308:scaled:1e308:log:0.4,0")  # the factors overflow
+@example(spec="scaled:1e-300:scaled:1e-300:log:0.4,0")  # the factors underflow to 0
 def test_junk_spec_is_usage_error_or_round_trips(spec):
     try:
         config = parse_args(["weights", "info", "--weight", spec])
@@ -320,6 +324,15 @@ def test_junk_spec_is_usage_error_or_round_trips(spec):
         return
     label = parse_weight_spec(config.weight_spec).label
     assert parse_weight_spec(label).label == label
+    # nested scale factors compose, innermost first, to a positive finite factor
+    factors, weight = [], config.weight
+    while isinstance(weight, Scaled):
+        factors.append(weight.c)
+        weight = weight.inner
+    product = 1.0
+    for c in reversed(factors):
+        product *= c
+        assert 0.0 < product < math.inf
 
 
 _FAST_FLAGS = (("--radial", "60"), ("--angular", "128"), ("--boundary", "2048"),
@@ -735,6 +748,112 @@ class TestProcessEntryPoint:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["diagnostics"]["rank_ratio"] == 0.0
+
+    @pytest.mark.skipif(
+        importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None,
+        reason="the interpreter has no built-in sha256 module",
+    )
+    def test_a_verify_process_does_not_load_openssl(self):
+        code = ("import os, sys\n"
+                "from disklab import cli\n"
+                "code = cli.main(['verify', '--suite', 'all', '--weight', 'harm:1,0',\n"
+                "                 '--out', os.devnull])\n"
+                "print(code, sorted({'_hashlib', 'ssl'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 []\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(st.one_of(st.text(), st.integers(), st.floats()), max_size=8))
+@example(parts=["point-forward-exact", "harm:1,0", 8, 120, 256, 0x5EED])
+@example(parts=["\u00e9\u4e2d\U0001f600", ""])
+def test_check_digest_is_the_first_12_hex_digits_of_sha256(parts):
+    from disklab import cli
+
+    blob = "|".join(map(str, parts)).encode()
+    assert cli._digest(*parts) == hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-finite token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+_CATALOG = ("harm:1,0", "harm:0.6,-0.8", "log:0.4,0", "uniform", "scaled:2:log:0.4,0")
+_OVERFLOW = "scaled:1e308:harm:1,0"  # its values overflow on every grid near the pole
+
+
+class TestFiniteOutput:
+    """Every document on standard output is strict JSON; a weight out of float
+    range is one error line."""
+
+    @pytest.mark.parametrize("spec", _CATALOG)
+    def test_catalog_output_is_strict_json(self, spec, capsys):
+        for argv in (["verify", "--suite", "all"], ["moments"], ["moments", "--route", "measure"],
+                     ["dbr", "build"], ["weights", "info"]):
+            code = main([*argv, "--weight", spec])
+            out, _ = capsys.readouterr()
+            assert code == (1 if spec == "uniform" and argv[0] in ("verify", "dbr") else 0)
+            if code == 0 or argv[0] == "verify":
+                assert _strict_json(out)["schema"] == 1, argv
+
+    @pytest.mark.parametrize("argv, error", [
+        (["weights", "info"], r"error: integrand is not finite at node .* \(index \d+\)"),
+        (["moments", "--route", "measure"],
+         r"error: values of scaled:1e\+308:harm:1,0 are not finite on the grid"),
+        (["moments"], r"error: the moment checks of scaled:1e308:harm:1,0 overflow"),
+    ])
+    def test_values_out_of_float_range_are_one_error_line(self, argv, error, capsys):
+        assert main([*argv, "--weight", _OVERFLOW]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(error + "\n", err)
+
+    @pytest.mark.parametrize("spec, named, product", [
+        ("scaled:1e308:scaled:1e308:log:0.4,0", None, "inf"),
+        ("scaled:1e-300:scaled:1e-300:log:0.4,0", None, "0"),
+        # the factors compose innermost first, so the inner pair overflows first
+        ("scaled:1e-300:scaled:1e300:scaled:1e300:uniform",
+         "scaled:1e300:scaled:1e300:uniform", "inf"),
+    ])
+    @pytest.mark.parametrize("argv", [["weights", "info"], ["moments"], ["dbr", "build"]])
+    def test_nested_factors_out_of_range_are_a_usage_error(self, argv, spec, named, product,
+                                                           capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--weight", spec])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: scale factors multiply to {product}, not positive "
+                            f"and finite, in {named or spec!r}\n")
+        assert err.count("error:") == 1
+
+    def test_nested_factors_whose_product_is_in_range_parse(self):
+        weight = parse_args(["moments", "--weight", "scaled:1e-300:scaled:1e300:log:0.4,0"]).weight
+        assert weight.atoms[0][1] == pytest.approx(0.42, rel=1e-12)
+
+    def test_dbr_build_of_an_overflowing_weight_is_its_unit_mass_model(self, capsys):
+        # the model reads the atoms, not the values, and normalizes them to unit mass
+        assert main(["dbr", "build", "--weight", _OVERFLOW]) == 0
+        scaled = _strict_json(capsys.readouterr().out)
+        assert main(["dbr", "build", "--weight", "harm:1,0"]) == 0
+        plain = _strict_json(capsys.readouterr().out)
+        for key in ("h", "a", "b"):
+            for part in ("re", "im"):
+                assert np.allclose(scaled[key][part], plain[key][part], rtol=0, atol=1e-15)
+
+    def test_verify_turns_overflowing_values_into_failed_rows(self, capsys):
+        assert main(["verify", "--weight", _OVERFLOW, *_fast_flags()]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = {c["name"]: c for c in _strict_json(out)["checks"]}
+        assert not rows["weight-table-multiplicative"]["passed"]
+        assert rows["weight-table-multiplicative"]["detail"] == (
+            "SingularIntegrandError: values of scaled:1e+308:harm:1,0 are not finite on the grid")
 
 
 # (suite, check name, digest, value, tolerance, passed) of `verify --suite all` at

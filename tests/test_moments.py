@@ -37,6 +37,7 @@ from disklab import (
     tensor_diag_check,
     weak_mult_check,
 )
+from disklab import moments
 from disklab.moments import weight_values
 from disklab.quadrature import MAX_TENSOR_ENTRIES, NODE_BLOCK
 
@@ -761,6 +762,18 @@ class TestDiskMoments:
             else:
                 berezin_transforms(w, [0.3], coarse_disk_grid)
         assert f"at node {bad!r} (index {index})" in str(err.value)
+
+    def test_scaled_weight_whose_values_overflow_raises(self, coarse_disk_grid, harm_weight):
+        # the matrix, 1e308 times the inner one, can be finite; the values are not
+        w = Scaled(1e308, harm_weight)
+        with pytest.raises(SingularIntegrandError, match=r"scaled:1e\+308:harm:1,0"):
+            disk_moments(w, coarse_disk_grid, 2)
+
+    def test_scaled_value_range_is_the_range_of_its_values(self, coarse_disk_grid):
+        inner = Custom(lambda z: 1.0 - np.abs(z) ** 2, label="cap")
+        for w in (Scaled(2.5, inner), Scaled(3.0, Scaled(1 / 3, inner))):
+            vals = weight_values(w, coarse_disk_grid)
+            assert moments._value_range(w, coarse_disk_grid) == (vals.min(), vals.max())
 
 
 def _reference_ring_dft(vals, grid, order):
