@@ -12,9 +12,10 @@ Reports are deterministic: fixed seeds and fixed reduction orders make two
 runs of one configuration byte-identical outside the timing fields (each
 check's ``elapsed_s`` and the top-level ``timings``). Exit codes: 0 when
 every check passes, 1 on any failure, 2 on usage errors, among them a
-``--boundary`` below the outer factor's bound, an unwritable ``--out``,
-a disk grid over the node budget, refused when the command builds it, and
-a weight whose values or moment checks overflow the float range.
+``verify --boundary`` below the FFT cross-check's bound, an unwritable
+``--out``, a disk grid over the node budget, refused when the command
+builds it, and a weight whose values or moment checks overflow the float
+range.
 """
 
 from __future__ import annotations
@@ -262,7 +263,6 @@ class _SuiteContext:
         """The kernel model, or the exception its one build raised."""
         try:
             return dbr_mod.build_model(self.weight, self.disk_grid,
-                                       boundary_order=self.config.boundary_order,
                                        order=self.config.series_order)
         except Exception as exc:  # surfaces as failed checks, not a crash
             return exc
@@ -482,7 +482,7 @@ def _outer_consistency(ctx: _SuiteContext):
     """The FFT outer factor's |a| against 1/sqrt(1 + |phi|^2), phi from the atoms.
 
     The cross-check of the model's factors: ``dbr._fft_outer_factor`` fits a
-    from the atoms' boundary data at ``boundary_order`` nodes (offset 1/2),
+    from the atoms' boundary data at ``--boundary`` nodes (offset 1/2),
     one node block at a time, and |a| is compared on the circle of half the
     boundary order at offset 1/4, whose points are every other node of the
     fitting grid, so they are not held out. None need be: a is a series of
@@ -498,9 +498,9 @@ def _outer_consistency(ctx: _SuiteContext):
     if atoms is None:
         return None, "no atomic boundary data to check", None, _INFO
     a = dbr_mod._fft_outer_factor(lambda e: dbr_mod._atoms_phi(atoms, e),
-                                  model.boundary_order, model.order)
+                                  ctx.config.boundary_order, model.order)
     b_err = float(np.max(np.abs((model.h.shift() * a).array - model.b.array)))
-    m = model.boundary_order // 2
+    m = ctx.config.boundary_order // 2
     err = 0.0
     for lo in range(0, m, NODE_BLOCK):
         e = _ring_angles(m, 0.25, lo, min(lo + NODE_BLOCK, m))
@@ -685,7 +685,8 @@ _FLAGS = {
     "--angular": dict(type=int, default=256, dest="angular_order", metavar="ANGULAR",
                       help="baseline angular quadrature order (default %(default)s)"),
     "--boundary": dict(type=int, default=32768, dest="boundary_order", metavar="BOUNDARY",
-                       help="boundary circle order for the outer factor"),
+                       help="boundary circle order of the FFT outer factor that "
+                            "outer-consistency fits"),
     "--tol": dict(action="append", default=[], metavar="NAME=V",
                   help="override a named tolerance (repeatable)"),
     "--out": dict(default=None, help="write the report to this path"),
@@ -722,7 +723,7 @@ def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
     dbr_sub = p_dbr.add_subparsers(dest="dbr_command", required=True)
     p_build = dbr_sub.add_parser("build", help="build and emit a kernel model")
     _add_flags(p_build, "dbr-build", "--weight", "--series-order", "--radial",
-               "--angular", "--boundary", "--out")
+               "--angular", "--out")
 
     p_weights = sub.add_parser("weights", help="weight utilities")
     w_sub = p_weights.add_subparsers(dest="weights_command", required=True)
@@ -817,10 +818,7 @@ def _run_dbr_build(config: argparse.Namespace) -> int:
         config.weight, config.radial_order, config.angular_order
     )
     try:
-        model = dbr_mod.build_model(
-            config.weight, grid, boundary_order=config.boundary_order,
-            order=config.series_order,
-        )
+        model = dbr_mod.build_model(config.weight, grid, order=config.series_order)
     except NotDbrWeightError as exc:  # a valid spec whose weight has no model
         sys.stderr.write(f"error: {exc}\n")
         return 1

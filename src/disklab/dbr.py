@@ -13,25 +13,25 @@ model's kernel is (1 - b(z) conj(b(v))) / (1 - z conj(v)), and
 ``verify_isometry`` measures, on finite kernel spans, how far the Gram
 norm is from the Hardy norm plus the weighted Dirichlet energy.
 
-Each step takes one of two routes:
+The table takes one of two routes:
 
 * A weight with atoms (every catalog weight) carries u itself: its atoms
   after unit-mass normalization. Its table is ``atoms_table`` (rank one
   for one atom, h_k = M[0][k], h_0 = 1), and its rank test reads the r
-  atoms. By the classification a model exists only for one atom p: then
-  a = (1 - conj(p) z)/(alpha - (conj(p)/alpha) z) and b = z/(alpha -
-  (conj(p)/alpha) z) in closed form (``_one_atom_factors``; Sarason's for
-  p = 1), with no boundary grid, and its energy is the closed form of
-  ``dirichlet.energy``.
+  atoms.
 * Any other weight is normalized by quadrature, its table follows from
   its measure moments W by expanding the quartic kernel, M[j][k] =
-  (j+1)(k+1) W[j][k] - j k W[j-1][k-1], and the rank-one test decides
-  whether a model exists at all; a is then fitted by FFT to |phi|^2 on a
-  boundary circle grid (``_fft_outer_factor``, ``outer_function``) and
-  b = z h a.
+  (j+1)(k+1) W[j][k] - j k W[j-1][k-1], and one SVD decides whether the
+  table is rank one.
 
-The FFT fit of a one-atom weight is the verify suite's cross-check of
-the closed form (``outer-consistency``).
+The factors take one route. By the classification a table that passes
+the rank test belongs to one atom p = conj(h_1), so a = (1 - conj(p) z)/
+(alpha - (conj(p)/alpha) z) and b = z/(alpha - (conj(p)/alpha) z) in
+closed form (``_one_atom_factors``; Sarason's for p = 1), with no boundary
+grid, and a weight with atoms takes its energy from the closed form of
+``dirichlet.energy``. The FFT fit of a to the atoms' boundary data
+(``_fft_outer_factor``, ``outer_function``) is only the verify suite's
+cross-check of the closed form (``outer-consistency``).
 """
 
 from __future__ import annotations
@@ -332,7 +332,6 @@ class DbrModel:
     h: TaylorSeries
     a: TaylorSeries
     b: TaylorSeries
-    boundary_order: int
     diagnostics: dict = field(compare=False)
 
     def to_json_dict(self) -> dict:
@@ -414,33 +413,28 @@ def _phi_sample_points() -> list[complex]:
 def build_model(
     weight: Weight,
     disk_grid: Optional[DiskGrid],
-    boundary_order: int = 32768,
     order: int = 64,
 ) -> DbrModel:
     """Construct the kernel model of a weight, normalizing to unit mass.
 
-    Catalog weights go through their exact atomic table (the atom's mass
-    is known in closed form, so normalization is exact and h_0 = 1 to
-    roundoff). Their rank test reads sigma2/sigma1 from the atoms
-    (``atoms_singular_values``: an r x r problem for r atoms, exactly 0 for
-    one atom), so a multi-atom weight is rejected without an SVD of the
-    (order+1)^2 table; h and the residual are still read from the table.
-    Weights without an atomic realization are normalized by quadrature
-    and must pass the rank-one test on the 9 x 9 table computed from their
-    measure moments (``moment_table_from_berezin``), whose singular values
-    come from one SVD; by the classification only a weight whose charge is
-    a single atom passes, and every other weight is rejected with
-    NotDbrWeightError.
+    The table has two routes. A weight with atoms (every catalog weight)
+    takes its exact atomic table, so normalization is exact and h_0 = 1 to
+    roundoff, and its rank test reads sigma2/sigma1 from the r atoms
+    (``atoms_singular_values``), with no SVD of the (order+1)^2 table. A
+    weight without atoms is normalized by quadrature on ``disk_grid`` (None
+    will do otherwise) and its rank test is one SVD of the 9 x 9 table of
+    its measure moments (``moment_table_from_berezin``); its h is padded
+    with zeros to ``order``.
 
-    Only the second route reads ``disk_grid``; it may be None for a weight
-    with known atoms.
-
-    A one-atom weight takes a and b in closed form (``_one_atom_factors``)
-    and builds no boundary grid. Any other weight gets the outer factor a
-    from boundary data sampled on a half-offset circle grid of
-    ``boundary_order`` nodes (``_fft_outer_factor``), so no node hits a
-    boundary pole, and b = z h a.
+    The factors have one route. By the classification a table that passes
+    the rank test belongs to one atom p = conj(h_1) (h_1 = sum m conj(p)),
+    and a and b are its closed forms (``_one_atom_factors``), with no FFT.
+    A weight with exactly one atom takes p from the atom, bit for bit; any
+    other weight takes conj(h_1) from its table, so atoms closer together
+    than the rank test resolves give their barycenter.
     """
+    if order < 1:
+        raise DomainError(f"series order must be at least 1, got {order}")
     unit = unit_mass_atoms(weight)
     if unit is not None:
         norm_weight, norm_atoms = unit
@@ -457,15 +451,9 @@ def build_model(
         h = fac.h
         if h.order < order:
             h = TaylorSeries(tuple(h.coeffs) + (0j,) * (order - h.order))
-
-    if unit is not None and len(norm_atoms) == 1:
-        a, b = _one_atom_factors(norm_atoms[0][0], order)
-    else:
-        def phi(e):  # without atoms, the truncated h stands in for their closed form
-            return e * h.evaluate_many(e) if unit is None else _atoms_phi(norm_atoms, e)
-
-        a = _fft_outer_factor(phi, boundary_order, order)
-        b = h.shift() * a  # b = phi a, phi = z h
+    one_atom = unit is not None and len(norm_atoms) == 1
+    a, b = _one_atom_factors(norm_atoms[0][0] if one_atom else h.coeffs[1].conjugate(),
+                             order)
 
     b_samples = [
         abs(b.evaluate(0.9 * np.exp(2j * np.pi * (t + 0.5) / 16))) for t in range(16)
@@ -484,7 +472,6 @@ def build_model(
         h=h,
         a=a,
         b=b,
-        boundary_order=boundary_order,
         diagnostics=diagnostics,
     )
 

@@ -387,7 +387,8 @@ def parse_weight_spec(spec: str) -> Weight:
     Grammar: ``harm:<re>,<im>`` (boundary point, normalized to the circle
     unless it lies on it to roundoff), ``log:<re>,<im>`` (interior point),
     ``scaled:<c>:<spec>``, ``uniform``. The factors of nested ``scaled`` specs
-    must multiply, innermost first, to a positive finite number.
+    must multiply, innermost first, to a positive finite number, and a
+    ``scaled`` weight's mass must be positive with a finite reciprocal.
     """
     spec = spec.strip()
     if spec == "uniform":
@@ -426,7 +427,16 @@ def parse_weight_spec(spec: str) -> Weight:
             raise WeightSpecError(
                 f"scale factors multiply to {product:g}, not positive and finite, in {spec!r}"
             )
-        return Scaled(c, weight)
+        scaled = Scaled(c, weight)
+        # unit-mass normalization multiplies by 1/m: a subnormal factor can
+        # round the mass to 0, or leave a mass whose reciprocal overflows
+        m = scaled.analytic_mass
+        if not (m > 0.0 and math.isfinite(1.0 / m)):
+            raise WeightSpecError(
+                f"mass {m:g} has no finite reciprocal, so the weight cannot be "
+                f"normalized, in {spec!r}"
+            )
+        return scaled
     raise WeightSpecError(f"unknown weight kind {head!r} in {spec!r}")
 
 

@@ -68,14 +68,12 @@ def uniform():
 
 @pytest.fixture(scope="session")
 def harm_model(harm_weight, disk_grid):
-    return build_model(harm_weight, disk_grid, boundary_order=32768, order=64)
+    return build_model(harm_weight, disk_grid, order=64)
 
 
 @pytest.fixture(scope="session")
 def log0_model(log0_weight, disk_grid):
-    return build_model(
-        Scaled(2.0, log0_weight), disk_grid, boundary_order=32768, order=64
-    )
+    return build_model(Scaled(2.0, log0_weight), disk_grid, order=64)
 
 
 def random_disk_points(rng: np.random.Generator, count: int, radius: float):

@@ -91,9 +91,9 @@ class TestParse:
     def test_boundary_over_node_budget_is_usage_error(self):
         # parse_args compares the order with the budget; no circle is built
         with pytest.raises(SystemExit) as exc:
-            parse_args(["dbr", "build", "--boundary", str(MAX_DISK_NODES + 1)])
+            parse_args(["verify", "--boundary", str(MAX_DISK_NODES + 1)])
         assert exc.value.code == 2
-        config = parse_args(["dbr", "build", "--boundary", str(MAX_DISK_NODES)])
+        config = parse_args(["verify", "--boundary", str(MAX_DISK_NODES)])
         assert config.boundary_order == MAX_DISK_NODES
 
     def test_unknown_tol_rejected(self):
@@ -106,7 +106,7 @@ class TestParse:
             parse_args([])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", [["verify"], ["dbr", "build"]])
+    @pytest.mark.parametrize("command", [["verify"]])  # the one command taking --boundary
     @pytest.mark.parametrize("boundary", ["2", "100", "-5"])
     def test_boundary_below_the_outer_factor_bound_is_usage_error(
         self, command, boundary, capsys
@@ -117,8 +117,8 @@ class TestParse:
         assert "--boundary must lie in [130, " in capsys.readouterr().err
 
     @pytest.mark.parametrize("prog, flags, error", [
-        ("disklab dbr build", ["--boundary", "100"],
-         f"--boundary must lie in [130, {MAX_DISK_NODES}] at series order 64, got 100"),
+        ("disklab dbr build", ["--series-order", "4"],
+         "--series-order must lie in [8, 512], got 4"),
         ("disklab verify", ["--order", "99"], "--order must lie in [1, 16], got 99"),
         ("disklab weights info", ["--format", "csv"], "unrecognized arguments: --format csv"),
     ], ids=["dbr-build", "verify", "weights-info"])
@@ -131,10 +131,10 @@ class TestParse:
         assert err.endswith(f"\n{prog}: error: {error}\n")
 
     def test_boundary_bound_is_twice_series_order_plus_one(self):
-        assert parse_args(["dbr", "build", "--series-order", "8",
+        assert parse_args(["verify", "--series-order", "8",
                            "--boundary", "18"]).boundary_order == 18
         with pytest.raises(SystemExit) as exc:
-            parse_args(["dbr", "build", "--series-order", "8", "--boundary", "17"])
+            parse_args(["verify", "--series-order", "8", "--boundary", "17"])
         assert exc.value.code == 2
 
 
@@ -152,7 +152,7 @@ _OPTIONS = {
     "moments": {"-h", "--help", "--route", "--weight", "--order", "--radial",
                 "--angular", "--out"},
     "dbr-build": {"-h", "--help", "--weight", "--series-order", "--radial", "--angular",
-                  "--boundary", "--out"},
+                  "--out"},
     "weights-info": {"-h", "--help", "--weight", "--radial", "--angular", "--out"},
 }
 # a valid value of every settable option of any subcommand
@@ -316,6 +316,8 @@ _specs = st.recursive(
 @example(spec="harm:1e-320,1e-320")  # a subnormal point normalised to the circle
 @example(spec="scaled:1e308:scaled:1e308:log:0.4,0")  # the factors overflow
 @example(spec="scaled:1e-300:scaled:1e-300:log:0.4,0")  # the factors underflow to 0
+@example(spec="scaled:5e-324:log:0.5,0")  # the atom's mass underflows to 0
+@example(spec="scaled:1e-310:harm:1,0")  # the mass's reciprocal overflows
 def test_junk_spec_is_usage_error_or_round_trips(spec):
     try:
         config = parse_args(["weights", "info", "--weight", spec])
@@ -333,6 +335,9 @@ def test_junk_spec_is_usage_error_or_round_trips(spec):
     for c in reversed(factors):
         product *= c
         assert 0.0 < product < math.inf
+    # and unit-mass normalization can divide by the mass
+    mass = config.weight.analytic_mass
+    assert 0.0 < mass and 1.0 / mass < math.inf
 
 
 _FAST_FLAGS = (("--radial", "60"), ("--angular", "128"), ("--boundary", "2048"),
@@ -693,8 +698,7 @@ class TestNodeBudget:
         out = tmp_path / "model.json"
         assert main(["dbr", "build", "--weight", _NEAR_CIRCLE, "--series-order", "8",
                      "--out", str(out)]) == 0
-        model = dbr.build_model(parse_weight_spec(_NEAR_CIRCLE), None,
-                                boundary_order=32768, order=8)
+        model = dbr.build_model(parse_weight_spec(_NEAR_CIRCLE), None, order=8)
         assert out.read_text() == cli._json_text(model.to_json_dict())
 
     @pytest.mark.parametrize("route", ["auto", "atom"])
@@ -830,6 +834,23 @@ class TestFiniteOutput:
         assert out == ""
         assert err.endswith(f"error: scale factors multiply to {product}, not positive "
                             f"and finite, in {named or spec!r}\n")
+        assert err.count("error:") == 1
+
+    @pytest.mark.parametrize("spec, mass", [
+        ("scaled:5e-324:log:0.5,0", "0"),  # the atom's mass underflows to 0
+        ("scaled:1e-310:harm:1,0", "1e-310"),  # its reciprocal overflows
+    ])
+    @pytest.mark.parametrize("argv", [["weights", "info"], ["moments"], ["dbr", "build"],
+                                      ["verify"]])
+    def test_mass_without_a_finite_reciprocal_is_a_usage_error(self, argv, spec, mass,
+                                                               capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--weight", spec])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: mass {mass} has no finite reciprocal, so the weight "
+                            f"cannot be normalized, in {spec!r}\n")
         assert err.count("error:") == 1
 
     def test_nested_factors_whose_product_is_in_range_parse(self):

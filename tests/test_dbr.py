@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from fractions import Fraction
@@ -38,6 +39,7 @@ from disklab import (
     verify_isometry,
 )
 from disklab import dbr
+from disklab.cli import _isometry_cases
 from disklab.dbr import atoms_singular_values, unit_mass_atoms
 from disklab.quadrature import NODE_BLOCK
 
@@ -148,10 +150,7 @@ class TestAtomicRankIdentity:
 
     def test_multi_atom_weight_rejected(self, coarse_disk_grid):
         with pytest.raises(NotDbrWeightError, match="not rank one"):
-            build_model(
-                synthesize(self._TWO_ATOMS), coarse_disk_grid,
-                boundary_order=1024, order=16,
-            )
+            build_model(synthesize(self._TWO_ATOMS), coarse_disk_grid, order=16)
 
     @pytest.mark.parametrize("order", [8, 64, 256])
     def test_ratio_matches_svd_of_the_table(self, order):
@@ -174,9 +173,7 @@ class TestAtomicRankIdentity:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
-        model = build_model(
-            HarmonicBoundary(1.0), coarse_disk_grid, boundary_order=2048, order=128
-        )
+        model = build_model(HarmonicBoundary(1.0), coarse_disk_grid, order=128)
         assert shapes == []
         assert model.diagnostics["rank_ratio"] == 0.0
 
@@ -288,7 +285,7 @@ class TestBerezinExtraction:
         w = Custom(inner.eval_many, singularities=inner.singularities)
         assert w.atoms is None
         grid = grid_for_weight(w, 120, 256)
-        model = build_model(w, grid, boundary_order=2048, order=16)
+        model = build_model(w, grid, order=16)
         np.testing.assert_allclose(
             model.h.coeffs[:9], atom ** np.arange(9), rtol=0, atol=atol
         )
@@ -387,7 +384,8 @@ _ONE_ATOM_POLES = [1.0, 0.6 - 0.8j, np.exp(2.5j), 0.4, -0.28 + 0.28j, 0.0]
 
 
 class TestOneAtomFactors:
-    """The closed-form a and b of a unit atom, and the FFT route that cross-checks them."""
+    """The closed-form a and b of a unit atom, the one route of every model, and the FFT
+    route that cross-checks them."""
 
     @pytest.mark.parametrize("p", _ONE_ATOM_POLES)
     def test_modulus_identity_on_a_circle_grid(self, p):
@@ -414,18 +412,65 @@ class TestOneAtomFactors:
         _, b = dbr._one_atom_factors(p, 64)
         assert np.max(np.abs((h.shift() * a).array - b.array)) <= bound
 
-    def test_non_atomic_weight_keeps_the_fft_route(self, monkeypatch):
-        calls = []
-        real = dbr.outer_function
-        monkeypatch.setattr(dbr, "outer_function",
-                            lambda *a: calls.append(a[1]) or real(*a))
-        log = LogGreen(0.3)  # its values, with no atoms: the measure route
-        w = Custom(log.eval_many, singularities=log.singularities, label="log values")
-        model = build_model(w, grid_for_weight(w, 60, 128), boundary_order=512, order=16)
-        assert [g.size for g in calls] == [512]
-        # its h has the order-8 table's 9 coefficients, so b agrees up to z^8
-        closed = dbr._one_atom_factors(0.3, 16)[1]
-        np.testing.assert_allclose(model.b.coeffs[:9], closed.coeffs[:9], atol=1e-6)
+    @pytest.mark.parametrize("inner, p, bound", [
+        (HarmonicBoundary(1.0), 1.0, 1e-9), (LogGreen(0.4), 0.4, 1e-12)],
+        ids=["harmonic", "log"])
+    def test_weight_without_atoms_takes_the_closed_form_at_conj_h1(
+        self, inner, p, bound, monkeypatch
+    ):
+        # a Custom wrapper hides the atom, so p = conj(h_1) comes from the
+        # quadrature table: 2.8e-10 and 2.0e-13 measured, where an FFT of the
+        # zero-padded order-8 h was 0.31 and 8.8e-5 away
+        def refuse(*args):
+            raise AssertionError("the model fitted an outer function")
+
+        monkeypatch.setattr(dbr, "outer_function", refuse)
+        w = Custom(inner.eval_many, singularities=inner.singularities)
+        model = build_model(w, grid_for_weight(w, 120, 256), order=64)
+        a, b = dbr._one_atom_factors(model.h.coeffs[1].conjugate(), 64)
+        assert np.array_equal(model.a.array, a.array) and np.array_equal(model.b.array, b.array)
+        assert np.max(np.abs(model.b.array - dbr._one_atom_factors(p, 64)[1].array)) <= bound
+
+    def test_one_atom_takes_its_own_point_bit_for_bit(self):
+        # the unit-mass atom of log:-0.283,-0.283 weighs 0.9999999999999999, so
+        # conj(h_1) = conj(m conj(p)) is not p, and neither are its factors
+        w = LogGreen(complex(-0.283, -0.283))
+        model = build_model(w, None, order=64)
+        ((p, _),) = unit_mass_atoms(w)[1]
+        a, b = dbr._one_atom_factors(p, 64)
+        assert np.array_equal(model.a.array, a.array) and np.array_equal(model.b.array, b.array)
+        conj_h1 = model.h.coeffs[1].conjugate()
+        assert conj_h1 != p
+        assert not np.array_equal(dbr._one_atom_factors(conj_h1, 64)[1].array, b.array)
+
+
+class TestResolvingLimit:
+    """Two half-mass boundary atoms at e^{+-i theta}, at series order 64.
+
+    The pair reads as one atom while its factor residual stays under
+    ``build_model``'s 1e-9; sigma2/sigma1 stays far below ``_RANK_TOL`` on
+    both sides of the limit.
+    """
+
+    @staticmethod
+    def _pair(theta):
+        return synthesize(GreenDecomposition(
+            boundary=((cmath.exp(1j * theta), 0.5), (cmath.exp(-1j * theta), 0.5))))
+
+    def test_a_pair_below_the_limit_builds_the_barycenter_model(self):
+        model = build_model(self._pair(1e-7), None, order=64)
+        # residual 4.1e-11; the barycenter is conj(h_1) = cos(theta)
+        assert model.diagnostics["factor_residual"] <= 1e-10
+        assert model.diagnostics["rank_ratio"] <= 1e-10
+        assert model.h.coeffs[1] == pytest.approx(math.cos(1e-7), rel=0, abs=1e-15)
+        gaps = [verify_isometry(model, nodes, coeffs, None).relative_gap
+                for nodes, coeffs in _isometry_cases()]
+        assert max(gaps) <= 1e-12  # 3.9e-14 measured
+
+    def test_a_pair_above_the_limit_is_refused(self):
+        with pytest.raises(NotDbrWeightError,
+                           match=r"factorization residual 4\.096e-09 exceeds tolerance"):
+            build_model(self._pair(1e-6), None, order=64)
 
 
 class TestBuildModel:
@@ -462,16 +507,20 @@ class TestBuildModel:
 
         grid = make_disk_grid(40, 64)
         with pytest.raises(NotDbrWeightError):
-            build_model(uniform, grid, boundary_order=1024, order=16)
+            build_model(uniform, grid, order=16)
 
     def test_only_a_weight_without_atoms_needs_a_grid(self, uniform):
-        model = build_model(LogGreen(0.3j), None, boundary_order=2048, order=16)
+        model = build_model(LogGreen(0.3j), None, order=16)
         assert model.diagnostics["h0_deviation"] <= 1e-12
         with pytest.raises(DomainError, match="needs a grid"):
-            build_model(uniform, None, boundary_order=1024, order=16)
+            build_model(uniform, None, order=16)
+
+    def test_order_zero_has_no_h1_to_read(self):
+        with pytest.raises(DomainError, match="series order must be at least 1"):
+            build_model(LogGreen(0.3), None, order=0)
 
     def test_unnormalized_log_green_is_normalized_internally(self, disk_grid):
-        model = build_model(LogGreen(0.0), disk_grid, boundary_order=2048, order=32)
+        model = build_model(LogGreen(0.0), disk_grid, order=32)
         assert model.diagnostics["h0_deviation"] <= 1e-12
         assert model.weight.analytic_mass == pytest.approx(1.0)
 
