@@ -17,8 +17,8 @@ The table takes one of two routes:
 
 * A weight with atoms (every catalog weight) carries u itself: its atoms
   after unit-mass normalization. Its table is ``atoms_table`` (rank one
-  for one atom, h_k = M[0][k], h_0 = 1), and its rank test reads the r
-  atoms.
+  for one atom, h_k = M[0][k], h_0 = 1), read row by row without being
+  formed, and its rank test reads the r atoms.
 * Any other weight is normalized by quadrature, its table follows from
   its measure moments W by expanding the quartic kernel, M[j][k] =
   (j+1)(k+1) W[j][k] - j k W[j-1][k-1], and one SVD decides whether the
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,12 +51,12 @@ from .errors import (
     SingularBoundaryDataError,
     SingularIntegrandError,
 )
-from .moments import MomentTable, atoms_table, disk_moments
+from .moments import MomentTable, _atom_rows, disk_moments
 from .quadrature import (
     NODE_BLOCK, CircleGrid, DiskGrid, _disk_blocks, _ring_angles, make_circle_grid,
 )
 from .series import TaylorSeries, exp_series, geometric_series
-from .weights import Scaled, Weight, _on_grid, normalize, weight_values
+from .weights import Scaled, Weight, _on_grid, _unit_scale, normalize, weight_values
 
 _H0_TOL = 1e-6
 _RANK_TOL = 1e-6
@@ -93,27 +93,40 @@ def berezin_transforms(
     return np.array([memo[p] for p in v.tolist()], dtype=float)
 
 
+#: Points per sweep of ``_kernel_sums``: its three working arrays of this
+#: many rows of ``NODE_BLOCK`` floats (0.26 MB each) stay in a 4 MiB L2 cache.
+_SWEEP_POINTS = 8
+
+
 def _kernel_sums(v: np.ndarray, grid: DiskGrid, vals: np.ndarray) -> np.ndarray:
     """sum_i omega_i vals_i / |1 - z_i conj(v)|^4 for each v, block by block (no BLAS).
 
     The grid's nodes and weights are formed per block and vals sliced per
-    block, so no whole-grid copy is made.
+    block, so no whole-grid copy is made. The working arrays are allocated
+    once per call, and each block is swept ``_SWEEP_POINTS`` points at a
+    time; a point's block sum runs over the block's nodes alone, so its
+    value does not depend on the batch.
     """
     a, b = v.real[:, None], v.imag[:, None]
     partial = np.empty((v.size, len(range(0, grid.size, NODE_BLOCK))))
+    work = np.empty((3, min(v.size, _SWEEP_POINTS), NODE_BLOCK))
+    mass = np.empty(NODE_BLOCK)
     for k, (s, z, wts) in enumerate(_disk_blocks(grid)):
         xs, ys = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
-        re = xs * a
-        re += ys * b
-        np.subtract(1.0, re, out=re)  # 1 - (x Re v + y Im v)
-        im = ys * a
-        im -= xs * b  # y Re v - x Im v
-        re *= re
-        im *= im
-        re += im  # |1 - z conj(v)|^2
-        re *= re
-        mass = wts * vals[s : s + z.size]
-        partial[:, k] = np.sum(np.divide(mass, re, out=re), axis=1)
+        np.multiply(wts, vals[s : s + z.size], out=mass[: z.size])
+        for lo in range(0, v.size, _SWEEP_POINTS):
+            hi = min(lo + _SWEEP_POINTS, v.size)
+            re, im, tmp = work[:, : hi - lo, : z.size]
+            np.multiply(xs, a[lo:hi], out=re)
+            re += np.multiply(ys, b[lo:hi], out=tmp)
+            np.subtract(1.0, re, out=re)  # 1 - (x Re v + y Im v)
+            np.multiply(ys, a[lo:hi], out=im)
+            im -= np.multiply(xs, b[lo:hi], out=tmp)  # y Re v - x Im v
+            re *= re
+            im *= im
+            re += im  # |1 - z conj(v)|^2
+            re *= re
+            partial[lo:hi, k] = np.sum(np.divide(mass[: z.size], re, out=re), axis=1)
     return partial.sum(axis=1)
 
 
@@ -129,7 +142,8 @@ def unit_mass_atoms(
 
     Returns None when no atomic realization is known. The atom masses are
     closed forms, so the rescaled masses sum to 1 to roundoff; a weight
-    already of unit mass is returned as it is.
+    already of unit mass is returned as it is. A mass that is not positive,
+    or has no finite reciprocal, raises DegenerateWeightError.
     """
     atoms = weight.atoms
     if atoms is None:
@@ -137,7 +151,7 @@ def unit_mass_atoms(
     total = math.fsum(m for _, m in atoms)
     if total <= 0:
         raise DegenerateWeightError("atomic weight has nonpositive mass")
-    scale = 1.0 / total
+    scale = _unit_scale(total)
     norm_weight = weight if abs(total - 1.0) < 1e-15 else Scaled(scale, weight)
     return norm_weight, tuple((p, m * scale) for p, m in atoms)
 
@@ -179,16 +193,28 @@ def atoms_singular_values(
     A = QR, M = Q (R D R^H) Q^H and Q has orthonormal columns, so the
     nonzero singular values of M are those of the r x r Hermitian matrix
     R D R^H, r the number of atoms: the moduli of its eigenvalues, returned
-    in decreasing order. One atom gives exactly one singular value.
+    in decreasing order. One atom gives exactly one singular value, m sum_j
+    |p|^(2j), with no LAPACK call.
     """
+    if len(atoms) == 1:
+        ((p, m),) = atoms
+        return np.array([m * math.fsum(abs(complex(p)) ** (2 * j) for j in range(order + 1))])
     p = np.array([complex(p) for p, _ in atoms])
     m = np.array([float(m) for _, m in atoms])
     R = np.linalg.qr(p[None, :] ** np.arange(order + 1)[:, None], mode="r")
     return np.sort(np.abs(np.linalg.eigvalsh((R * m) @ R.conj().T)))[::-1]
 
 
+def _table_rows(M: MomentTable):
+    """M's rows as ``to_complex_array`` gives them, one reused complex array."""
+    row = np.empty(M.order + 1, dtype=complex)
+    for j in range(M.order + 1):
+        row.real, row.imag = M.re[j] / M.denom, M.im[j] / M.denom
+        yield row
+
+
 def factor_table(
-    M: MomentTable,
+    M: Union[MomentTable, Iterable[np.ndarray]],
     residual_tol: float,
     atoms: Optional[Sequence[tuple[complex, float]]] = None,
 ) -> TableFactorization:
@@ -199,26 +225,32 @@ def factor_table(
     ``_H0_TOL`` (unit-mass normalization), or when the residual exceeds
     ``residual_tol`` times max(1, max |M|).
 
-    The singular values come from ``atoms_singular_values`` when the table
-    is known to be ``atoms_table(atoms, M.order)`` (an r x r problem, no SVD
-    of the table), and from an SVD of the table otherwise. h, the h_0 check,
-    the residual max |M[j][k] - conj(h_j) h_k| and max |M| are always read
-    from the table itself, one row of ``M.re``/``M.im`` at a time, so no
-    table-sized temporary is built.
+    M is a ``MomentTable``, or its rows as complex arrays, row 0 first, read
+    once, when ``atoms`` is given: ``build_model`` passes the rows that
+    ``atoms_table`` fills its table from, so it forms no table. The singular
+    values come from ``atoms_singular_values`` when the table is known to
+    be ``atoms_table(atoms, order)`` (an r x r problem, no SVD of the
+    table), and from an SVD of the table otherwise. h, the h_0 check, the
+    residual max |M[j][k] - conj(h_j) h_k| and max |M| are always read one
+    row at a time, so no table-sized temporary is built.
     """
+    if isinstance(M, MomentTable):
+        rows = _table_rows(M)
+    elif atoms is None:
+        raise DomainError("the rank test of a table given by its rows needs its atoms")
+    else:
+        rows = M
+    for j, row in enumerate(rows):
+        if j == 0:
+            h = row.copy()
+            residuals, moduli = np.empty((2, h.size))
+        moduli[j] = np.max(np.abs(row))
+        residuals[j] = np.max(np.abs(row - np.conj(h[j]) * h))
     if atoms is None:
         svals = np.linalg.svd(M.to_complex_array(), compute_uv=False)
     else:
-        svals = atoms_singular_values(atoms, M.order)
+        svals = atoms_singular_values(atoms, h.size - 1)
     rank_ratio = float(svals[1] / svals[0]) if svals.size > 1 and svals[0] > 0 else 0.0
-    row = np.empty(M.order + 1, dtype=complex)
-    residuals, moduli = np.empty((2, M.order + 1))
-    for j in range(M.order + 1):
-        row.real, row.imag = M.re[j] / M.denom, M.im[j] / M.denom  # as to_complex_array
-        if j == 0:
-            h = row.copy()
-        moduli[j] = np.max(np.abs(row))
-        residuals[j] = np.max(np.abs(row - np.conj(h[j]) * h))
     residual = float(np.max(residuals))
     h0_deviation = float(abs(h[0] - 1.0))
     if h0_deviation > _H0_TOL:
@@ -418,9 +450,10 @@ def build_model(
     """Construct the kernel model of a weight, normalizing to unit mass.
 
     The table has two routes. A weight with atoms (every catalog weight)
-    takes its exact atomic table, so normalization is exact and h_0 = 1 to
-    roundoff, and its rank test reads sigma2/sigma1 from the r atoms
-    (``atoms_singular_values``), with no SVD of the (order+1)^2 table. A
+    takes its exact atomic table, read one row at a time and never formed
+    whole, so normalization is exact and h_0 = 1 to roundoff, and its rank
+    test reads sigma2/sigma1 from the r atoms (``atoms_singular_values``),
+    with no SVD of the (order+1)^2 table. A
     weight without atoms is normalized by quadrature on ``disk_grid`` (None
     will do otherwise) and its rank test is one SVD of the 9 x 9 table of
     its measure moments (``moment_table_from_berezin``); its h is padded
@@ -438,9 +471,7 @@ def build_model(
     unit = unit_mass_atoms(weight)
     if unit is not None:
         norm_weight, norm_atoms = unit
-        fac = factor_table(
-            atoms_table(norm_atoms, order), residual_tol=1e-9, atoms=norm_atoms
-        )
+        fac = factor_table(_atom_rows(norm_atoms, order), residual_tol=1e-9, atoms=norm_atoms)
         h = fac.h
     else:
         if disk_grid is None:

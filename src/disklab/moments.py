@@ -45,7 +45,7 @@ from .errors import (
     NotWeaklyMultiplicativeError,
     SingularIntegrandError,
 )
-from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _ring_angles
+from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _circle_sums, _ring_angles
 from .weights import Scaled, Weight, _on_grid, weight_values
 
 _C00_SNAP_TOL = 1e-9
@@ -374,21 +374,35 @@ def _recenter(pr, pi, cr, ci) -> tuple[np.ndarray, np.ndarray]:
 def atoms_table(atoms: Sequence[tuple[complex, float]], order: int) -> MomentTable:
     """Moments of a finite positive combination of Dirac masses.
 
-    Per atom, m p^j (Python's complex power) times conj(p)^k (numpy's) is
-    added into the one output array a row j at a time, in atom order, so
-    the build holds the table and O(order) rows, never a second table.
+    The table is filled from ``_atom_rows``, so the build holds the table
+    and O(order) rows, never a second table.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
-    total = np.zeros((order + 1, order + 1), dtype=complex)
-    row = np.empty(order + 1, dtype=complex)
-    for p, m in atoms:
-        p = complex(p)
-        mpj = np.array([m * p**j for j in range(order + 1)])
-        conj_pk = np.array([np.conj(p) ** k for k in range(order + 1)])
-        for j in range(order + 1):
-            total[j] += np.multiply(mpj[j : j + 1], conj_pk, out=row)
+    total = np.empty((order + 1, order + 1), dtype=complex)
+    for j, row in enumerate(_atom_rows(atoms, order)):
+        total[j] = row
     return MomentTable._from_parts(total.real, total.imag, 1, "point")
+
+
+def _atom_rows(atoms: Sequence[tuple[complex, float]], order: int):
+    """Rows j = 0..order of ``atoms_table(atoms, order)``, each a new complex array.
+
+    Row j starts at zero and gains, per atom in atom order, m p^j (Python's
+    complex power) times conj(p)^k (numpy's). ``dbr.build_model`` reads
+    these rows without forming the table, bit for bit the table's rows.
+    """
+    powers = [
+        (np.array([m * complex(p) ** j for j in range(order + 1)]),
+         np.array([np.conj(complex(p)) ** k for k in range(order + 1)]))
+        for p, m in atoms
+    ]
+    term = np.empty(order + 1, dtype=complex)
+    for j in range(order + 1):
+        row = np.zeros(order + 1, dtype=complex)
+        for mpj, conj_pk in powers:
+            row += np.multiply(mpj[j : j + 1], conj_pk, out=term)
+        yield row
 
 
 def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
@@ -396,13 +410,15 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
 
     The rule ``integrate`` applies, aliasing included, ring by ring: with
     one evaluation of the weight, a ring of m nodes r u_t, u_t =
-    exp(2 pi i (t + 1/2) / m), gives S_r(d) = sum_t w(r u_t) u_t^d from one
-    real DFT F = rfft(w(r u_t)): the values are real, so S_r(d) is
-    conj(F[d mod m]), or F[m - d mod m] past m/2, times exp(i pi d / m).
-    The matrix is Hermitian, W[j][k] = conj(W[k][j]), so only d = j - k >= 0
-    is accumulated: G[k][d] = sum_r (omega_r / m) r^(2k) r^d S_r(d), in ring
-    order, on two real (order+1)^2 arrays with elementwise numpy (no BLAS,
-    no threads), so it is bit-reproducible; then W[j][k] = G[min(j,k)][|j-k|],
+    exp(2 pi i (t + 1/2) / m), gives S_r(d) = sum_t w(r u_t) u_t^d from
+    ``quadrature._circle_sums``: real DFTs of at most ``NODE_BLOCK`` values
+    each (the whole ring when m is at most ``NODE_BLOCK``; otherwise its
+    columns as an (L, m/L) array, L the largest divisor of m not above
+    it), so no temporary is ring-sized. The matrix is Hermitian, W[j][k] =
+    conj(W[k][j]), so only d = j - k >= 0 is accumulated: G[k][d] = sum_r
+    (omega_r / m) r^(2k) r^d S_r(d), in ring order, on two real (order+1)^2
+    arrays with elementwise numpy (no BLAS, no threads), so it is
+    bit-reproducible; then W[j][k] = G[min(j,k)][|j-k|],
     conjugated above the diagonal. G[k][d] does not depend on the order, so
     a lower order is a read-only view bit-identical to a fresh build. The
     values agree with a complex ring DFT over all d to roundoff.
@@ -447,13 +463,9 @@ def _ring_moments(vals: np.ndarray, grid: DiskGrid, order: int) -> np.ndarray:
     buf = np.empty((order + 1, order + 1))
     start = 0
     for r, weight, m in zip(grid.ring_radii, grid.ring_weights, grid.ring_counts):
-        F = np.fft.rfft(vals[start : start + m])
-        idx = n % m
-        S = F[np.minimum(idx, m - idx)]
-        # sum_t w_t exp(2 pi i d t / m) is conj(F[d]) up to m/2, F[m - d] past it
-        np.conjugate(S, out=S, where=idx <= m // 2)
+        S = _circle_sums(vals[start : start + m], order)
         rp = abs((r * _ring_angles(m, 0.5, 0, 1))[0]) ** n  # |the ring's first node|
-        S *= rp * np.exp(1j * np.pi * n / m)
+        S *= rp
         ring = weight * rp * rp
         np.multiply.outer(ring, S.real, out=buf)
         g_re += buf

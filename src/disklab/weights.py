@@ -317,11 +317,23 @@ def l1_norm(w: Weight, grid: DiskGrid) -> float:
 
 
 def normalize(w: Weight, grid: DiskGrid) -> Scaled:
-    """Rescale to unit mass; degenerate (zero) weights are rejected."""
+    """Rescale to unit mass; degenerate (zero) weights are rejected, and so
+    is a mass with no finite reciprocal."""
     mass = l1_norm(w, grid)
     if mass <= 0.0:
         raise DegenerateWeightError(f"weight {w.label} has nonpositive mass {mass}")
-    return Scaled(1.0 / mass, w)
+    return Scaled(_unit_scale(mass), w)
+
+
+def _unit_scale(mass: float) -> float:
+    """1 / mass for a positive mass, or DegenerateWeightError when it is not
+    positive and finite (a subnormal mass, say, whose reciprocal overflows)."""
+    scale = 1.0 / mass
+    if not 0.0 < scale < math.inf:
+        raise DegenerateWeightError(
+            f"mass {mass:g} has no finite reciprocal, so the weight cannot be normalized"
+        )
+    return scale
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from disklab import (
     Custom,
     DegenerateNodeSetError,
+    DegenerateWeightError,
     DomainError,
     GaussianRational,
     GreenDecomposition,
@@ -38,7 +39,7 @@ from disklab import (
     verify_h_identity,
     verify_isometry,
 )
-from disklab import dbr
+from disklab import dbr, moments
 from disklab.cli import _isometry_cases
 from disklab.dbr import atoms_singular_values, unit_mass_atoms
 from disklab.quadrature import NODE_BLOCK
@@ -143,6 +144,16 @@ class TestHFromMoments:
             dbr.factor_table(scaled, 1e-4)
 
 
+class TestUnitMass:
+    def test_mass_without_finite_reciprocal_refused(self):
+        weight = Scaled(1e-310, HarmonicBoundary(1.0))
+        message = "mass 1e-310 has no finite reciprocal, so the weight cannot be normalized"
+        with pytest.raises(DegenerateWeightError, match=message):
+            unit_mass_atoms(weight)
+        with pytest.raises(DegenerateWeightError, match=message):
+            build_model(weight, None, order=8)
+
+
 class TestAtomicRankIdentity:
     """sigma2/sigma1 from the atoms, against the SVD of the table as reference."""
 
@@ -163,6 +174,19 @@ class TestAtomicRankIdentity:
     @pytest.mark.parametrize("point", [1.0, 0.4, 0.3 - 0.5j, np.exp(0.7j)])
     def test_one_atom_has_one_singular_value(self, point):
         assert atoms_singular_values(((point, 1.0),), 256).size == 1
+
+    @pytest.mark.parametrize("point", [1.0, 0.4, 0.3 - 0.5j, np.exp(0.7j)])
+    def test_one_atom_value_matches_svd_of_the_table(self, point, monkeypatch):
+        atoms = ((point, 0.7),)
+        ref = np.linalg.svd(atoms_table(atoms, 64).to_complex_array(), compute_uv=False)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("one atom needs no LAPACK call")
+
+        monkeypatch.setattr(np.linalg, "qr", refused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        (value,) = atoms_singular_values(atoms, 64)
+        assert value == pytest.approx(ref[0], rel=1e-13, abs=0)
 
     def test_atomic_build_makes_no_svd_of_the_table(self, monkeypatch, coarse_disk_grid):
         shapes = []
@@ -210,6 +234,26 @@ class TestRowWiseFactorization:
             assert np.array_equal(fac.h.array, h)
             assert fac.rank_ratio == rank_ratio and fac.residual == residual
 
+    @pytest.mark.parametrize("order", [8, 64])
+    def test_atom_rows_equal_the_table_bit_for_bit(self, order, monkeypatch):
+        monkeypatch.setattr(dbr, "_RANK_TOL", math.inf)  # multi-atom tables too
+        rng = np.random.default_rng(100 + order)
+        for count in (1, 2, 3):
+            atoms = _random_atoms(rng, count)
+            table = atoms_table(atoms, order)
+            rows = np.array(list(moments._atom_rows(atoms, order)))
+            assert np.array_equal(rows, table.to_complex_array())
+            from_rows = dbr.factor_table(moments._atom_rows(atoms, order), math.inf, atoms)
+            from_table = dbr.factor_table(table, math.inf, atoms)
+            assert np.array_equal(from_rows.h.array, from_table.h.array)
+            assert from_rows.rank_ratio == from_table.rank_ratio
+            assert from_rows.residual == from_table.residual
+
+    def test_rows_without_atoms_refused(self):
+        rows = moments._atom_rows(((0.5, 1.0),), 4)
+        with pytest.raises(DomainError, match="needs its atoms"):
+            dbr.factor_table(rows, 1e-9)
+
     def test_every_row_is_read(self):
         # only the last row breaks rank one, and it also sets max|M|
         atoms = ((0.5, 1.0),)
@@ -245,7 +289,7 @@ class TestRowWiseFactorization:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * table_bytes
+        assert peak <= 0.1 * table_bytes  # the rows are read, the table never formed
 
 
 class TestBerezinExtraction:

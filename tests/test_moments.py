@@ -39,6 +39,7 @@ from disklab import (
 )
 from disklab import moments
 from disklab.moments import weight_values
+from disklab import quadrature
 from disklab.quadrature import MAX_TENSOR_ENTRIES, NODE_BLOCK
 
 from exact_complex import Exact
@@ -837,6 +838,65 @@ class TestRealRingDft:
         other = Scaled(0.5, inner)
         disk_moments(other, coarse_disk_grid, 4)
         assert _passes(calls, coarse_disk_grid) == 1
+
+
+def _direct_circle_sums(x, order):
+    """Reference: sum_t x_t u_t^d term by term, u_t^d from its exact angle."""
+    m, t = x.size, np.arange(x.size)
+    return np.array([
+        np.sum(x * np.exp(1j * np.pi * (d * (2 * t + 1) % (2 * m)) / m))
+        for d in range(order + 1)
+    ])
+
+
+def _assert_circle_sums_match_reference(vals, grid, order):
+    start = 0
+    for m in grid.ring_counts:
+        x = vals[start : start + m]
+        got = quadrature._circle_sums(x, order)
+        assert np.max(np.abs(got - _direct_circle_sums(x, order))) <= 2e-15 * np.sum(np.abs(x))
+        start += m
+
+
+class TestSplitRingDft:
+    """``quadrature._circle_sums``: a ring's DFT in column blocks of at most
+    ``NODE_BLOCK`` nodes."""
+
+    @pytest.mark.parametrize("order", [8, 63])
+    @pytest.mark.parametrize("which", ["harm", "log", "uniform"])
+    def test_matches_direct_sums(self, which, order, disk_grid, harm_weight,
+                                 log04_weight, log04_grid, uniform):
+        w, grid = {
+            "harm": (harm_weight, disk_grid),
+            "log": (log04_weight, log04_grid),
+            "uniform": (uniform, disk_grid),
+        }[which]
+        assert max(grid.ring_counts) > 16 * NODE_BLOCK  # split into 20 or more columns
+        _assert_circle_sums_match_reference(weight_values(w, grid), grid, order)
+
+    @pytest.mark.parametrize("weight", [HarmonicBoundary(1j), LogGreen(0.3 - 0.2j)])
+    def test_matches_direct_sums_on_aliased_rings(self, weight):
+        grid = grid_for_weight(weight, 6, 8)
+        assert min(grid.ring_counts) <= 10
+        _assert_circle_sums_match_reference(weight_values(weight, grid), grid, 40)
+
+    def test_lower_order_view_is_bit_identical_on_the_default_grid(self, disk_grid):
+        big = disk_moments(HarmonicBoundary(1.0), disk_grid, 63)
+        fresh = disk_moments(HarmonicBoundary(1.0), disk_grid, 8)
+        assert np.array_equal(big[:9, :9], fresh)
+
+    @pytest.mark.parametrize("order", [8, 63])
+    def test_ring_pass_holds_no_node_sized_temporary(self, order, disk_grid, harm_weight):
+        vals = weight_values(harm_weight, disk_grid)  # kept: outside the count
+        assert max(disk_grid.ring_counts) * 8 > 2**20  # the largest ring's values alone
+        moments._ring_moments(vals, disk_grid, order)
+        tracemalloc.start()
+        try:
+            moments._ring_moments(vals, disk_grid, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**19
 
 
 class TestSerialization:

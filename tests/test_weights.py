@@ -179,6 +179,12 @@ class TestMass:
         with pytest.raises(DegenerateWeightError):
             normalize(zero, coarse_disk_grid)
 
+    def test_normalize_rejects_mass_without_finite_reciprocal(self, coarse_disk_grid):
+        tiny = Scaled(1e-310, HarmonicBoundary(1.0))
+        with pytest.raises(DegenerateWeightError, match="has no finite reciprocal, so the "
+                                                        "weight cannot be normalized"):
+            normalize(tiny, coarse_disk_grid)
+
     def test_analytic_masses_match_quadrature(self, disk_grid):
         for w in (HarmonicBoundary(np.exp(1.9j)), LogGreen(0.0), Scaled(3.0, LogGreen(0.0))):
             grid = grid_for_weight(w, 120, 256)
