@@ -171,9 +171,10 @@ class Report:
 
 
 def _json_text(payload: dict) -> str:
-    """The one JSON layout of every report and payload: the schema, sorted keys."""
+    """The one JSON layout of every report and payload: the schema, sorted keys,
+    and no NaN or infinity, which JSON does not have."""
     payload = {"schema": SCHEMA_VERSION, **payload}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _digest(*parts) -> str:
@@ -275,18 +276,27 @@ class _SuiteContext:
     def check(self, row: _Check) -> CheckRecord:
         """Run one table row: its verdict is its sense applied to its tolerance.
 
-        Exceptions become failing records with no value and no tolerance.
+        Exceptions become failing records with no value and no tolerance. A
+        value that is not finite (a weight whose moments overflow, say)
+        fails whatever the row's sense and is reported as no value, named
+        in the detail, so the report stays JSON. The row runs with numpy's
+        overflow and invalid-operation warnings off: such a value is the
+        report's to show, not stderr's.
         """
         start = time.perf_counter()
         digest = _digest(row.name, self.config.weight_spec, self.config.order,
                          self.config.radial_order, self.config.angular_order,
                          *row.seeds)
         try:
-            value, detail, *route = row.fn(self)
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, detail, *route = row.fn(self)
             tol, sense = route or (row.tol, row.sense)
             if isinstance(tol, str):
                 tol = self.config.tols[tol]
             passed = sense == _INFO or (value <= tol if sense == _CEILING else value > tol)
+            if value is not None and not math.isfinite(value):
+                detail = f"value {float(value)!r} is not finite; {detail}"
+                value, passed = None, False
         except Exception as exc:
             value, tol, passed = None, None, False
             detail = f"{type(exc).__name__}: {exc}"

@@ -53,10 +53,10 @@ from .errors import (
 )
 from .moments import MomentTable, _atom_rows, disk_moments
 from .quadrature import (
-    NODE_BLOCK, CircleGrid, DiskGrid, _disk_blocks, _ring_angles, make_circle_grid,
+    NODE_BLOCK, CircleGrid, DiskGrid, _ring_angles, make_circle_grid,
 )
 from .series import TaylorSeries, exp_series, geometric_series
-from .weights import Scaled, Weight, _on_grid, _unit_scale, normalize, weight_values
+from .weights import Scaled, Weight, _grid_values, _on_grid, _unit_scale, normalize
 
 _H0_TOL = 1e-6
 _RANK_TOL = 1e-6
@@ -73,9 +73,11 @@ def berezin_transforms(
     blocks of the fixed ``quadrature.NODE_BLOCK`` for all points at once,
     so a point's value is bit-identical alone, in any batch and in any order.
     Each point is computed once per weight and grid: its value is kept on
-    the weight beside its node values (``weights.weight_values``).
+    the weight beside its mass and moment matrix, and the pass evaluates
+    the weight block by block (``_kernel_sums``), keeping no node value.
     Any |v| >= 1 raises DomainError before any node work; a non-finite
-    weight value or result raises SingularIntegrandError.
+    weight value (named by its node and grid index) or result raises
+    SingularIntegrandError.
     """
     v = np.array([complex(p) for p in points], dtype=complex)
     outside = np.abs(v) >= 1.0
@@ -84,8 +86,7 @@ def berezin_transforms(
     memo = _on_grid(weight, grid).berezin
     todo = np.array([p for p in dict.fromkeys(v.tolist()) if p not in memo], dtype=complex)
     if todo.size:
-        vals = weight_values(weight, grid)
-        values = (1.0 - np.abs(todo) ** 2) ** 2 * _kernel_sums(todo, grid, vals)
+        values = (1.0 - np.abs(todo) ** 2) ** 2 * _kernel_sums(todo, grid, weight)
         if not np.isfinite(values).all():
             bad = todo[np.argmin(np.isfinite(values))]
             raise SingularIntegrandError(f"Berezin transform at v = {bad!r} is not finite")
@@ -98,22 +99,24 @@ def berezin_transforms(
 _SWEEP_POINTS = 8
 
 
-def _kernel_sums(v: np.ndarray, grid: DiskGrid, vals: np.ndarray) -> np.ndarray:
-    """sum_i omega_i vals_i / |1 - z_i conj(v)|^4 for each v, block by block (no BLAS).
+def _kernel_sums(v: np.ndarray, grid: DiskGrid, weight: Weight) -> np.ndarray:
+    """sum_i omega_i w(z_i) / |1 - z_i conj(v)|^4 for each v, block by block (no BLAS).
 
-    The grid's nodes and weights are formed per block and vals sliced per
-    block, so no whole-grid copy is made. The working arrays are allocated
-    once per call, and each block is swept ``_SWEEP_POINTS`` points at a
-    time; a point's block sum runs over the block's nodes alone, so its
-    value does not depend on the batch.
+    The grid's nodes and weights are formed per block and the weight is
+    evaluated on them there (``weights._grid_values``, which names the
+    first non-finite value in grid order), so no whole-grid array is made.
+    The working arrays are allocated once per call, and each block is swept
+    ``_SWEEP_POINTS`` points at a time; a point's block sum runs over the
+    block's nodes alone, so its value does not depend on the batch.
     """
     a, b = v.real[:, None], v.imag[:, None]
     partial = np.empty((v.size, len(range(0, grid.size, NODE_BLOCK))))
     work = np.empty((3, min(v.size, _SWEEP_POINTS), NODE_BLOCK))
     mass = np.empty(NODE_BLOCK)
-    for k, (s, z, wts) in enumerate(_disk_blocks(grid)):
+    for start, z, wts, vals in _grid_values(weight, grid):
+        k = start // NODE_BLOCK
         xs, ys = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
-        np.multiply(wts, vals[s : s + z.size], out=mass[: z.size])
+        np.multiply(wts, vals, out=mass[: z.size])
         for lo in range(0, v.size, _SWEEP_POINTS):
             hi = min(lo + _SWEEP_POINTS, v.size)
             re, im, tmp = work[:, : hi - lo, : z.size]
@@ -519,7 +522,12 @@ def kernel(model: DbrModel, z: complex, v: complex) -> complex:
 def kernel_series(model: DbrModel, v: complex) -> TaylorSeries:
     """Taylor expansion in z of the kernel section at v."""
     v = complex(v)
-    numerator = -np.conj(model.b.evaluate(v)) * model.b.array  # 1 - conj(b(v)) b
+    return _kernel_section(model, v, model.b.evaluate(v))
+
+
+def _kernel_section(model: DbrModel, v: complex, bv: complex) -> TaylorSeries:
+    """``kernel_series`` at v given bv = b(v): (1 - conj(bv) b) / (1 - conj(v) z)."""
+    numerator = -np.conj(bv) * model.b.array  # 1 - conj(b(v)) b
     numerator[0] += 1.0
     return TaylorSeries(numerator) * geometric_series(np.conj(v), model.order)
 
@@ -545,7 +553,8 @@ def verify_isometry(
     G[i][j] = kernel(w_i, w_j); the claim under test equates it with
     ||f||_{H2}^2 + D_w(f). The Gram matrix must be numerically positive
     definite (smallest eigenvalue above 1e-10), otherwise the node set is
-    rejected.
+    rejected. b is evaluated once per node: G's entries are ``kernel``'s
+    expression on those values, and each kernel section reuses its node's.
     """
     pts = [complex(w) for w in nodes]
     cs = np.asarray([complex(c) for c in coefficients])
@@ -554,21 +563,22 @@ def verify_isometry(
     if any(abs(w) >= 1.0 for w in pts):
         raise DomainError("kernel nodes must be inside the disk")
     n = len(pts)
+    bs = [model.b.evaluate(w) for w in pts]
     # <k_{w_j}, k_{w_i}> = k_{w_j}(w_i) = kernel(w_i, w_j), so c* G c with
     # this orientation is the squared model norm of sum_i c_i k_{w_i}
     G = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            G[i][j] = kernel(model, pts[i], pts[j])
+            G[i][j] = (1.0 - bs[i] * bs[j].conjugate()) / (1.0 - pts[i] * pts[j].conjugate())
     eigs = np.linalg.eigvalsh((G + G.conj().T) / 2.0)
     if eigs.min() <= 1e-10:
         raise DegenerateNodeSetError(
             f"kernel Gram matrix is numerically singular (min eig {eigs.min():.3e})"
         )
     lhs = float(np.real(cs.conj() @ G @ cs))
-    f = kernel_series(model, pts[0]).scale(cs[0])
-    for w, c in zip(pts[1:], cs[1:]):
-        f = f + kernel_series(model, w).scale(c)
+    f = _kernel_section(model, pts[0], bs[0]).scale(cs[0])
+    for w, bw, c in zip(pts[1:], bs[1:], cs[1:]):
+        f = f + _kernel_section(model, w, bw).scale(c)
     h2 = f.h2_norm_sq()
     en = energy(f, model.weight, disk_grid)
     rhs = h2 + en

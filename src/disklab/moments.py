@@ -44,9 +44,10 @@ from .errors import (
     InconsistentTableError,
     NotWeaklyMultiplicativeError,
     SingularIntegrandError,
+    SingularPointError,
 )
 from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _circle_sums, _ring_angles
-from .weights import Scaled, Weight, _on_grid, weight_values
+from .weights import Scaled, Weight, _first_bad_node, _on_grid
 
 _C00_SNAP_TOL = 1e-9
 _FACTOR_TOL = 1e-12
@@ -408,25 +409,29 @@ def _atom_rows(atoms: Sequence[tuple[complex, float]], order: int):
 def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     """W[j][k] = sum_i omega_i w(z_i) z_i^j conj(z_i)^k on the grid, j, k <= order.
 
-    The rule ``integrate`` applies, aliasing included, ring by ring: with
-    one evaluation of the weight, a ring of m nodes r u_t, u_t =
-    exp(2 pi i (t + 1/2) / m), gives S_r(d) = sum_t w(r u_t) u_t^d from
-    ``quadrature._circle_sums``: real DFTs of at most ``NODE_BLOCK`` values
-    each (the whole ring when m is at most ``NODE_BLOCK``; otherwise its
-    columns as an (L, m/L) array, L the largest divisor of m not above
-    it), so no temporary is ring-sized. The matrix is Hermitian, W[j][k] =
+    The rule ``integrate`` applies, aliasing included, ring by ring: a ring
+    of m nodes r u_t, u_t = exp(2 pi i (t + 1/2) / m), gives S_r(d) =
+    sum_t w(r u_t) u_t^d from ``quadrature._circle_sums``: real DFTs of at
+    most ``NODE_BLOCK`` values each (the whole ring when m is at most
+    ``NODE_BLOCK``; otherwise its columns as an (L, m/L) array, L the
+    largest divisor of m not above it), the weight evaluated on each column
+    chunk's nodes as the DFT takes it, so no temporary is ring-sized and no
+    value is kept. The matrix is Hermitian, W[j][k] =
     conj(W[k][j]), so only d = j - k >= 0 is accumulated: G[k][d] = sum_r
     (omega_r / m) r^(2k) r^d S_r(d), in ring order, on two real (order+1)^2
     arrays with elementwise numpy (no BLAS, no threads), so it is
     bit-reproducible; then W[j][k] = G[min(j,k)][|j-k|],
     conjugated above the diagonal. G[k][d] does not depend on the order, so
-    a lower order is a read-only view bit-identical to a fresh build. The
-    values agree with a complex ring DFT over all d to roundoff.
+    a lower order is a read-only view bit-identical to a fresh build; a
+    higher order than the kept one is a new pass over the grid. The values
+    agree with a complex ring DFT over all d to roundoff.
 
-    Kept on the weight per grid, beside ``weights.weight_values``. A
-    ``Scaled`` weight's matrix is its factor times its inner weight's
-    kept matrix, with no DFT of its own. A non-finite weight value raises
-    SingularIntegrandError.
+    Kept on the weight per grid, with the least and largest node value the
+    pass met (``_value_range``). A ``Scaled`` weight's matrix is its factor
+    times its inner weight's kept matrix, with no pass of its own, and its
+    range, read after the inner matrix is built, must be finite. A
+    non-finite weight value raises SingularIntegrandError naming the first
+    such node in grid order, as a pass in node order would.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
@@ -434,36 +439,57 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     if data.W is not None and data.W.shape[0] > order:
         return data.W[: order + 1, : order + 1]
     if isinstance(w, Scaled):
+        W = w.c * disk_moments(w.inner, grid, order)
         lo, hi = _value_range(w, grid)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise SingularIntegrandError(f"values of {w.label} are not finite on the grid")
-        W = w.c * disk_moments(w.inner, grid, order)
     else:
-        W = _ring_moments(weight_values(w, grid), grid, order)
+        W, data.value_range = _ring_moments(w, grid, order)
     W.setflags(write=False)
     data.W = W
     return W
 
 
 def _value_range(w: Weight, grid: DiskGrid) -> tuple[float, float]:
-    """Least and largest value of w on the grid; a ``Scaled`` weight's are its
-    factor times its inner weight's, rounded as its values are, which are
-    never formed."""
+    """Least and largest value of w on the grid, as the ring pass of its
+    kept W met them; a ``Scaled`` weight's are its factor times its inner
+    weight's, rounded as its values are, which are never formed."""
     if isinstance(w, Scaled):
         lo, hi = _value_range(w.inner, grid)
         return w.c * lo, w.c * hi
-    vals = weight_values(w, grid)
-    return float(vals.min()), float(vals.max())
+    return _on_grid(w, grid).value_range
 
 
-def _ring_moments(vals: np.ndarray, grid: DiskGrid, order: int) -> np.ndarray:
-    """W from the half sums G[k][d] = sum_r (omega_r/m) r^(2k) r^d S_r(d), d >= 0."""
+def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """W from the half sums G[k][d] = sum_r (omega_r/m) r^(2k) r^d S_r(d), d >= 0,
+    and the least and largest value of w met on the way.
+
+    Each ring's column chunks are evaluated as ``_circle_sums`` asks for
+    them. A non-finite value or a singular point stops the pass, and the
+    grid is read again in node order (``weights._first_bad_node``), which
+    raises the error a pass in that order raises.
+    """
     n = np.arange(order + 1)
     g_re, g_im = np.zeros((order + 1, order + 1)), np.zeros((order + 1, order + 1))
     buf = np.empty((order + 1, order + 1))
-    start = 0
+    lo, hi = math.inf, -math.inf
+
+    def values(u, r):
+        nonlocal lo, hi
+        u *= r  # the chunk's nodes, in place of its unit nodes
+        x = w.eval_many(u)
+        x_lo, x_hi = float(x.min()), float(x.max())  # nan if any value is nan
+        if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+            raise SingularIntegrandError(f"{w.label} is not finite on the grid")
+        lo, hi = min(lo, x_lo), max(hi, x_hi)
+        return x
+
     for r, weight, m in zip(grid.ring_radii, grid.ring_weights, grid.ring_counts):
-        S = _circle_sums(vals[start : start + m], order)
+        try:
+            S = _circle_sums(m, order, lambda u: values(u, r))
+        except (SingularIntegrandError, SingularPointError):
+            _first_bad_node(w, grid)
+            raise
         rp = abs((r * _ring_angles(m, 0.5, 0, 1))[0]) ** n  # |the ring's first node|
         S *= rp
         ring = weight * rp * rp
@@ -471,14 +497,13 @@ def _ring_moments(vals: np.ndarray, grid: DiskGrid, order: int) -> np.ndarray:
         g_re += buf
         np.multiply.outer(ring, S.imag, out=buf)
         g_im += buf
-        start += m
     # W[j][k] = G[min(j,k)][|j-k|], conjugated above the diagonal
     low, gap = np.minimum.outer(n, n), np.abs(np.subtract.outer(n, n))
     W = np.empty((order + 1, order + 1), dtype=complex)
     W.real = g_re[low, gap]
     W.imag = g_im[low, gap]
     np.negative(W.imag, out=W.imag, where=np.less.outer(n, n))
-    return W
+    return W, (lo, hi)
 
 
 def measure_moments(w: Weight, grid: DiskGrid, order: int) -> MomentTable:

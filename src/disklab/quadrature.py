@@ -30,15 +30,21 @@ and exact compensated summation (math.fsum) for circle grids.
 Neither reduction is threaded, so results are bit-reproducible across
 runs and thread counts. A disk grid keeps only a ring table (radius,
 node weight and node count per ring), and a circle grid only its order
-and offset. The grid-wide kernels (integration,
-weight evaluation, Berezin sums) form its nodes and weights one block of
-the fixed ``NODE_BLOCK`` nodes at a time, bit-identical to slices of the
-whole rule, and the moment matrix works ring by ring, each ring's DFT in
-columns of at most ``NODE_BLOCK`` nodes (``_circle_sums``), so no temporary
-is node-sized; a blocked reduction adds its block sums in the same order
-whatever the batch. Circle grids with an even node count are built
-antipodally (second half is the exact negation of the first), so full
-period sums of odd integrands cancel exactly.
+and offset. The grid-wide kernels (integration, a weight's mass, Berezin
+sums) form its nodes and weights in blocks of the fixed ``NODE_BLOCK``
+nodes, bit-identical to slices of the whole rule: integration one block
+at a time in node order (``_disk_blocks``), the mass and Berezin sums a
+few blocks at a time in the order they complete (``_paired_blocks``).
+The moment matrix works ring by ring, each ring's DFT in columns of at
+most ``NODE_BLOCK`` nodes (``_circle_sums``) whose nodes are formed from
+their ring indices (``_column_angles``), bit-identical too. Each pass
+evaluates its integrand or weight on the nodes it forms and keeps no
+value, so no array is node-sized, kept or temporary; a blocked reduction
+adds its block sums in node order whatever the batch. Circle grids and
+rings with an even node count are built antipodally (second half is the
+exact negation of the first), so full period sums of odd integrands
+cancel exactly, and ``_column_angles`` and ``_paired_blocks`` take one
+complex exp per antipodal pair of nodes.
 """
 
 from __future__ import annotations
@@ -305,7 +311,7 @@ def make_disk_grid(
     )
 
 
-def _circle_sums(x: np.ndarray, order: int) -> np.ndarray:
+def _circle_sums(m: int, order: int, values: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """S(d) = sum_t x_t u_t^d, d = 0..order, of real values x_t on a ring's
     m nodes u_t = exp(2 pi i (t + 1/2) / m), in memory of one node block.
 
@@ -314,27 +320,51 @@ def _circle_sums(x: np.ndarray, order: int) -> np.ndarray:
     t = a q + b has u_t^d = exp(2 pi i d a / L) u_b^d, so S(d) = sum_b u_b^d
     Y_b(d), where Y_b(d) = sum_a x_{aq+b} exp(2 pi i d a / L) is read from
     the real DFT F of column b of x as an (L, q) array: conj(F[d mod L]),
-    or F[L - d mod L] past L/2. The columns go through ``rfft`` ``NODE_BLOCK
-    // L`` at a time, and the twiddles u_b^d = exp(i pi (d (2b + 1) mod 2m)
-    / m) come from exact angles; the terms are added in column order. A
-    ring of at most ``NODE_BLOCK`` nodes is one column, its whole DFT.
+    or F[L - d mod L] past L/2. The columns come ``NODE_BLOCK // L`` at a
+    time: ``values`` maps the (L, k) array of their unit nodes
+    (``_column_angles``, a new array it may overwrite) to the (L, k) array
+    of x there, and the chunk goes through ``rfft``; the twiddles u_b^d = exp(i pi (d (2b + 1) mod 2m) / m)
+    come from exact angles, and the terms are added in column order. A ring
+    of at most ``NODE_BLOCK`` nodes is one column, its whole DFT.
     """
-    m = x.size
     split = next(n for n in range(min(m, NODE_BLOCK), 0, -1) if m % n == 0)
     d = np.arange(order + 1)
     idx = d % split
     half, conj = np.minimum(idx, split - idx), idx <= split // 2
-    columns = x.reshape(split, m // split)
-    step = max(1, NODE_BLOCK // split)
+    step, width = max(1, NODE_BLOCK // split), m // split
     S = np.zeros(order + 1, dtype=complex)
-    for lo in range(0, columns.shape[1], step):
-        F = np.fft.rfft(columns[:, lo : lo + step], axis=0)
-        for b in range(lo, lo + F.shape[1]):
+    for lo in range(0, width, step):
+        hi = min(lo + step, width)
+        F = np.fft.rfft(values(_column_angles(m, split, lo, hi)), axis=0)
+        for b in range(lo, hi):
             Y = F[half, b - lo]
             np.conjugate(Y, out=Y, where=conj)
             Y *= np.exp(1j * np.pi * (d * (2 * b + 1) % (2 * m)) / m)
             S += Y
     return S
+
+
+def _column_angles(m: int, split: int, lo: int, hi: int) -> np.ndarray:
+    """Unit nodes t = a (m / split) + b, a < split, lo <= b < hi, of a ring of m
+    nodes as a C-ordered (split, hi - lo) array, bit-identical to
+    ``_ring_angles(m, 0.5)[t]``.
+
+    With an even split, row a + split/2 is node t + m/2, the exact negation
+    of row a, as in ``_ring_angles``; so only the first half of the rows
+    takes a complex exp. An odd split forms every row by the same formula.
+    """
+    rows = split // 2 if split % 2 == 0 else split
+    t = np.arange(rows)[:, None] * (m // split) + np.arange(lo, hi)
+    u = np.empty((split, hi - lo), dtype=complex)
+    if rows < split:
+        np.exp(2j * np.pi * (t + 0.5) / m, out=u[:rows])
+        np.negative(u[:rows], out=u[rows:])
+        return u
+    half = m // 2 if m % 2 == 0 else m
+    second = t >= half
+    np.exp(2j * np.pi * (t - half * second + 0.5) / m, out=u)
+    np.negative(u, out=u, where=second)
+    return u
 
 
 def _disk_blocks(grid: DiskGrid, nodes: bool = True):
@@ -360,6 +390,49 @@ def _disk_blocks(grid: DiskGrid, nodes: bool = True):
             if end == first + m:
                 ring, first = ring + 1, end
         yield start, z, wts
+
+
+def _paired_blocks(grid: DiskGrid):
+    """The blocks of ``_disk_blocks``, bit for bit, with one complex exp per
+    antipodal pair of nodes, in the order they complete.
+
+    Each ring's first half is formed in pieces that end on block
+    boundaries, and each piece's negation (times the radius) is the
+    matching piece of the second half, as ``_ring_angles`` forms it; a ring
+    of odd count is formed as it is. A block is yielded once all its nodes
+    are written, so only the blocks a piece or its mirror reaches are open
+    at a time, a few ``NODE_BLOCK``-sized arrays.
+    """
+    blocks = {}  # block index -> [nodes, node weights, nodes not yet written]
+
+    def put(start, z, weight):
+        stop = start + z.size
+        for k in range(start // NODE_BLOCK, (stop - 1) // NODE_BLOCK + 1):
+            base = k * NODE_BLOCK
+            if k not in blocks:
+                n = min(NODE_BLOCK, grid.size - base)
+                blocks[k] = [np.empty(n, dtype=complex), np.empty(n), n]
+            block = blocks[k]
+            lo, hi = max(start, base), min(stop, base + NODE_BLOCK)
+            block[0][lo - base : hi - base] = z[lo - start : hi - start]
+            block[1][lo - base : hi - base] = weight
+            block[2] -= hi - lo
+            if not block[2]:
+                del blocks[k]
+                yield base, block[0], block[1]
+
+    first = 0  # the ring's first node index
+    for r, weight, m in zip(grid.ring_radii, grid.ring_weights, grid.ring_counts):
+        half = m // 2 if m % 2 == 0 else m
+        a = 0
+        while a < half:
+            b = min(half, (first + a) // NODE_BLOCK * NODE_BLOCK + NODE_BLOCK - first)
+            u = _ring_angles(m, 0.5, a, b)  # b <= half: first-half nodes only
+            yield from put(first + a, r * u, weight)
+            if half < m:
+                yield from put(first + half + a, r * -u, weight)
+            a = b
+        first += m
 
 
 def make_circle_grid(order: int, offset: float = 0.0) -> CircleGrid:

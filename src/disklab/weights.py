@@ -32,11 +32,13 @@ import numpy as np
 from .errors import (
     DegenerateWeightError,
     DomainError,
+    SingularIntegrandError,
     SingularPointError,
     WeightSpecError,
 )
 from .quadrature import (
-    NODE_BLOCK, CircleGrid, DiskGrid, _check_finite, _disk_blocks, integrate, make_disk_grid,
+    NODE_BLOCK, CircleGrid, DiskGrid, _check_finite, _disk_blocks, _paired_blocks, integrate,
+    make_disk_grid,
 )
 
 _UNIMODULAR_TOL = 1e-12
@@ -217,7 +219,13 @@ class Scaled(Weight):
 
 
 class Custom(Weight):
-    """User-supplied pointwise weight with explicit singular points."""
+    """User-supplied pointwise weight with explicit singular points.
+
+    On a disk grid the function gets a 1-D complex array of at most
+    ``NODE_BLOCK`` nodes per call; one that takes no arrays is called node
+    by node. No node value is kept, so every pass over a grid (the ring
+    pass of the moment matrix, the mass, the Berezin sweep) calls it again.
+    """
 
     def __init__(
         self,
@@ -265,10 +273,13 @@ def synthesize(d: GreenDecomposition) -> AtomicWeight:
 
 @dataclass
 class _GridData:
-    """What is derived from one weight on one grid: its node values, the
-    largest moment matrix W built so far and its Berezin transforms by point."""
+    """What is derived from one weight on one grid, all of it small: its mass,
+    its least and largest node value, the largest moment matrix W built so
+    far and its Berezin transforms by point. No node value is kept: each
+    pass evaluates the weight on the nodes it forms, one block at a time."""
 
-    values: Optional[np.ndarray] = None
+    mass: Optional[float] = None
+    value_range: Optional[tuple[float, float]] = None
     W: Optional[np.ndarray] = None
     berezin: dict = field(default_factory=dict)
 
@@ -286,34 +297,52 @@ def _on_grid(w: Weight, grid: DiskGrid) -> _GridData:
     return data
 
 
-def weight_values(w: Weight, grid: DiskGrid) -> np.ndarray:
-    """w(z_i) on the grid's nodes, evaluated once per weight and grid.
+def _grid_values(w: Weight, grid: DiskGrid):
+    """(start, nodes, node weights, w at the nodes) of each ``NODE_BLOCK`` block
+    of the grid, bit for bit those of a pass in node order, in the order
+    ``quadrature._paired_blocks`` completes them (one complex exp per
+    antipodal pair of nodes).
 
-    The nodes are formed and evaluated one ``NODE_BLOCK`` block at a time,
-    so the values are the only node-sized array. A non-finite value raises
-    SingularIntegrandError naming its node and grid index. The values are
-    kept on the weight beside ``moments.disk_moments``' matrix and
-    ``dbr.berezin_transforms``' per-point values; treat them as read-only.
+    A non-finite value or a singular point raises the error a pass in node
+    order raises (``_first_bad_node``), and nothing node-sized is formed.
     """
-    data = _on_grid(w, grid)
-    if data.values is None:
-        vals = np.empty(grid.size)
-        for start, z, _ in _disk_blocks(grid):
-            vals[start : start + z.size] = w.eval_many(z)
-            _check_finite(vals[start : start + z.size], z, start)
-        data.values = vals
-    return data.values
+    for start, z, wts in _paired_blocks(grid):
+        try:
+            vals = w.eval_many(z)
+            _check_finite(vals, z, start)
+        except (SingularIntegrandError, SingularPointError):
+            _first_bad_node(w, grid)
+            raise
+        yield start, z, wts, vals
+
+
+def _first_bad_node(w: Weight, grid: DiskGrid) -> None:
+    """Evaluate w on the grid in node order, one block at a time, which raises
+    SingularIntegrandError at the first non-finite value, naming its node and
+    grid index, or SingularPointError at the first block with a singular
+    point."""
+    for start, z, _ in _disk_blocks(grid):
+        _check_finite(w.eval_many(z), z, start)
 
 
 def l1_norm(w: Weight, grid: DiskGrid) -> float:
-    """Mass of the weight against normalized area measure, by quadrature: its
-    kept node values (``weight_values``) summed as ``integrate`` sums, block
-    by block, with no node formed."""
-    vals = weight_values(w, grid)
-    total = 0.0
-    for start, _, wts in _disk_blocks(grid, nodes=False):
-        total += np.sum(wts * vals[start : start + wts.size])
-    return float(total)
+    """Mass of the weight against normalized area measure, by quadrature.
+
+    One pass over the grid (``_grid_values``) sums each block's weighted
+    values as ``integrate`` does, and the block sums are added in node
+    order; the mass is kept on the weight per grid, so a second call reads
+    it.
+    """
+    data = _on_grid(w, grid)
+    if data.mass is None:
+        sums = np.empty(len(range(0, grid.size, NODE_BLOCK)))
+        for start, _, wts, vals in _grid_values(w, grid):
+            sums[start // NODE_BLOCK] = np.sum(wts * vals)
+        total = 0.0
+        for block_sum in sums:
+            total += block_sum
+        data.mass = float(total)
+    return data.mass
 
 
 def normalize(w: Weight, grid: DiskGrid) -> Scaled:

@@ -12,7 +12,7 @@ import numpy as np
 
 from disklab import MomentTable, PointDistribution, TaylorSeries, atoms_table, point_moments
 from disklab.moments import _centered, _entries, _is_exact, _outer, _parts
-from disklab.quadrature import _disk_rings
+from disklab.quadrature import NODE_BLOCK, _disk_blocks, _disk_rings, _ring_angles
 
 
 def constant_series(value: complex, order: int) -> TaylorSeries:
@@ -84,3 +84,75 @@ def hermitian_form(f: TaylorSeries, W: np.ndarray) -> float:
     """sum_{j,k} c_j conj(c_k) W[j][k], c the coefficients of f', as ``energy`` forms it."""
     c = f.derivative().array
     return float(np.sum(c[:, None] * np.conj(c)[None, :] * W[: c.size, : c.size]).real)
+
+
+def kept_values(w, grid) -> np.ndarray:
+    """w at every node of a disk grid in one array, evaluated one ``NODE_BLOCK``
+    block at a time in node order, as the grid passes evaluate it."""
+    return np.concatenate([w.eval_many(z) for _, z, _ in _disk_blocks(grid)])
+
+
+def kept_mass(vals: np.ndarray, grid) -> float:
+    """The mass from kept values: each block's weighted sum, added in node order."""
+    total = 0.0
+    for start, _, wts in _disk_blocks(grid, nodes=False):
+        total += np.sum(wts * vals[start : start + wts.size])
+    return float(total)
+
+
+def kept_circle_sums(x: np.ndarray, order: int) -> np.ndarray:
+    """A ring's sums S(d) = sum_t x_t u_t^d from its kept values x, by the column
+    DFTs of ``quadrature._circle_sums`` read as slices of the (L, m/L) array."""
+    m = x.size
+    split = next(n for n in range(min(m, NODE_BLOCK), 0, -1) if m % n == 0)
+    d = np.arange(order + 1)
+    idx = d % split
+    half, conj = np.minimum(idx, split - idx), idx <= split // 2
+    columns = x.reshape(split, m // split)
+    step = max(1, NODE_BLOCK // split)
+    S = np.zeros(order + 1, dtype=complex)
+    for lo in range(0, columns.shape[1], step):
+        F = np.fft.rfft(columns[:, lo : lo + step], axis=0)
+        for b in range(lo, lo + F.shape[1]):
+            Y = F[half, b - lo]
+            np.conjugate(Y, out=Y, where=conj)
+            Y *= np.exp(1j * np.pi * (d * (2 * b + 1) % (2 * m)) / m)
+            S += Y
+    return S
+
+
+def kept_moments(vals: np.ndarray, grid, order: int) -> np.ndarray:
+    """``moments.disk_moments`` from kept values, ring by ring in ring order."""
+    n = np.arange(order + 1)
+    g_re, g_im = np.zeros((order + 1, order + 1)), np.zeros((order + 1, order + 1))
+    start = 0
+    for r, weight, m in zip(grid.ring_radii, grid.ring_weights, grid.ring_counts):
+        S = kept_circle_sums(vals[start : start + m], order)
+        rp = abs((r * _ring_angles(m, 0.5, 0, 1))[0]) ** n
+        S *= rp
+        ring = weight * rp * rp
+        g_re += np.multiply.outer(ring, S.real)
+        g_im += np.multiply.outer(ring, S.imag)
+        start += m
+    low, gap = np.minimum.outer(n, n), np.abs(np.subtract.outer(n, n))
+    W = np.empty((order + 1, order + 1), dtype=complex)
+    W.real, W.imag = g_re[low, gap], g_im[low, gap]
+    np.negative(W.imag, out=W.imag, where=np.less.outer(n, n))
+    return W
+
+
+def kept_berezin(vals: np.ndarray, grid, points) -> np.ndarray:
+    """Berezin transforms from kept values: each point's block sums of
+    omega w / |1 - z conj(v)|^4, added in node order, as ``dbr._kernel_sums``
+    forms them one point at a time."""
+    v = np.array([complex(p) for p in points])
+    sums = []
+    for a, b in zip(v.real.tolist(), v.imag.tolist()):
+        total = []
+        for start, z, wts in _disk_blocks(grid):
+            xs, ys = z.real, z.imag
+            re = 1.0 - (xs * a + ys * b)
+            im = ys * a - xs * b
+            total.append(np.sum((wts * vals[start : start + z.size]) / (re * re + im * im) ** 2))
+        sums.append(total)
+    return (1.0 - np.abs(v) ** 2) ** 2 * np.sum(np.array(sums), axis=1)

@@ -512,8 +512,8 @@ class TestRun:
                                 lambda *a, **k: calls.append(name) or real(*a, **k))
 
         counting(moments, "_ring_moments")
-        for module in (weights, moments, dbr):
-            counting(module, "weight_values")
+        for module in (weights, dbr):
+            counting(module, "_grid_values")
         counting(dbr, "outer_function")
         report, code = run(parse_args(["verify", "--suite", "isometry", "--weight",
                                        "log:0.4,0", "--series-order", "256"]))
@@ -805,6 +805,29 @@ class TestFiniteOutput:
             if code == 0 or argv[0] == "verify":
                 assert _strict_json(out)["schema"] == 1, argv
 
+    @pytest.mark.parametrize("suite, spec", [
+        ("moments", "scaled:1e300:uniform"),  # the measure table's residual overflows
+        ("all", "scaled:1e300:uniform"),  # and the tensor sweep's reads nan
+        ("all", "scaled:1e300:log:0.4,0"),
+    ])
+    def test_a_check_value_out_of_float_range_fails_its_row(self, suite, spec):
+        proc = subprocess.run(
+            [sys.executable, "-m", "disklab", "verify", "--suite", suite, "--weight", spec],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""  # no numpy warning either
+        report = _strict_json(proc.stdout)
+        for check in report["checks"]:
+            if "is not finite" in check["detail"]:
+                assert check["value"] is None and not check["passed"], check
+        if spec.endswith("uniform"):
+            rows = {c["name"]: c for c in report["checks"]}
+            assert rows["weight-table-multiplicative"]["detail"].startswith(
+                "value inf is not finite; measure table")
+            if suite == "all":
+                assert rows["weight-table-tensor"]["detail"].startswith("value nan is not finite")
+
     @pytest.mark.parametrize("argv, error", [
         (["weights", "info"], r"error: integrand is not finite at node .* \(index \d+\)"),
         (["moments", "--route", "measure"],
@@ -1026,8 +1049,11 @@ class TestCheckTable:
         assert row.sense == sense
         ctx = cli._SuiteContext(parse_args(["verify", "--weight", "harm:1,0",
                                             *_fast_flags()]))
-        record = ctx.check(replace(row, fn=lambda ctx: (float("nan"), "planted")))
-        assert np.isnan(record.value) and not record.passed
+        for bad in ("nan", "inf", "-inf"):
+            record = ctx.check(replace(row, fn=lambda ctx: (float(bad), "planted")))
+            # a value JSON cannot hold is reported as none, and named in the detail
+            assert record.value is None and not record.passed
+            assert record.detail == f"value {bad} is not finite; planted"
 
 
 # Rows whose value is a closed form of the atom, or does not read the weight:

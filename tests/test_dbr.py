@@ -40,6 +40,7 @@ from disklab import (
     verify_isometry,
 )
 from disklab import dbr, moments
+from disklab.dirichlet import energy
 from disklab.cli import _isometry_cases
 from disklab.dbr import atoms_singular_values, unit_mass_atoms
 from disklab.quadrature import NODE_BLOCK
@@ -629,6 +630,43 @@ class TestIsometry:
         assert not report.relative_gap <= 1e-2
         assert report.relative_gap > 0.1
 
+    @pytest.mark.parametrize("wrong", [False, True])
+    def test_b_is_evaluated_once_per_node(self, wrong, harm_model, disk_grid, monkeypatch):
+        model = szego_model(harm_model) if wrong else harm_model
+        nodes = [0.55 + 0j, 0.45 + 0.2j, 0.45 - 0.2j, 0.35 + 0j]
+        coeffs = [1.0, -0.5 + 0.25j, 0.75j, 0.3 - 0.1j]
+        # the Gram entries through ``kernel`` and f through ``kernel_series``,
+        # which evaluate b at both points of each entry and again per section
+        G = np.array([[kernel(model, u, v) for v in nodes] for u in nodes])
+        f = kernel_series(model, nodes[0]).scale(coeffs[0])
+        for w, c in zip(nodes[1:], coeffs[1:]):
+            f = f + kernel_series(model, w).scale(c)
+        c = np.array(coeffs)
+        lhs = float(np.real(c.conj() @ G @ c))
+        rhs = f.h2_norm_sq() + energy(f, model.weight, disk_grid)
+        calls = []
+        real = TaylorSeries.evaluate
+        monkeypatch.setattr(TaylorSeries, "evaluate",
+                            lambda self, z: calls.append(z) or real(self, z))
+        report = verify_isometry(model, nodes, coeffs, disk_grid)
+        assert calls == nodes
+        assert (report.gram_norm_sq, report.h2_part + report.energy_part) == (lhs, rhs)
+        assert report.relative_gap == abs(lhs - rhs) / lhs
+
+    def test_isometry_suite_evaluates_b_once_per_node(self, monkeypatch):
+        from disklab.cli import parse_args, run
+
+        calls = []
+        real = TaylorSeries.evaluate
+        monkeypatch.setattr(TaylorSeries, "evaluate",
+                            lambda self, z: calls.append(z) or real(self, z))
+        report, code = run(parse_args(["verify", "--suite", "isometry", "--weight",
+                                       "harm:1,0", "--series-order", "16"]))
+        assert code == 0
+        # the model's 41 sampled |b| values, then 2 x 20 cases on node sets of
+        # sizes 1-4 cycled: 2 * 5 * (1 + 2 + 3 + 4) = 100 nodes
+        assert len(calls) == 41 + 100
+
     def test_gram_positive_semidefinite(self, harm_model):
         nodes = _test_points(count=6, radius=0.7, seed=21)
         G = np.array(
@@ -671,7 +709,7 @@ def test_berezin_transform_rejects_infinite_weight_value(coarse_disk_grid):
     w = Custom(lambda z: np.where(z == bad, np.inf, 1.0), label="spike")
     with pytest.raises(SingularIntegrandError, match=r"\(index 11\)"):
         berezin_transform(w, 0.3, coarse_disk_grid)
-    # a second transform on the memoised values still refuses
+    # a second transform evaluates the weight again and still refuses
     with pytest.raises(SingularIntegrandError):
         berezin_transform(w, -0.2j, coarse_disk_grid)
 

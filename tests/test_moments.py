@@ -38,12 +38,14 @@ from disklab import (
     weak_mult_check,
 )
 from disklab import moments
-from disklab.moments import weight_values
 from disklab import quadrature
 from disklab.quadrature import MAX_TENSOR_ENTRIES, NODE_BLOCK
 
 from exact_complex import Exact
-from reference import centered_moments, dirac_table, rank_one_coeffs
+from reference import (
+    centered_moments, dirac_table, kept_berezin, kept_mass, kept_moments, kept_values,
+    rank_one_coeffs,
+)
 
 
 class TestGaussianRational:
@@ -703,47 +705,55 @@ class TestDiskMoments:
         fresh = disk_moments(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid, 4)
         assert np.array_equal(small, fresh)
         assert not small.flags.writeable
-        disk_moments(w, coarse_disk_grid, 9)  # a larger order: the kept values again
-        assert _passes(calls, coarse_disk_grid) == 1
+        # no node value is kept, so a larger order is a second ring pass
+        nine = disk_moments(w, coarse_disk_grid, 9)
+        assert _passes(calls, coarse_disk_grid) == 2
+        assert np.array_equal(nine[:9, :9], big)
+        disk_moments(w, coarse_disk_grid, 9)
+        assert _passes(calls, coarse_disk_grid) == 2
 
     def test_other_weights_do_not_force_a_re_evaluation(self, coarse_disk_grid):
         calls = []
         first = _counted(calls, "first")
-        vals = weight_values(first, coarse_disk_grid)
-        disk_moments(first, coarse_disk_grid, 2)  # reads the kept values
+        W = disk_moments(first, coarse_disk_grid, 2)
         for _ in range(5):
             disk_moments(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid, 2)
-        assert weight_values(first, coarse_disk_grid) is vals
-        disk_moments(first, coarse_disk_grid, 2)
+        assert moments._on_grid(first, coarse_disk_grid).W is W
+        assert disk_moments(first, coarse_disk_grid, 1).base is W
         assert _passes(calls, coarse_disk_grid) == 1
 
     def test_data_is_freed_with_the_weight(self, coarse_disk_grid):
         w = _counted([], "counted")
-        disk_moments(w, coarse_disk_grid, 2)
+        W = weakref.ref(disk_moments(w, coarse_disk_grid, 2))
         berezin_transforms(w, [0.3], coarse_disk_grid)
-        values = weakref.ref(weight_values(w, coarse_disk_grid))
+        record = weakref.ref(moments._on_grid(w, coarse_disk_grid))
         del w
         gc.collect()
-        assert values() is None
+        assert W() is None and record() is None
 
-    def test_equal_grids_built_apart_share_one_evaluation(self):
+    def test_equal_grids_built_apart_share_one_record(self):
         calls = []
         w = _counted(calls, "counted")
         first, second = make_disk_grid(12, 16), make_disk_grid(12, 16)
         assert first is not second and first == second
-        vals = weight_values(w, first)
-        assert weight_values(w, second) is vals
+        assert moments._on_grid(w, first) is moments._on_grid(w, second)
         W = disk_moments(w, first, 4)
         assert disk_moments(w, second, 4).base is W  # a view of the kept matrix
-        assert _passes(calls, first) == 1
+        assert l1_norm(w, first) == l1_norm(w, second)
+        assert _passes(calls, first) == 2  # the ring pass and the mass pass
 
-    def test_disk_moments_keeps_its_evaluation(self, coarse_disk_grid):
+    def test_record_keeps_only_small_results(self, coarse_disk_grid):
         calls = []
         w = _counted(calls, "counted")
         disk_moments(w, coarse_disk_grid, 4)
-        assert weight_values(w, coarse_disk_grid) is weight_values(w, coarse_disk_grid)
         assert l1_norm(w, coarse_disk_grid) == pytest.approx(1.0, abs=1e-12)
-        assert _passes(calls, coarse_disk_grid) == 1
+        assert l1_norm(w, coarse_disk_grid) == l1_norm(w, coarse_disk_grid)
+        disk_moments(w, coarse_disk_grid, 3)
+        assert _passes(calls, coarse_disk_grid) == 2  # the ring pass and the mass pass
+        record = moments._on_grid(w, coarse_disk_grid)
+        assert isinstance(record.mass, float) and record.value_range == (1.0, 1.0)
+        assert record.W.shape == (5, 5) and record.berezin == {}
+        assert not hasattr(record, "values")
 
     def test_non_finite_weight_raises(self, coarse_disk_grid):
         bad = coarse_disk_grid.nodes[7]
@@ -773,7 +783,8 @@ class TestDiskMoments:
     def test_scaled_value_range_is_the_range_of_its_values(self, coarse_disk_grid):
         inner = Custom(lambda z: 1.0 - np.abs(z) ** 2, label="cap")
         for w in (Scaled(2.5, inner), Scaled(3.0, Scaled(1 / 3, inner))):
-            vals = weight_values(w, coarse_disk_grid)
+            disk_moments(w, coarse_disk_grid, 0)  # the inner ring pass records the range
+            vals = kept_values(w, coarse_disk_grid)
             assert moments._value_range(w, coarse_disk_grid) == (vals.min(), vals.max())
 
 
@@ -849,18 +860,23 @@ def _direct_circle_sums(x, order):
     ])
 
 
-def _assert_circle_sums_match_reference(vals, grid, order):
-    start = 0
-    for m in grid.ring_counts:
+def _assert_circle_sums_match_reference(w, grid, order):
+    vals, start = kept_values(w, grid), 0
+    for r, m in zip(grid.ring_radii, grid.ring_counts):
         x = vals[start : start + m]
-        got = quadrature._circle_sums(x, order)
+        got = quadrature._circle_sums(m, order, lambda u: w.eval_many(r * u))
         assert np.max(np.abs(got - _direct_circle_sums(x, order))) <= 2e-15 * np.sum(np.abs(x))
         start += m
 
 
+def _split(m):
+    """Column length L of a ring of m nodes: its largest divisor not above NODE_BLOCK."""
+    return next(n for n in range(min(m, NODE_BLOCK), 0, -1) if m % n == 0)
+
+
 class TestSplitRingDft:
     """``quadrature._circle_sums``: a ring's DFT in column blocks of at most
-    ``NODE_BLOCK`` nodes."""
+    ``NODE_BLOCK`` nodes, the weight evaluated on each block as it is read."""
 
     @pytest.mark.parametrize("order", [8, 63])
     @pytest.mark.parametrize("which", ["harm", "log", "uniform"])
@@ -872,13 +888,13 @@ class TestSplitRingDft:
             "uniform": (uniform, disk_grid),
         }[which]
         assert max(grid.ring_counts) > 16 * NODE_BLOCK  # split into 20 or more columns
-        _assert_circle_sums_match_reference(weight_values(w, grid), grid, order)
+        _assert_circle_sums_match_reference(w, grid, order)
 
     @pytest.mark.parametrize("weight", [HarmonicBoundary(1j), LogGreen(0.3 - 0.2j)])
     def test_matches_direct_sums_on_aliased_rings(self, weight):
         grid = grid_for_weight(weight, 6, 8)
         assert min(grid.ring_counts) <= 10
-        _assert_circle_sums_match_reference(weight_values(weight, grid), grid, 40)
+        _assert_circle_sums_match_reference(weight, grid, 40)
 
     def test_lower_order_view_is_bit_identical_on_the_default_grid(self, disk_grid):
         big = disk_moments(HarmonicBoundary(1.0), disk_grid, 63)
@@ -886,17 +902,113 @@ class TestSplitRingDft:
         assert np.array_equal(big[:9, :9], fresh)
 
     @pytest.mark.parametrize("order", [8, 63])
-    def test_ring_pass_holds_no_node_sized_temporary(self, order, disk_grid, harm_weight):
-        vals = weight_values(harm_weight, disk_grid)  # kept: outside the count
+    def test_ring_pass_holds_no_node_sized_temporary(self, order, disk_grid):
+        # the weight's values are evaluated inside the pass, so they count too
         assert max(disk_grid.ring_counts) * 8 > 2**20  # the largest ring's values alone
-        moments._ring_moments(vals, disk_grid, order)
+        moments._ring_moments(HarmonicBoundary(1.0), disk_grid, order)
         tracemalloc.start()
         try:
-            moments._ring_moments(vals, disk_grid, order)
+            moments._ring_moments(HarmonicBoundary(1.0), disk_grid, order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2**19
+
+
+def _ring_pass_nodes(grid):
+    """The nodes the ring pass evaluates the weight on, put back in grid order."""
+    seen = []
+    disk_moments(Custom(lambda z: seen.append(z.copy()) or np.ones(z.shape)), grid, 0)
+    rings = []
+    for m in grid.ring_counts:
+        split, width, columns = _split(m), 0, []
+        while width < m // split:
+            chunk = seen.pop(0).reshape(split, -1)
+            columns.append(chunk)
+            width += chunk.shape[1]
+        rings.append(np.concatenate(columns, axis=1).ravel())
+    assert seen == []
+    return np.concatenate(rings)
+
+
+class TestGridPassesKeepNoValues:
+    """Each pass forms its nodes and evaluates the weight one block at a
+    time; a weight's record per grid keeps its mass, its value range, W and
+    its Berezin values, bit for bit what kept node values give."""
+
+    def test_records_hold_no_node_sized_array(self, disk_grid):
+        from disklab.cli import _h_identity_points
+
+        w = HarmonicBoundary(1.0)  # a fresh object: an empty record
+        points = _h_identity_points(1.0)
+        assert disk_grid.size == 290_926 and len(points) == 25
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            measure_moments(w, disk_grid, 8)
+            l1_norm(w, disk_grid)
+            berezin_transforms(w, points, disk_grid)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        record = moments._on_grid(w, disk_grid)
+        arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+        assert arrays and max(a.size for a in arrays) <= 9**2
+        assert len(record.berezin) == 25
+        assert retained <= 2**19  # kept node values alone would be 8 * 290,926 bytes
+
+    @pytest.mark.parametrize("which", ["disk", "log", "coarse"])
+    def test_ring_pass_nodes_are_the_grid_nodes_bit_for_bit(self, which, disk_grid,
+                                                           log04_grid, coarse_disk_grid):
+        grid = {"disk": disk_grid, "log": log04_grid, "coarse": coarse_disk_grid}[which]
+        assert _ring_pass_nodes(grid).tobytes() == grid.nodes.tobytes()
+
+    def test_ring_pass_nodes_on_an_odd_column_length(self):
+        m = 13_122  # 2 * 3^8: its columns are L = 2,187 nodes long, an odd length
+        grid = quadrature.DiskGrid((0.5,), (1.0 / m,), (m,), 1, m)
+        assert _split(m) == 2187
+        assert _ring_pass_nodes(grid).tobytes() == grid.nodes.tobytes()
+
+    @pytest.mark.parametrize("which", ["harm", "log", "uniform", "scaled"])
+    def test_results_equal_kept_values_reference(self, which, disk_grid, log04_grid):
+        w, grid = {
+            "harm": (HarmonicBoundary(1.0), disk_grid),
+            "log": (LogGreen(0.4), log04_grid),
+            "uniform": (Custom(lambda z: np.ones(z.shape)), disk_grid),
+            "scaled": (Scaled(2.5, LogGreen(0.4)), log04_grid),
+        }[which]
+        points = [0.3, 0.5j, -0.2 + 0.7j, 0.79]
+        vals = kept_values(w, grid)
+        # a Scaled weight's W is its factor times its inner weight's, as before
+        W = (w.c * kept_moments(kept_values(w.inner, grid), grid, 63) if which == "scaled"
+             else kept_moments(vals, grid, 63))
+        assert np.array_equal(disk_moments(w, grid, 63), W)
+        assert l1_norm(w, grid) == kept_mass(vals, grid)
+        assert np.array_equal(berezin_transforms(w, points, grid),
+                              kept_berezin(vals, grid, points))
+
+    @pytest.mark.parametrize("route", ["disk_moments", "l1_norm", "berezin_transforms"])
+    def test_first_bad_node_in_grid_order_is_named(self, route, coarse_disk_grid):
+        # the last ring, 21,600 nodes in columns of 3,600: its column 0 (row 100)
+        # reaches the ring pass before column 5 (row 0), which comes first in
+        # grid order
+        grid, m = coarse_disk_grid, coarse_disk_grid.ring_counts[-1]
+        assert _split(m) == 3600
+        first = grid.size - m
+        nodes = grid.nodes
+        early, late = first + 5, first + 100 * (m // 3600)
+        bad = {nodes[early], nodes[late]}
+        w = Custom(lambda z: np.array([np.nan if p in bad else 1.0 for p in z]),
+                   label="spikes")
+        with pytest.raises(SingularIntegrandError) as err:
+            if route == "disk_moments":
+                disk_moments(w, grid, 2)
+            elif route == "l1_norm":
+                l1_norm(w, grid)
+            else:
+                berezin_transforms(w, [0.3], grid)
+        assert f"at node {nodes[early]!r} (index {early})" in str(err.value)
 
 
 class TestSerialization:

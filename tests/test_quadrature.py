@@ -454,6 +454,42 @@ def test_blocks_are_the_materialised_rule_bit_for_bit(orders):
     assert grid.weights.tobytes() == weights.tobytes()
 
 
+@pytest.mark.parametrize(
+    "orders",
+    [(120, 256, ()), (120, 256, (0.4,)), (3, 4, ()), (5, 8, (0.5,)), (9, 6, (0.2, 0.9))],
+    ids=["harm-and-uniform", "log-0.4", "tiny", "one-radius", "two-radii"],
+)
+def test_paired_blocks_are_the_materialised_rule_bit_for_bit(orders):
+    grid = make_disk_grid(*orders)
+    nodes, weights = _materialised_disk_grid(*orders)
+    starts = []
+    for start, z, wts in quadrature._paired_blocks(grid):
+        starts.append(start)
+        stop = min(start + NODE_BLOCK, grid.size)
+        assert z.tobytes() == nodes[start:stop].tobytes()
+        assert wts.tobytes() == weights[start:stop].tobytes()
+    assert sorted(starts) == list(range(0, grid.size, NODE_BLOCK))
+
+
+def test_paired_blocks_of_odd_rings_and_their_memory():
+    # an odd ring has no antipodal pairs; an even one past it is split in halves
+    grid = quadrature.DiskGrid((0.3, 0.6, 0.9), (1e-5, 2e-5, 3e-5), (9_999, 13_122, 186_624),
+                               3, 4)
+    whole = list(quadrature._disk_blocks(grid))
+    tracemalloc.start()
+    try:
+        paired = {start: (z, wts) for start, z, wts in quadrature._paired_blocks(grid)}
+        # every block is held in ``paired``; the pass itself opens a few more
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(paired) == [start for start, _, _ in whole]
+    for start, z, wts in whole:
+        assert paired[start][0].tobytes() == z.tobytes()
+        assert paired[start][1].tobytes() == wts.tobytes()
+    assert peak - held < 8 * 24 * NODE_BLOCK
+
+
 def test_grid_holds_no_node_sized_array():
     quadrature._gauss_legendre.cache_clear()
     tracemalloc.start()

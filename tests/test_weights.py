@@ -191,22 +191,21 @@ class TestMass:
             assert l1_norm(w, grid) == pytest.approx(w.analytic_mass, abs=2e-6)
 
     def test_mass_is_evaluated_in_node_blocks(self, disk_grid):
-        # the harm:1,0 grid; the mass keeps the weight's values (2.2 MiB) and
-        # forms its nodes a block at a time
+        # the harm:1,0 grid; the mass keeps no node value (8 * 290,926 bytes
+        # would be 2.2 MiB) and forms its nodes a few blocks at a time
         assert disk_grid.size == 290_926
-        w = HarmonicBoundary(1.0)  # a fresh object: no values memoised yet
-        kept = 8 * disk_grid.size
+        w = HarmonicBoundary(1.0)  # a fresh object: no mass memoised yet
         tracemalloc.start()
         try:
             mass = l1_norm(w, disk_grid)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            again = l1_norm(w, disk_grid)  # reads the kept values, forms no node
+            again = l1_norm(w, disk_grid)  # reads the kept mass, forms no node
             repeat = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak < kept + 2**19
+        assert peak < 2**20
         assert repeat < 2**17
         assert mass == again == 0.9999999982524391  # the whole-array evaluation's sum
 
