@@ -103,18 +103,17 @@ def _kernel_sums(v: np.ndarray, grid: DiskGrid, weight: Weight) -> np.ndarray:
     """sum_i omega_i w(z_i) / |1 - z_i conj(v)|^4 for each v, block by block (no BLAS).
 
     The grid's nodes and weights are formed per block and the weight is
-    evaluated on them there (``weights._grid_values``, which names the
-    first non-finite value in grid order), so no whole-grid array is made.
-    The working arrays are allocated once per call, and each block is swept
-    ``_SWEEP_POINTS`` points at a time; a point's block sum runs over the
-    block's nodes alone, so its value does not depend on the batch.
+    evaluated on them there (``weights._grid_values``, in node order), so
+    no whole-grid array is made. The working arrays are allocated once per
+    call, and each block is swept ``_SWEEP_POINTS`` points at a time; a
+    point's block sum runs over the block's nodes alone, so its value does
+    not depend on the batch.
     """
     a, b = v.real[:, None], v.imag[:, None]
     partial = np.empty((v.size, len(range(0, grid.size, NODE_BLOCK))))
     work = np.empty((3, min(v.size, _SWEEP_POINTS), NODE_BLOCK))
     mass = np.empty(NODE_BLOCK)
-    for start, z, wts, vals in _grid_values(weight, grid):
-        k = start // NODE_BLOCK
+    for k, (_, z, wts, vals) in enumerate(_grid_values(weight, grid)):
         xs, ys = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
         np.multiply(wts, vals, out=mass[: z.size])
         for lo in range(0, v.size, _SWEEP_POINTS):

@@ -473,6 +473,7 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
     g_re, g_im = np.zeros((order + 1, order + 1)), np.zeros((order + 1, order + 1))
     buf = np.empty((order + 1, order + 1))
     lo, hi = math.inf, -math.inf
+    unit_first = {m: _ring_angles(m, 0.5, 0, 1)[0] for m in set(grid.ring_counts)}
 
     def values(u, r):
         nonlocal lo, hi
@@ -490,7 +491,7 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
         except (SingularIntegrandError, SingularPointError):
             _first_bad_node(w, grid)
             raise
-        rp = abs((r * _ring_angles(m, 0.5, 0, 1))[0]) ** n  # |the ring's first node|
+        rp = abs(r * unit_first[m]) ** n  # |the ring's first node|
         S *= rp
         ring = weight * rp * rp
         np.multiply.outer(ring, S.real, out=buf)

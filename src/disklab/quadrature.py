@@ -32,19 +32,18 @@ runs and thread counts. A disk grid keeps only a ring table (radius,
 node weight and node count per ring), and a circle grid only its order
 and offset. The grid-wide kernels (integration, a weight's mass, Berezin
 sums) form its nodes and weights in blocks of the fixed ``NODE_BLOCK``
-nodes, bit-identical to slices of the whole rule: integration one block
-at a time in node order (``_disk_blocks``), the mass and Berezin sums a
-few blocks at a time in the order they complete (``_paired_blocks``).
+nodes, bit-identical to slices of the whole rule, one block at a time in
+node order (``_disk_blocks``).
 The moment matrix works ring by ring, each ring's DFT in columns of at
 most ``NODE_BLOCK`` nodes (``_circle_sums``) whose nodes are formed from
 their ring indices (``_column_angles``), bit-identical too. Each pass
 evaluates its integrand or weight on the nodes it forms and keeps no
 value, so no array is node-sized, kept or temporary; a blocked reduction
-adds its block sums in node order whatever the batch. Circle grids and
+adds its block sums in node order. Circle grids and
 rings with an even node count are built antipodally (second half is the
 exact negation of the first), so full period sums of odd integrands
-cancel exactly, and ``_column_angles`` and ``_paired_blocks`` take one
-complex exp per antipodal pair of nodes.
+cancel exactly, and ``_column_angles`` takes one complex exp per
+antipodal pair of nodes.
 """
 
 from __future__ import annotations
@@ -143,18 +142,38 @@ class CircleGrid:
 Grid = Union[DiskGrid, CircleGrid]
 
 
-def _ring_angles(count: int, offset: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def _ring_angles(count: int, offset: float, lo: int = 0, hi: int | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Unit-modulus nodes j = lo..hi-1 (all by default) at angles 2 pi (j + offset) / count.
 
     For even counts the second half is the exact negation of the first,
     which makes full-period sums of odd powers cancel without roundoff.
-    Node j has the same bits whatever range it is formed in.
+    Node j has the same bits whatever range it is formed in. ``out``, if
+    given, receives the nodes.
     """
     hi = count if hi is None else hi
     half = count if count % 2 else count // 2
-    first = np.exp(2j * np.pi * (np.arange(lo, min(hi, half)) + offset) / count)
-    second = np.exp(2j * np.pi * (np.arange(max(lo, half) - half, hi - half) + offset) / count)
-    return np.concatenate([first, -second])
+    u = np.empty(hi - lo, dtype=complex) if out is None else out
+    k = max(0, min(hi, half) - lo)  # nodes in the first half
+    if k:
+        _unit_exp(np.arange(lo, lo + k) + offset, count, u[:k])
+    if k < u.size:
+        second = u[k:]
+        _unit_exp(np.arange(max(lo, half) - half, hi - half) + offset, count, second)
+        np.negative(second, out=second)
+    return u
+
+
+def _unit_exp(x: np.ndarray, count: int, out: np.ndarray) -> None:
+    """exp(2 pi i x / count) into out, overwriting x, with the bits of
+    ``np.exp(2j * np.pi * x / count)``: that quotient is 0 + i (2 pi x)(1 / count),
+    since numpy divides a complex array by a real as a product with its
+    reciprocal, so the angle is formed in real arithmetic."""
+    x *= 2 * np.pi
+    x *= 1.0 / count
+    out.real = 0.0
+    out.imag = x
+    np.exp(out, out=out)
 
 
 #: Newton steps of the Gauss-Legendre rule: from the asymptotic start it
@@ -357,12 +376,12 @@ def _column_angles(m: int, split: int, lo: int, hi: int) -> np.ndarray:
     t = np.arange(rows)[:, None] * (m // split) + np.arange(lo, hi)
     u = np.empty((split, hi - lo), dtype=complex)
     if rows < split:
-        np.exp(2j * np.pi * (t + 0.5) / m, out=u[:rows])
+        _unit_exp(t + 0.5, m, u[:rows])
         np.negative(u[:rows], out=u[rows:])
         return u
     half = m // 2 if m % 2 == 0 else m
     second = t >= half
-    np.exp(2j * np.pi * (t - half * second + 0.5) / m, out=u)
+    _unit_exp(t - half * second + 0.5, m, u)
     np.negative(u, out=u, where=second)
     return u
 
@@ -371,10 +390,13 @@ def _disk_blocks(grid: DiskGrid, nodes: bool = True):
     """(start, nodes, weights) of each block of ``NODE_BLOCK`` nodes, in node order.
 
     Bit-identical to the slices [start, start + NODE_BLOCK) of the whole
-    rule's arrays, formed with block-sized temporaries; ``nodes=False``
-    yields None for the nodes and forms none.
+    rule's arrays, formed in place in block-sized arrays; ``nodes=False``
+    yields None for the nodes and forms none. A ring of at most
+    ``NODE_BLOCK`` nodes is formed whole, and its unit nodes serve the next
+    rings of the same count (the 100 rings of 256 nodes of a default grid).
     """
     ring, first = 0, 0  # the ring holding the next node, and its first node index
+    unit = (0, None)  # the count and unit nodes of the last small ring
     for start in range(0, grid.size, NODE_BLOCK):
         stop = min(start + NODE_BLOCK, grid.size)
         z = np.empty(stop - start, dtype=complex) if nodes else None
@@ -384,55 +406,17 @@ def _disk_blocks(grid: DiskGrid, nodes: bool = True):
             m, end = grid.ring_counts[ring], min(stop, first + grid.ring_counts[ring])
             part = slice(pos - start, end - start)
             wts[part] = grid.ring_weights[ring]
-            if nodes:
-                z[part] = grid.ring_radii[ring] * _ring_angles(m, 0.5, pos - first, end - first)
+            if nodes and m <= NODE_BLOCK:
+                if unit[0] != m:
+                    unit = (m, _ring_angles(m, 0.5))
+                np.multiply(unit[1][pos - first : end - first], grid.ring_radii[ring], out=z[part])
+            elif nodes:
+                u = _ring_angles(m, 0.5, pos - first, end - first, out=z[part])
+                u *= grid.ring_radii[ring]
             pos = end
             if end == first + m:
                 ring, first = ring + 1, end
         yield start, z, wts
-
-
-def _paired_blocks(grid: DiskGrid):
-    """The blocks of ``_disk_blocks``, bit for bit, with one complex exp per
-    antipodal pair of nodes, in the order they complete.
-
-    Each ring's first half is formed in pieces that end on block
-    boundaries, and each piece's negation (times the radius) is the
-    matching piece of the second half, as ``_ring_angles`` forms it; a ring
-    of odd count is formed as it is. A block is yielded once all its nodes
-    are written, so only the blocks a piece or its mirror reaches are open
-    at a time, a few ``NODE_BLOCK``-sized arrays.
-    """
-    blocks = {}  # block index -> [nodes, node weights, nodes not yet written]
-
-    def put(start, z, weight):
-        stop = start + z.size
-        for k in range(start // NODE_BLOCK, (stop - 1) // NODE_BLOCK + 1):
-            base = k * NODE_BLOCK
-            if k not in blocks:
-                n = min(NODE_BLOCK, grid.size - base)
-                blocks[k] = [np.empty(n, dtype=complex), np.empty(n), n]
-            block = blocks[k]
-            lo, hi = max(start, base), min(stop, base + NODE_BLOCK)
-            block[0][lo - base : hi - base] = z[lo - start : hi - start]
-            block[1][lo - base : hi - base] = weight
-            block[2] -= hi - lo
-            if not block[2]:
-                del blocks[k]
-                yield base, block[0], block[1]
-
-    first = 0  # the ring's first node index
-    for r, weight, m in zip(grid.ring_radii, grid.ring_weights, grid.ring_counts):
-        half = m // 2 if m % 2 == 0 else m
-        a = 0
-        while a < half:
-            b = min(half, (first + a) // NODE_BLOCK * NODE_BLOCK + NODE_BLOCK - first)
-            u = _ring_angles(m, 0.5, a, b)  # b <= half: first-half nodes only
-            yield from put(first + a, r * u, weight)
-            if half < m:
-                yield from put(first + half + a, r * -u, weight)
-            a = b
-        first += m
 
 
 def make_circle_grid(order: int, offset: float = 0.0) -> CircleGrid:

@@ -32,13 +32,11 @@ import numpy as np
 from .errors import (
     DegenerateWeightError,
     DomainError,
-    SingularIntegrandError,
     SingularPointError,
     WeightSpecError,
 )
 from .quadrature import (
-    NODE_BLOCK, CircleGrid, DiskGrid, _check_finite, _disk_blocks, _paired_blocks, integrate,
-    make_disk_grid,
+    NODE_BLOCK, CircleGrid, DiskGrid, _check_finite, _disk_blocks, integrate, make_disk_grid,
 )
 
 _UNIMODULAR_TOL = 1e-12
@@ -298,49 +296,38 @@ def _on_grid(w: Weight, grid: DiskGrid) -> _GridData:
 
 
 def _grid_values(w: Weight, grid: DiskGrid):
-    """(start, nodes, node weights, w at the nodes) of each ``NODE_BLOCK`` block
-    of the grid, bit for bit those of a pass in node order, in the order
-    ``quadrature._paired_blocks`` completes them (one complex exp per
-    antipodal pair of nodes).
+    """(start, nodes, node weights, w at the nodes) of each ``NODE_BLOCK``
+    block of the grid (``quadrature._disk_blocks``), in node order.
 
-    A non-finite value or a singular point raises the error a pass in node
-    order raises (``_first_bad_node``), and nothing node-sized is formed.
+    A non-finite value raises SingularIntegrandError naming its node and
+    grid index, and a singular point raises SingularPointError at the first
+    block that holds one; nothing node-sized is formed.
     """
-    for start, z, wts in _paired_blocks(grid):
-        try:
-            vals = w.eval_many(z)
-            _check_finite(vals, z, start)
-        except (SingularIntegrandError, SingularPointError):
-            _first_bad_node(w, grid)
-            raise
+    for start, z, wts in _disk_blocks(grid):
+        vals = w.eval_many(z)
+        _check_finite(vals, z, start)
         yield start, z, wts, vals
 
 
 def _first_bad_node(w: Weight, grid: DiskGrid) -> None:
-    """Evaluate w on the grid in node order, one block at a time, which raises
-    SingularIntegrandError at the first non-finite value, naming its node and
-    grid index, or SingularPointError at the first block with a singular
-    point."""
-    for start, z, _ in _disk_blocks(grid):
-        _check_finite(w.eval_many(z), z, start)
+    """Evaluate w on the grid in node order (``_grid_values``), which raises
+    the error of its first non-finite value or singular point."""
+    for _ in _grid_values(w, grid):
+        pass
 
 
 def l1_norm(w: Weight, grid: DiskGrid) -> float:
     """Mass of the weight against normalized area measure, by quadrature.
 
     One pass over the grid (``_grid_values``) sums each block's weighted
-    values as ``integrate`` does, and the block sums are added in node
-    order; the mass is kept on the weight per grid, so a second call reads
-    it.
+    values as ``integrate`` does, adding the block sums in node order; the
+    mass is kept on the weight per grid, so a second call reads it.
     """
     data = _on_grid(w, grid)
     if data.mass is None:
-        sums = np.empty(len(range(0, grid.size, NODE_BLOCK)))
-        for start, _, wts, vals in _grid_values(w, grid):
-            sums[start // NODE_BLOCK] = np.sum(wts * vals)
         total = 0.0
-        for block_sum in sums:
-            total += block_sum
+        for _, _, wts, vals in _grid_values(w, grid):
+            total += np.sum(wts * vals)
         data.mass = float(total)
     return data.mass
 

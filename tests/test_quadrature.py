@@ -413,6 +413,24 @@ def test_disk_integral_is_summed_in_node_blocks(disk_grid):
 # -------------------------------------------------------------- ring table
 
 
+@pytest.mark.parametrize("offset", [0.0, 0.25, 0.35, 0.5])
+def test_ring_angles_are_the_complex_formula_bit_for_bit(offset):
+    # the angle is formed in real arithmetic; the nodes keep the bits of
+    # exp(2j pi (t + offset) / count), second half negated, over any range
+    rng = np.random.default_rng(7)
+    for count in [*range(1, 300), 4096, 13_122, 36_000, 99_999, 186_624]:
+        half = count // 2 if count % 2 == 0 else count
+        t = np.arange(count)
+        plain = np.exp(2j * np.pi * (t - half * (t >= half) + offset) / count)
+        np.negative(plain[half:], out=plain[half:])
+        assert quadrature._ring_angles(count, offset).tobytes() == plain.tobytes()
+        lo = int(rng.integers(0, count))
+        hi = int(rng.integers(lo, count + 1))
+        out = np.empty(hi - lo, dtype=complex)
+        assert quadrature._ring_angles(count, offset, lo, hi, out=out) is out
+        assert out.tobytes() == plain[lo:hi].tobytes()
+
+
 def _materialised_disk_grid(radial_order, angular_order, singular_radii=()):
     """Reference: the whole rule's node and weight arrays, each ring written in place."""
     _, rings = quadrature._disk_rings(radial_order, angular_order, singular_radii)
@@ -452,42 +470,6 @@ def test_blocks_are_the_materialised_rule_bit_for_bit(orders):
         assert z is None and wts.tobytes() == weights[start : start + NODE_BLOCK].tobytes()
     assert grid.nodes.tobytes() == nodes.tobytes()
     assert grid.weights.tobytes() == weights.tobytes()
-
-
-@pytest.mark.parametrize(
-    "orders",
-    [(120, 256, ()), (120, 256, (0.4,)), (3, 4, ()), (5, 8, (0.5,)), (9, 6, (0.2, 0.9))],
-    ids=["harm-and-uniform", "log-0.4", "tiny", "one-radius", "two-radii"],
-)
-def test_paired_blocks_are_the_materialised_rule_bit_for_bit(orders):
-    grid = make_disk_grid(*orders)
-    nodes, weights = _materialised_disk_grid(*orders)
-    starts = []
-    for start, z, wts in quadrature._paired_blocks(grid):
-        starts.append(start)
-        stop = min(start + NODE_BLOCK, grid.size)
-        assert z.tobytes() == nodes[start:stop].tobytes()
-        assert wts.tobytes() == weights[start:stop].tobytes()
-    assert sorted(starts) == list(range(0, grid.size, NODE_BLOCK))
-
-
-def test_paired_blocks_of_odd_rings_and_their_memory():
-    # an odd ring has no antipodal pairs; an even one past it is split in halves
-    grid = quadrature.DiskGrid((0.3, 0.6, 0.9), (1e-5, 2e-5, 3e-5), (9_999, 13_122, 186_624),
-                               3, 4)
-    whole = list(quadrature._disk_blocks(grid))
-    tracemalloc.start()
-    try:
-        paired = {start: (z, wts) for start, z, wts in quadrature._paired_blocks(grid)}
-        # every block is held in ``paired``; the pass itself opens a few more
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sorted(paired) == [start for start, _, _ in whole]
-    for start, z, wts in whole:
-        assert paired[start][0].tobytes() == z.tobytes()
-        assert paired[start][1].tobytes() == wts.tobytes()
-    assert peak - held < 8 * 24 * NODE_BLOCK
 
 
 def test_grid_holds_no_node_sized_array():
