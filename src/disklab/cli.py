@@ -65,6 +65,7 @@ from .moments import (
 )
 from .quadrature import (
     MAX_DISK_NODES,
+    MAX_RING_ORDER,
     NODE_BLOCK,
     _ring_angles,
     make_circle_grid,
@@ -233,17 +234,18 @@ class _SuiteContext:
     def measure_table(self):
         """Measure moments of the weight at ``order``, from one ring-DFT pass.
 
-        A weight with atoms reads no other moment from the grid (its energy
-        is the closed form), so the pass runs at ``order``. Any other weight
-        runs it at the largest order the run reads (the series suites'
-        energies need ``series_order - 1``), and the table is its
-        order-``order`` corner, bit-identical to a build at that order.
+        The pass runs at the largest order the run reads: ``series_order -
+        1`` for a weight without atoms (its energies), else the order of
+        the h-identity points' Berezin values when the dbr suite runs. The
+        table is its corner, bit-identical to a build at that order.
         """
         order = self.config.order
         if self.weight.atoms is None:
-            disk_moments(self.weight, self.disk_grid,
-                         max(order, self.config.series_order - 1))
-        return measure_moments(self.weight, self.disk_grid, order)
+            order = max(order, self.config.series_order - 1)
+        elif self.config.suite in ("all", "dbr"):
+            order = max(order, *map(dbr_mod._berezin_order, _h_identity_points(self.direction)))
+        disk_moments(self.weight, self.disk_grid, order)
+        return measure_moments(self.weight, self.disk_grid, self.config.order)
 
     @cached_property
     def weight_table(self):
@@ -747,8 +749,8 @@ def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
         error(f"unrecognized arguments: {' '.join(extra)}")
     if "order" in config and not 1 <= config.order <= 16:
         error(f"--order must lie in [1, 16], got {config.order}")
-    if "series_order" in config and not 8 <= config.series_order <= 512:
-        error(f"--series-order must lie in [8, 512], got {config.series_order}")
+    if "series_order" in config and not 8 <= config.series_order <= MAX_RING_ORDER + 1:
+        error(f"--series-order must lie in [8, {MAX_RING_ORDER + 1}], got {config.series_order}")
     if config.radial_order < 1:
         error("--radial must be >= 1")
     if config.angular_order < 4:

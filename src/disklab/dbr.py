@@ -53,10 +53,10 @@ from .errors import (
 )
 from .moments import MomentTable, _atom_rows, disk_moments
 from .quadrature import (
-    NODE_BLOCK, CircleGrid, DiskGrid, _ring_angles, make_circle_grid,
+    MAX_RING_ORDER, NODE_BLOCK, CircleGrid, DiskGrid, _ring_angles, make_circle_grid,
 )
 from .series import TaylorSeries, exp_series, geometric_series
-from .weights import Scaled, Weight, _grid_values, _on_grid, _unit_scale, normalize
+from .weights import Scaled, Weight, _unit_scale, normalize
 
 _H0_TOL = 1e-6
 _RANK_TOL = 1e-6
@@ -65,71 +65,57 @@ _RANK_TOL = 1e-6
 def berezin_transforms(
     weight: Weight, points: Sequence[complex], grid: DiskGrid
 ) -> np.ndarray:
-    """Berezin transforms of the weight at each point, in one pass over the grid.
+    """Berezin transforms of the weight at each point, read from its moment matrix W.
 
-    B(w)(v) = (1-|v|^2)^2 sum_i omega_i w(z_i) / |1 - z_i conj(v)|^4 on the
-    grid's rule, with |1 - z conj(v)|^2 = re^2 + im^2 formed on real arrays
-    (z = x + iy, re = 1 - (x Re v + y Im v), im = y Re v - x Im v) in node
-    blocks of the fixed ``quadrature.NODE_BLOCK`` for all points at once,
-    so a point's value is bit-identical alone, in any batch and in any order.
-    Each point is computed once per weight and grid: its value is kept on
-    the weight beside its mass and moment matrix, and the pass evaluates
-    the weight block by block (``_kernel_sums``), keeping no node value.
-    Any |v| >= 1 raises DomainError before any node work; a non-finite
-    weight value (named by its node and grid index) or result raises
-    SingularIntegrandError.
+    Expanding the quartic kernel on the grid's rule, B(w)(v) = (1-|v|^2)^2
+    sum_{j,k <= N} (j+1)(k+1) W[j][k] conj(v)^j v^k, W = ``disk_moments(weight,
+    grid, N)``, within 2^-53 of the rule's value at N = N(v) (``_berezin_order``).
+    W is read once, to the batch's largest N(v); each point sums its own
+    corner, bit-identical to a build at that order, as p^H W p, p_k = (k+1)
+    v^k, a few rows at a time in elementwise numpy (no BLAS), so a value is
+    bit-identical alone or in any batch. A point with |v| >= 1 or N(v) past
+    ``MAX_RING_ORDER`` raises DomainError, a non-finite one
+    SingularIntegrandError, before the weight is evaluated; so does a
+    non-finite result, after.
     """
-    v = np.array([complex(p) for p in points], dtype=complex)
-    outside = np.abs(v) >= 1.0
-    if outside.any():
-        raise DomainError(f"Berezin transform needs |v| < 1, got {abs(v[outside][0])}")
-    memo = _on_grid(weight, grid).berezin
-    todo = np.array([p for p in dict.fromkeys(v.tolist()) if p not in memo], dtype=complex)
-    if todo.size:
-        values = (1.0 - np.abs(todo) ** 2) ** 2 * _kernel_sums(todo, grid, weight)
-        if not np.isfinite(values).all():
-            bad = todo[np.argmin(np.isfinite(values))]
-            raise SingularIntegrandError(f"Berezin transform at v = {bad!r} is not finite")
-        memo.update(zip(todo.tolist(), values.tolist()))
-    return np.array([memo[p] for p in v.tolist()], dtype=float)
+    v = [complex(p) for p in points]
+    orders = [_berezin_order(p) for p in v]
+    W = disk_moments(weight, grid, max(orders)) if v else None  # no pass for no point
+    values = np.empty(len(v))
+    for i, (p, n) in enumerate(zip(v, orders)):
+        powers = np.arange(1, n + 2) * p ** np.arange(n + 1)  # (k+1) v^k
+        step = max(1, NODE_BLOCK // (n + 1))  # rows of W p formed at a time
+        rows = np.concatenate([np.sum(W[lo : min(lo + step, n + 1), : n + 1] * powers, axis=1)
+                               for lo in range(0, n + 1, step)])
+        values[i] = (1.0 - abs(p) ** 2) ** 2 * np.sum(np.conj(powers) * rows).real
+        if not math.isfinite(values[i]):
+            raise SingularIntegrandError(f"Berezin transform at v = {p!r} is not finite")
+    return values
 
 
-#: Points per sweep of ``_kernel_sums``: its three working arrays of this
-#: many rows of ``NODE_BLOCK`` floats (0.26 MB each) stay in a 4 MiB L2 cache.
-_SWEEP_POINTS = 8
+def _berezin_order(v: complex) -> int:
+    """N(v): the least N whose truncation is within 2^-53 of B(w)(v) for
+    every nonnegative weight: 34 at |v| = 0.3, 193 at 0.8, 418 at 0.9.
 
-
-def _kernel_sums(v: np.ndarray, grid: DiskGrid, weight: Weight) -> np.ndarray:
-    """sum_i omega_i w(z_i) / |1 - z_i conj(v)|^4 for each v, block by block (no BLAS).
-
-    The grid's nodes and weights are formed per block and the weight is
-    evaluated on them there (``weights._grid_values``, in node order), so
-    no whole-grid array is made. The working arrays are allocated once per
-    call, and each block is swept ``_SWEEP_POINTS`` points at a time; a
-    point's block sum runs over the block's nodes alone, so its value does
-    not depend on the batch.
+    With a = z conj(v) the kernel is K = |s(a)|^2, s(a) = sum (j+1) a^j =
+    (1-a)^-2, and its truncation is K_N = |s(a) (1 - e)|^2 with e = a^(N+1)
+    (N+2 - (N+1) a), so |K - K_N| <= (2E + E^2) K at every node of the
+    closed disk, E = |v|^(N+1) (N+2 + (N+1)|v|). Each node's term omega w K
+    is nonnegative, so the sum over the rule keeps the bound; at z = -v/|v|
+    it is met to within E^2, so no lower N holds for every weight. Raises
+    DomainError for |v| >= 1 or N(v) past ``MAX_RING_ORDER`` (|v| above
+    about 0.915), SingularIntegrandError for a non-finite v.
     """
-    a, b = v.real[:, None], v.imag[:, None]
-    partial = np.empty((v.size, len(range(0, grid.size, NODE_BLOCK))))
-    work = np.empty((3, min(v.size, _SWEEP_POINTS), NODE_BLOCK))
-    mass = np.empty(NODE_BLOCK)
-    for k, (_, z, wts, vals) in enumerate(_grid_values(weight, grid)):
-        xs, ys = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
-        np.multiply(wts, vals, out=mass[: z.size])
-        for lo in range(0, v.size, _SWEEP_POINTS):
-            hi = min(lo + _SWEEP_POINTS, v.size)
-            re, im, tmp = work[:, : hi - lo, : z.size]
-            np.multiply(xs, a[lo:hi], out=re)
-            re += np.multiply(ys, b[lo:hi], out=tmp)
-            np.subtract(1.0, re, out=re)  # 1 - (x Re v + y Im v)
-            np.multiply(ys, a[lo:hi], out=im)
-            im -= np.multiply(xs, b[lo:hi], out=tmp)  # y Re v - x Im v
-            re *= re
-            im *= im
-            re += im  # |1 - z conj(v)|^2
-            re *= re
-            partial[lo:hi, k] = np.sum(np.divide(mass[: z.size], re, out=re), axis=1)
-    return partial.sum(axis=1)
+    x = abs(v)
+    if x >= 1.0:
+        raise DomainError(f"Berezin transform needs |v| < 1, got {x}")
+    if not math.isfinite(x):
+        raise SingularIntegrandError(f"Berezin transform at v = {v!r} is not finite")
+    for n in range(MAX_RING_ORDER + 1):
+        e = x ** (n + 1) * (n + 2 + (n + 1) * x)
+        if e * (2.0 + e) <= 2.0**-53:
+            return n
+    raise DomainError(f"Berezin transform at |v| = {x} needs W past order {MAX_RING_ORDER}")
 
 
 def berezin_transform(weight: Weight, v: complex, grid: DiskGrid) -> float:
@@ -169,6 +155,8 @@ def moment_table_from_berezin(
     from the weight's own measure moments W:
 
         M[j][k] = (j+1)(k+1) W[j][k] - j k W[j-1][k-1].
+
+    ``berezin_transforms`` sums the same expansion of W at a point.
     """
     W = disk_moments(weight, grid, order)
     n = np.arange(order + 1)
@@ -285,7 +273,7 @@ def verify_h_identity(
 ) -> HIdentityReport:
     """Compare the quartic-kernel integral against |h(v)|^2 pointwise.
 
-    The integrals are one ``berezin_transforms`` batch over all test points.
+    The integrals are one ``berezin_transforms`` batch, read from one moment matrix W.
     """
     points = [complex(v) for v in test_points]
     worst = -1.0

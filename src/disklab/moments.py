@@ -416,38 +416,39 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     ``NODE_BLOCK``; otherwise its columns as an (L, m/L) array, L the
     largest divisor of m not above it), the weight evaluated on each column
     chunk's nodes as the DFT takes it, so no temporary is ring-sized and no
-    value is kept. The matrix is Hermitian, W[j][k] =
-    conj(W[k][j]), so only d = j - k >= 0 is accumulated: G[k][d] = sum_r
-    (omega_r / m) r^(2k) r^d S_r(d), in ring order, on two real (order+1)^2
-    arrays with elementwise numpy (no BLAS, no threads), so it is
-    bit-reproducible; then W[j][k] = G[min(j,k)][|j-k|],
-    conjugated above the diagonal. G[k][d] does not depend on the order, so
-    a lower order is a read-only view bit-identical to a fresh build; a
-    higher order than the kept one is a new pass over the grid. The values
-    agree with a complex ring DFT over all d to roundoff.
+    value is kept. The matrix is Hermitian, W[j][k] = conj(W[k][j]), so
+    only d = j - k >= 0 is accumulated: G[k][d] = sum_r (omega_r / m)
+    r^(2k) r^d S_r(d), in ring order, in the real and imaginary parts of W
+    with elementwise numpy (no BLAS, no threads), so it is bit-reproducible;
+    then W[j][k] = G[min(j,k)][|j-k|] in place, conjugated above the
+    diagonal. G[k][d] does not depend on the order, so a lower order is a
+    read-only view bit-identical to a fresh build; a higher order than the
+    kept one is a new pass. The values agree with a complex ring DFT to
+    roundoff.
 
-    Kept on the weight per grid, with the least and largest node value the
-    pass met (``_value_range``). A ``Scaled`` weight's matrix is its factor
-    times its inner weight's kept matrix, with no pass of its own, and its
-    range, read after the inner matrix is built, must be finite. A
-    non-finite weight value raises SingularIntegrandError naming the first
-    such node in grid order, as a pass in node order would.
+    Kept on the weight per grid at the largest order asked for so far, with
+    the least and largest node value its pass met (``_value_range``): a
+    verify run asks first for the largest order its checks read, the orders
+    of its Berezin values among them. A ``Scaled`` weight's matrix is its
+    factor times its inner weight's, formed on each call with no pass and
+    nothing kept. A non-finite weight value raises SingularIntegrandError
+    naming the first such node in grid order, as a pass in node order would.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
-    data = _on_grid(w, grid)
-    if data.W is not None and data.W.shape[0] > order:
-        return data.W[: order + 1, : order + 1]
-    if isinstance(w, Scaled):
+    if isinstance(w, Scaled):  # formed on each call: only its inner weight's is kept
         W = w.c * disk_moments(w.inner, grid, order)
         lo, hi = _value_range(w, grid)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise SingularIntegrandError(f"values of {w.label} are not finite on the grid")
-    else:
-        W, data.value_range = _ring_moments(w, grid, order)
-    W.setflags(write=False)
-    data.W = W
-    return W
+        W.setflags(write=False)
+        return W
+    data = _on_grid(w, grid)
+    if data.W is not None and data.W.shape[0] > order:
+        return data.W[: order + 1, : order + 1]
+    data.W, data.value_range = _ring_moments(w, grid, order)
+    data.W.setflags(write=False)
+    return data.W
 
 
 def _value_range(w: Weight, grid: DiskGrid) -> tuple[float, float]:
@@ -470,7 +471,8 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
     raises the error a pass in that order raises.
     """
     n = np.arange(order + 1)
-    g_re, g_im = np.zeros((order + 1, order + 1)), np.zeros((order + 1, order + 1))
+    W = np.zeros((order + 1, order + 1), dtype=complex)
+    g_re, g_im = W.real, W.imag  # G accumulates in W's own entries
     buf = np.empty((order + 1, order + 1))
     lo, hi = math.inf, -math.inf
     unit_first = {m: _ring_angles(m, 0.5, 0, 1)[0] for m in set(grid.ring_counts)}
@@ -498,12 +500,13 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
         g_re += buf
         np.multiply.outer(ring, S.imag, out=buf)
         g_im += buf
-    # W[j][k] = G[min(j,k)][|j-k|], conjugated above the diagonal
-    low, gap = np.minimum.outer(n, n), np.abs(np.subtract.outer(n, n))
-    W = np.empty((order + 1, order + 1), dtype=complex)
-    W.real = g_re[low, gap]
-    W.imag = g_im[low, gap]
-    np.negative(W.imag, out=W.imag, where=np.less.outer(n, n))
+    # W[j][k] = G[min(j,k)][|j-k|] in place: row k of G moves right by k, onto
+    # the diagonal, and is copied down column k, conjugated above the diagonal
+    for k in range(1, order + 1):
+        W[k, k:] = W[k, : order + 1 - k]
+    for k in range(order):
+        W[k + 1 :, k] = W[k, k + 1 :]
+        np.negative(g_im[k, k + 1 :], out=g_im[k, k + 1 :])
     return W, (lo, hi)
 
 

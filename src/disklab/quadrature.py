@@ -30,10 +30,9 @@ and exact compensated summation (math.fsum) for circle grids.
 Neither reduction is threaded, so results are bit-reproducible across
 runs and thread counts. A disk grid keeps only a ring table (radius,
 node weight and node count per ring), and a circle grid only its order
-and offset. The grid-wide kernels (integration, a weight's mass, Berezin
-sums) form its nodes and weights in blocks of the fixed ``NODE_BLOCK``
-nodes, bit-identical to slices of the whole rule, one block at a time in
-node order (``_disk_blocks``).
+and offset. Integration and a weight's mass form its nodes and weights
+in blocks of the fixed ``NODE_BLOCK`` nodes, bit-identical to slices of
+the whole rule, one block at a time in node order (``_disk_blocks``).
 The moment matrix works ring by ring, each ring's DFT in columns of at
 most ``NODE_BLOCK`` nodes (``_circle_sums``) whose nodes are formed from
 their ring indices (``_column_angles``), bit-identical too. Each pass
@@ -70,10 +69,14 @@ MAX_DISK_NODES = 2**24
 #: refused before it allocates: admits order 31 (~8 MB per float array).
 MAX_TENSOR_ENTRIES = 2**20
 
-#: Nodes per block of the grid-wide kernels (weight evaluation, Berezin
-#: sums) and the longest DFT of a ring's moment sums: a fixed size, so a
-#: value never depends on the batch it is part of, nor a ring's sums on
-#: the order asked for.
+#: Largest order of a ring pass: the command line's series orders reach 512,
+#: and a Berezin value that needs more is refused before any work.
+MAX_RING_ORDER = 511
+
+#: Nodes per block of the grid-wide kernels (weight evaluation and
+#: integration) and the longest DFT of a ring's moment sums: a fixed size,
+#: so a value never depends on the batch it is part of, nor a ring's sums
+#: on the order asked for.
 NODE_BLOCK = 4096
 
 
@@ -459,12 +462,13 @@ def integrate(grid: Grid, f: Callable) -> complex | float:
 
     f may be a scalar function of a complex point or accept a complex
     ndarray. Non-finite values raise SingularIntegrandError naming the
-    offending node and its index. The reduction is deterministic: on a
-    disk grid f is evaluated one block of ``NODE_BLOCK`` nodes at a time
-    (the blocks of ``Weight.eval_many``, so a weight's values keep their
-    bits), each block forms its weighted values and their numpy pairwise
-    sum, and the block sums are added in node order, so no temporary is
-    node-sized; circle grids evaluate f once and use exact fsum.
+    offending node and its index, as does a circle sum out of float range.
+    The reduction is deterministic: on a disk grid f is evaluated one block
+    of ``NODE_BLOCK`` nodes at a time (the blocks of ``Weight.eval_many``,
+    so a weight's values keep their bits), each block forms its weighted
+    values and their numpy pairwise sum, and the block sums are added in
+    node order, so no temporary is node-sized; circle grids evaluate f once
+    and use exact fsum.
     """
     if isinstance(grid, CircleGrid):
         nodes = grid.nodes
@@ -473,11 +477,14 @@ def integrate(grid: Grid, f: Callable) -> complex | float:
         # Uniform weights: sum first, divide once. fsum makes exact
         # cancellations (antipodal node pairs) come out as exact zeros.
         m = grid.size
-        if np.iscomplexobj(vals):
-            return complex(
-                math.fsum(vals.real) / m, math.fsum(vals.imag) / m
-            )
-        return math.fsum(float(v) for v in vals) / m
+        try:
+            if np.iscomplexobj(vals):
+                return complex(math.fsum(vals.real) / m, math.fsum(vals.imag) / m)
+            return math.fsum(float(v) for v in vals) / m
+        except OverflowError:  # finite values whose sum leaves the float range
+            raise SingularIntegrandError(
+                f"integrand sum over the {m} circle nodes overflows the float range"
+            ) from None
     total = 0.0
     for start, z, wts in _disk_blocks(grid):
         vals = _evaluate_on(f, z)

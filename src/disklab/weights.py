@@ -24,7 +24,7 @@ inequality on a caller-supplied lattice of centers and radii.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -222,7 +222,7 @@ class Custom(Weight):
     On a disk grid the function gets a 1-D complex array of at most
     ``NODE_BLOCK`` nodes per call; one that takes no arrays is called node
     by node. No node value is kept, so every pass over a grid (the ring
-    pass of the moment matrix, the mass, the Berezin sweep) calls it again.
+    pass of the moment matrix, the mass) calls it again.
     """
 
     def __init__(
@@ -272,14 +272,13 @@ def synthesize(d: GreenDecomposition) -> AtomicWeight:
 @dataclass
 class _GridData:
     """What is derived from one weight on one grid, all of it small: its mass,
-    its least and largest node value, the largest moment matrix W built so
-    far and its Berezin transforms by point. No node value is kept: each
-    pass evaluates the weight on the nodes it forms, one block at a time."""
+    its least and largest node value, and the largest moment matrix W asked
+    of ``disk_moments`` so far, which its Berezin values read. No node value
+    is kept: each pass evaluates the weight on the nodes it forms."""
 
     mass: Optional[float] = None
     value_range: Optional[tuple[float, float]] = None
     W: Optional[np.ndarray] = None
-    berezin: dict = field(default_factory=dict)
 
 
 def _on_grid(w: Weight, grid: DiskGrid) -> _GridData:

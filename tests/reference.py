@@ -141,10 +141,23 @@ def kept_moments(vals: np.ndarray, grid, order: int) -> np.ndarray:
     return W
 
 
+def expanded_berezin(W: np.ndarray, points, orders) -> np.ndarray:
+    """Berezin transforms from a moment matrix W, point by point:
+    (1-|v|^2)^2 sum_{j,k <= N} (j+1)(k+1) W[j][k] conj(v)^j v^k on the corner
+    of W at the point's order N, formed as p^H W p with p_k = (k+1) v^k, the
+    rows summed first."""
+    out = []
+    for v, n in zip(points, orders):
+        v = complex(v)
+        p = np.arange(1, n + 2) * v ** np.arange(n + 1)
+        rows = np.sum(W[: n + 1, : n + 1] * p, axis=1)
+        out.append((1.0 - abs(v) ** 2) ** 2 * np.sum(np.conj(p) * rows).real)
+    return np.array(out)
+
+
 def kept_berezin(vals: np.ndarray, grid, points) -> np.ndarray:
-    """Berezin transforms from kept values: each point's block sums of
-    omega w / |1 - z conj(v)|^4, added in node order, as ``dbr._kernel_sums``
-    forms them one point at a time."""
+    """Berezin transforms from kept values by the direct kernel sum: each
+    point's block sums of omega w / |1 - z conj(v)|^4, added in node order."""
     v = np.array([complex(p) for p in points])
     sums = []
     for a, b in zip(v.real.tolist(), v.imag.tolist()):

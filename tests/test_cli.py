@@ -473,7 +473,7 @@ class TestRun:
         ("all", "log:0.4,0"),  # the unit-mass model weight is Scaled(1/mass, weight)
     ])
     def test_one_ring_dft_pass_per_run(self, suite, spec, monkeypatch):
-        from disklab import moments
+        from disklab import cli, dbr, moments
 
         passes = []
         real = moments._ring_moments
@@ -484,8 +484,10 @@ class TestRun:
         report, code = run(parse_args(["verify", "--suite", suite, "--weight", spec,
                                        *_fast_flags()]))
         assert code == 0, [c for c in report.checks if not c.passed]
-        # at order 4: a weight with atoms takes the closed-form energy
-        assert passes == [4]
+        # a weight with atoms takes the closed-form energy, so the pass runs at
+        # order 4, or at the order of the h-identity points' Berezin values
+        berezin = max(dbr._berezin_order(v) for v in cli._h_identity_points(1.0))
+        assert passes == [berezin if suite == "all" else 4]
 
     def test_one_ring_dft_pass_on_a_weight_without_atoms(self, monkeypatch):
         from disklab import moments
@@ -501,6 +503,28 @@ class TestRun:
         assert code == 1
         assert passes == [31]  # series order 32 - 1: its energies read the grid
 
+    @pytest.mark.parametrize("spec", ["harm:1,0", "uniform"])
+    def test_verify_all_makes_one_ring_pass_and_one_mass_pass(self, spec, monkeypatch):
+        from disklab import cli, dbr, moments, weights
+
+        passes, evaluated = [], []
+        ring, evaluate = moments._ring_moments, weights.Weight.eval_many
+        monkeypatch.setattr(moments, "_ring_moments",
+                            lambda w, grid, order: passes.append(order) or ring(w, grid, order))
+        monkeypatch.setattr(weights.Weight, "eval_many",
+                            lambda w, z: evaluated.append(np.size(z)) or evaluate(w, z))
+        config = parse_args(["verify", "--suite", "all", "--weight", spec])
+        report, code = run(config)
+        assert code == (1 if spec == "uniform" else 0)
+        # the ring pass at the largest order the run reads: the Berezin values
+        # of a model's h-identity points, or the energies of a weight without atoms
+        points = cli._h_identity_points(1.0)
+        assert passes == ([63] if spec == "uniform"
+                          else [max(dbr._berezin_order(v) for v in points)])
+        # two grids: the ring pass and the mass; the rest is the lattice's circles
+        size = cli._SuiteContext(config).disk_grid.size
+        assert 0 <= sum(evaluated) - 2 * size < 2**14
+
     def test_isometry_suite_on_a_log_pole_reads_no_grid_values(self, monkeypatch):
         from disklab import dbr, moments, weights
 
@@ -512,8 +536,7 @@ class TestRun:
                                 lambda *a, **k: calls.append(name) or real(*a, **k))
 
         counting(moments, "_ring_moments")
-        for module in (weights, dbr):
-            counting(module, "_grid_values")
+        counting(weights, "_grid_values")
         counting(dbr, "outer_function")
         report, code = run(parse_args(["verify", "--suite", "isometry", "--weight",
                                        "log:0.4,0", "--series-order", "256"]))
@@ -840,6 +863,14 @@ class TestFiniteOutput:
         assert out == ""
         assert re.fullmatch(error + "\n", err)
 
+    @pytest.mark.parametrize("spec", ["scaled:1e308:uniform", "scaled:1e307:log:0.4,0"])
+    def test_a_circle_mean_out_of_float_range_is_one_error_line(self, spec, capsys):
+        # superharmonicity's circle means sum values of about 1e308 on 256 nodes
+        assert main(["weights", "info", "--weight", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: integrand sum over the 256 circle nodes overflows the float range\n"
+
     @pytest.mark.parametrize("spec, named, product", [
         ("scaled:1e308:scaled:1e308:log:0.4,0", None, "inf"),
         ("scaled:1e-300:scaled:1e-300:log:0.4,0", None, "0"),
@@ -921,7 +952,7 @@ _VERIFY_ALL_PINS = {
         ("dbr", "model-build", "b58d67dc1c77", 0.0, None, True),
         ("dbr", "h0-normalization", "92de75aa3bc4", 0.0, 1e-06, True),
         ("dbr", "l1-quadrature-consistency", "ed68b6c80675", 3.2544312800197872e-09, 0.0001, True),
-        ("dbr", "h-identity", "3be6d69ed383", 0.00564881116411442, 0.0001, False),
+        ("dbr", "h-identity", "3be6d69ed383", 0.005648811164149947, 0.0001, False),
         ("dbr", "laplacian-identity", "94973ced2a1d", 1.8151844815849986e-07, 1e-05, True),
         ("dbr", "phi-consistency", "f277c2ca4054", 0.00043377656795939856, 0.0001, False),
         ("dbr", "b-contraction", "c9377a5d33f2", 0.0, 1e-06, True),

@@ -730,10 +730,11 @@ class TestBatchedBerezin:
             "log": (log04_weight, log04_grid),
             "uniform": (uniform, disk_grid),
         }[which]
-        points = _test_points(count=25, radius=0.95, seed=31)
+        # the tail bound 2^-53 plus the roundoff of both routes
+        points = _test_points(count=25, radius=0.9, seed=31)
         got = berezin_transforms(weight, points, grid)
         ref = np.array([_reference_berezin(weight, v, grid) for v in points])
-        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 64 * np.finfo(float).eps
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2.0**-53 + 64 * np.finfo(float).eps
 
     def test_batch_equals_singles_in_any_order(self, disk_grid):
         # a fresh weight object per call keeps every value out of the memo
@@ -743,18 +744,19 @@ class TestBatchedBerezin:
         reverse = berezin_transforms(HarmonicBoundary(1.0), points[::-1], disk_grid)
         assert batch.tolist() == singles == reverse[::-1].tolist()
 
-    def test_each_point_is_formed_once(self, disk_grid, monkeypatch):
-        formed = []
-        real = dbr._kernel_sums
+    def test_one_ring_pass_serves_every_point(self, disk_grid, monkeypatch):
+        passes = []
+        real = moments._ring_moments
         monkeypatch.setattr(
-            dbr, "_kernel_sums", lambda v, *a: formed.append(v.size) or real(v, *a)
+            moments, "_ring_moments", lambda w, g, n: passes.append(n) or real(w, g, n)
         )
         w = HarmonicBoundary(1.0)
         points = _test_points(count=25, radius=0.8, seed=33)
         verify_h_identity(w, TaylorSeries([1.0, 1.0]), points, disk_grid)
         for v in points[:10]:
             _phi_modulus_sq(v, w, disk_grid)
-        assert formed == [25]
+        # at the largest order of the batch; the singles read corners of it
+        assert passes == [max(dbr._berezin_order(v) for v in points)]
 
     def test_point_on_circle_refused_before_weight_evaluation(self, coarse_disk_grid):
         evals = []
@@ -762,6 +764,36 @@ class TestBatchedBerezin:
         with pytest.raises(DomainError):
             berezin_transforms(w, [0.3, 0.5j, 1.0, 0.1], coarse_disk_grid)
         assert evals == []
+
+    @pytest.mark.parametrize("x, order", [(0.3, 34), (0.8, 193), (0.9, 418)])
+    def test_order_is_the_least_whose_tail_is_below_roundoff(self, x, order):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+
+        def kernel_error(a, n):
+            # |K - K_n| / K at a = z conj(v), K = |1 - a|^-4 and K_n the double
+            # sum of (j+1)(k+1) a^j conj(a)^k over j, k <= n, |s_n(a)|^2
+            s_n = mpmath.fsum((j + 1) * a**j for j in range(n + 1))
+            return abs(1 - abs(s_n * (1 - a) ** 2) ** 2)
+
+        assert dbr._berezin_order(0j) == 0
+        assert dbr._berezin_order(x) == dbr._berezin_order(-x * 1j) == order
+        x = mpmath.mpf(x)
+        # no node on the circle, where the kernel's tail is largest, is off by more
+        for t in range(16):
+            assert kernel_error(x * mpmath.expjpi(mpmath.mpf(t) / 8), order) <= 2.0**-53
+        # and the node opposite v is off by more one order lower
+        assert kernel_error(-x, order - 1) > 2.0**-53
+
+    @pytest.mark.parametrize("far", [0.95, 0.92j, -0.999])
+    def test_point_past_the_largest_order_refused_before_weight_evaluation(
+            self, far, coarse_disk_grid):
+        evals = []
+        w = Custom(lambda z: evals.append(1) or np.ones(z.shape), label="counted")
+        with pytest.raises(DomainError, match="past order 511"):
+            berezin_transforms(w, [0.3, far, 0.1], coarse_disk_grid)
+        assert evals == []
+        assert moments._on_grid(w, coarse_disk_grid).W is None
 
     def test_nan_point_raises(self, uniform, coarse_disk_grid):
         with pytest.raises(SingularIntegrandError):
@@ -774,10 +806,14 @@ class TestBatchedBerezin:
             batch = berezin_transforms(HarmonicBoundary(1.0), points[:size], disk_grid)
             assert batch[: min(size, 3)].tolist() == alone[:size]
 
-    def test_peak_memory_is_the_kept_values_plus_a_block(self, disk_grid):
-        # five points: a block's working arrays hold 5 x NODE_BLOCK floats each
+    def test_peak_memory_is_the_order_n_arrays(self, disk_grid):
+        # the ring pass holds three real order-n arrays, then two and W; a
+        # point's sum holds W and one complex product of its size: about five
+        # real order-n arrays at most, and nothing of the grid's size
         points = _test_points(count=5, radius=0.8, seed=35)
-        kept = 8 * disk_grid.size  # the weight's node values, one float each
+        n = max(dbr._berezin_order(v) for v in points)
+        assert n >= 150
+        square = 8 * (n + 1) ** 2  # one float per entry of the order-n matrix
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -785,7 +821,7 @@ class TestBatchedBerezin:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= kept + 2**20
+        assert peak <= 5 * square + 2**18
 
     def test_empty_batch(self, uniform, coarse_disk_grid):
         out = berezin_transforms(uniform, [], coarse_disk_grid)

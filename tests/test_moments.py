@@ -37,14 +37,14 @@ from disklab import (
     tensor_diag_check,
     weak_mult_check,
 )
-from disklab import moments
+from disklab import dbr, moments
 from disklab import quadrature
 from disklab.quadrature import MAX_TENSOR_ENTRIES, NODE_BLOCK
 
 from exact_complex import Exact
 from reference import (
-    centered_moments, dirac_table, kept_berezin, kept_mass, kept_moments, kept_values,
-    rank_one_coeffs,
+    centered_moments, dirac_table, expanded_berezin, kept_berezin, kept_mass, kept_moments,
+    kept_values, rank_one_coeffs,
 )
 
 
@@ -752,7 +752,7 @@ class TestDiskMoments:
         assert _passes(calls, coarse_disk_grid) == 2  # the ring pass and the mass pass
         record = moments._on_grid(w, coarse_disk_grid)
         assert isinstance(record.mass, float) and record.value_range == (1.0, 1.0)
-        assert record.W.shape == (5, 5) and record.berezin == {}
+        assert record.W.shape == (5, 5)
         assert not hasattr(record, "values")
 
     def test_non_finite_weight_raises(self, coarse_disk_grid):
@@ -844,7 +844,9 @@ class TestRealRingDft:
         assert np.array_equal(W, 2.5 * disk_moments(inner, coarse_disk_grid, 8))
         assert _passes(calls, coarse_disk_grid) == 1
         assert not W.flags.writeable
-        assert disk_moments(scaled, coarse_disk_grid, 6).base is W
+        # formed from the inner matrix on each call; the scaled weight keeps none
+        assert np.array_equal(disk_moments(scaled, coarse_disk_grid, 6), W[:7, :7])
+        assert moments._on_grid(scaled, coarse_disk_grid).W is None
         # the inner weight built first: the scaled matrix still needs no evaluation
         other = Scaled(0.5, inner)
         disk_moments(other, coarse_disk_grid, 4)
@@ -933,15 +935,17 @@ def _ring_pass_nodes(grid):
 
 class TestGridPassesKeepNoValues:
     """Each pass forms its nodes and evaluates the weight one block at a
-    time; a weight's record per grid keeps its mass, its value range, W and
-    its Berezin values, bit for bit what kept node values give."""
+    time; a weight's record per grid keeps its mass, its value range and W,
+    from which its Berezin values are read, bit for bit what kept node
+    values give."""
 
     def test_records_hold_no_node_sized_array(self, disk_grid):
         from disklab.cli import _h_identity_points
 
         w = HarmonicBoundary(1.0)  # a fresh object: an empty record
         points = _h_identity_points(1.0)
-        assert disk_grid.size == 290_926 and len(points) == 25
+        n = max(dbr._berezin_order(v) for v in points)
+        assert disk_grid.size == 290_926 and len(points) == 25 and n == 192
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -954,9 +958,10 @@ class TestGridPassesKeepNoValues:
             tracemalloc.stop()
         record = moments._on_grid(w, disk_grid)
         arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
-        assert arrays and max(a.size for a in arrays) <= 9**2
-        assert len(record.berezin) == 25
-        assert retained <= 2**19  # kept node values alone would be 8 * 290,926 bytes
+        assert [a.shape for a in arrays] == [(n + 1, n + 1)]  # W alone
+        # one kept complex W, and the modules a first pass imports; kept node
+        # values alone would be 8 * 290,926 bytes
+        assert retained <= 16 * (n + 1) ** 2 + 2**17
 
     @pytest.mark.parametrize("which", ["disk", "log", "coarse"])
     def test_ring_pass_nodes_are_the_grid_nodes_bit_for_bit(self, which, disk_grid,
@@ -979,14 +984,18 @@ class TestGridPassesKeepNoValues:
             "scaled": (Scaled(2.5, LogGreen(0.4)), log04_grid),
         }[which]
         points = [0.3, 0.5j, -0.2 + 0.7j, 0.79]
+        orders = [dbr._berezin_order(v) for v in points]
         vals = kept_values(w, grid)
         # a Scaled weight's W is its factor times its inner weight's, as before
-        W = (w.c * kept_moments(kept_values(w.inner, grid), grid, 63) if which == "scaled"
-             else kept_moments(vals, grid, 63))
-        assert np.array_equal(disk_moments(w, grid, 63), W)
+        W = (w.c * kept_moments(kept_values(w.inner, grid), grid, max(orders))
+             if which == "scaled" else kept_moments(vals, grid, max(orders)))
+        assert np.array_equal(disk_moments(w, grid, 63), W[:64, :64])
         assert l1_norm(w, grid) == kept_mass(vals, grid)
-        assert np.array_equal(berezin_transforms(w, points, grid),
-                              kept_berezin(vals, grid, points))
+        got = berezin_transforms(w, points, grid)
+        assert np.array_equal(got, expanded_berezin(W, points, orders))
+        # the direct kernel sum agrees within the tail bound plus roundoff
+        sweep = kept_berezin(vals, grid, points)
+        assert np.max(np.abs(got - sweep) / sweep) <= 2.0**-53 + 64 * np.finfo(float).eps
 
     @pytest.mark.parametrize("route", ["disk_moments", "l1_norm", "berezin_transforms"])
     def test_first_bad_node_in_grid_order_is_named(self, route, coarse_disk_grid):

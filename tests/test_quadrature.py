@@ -192,6 +192,12 @@ class TestCircleGrid:
         val = integrate(circle_grid, lambda z: np.abs(1 - z / 2) ** 2)
         assert val == pytest.approx(1.25, abs=1e-14)
 
+    @pytest.mark.parametrize("big", [1e308, 1e308 + 1e308j, 1j * 1e308])
+    def test_a_sum_out_of_float_range_is_a_singular_integrand(self, big):
+        # every value is finite; their sum is not
+        with pytest.raises(SingularIntegrandError, match="over the 8 circle nodes overflows"):
+            integrate(make_circle_grid(8), lambda z: np.full(z.shape, big))
+
     def test_offset_grid_avoids_angle_zero(self):
         grid = make_circle_grid(64, offset=0.5)
         assert np.abs(grid.nodes - 1.0).min() > 1e-3
