@@ -55,14 +55,11 @@ from .quadrature import (
     integrate,
     make_circle_grid,
     make_disk_grid,
-    richardson_check,
 )
 from .series import (
     TaylorSeries,
     exp_series,
     geometric_series,
-    monomial,
-    zero_series,
 )
 from .weights import (
     AtomicWeight,
@@ -77,7 +74,6 @@ from .weights import (
     normalize,
     parse_weight_spec,
     superharmonic_test,
-    synthesize,
     uniform_weight,
 )
 

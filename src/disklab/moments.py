@@ -3,7 +3,7 @@ multiplicative structure.
 
 A point distribution is a finite combination sum c_{jk} D^j Dbar^k delta_a
 of Wirtinger derivatives of a Dirac mass. Pairing it against the centered
-monomial (z-a)^m conj(z-a)^n gives (-1)^{m+n} m! n! c_{mn}; raw moments
+power (z-a)^m conj(z-a)^n gives (-1)^{m+n} m! n! c_{mn}; raw moments
 <u, z^j conj(z)^k> follow by binomial expansion around the support point.
 
 The multiplicative factorization M[j][k] = M[j][0] M[0][k] holds exactly
@@ -30,7 +30,6 @@ which has no arithmetic, is the exact type of inputs and of the views.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -46,8 +45,8 @@ from .errors import (
     SingularIntegrandError,
     SingularPointError,
 )
-from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _circle_sums, _ring_angles
-from .weights import Scaled, Weight, _first_bad_node, _on_grid
+from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _circle_sums, _ring_angles, integrate
+from .weights import Scaled, Weight, _on_grid
 
 _C00_SNAP_TOL = 1e-9
 _FACTOR_TOL = 1e-12
@@ -66,9 +65,6 @@ class GaussianRational:
     def __init__(self, re, im=0):
         self.re = Fraction(re)
         self.im = Fraction(im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -293,20 +289,6 @@ class MomentTable:
             "provenance": self.provenance,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MomentTable":
-        try:
-            re, im = np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
-        except ValueError:
-            raise DomainError("moment table rows must have equal lengths") from None
-        table = cls._from_parts(re, im, 1, data["provenance"])
-        if table.order != data["order"]:
-            raise DomainError("moment table shape does not match its order")
-        return table
-
 
 def _centered(d: PointDistribution, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Numerators over d.denom of Cen[m][n] = (-1)^(m+n) m! n! c_mn, m, n <= order.
@@ -467,7 +449,7 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
 
     Each ring's column chunks are evaluated as ``_circle_sums`` asks for
     them. A non-finite value or a singular point stops the pass, and the
-    grid is read again in node order (``weights._first_bad_node``), which
+    weight is integrated over the grid in node order (``integrate``), which
     raises the error a pass in that order raises.
     """
     n = np.arange(order + 1)
@@ -491,7 +473,7 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
         try:
             S = _circle_sums(m, order, lambda u: values(u, r))
         except (SingularIntegrandError, SingularPointError):
-            _first_bad_node(w, grid)
+            integrate(grid, w.eval_many)
             raise
         rp = abs(r * unit_first[m]) ** n  # |the ring's first node|
         S *= rp

@@ -248,6 +248,23 @@ def _fft_length(m: int) -> int:
     return best
 
 
+def _least_outer_ring_count(n: int) -> int:
+    """A lower bound, from n alone, on the node count of the outermost ring
+    of an n-node Gauss-Legendre segment that ends at radius 1.
+
+    Bruns' inequality (Szego, Orthogonal Polynomials, 6.21) puts the largest
+    node cos(theta_1) at theta_1 < pi/(n + 1/2), so that ring's radius r
+    has 1 - r < (1 - cos(pi/(n + 1/2)))/2 = sin(pi/(2n + 1))^2 = delta,
+    whatever the segment's inner end. Its angular count is at least
+    ALIAS_GUARD/log(1/r) >= ALIAS_GUARD r/(1 - r) > ALIAS_GUARD (1 - delta)/delta.
+    The bound grows with n, so n is capped at the node budget, where it is
+    already past the budget; a relative 1e-9 is taken off for roundoff
+    (the computed count is about 1.7 times the bound at large n).
+    """
+    delta = math.sin(math.pi / (2 * min(n, MAX_DISK_NODES) + 1)) ** 2
+    return math.floor(ALIAS_GUARD * (1.0 - delta) / delta * (1.0 - 1e-9))
+
+
 def _disk_rings(
     radial_order: int,
     angular_order: int,
@@ -268,6 +285,11 @@ def _disk_rings(
     breaks = sorted(set(guarded) - {1.0})
     segments = list(zip([0.0] + breaks, breaks + [1.0]))
     per_segment = max(1, radial_order // len(segments))
+    least = _least_outer_ring_count(per_segment)
+    if least > MAX_DISK_NODES:  # refused before the O(n^2) rule is built
+        raise DomainError(
+            f"disk grid needs more than {least} nodes, over the budget {MAX_DISK_NODES}"
+        )
     x, w = _gauss_legendre(per_segment)
 
     rings = []
@@ -316,7 +338,9 @@ def make_disk_grid(
     The radial rule comes from ``_gauss_legendre`` (Newton's method, no
     LAPACK). Raises DomainError before allocating when the rule needs more
     than ``MAX_DISK_NODES`` nodes, as a singular radius very close to 1
-    does (the count comes from the ring table alone), or when two singular
+    does (the count comes from the ring table alone; a radial order whose
+    outermost ring is past the budget by ``_least_outer_ring_count`` is
+    refused before its Gauss-Legendre rule is built), or when two singular
     radii are so close (an ulp apart) that a ring falls on one.
     """
     breaks, rings = _disk_rings(radial_order, angular_order, singular_radii)
@@ -493,27 +517,3 @@ def integrate(grid: Grid, f: Callable) -> complex | float:
     if np.iscomplexobj(total):
         return complex(total)
     return float(total)
-
-
-def richardson_check(
-    grid_small: Grid, grid_large: Grid, f: Callable
-) -> tuple[complex | float, float]:
-    """Fine-grid value together with |fine - coarse| as an error proxy.
-
-    Requires the large grid to at least double every order of the small
-    one, so the difference is a meaningful refinement diagnostic.
-    """
-    if isinstance(grid_small, DiskGrid) != isinstance(grid_large, DiskGrid):
-        raise DomainError("richardson_check needs two grids of the same kind")
-    if isinstance(grid_small, DiskGrid):
-        ok = (
-            grid_large.radial_order >= 2 * grid_small.radial_order
-            and grid_large.angular_order >= 2 * grid_small.angular_order
-        )
-    else:
-        ok = grid_large.order >= 2 * grid_small.order
-    if not ok:
-        raise DomainError("large grid must at least double the small grid's orders")
-    fine = integrate(grid_large, f)
-    coarse = integrate(grid_small, f)
-    return fine, abs(fine - coarse)

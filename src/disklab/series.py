@@ -97,18 +97,8 @@ class TaylorSeries:
         The derivative of a constant is the zero series of order 0.
         """
         if self.order == 0:
-            return zero_series(0)
+            return TaylorSeries([0j])
         return TaylorSeries(np.arange(1, self.order + 1) * self._coeffs[1:])
-
-    def antiderivative(self) -> "TaylorSeries":
-        """Termwise antiderivative with zero constant; order grows by one."""
-        k = np.arange(1, self.order + 2)
-        out = np.zeros(self.order + 2, dtype=complex)
-        # real and imaginary parts divided apart: a complex quotient would
-        # multiply by a rounded 1/k
-        out.real[1:] = self._coeffs.real / k
-        out.imag[1:] = self._coeffs.imag / k
-        return TaylorSeries(out)
 
     def dilate(self, r: float) -> "TaylorSeries":
         """Radial compression z -> r z, realized as coefficients a_k r^k."""
@@ -152,18 +142,6 @@ class TaylorSeries:
         n = min(self.order, other.order)
         return TaylorSeries(self._coeffs[: n + 1] - other._coeffs[: n + 1])
 
-
-def zero_series(order: int) -> TaylorSeries:
-    return TaylorSeries([0j] * (order + 1))
-
-
-def monomial(degree: int, order: int) -> TaylorSeries:
-    """The series of z^degree at the given truncation order."""
-    if degree > order:
-        raise DomainError("monomial degree exceeds truncation order")
-    cs = [0j] * (order + 1)
-    cs[degree] = 1.0 + 0j
-    return TaylorSeries(cs)
 
 def geometric_series(ratio: complex, order: int) -> TaylorSeries:
     """Truncation of 1/(1 - ratio*z), i.e. coefficients ratio^k."""

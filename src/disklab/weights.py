@@ -12,7 +12,6 @@ families are one-atom subclasses:
 * ``LogGreen(zeta)``: one interior atom of mass (1 - |zeta|^2)/2 at
   |zeta| < 1. Superharmonic, logarithmic pole at zeta.
 
-``synthesize`` builds the ``AtomicWeight`` of any decomposition.
 ``Scaled`` multiplies any weight by a positive constant (and its atoms'
 masses alike), and ``Custom`` wraps an arbitrary pointwise function
 together with its singular points; its charge is unknown (``atoms`` None).
@@ -35,9 +34,7 @@ from .errors import (
     SingularPointError,
     WeightSpecError,
 )
-from .quadrature import (
-    NODE_BLOCK, CircleGrid, DiskGrid, _check_finite, _disk_blocks, integrate, make_disk_grid,
-)
+from .quadrature import NODE_BLOCK, CircleGrid, DiskGrid, integrate, make_disk_grid
 
 _UNIMODULAR_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
@@ -259,16 +256,6 @@ def uniform_weight() -> Custom:
     )
 
 
-def synthesize(d: GreenDecomposition) -> AtomicWeight:
-    """The ``AtomicWeight`` of the decomposition, labelled ``synthesized``.
-
-    One interior atom of mass (1-|zeta|^2)/2 gives ``LogGreen(zeta)``'s
-    values exactly, and one boundary atom of unit mass gives
-    ``HarmonicBoundary(zeta)``'s.
-    """
-    return AtomicWeight(d, "synthesized")
-
-
 @dataclass
 class _GridData:
     """What is derived from one weight on one grid, all of it small: its mass,
@@ -294,40 +281,15 @@ def _on_grid(w: Weight, grid: DiskGrid) -> _GridData:
     return data
 
 
-def _grid_values(w: Weight, grid: DiskGrid):
-    """(start, nodes, node weights, w at the nodes) of each ``NODE_BLOCK``
-    block of the grid (``quadrature._disk_blocks``), in node order.
-
-    A non-finite value raises SingularIntegrandError naming its node and
-    grid index, and a singular point raises SingularPointError at the first
-    block that holds one; nothing node-sized is formed.
-    """
-    for start, z, wts in _disk_blocks(grid):
-        vals = w.eval_many(z)
-        _check_finite(vals, z, start)
-        yield start, z, wts, vals
-
-
-def _first_bad_node(w: Weight, grid: DiskGrid) -> None:
-    """Evaluate w on the grid in node order (``_grid_values``), which raises
-    the error of its first non-finite value or singular point."""
-    for _ in _grid_values(w, grid):
-        pass
-
-
 def l1_norm(w: Weight, grid: DiskGrid) -> float:
-    """Mass of the weight against normalized area measure, by quadrature.
-
-    One pass over the grid (``_grid_values``) sums each block's weighted
-    values as ``integrate`` does, adding the block sums in node order; the
-    mass is kept on the weight per grid, so a second call reads it.
+    """Mass of the weight against normalized area measure, by quadrature:
+    ``integrate`` of ``w.eval_many`` over the grid, one pass in node order
+    that raises the error of its first non-finite value or singular point.
+    The mass is kept on the weight per grid, so a second call reads it.
     """
     data = _on_grid(w, grid)
     if data.mass is None:
-        total = 0.0
-        for _, _, wts, vals in _grid_values(w, grid):
-            total += np.sum(wts * vals)
-        data.mass = float(total)
+        data.mass = integrate(grid, w.eval_many)
     return data.mass
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import disklab
+from disklab import quadrature
 from disklab import (
     HarmonicBoundary,
     LogGreen,
@@ -74,6 +75,19 @@ def harm_model(harm_weight, disk_grid):
 @pytest.fixture(scope="session")
 def log0_model(log0_weight, disk_grid):
     return build_model(Scaled(2.0, log0_weight), disk_grid, order=64)
+
+
+@pytest.fixture
+def small_gauss_rules_only(monkeypatch):
+    """Fail any Gauss-Legendre rule above order 10^4: without the early node
+    bound, the radial orders of the budget tests take minutes or fail."""
+    real = quadrature._legendre_rule
+
+    def bounded(n):
+        assert n <= 10**4, f"Gauss-Legendre rule of order {n} built"
+        return real(n)
+
+    monkeypatch.setattr(quadrature, "_legendre_rule", bounded)
 
 
 def random_disk_points(rng: np.random.Generator, count: int, radius: float):

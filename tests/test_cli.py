@@ -525,8 +525,24 @@ class TestRun:
         size = cli._SuiteContext(config).disk_grid.size
         assert 0 <= sum(evaluated) - 2 * size < 2**14
 
+    def test_weights_info_reads_each_grid_once(self, monkeypatch, capsys):
+        from disklab import cli, weights
+
+        evaluated = []
+        evaluate = weights.Weight.eval_many
+        monkeypatch.setattr(weights.Weight, "eval_many",
+                            lambda w, z: evaluated.append(np.size(z)) or evaluate(w, z))
+        assert main(["weights", "info", "--weight", "harm:1,0"]) == 0
+        capsys.readouterr()
+        w = parse_weight_spec("harm:1,0")
+        coarse = weights.grid_for_weight(w, 120, 256).size
+        fine = weights.grid_for_weight(w, 240, 512).size
+        # every lattice cell: a 256-node circle and its center (no interior pole drops one)
+        lattice = len(cli._LATTICE_CENTERS) * len(cli._LATTICE_RADII) * (256 + 1)
+        assert sum(evaluated) == coarse + fine + lattice
+
     def test_isometry_suite_on_a_log_pole_reads_no_grid_values(self, monkeypatch):
-        from disklab import dbr, moments, weights
+        from disklab import dbr, moments, quadrature, weights
 
         calls = []
 
@@ -535,8 +551,14 @@ class TestRun:
             monkeypatch.setattr(module, name,
                                 lambda *a, **k: calls.append(name) or real(*a, **k))
 
+        def disk_integrate(grid, f):
+            if isinstance(grid, quadrature.DiskGrid):
+                calls.append("integrate")
+            return quadrature.integrate(grid, f)
+
         counting(moments, "_ring_moments")
-        counting(weights, "_grid_values")
+        for module in (moments, weights):  # the modules that bind integrate
+            monkeypatch.setattr(module, "integrate", disk_integrate)
         counting(dbr, "outer_function")
         report, code = run(parse_args(["verify", "--suite", "isometry", "--weight",
                                        "log:0.4,0", "--series-order", "256"]))
@@ -740,6 +762,17 @@ class TestNodeBudget:
         assert stdout == ""
         assert err == f"error: disk grid needs {nodes} nodes, over the budget {MAX_DISK_NODES}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("spec, radial", [
+        ("log:0.4,0", 20000), ("log:0.4,0", 140000), ("log:0.4,0", 10**8), ("harm:1,0", 10**30),
+    ])
+    def test_a_huge_radial_order_is_refused_before_its_rule(self, spec, radial,
+                                                            small_gauss_rules_only, capsys):
+        assert main(["weights", "info", "--weight", spec, "--radial", str(radial)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(rf"error: disk grid needs more than \d+ nodes, over the budget "
+                            rf"{MAX_DISK_NODES}\n", err)
 
 
 class TestProcessEntryPoint:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from disklab import (
+    AtomicWeight,
     Custom,
     DegenerateNodeSetError,
     DegenerateWeightError,
@@ -34,7 +35,6 @@ from disklab import (
     make_disk_grid,
     moment_table_from_berezin,
     outer_function,
-    synthesize,
     szego_model,
     verify_h_identity,
     verify_isometry,
@@ -162,11 +162,12 @@ class TestAtomicRankIdentity:
 
     def test_multi_atom_weight_rejected(self, coarse_disk_grid):
         with pytest.raises(NotDbrWeightError, match="not rank one"):
-            build_model(synthesize(self._TWO_ATOMS), coarse_disk_grid, order=16)
+            build_model(AtomicWeight(self._TWO_ATOMS, "synthesized"), coarse_disk_grid,
+                        order=16)
 
     @pytest.mark.parametrize("order", [8, 64, 256])
     def test_ratio_matches_svd_of_the_table(self, order):
-        _, atoms = unit_mass_atoms(synthesize(self._TWO_ATOMS))
+        _, atoms = unit_mass_atoms(AtomicWeight(self._TWO_ATOMS, "synthesized"))
         svals = atoms_singular_values(atoms, order)
         ref = np.linalg.svd(atoms_table(atoms, order).to_complex_array(), compute_uv=False)
         assert svals.size == 2
@@ -499,8 +500,9 @@ class TestResolvingLimit:
 
     @staticmethod
     def _pair(theta):
-        return synthesize(GreenDecomposition(
-            boundary=((cmath.exp(1j * theta), 0.5), (cmath.exp(-1j * theta), 0.5))))
+        return AtomicWeight(GreenDecomposition(
+            boundary=((cmath.exp(1j * theta), 0.5), (cmath.exp(-1j * theta), 0.5))),
+            "synthesized")
 
     def test_a_pair_below_the_limit_builds_the_barycenter_model(self):
         model = build_model(self._pair(1e-7), None, order=64)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from disklab import (
+    AtomicWeight,
     Custom,
     DomainError,
     GreenDecomposition,
@@ -14,8 +15,6 @@ from disklab import (
     energy,
     grid_for_weight,
     integrate,
-    monomial,
-    synthesize,
     uniform_weight,
 )
 
@@ -26,20 +25,17 @@ from disklab.quadrature import NODE_BLOCK
 
 class TestEnergy:
     def test_identity_function_uniform_weight(self, coarse_disk_grid, uniform):
-        assert energy(monomial(1, 4), uniform, coarse_disk_grid) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        z = TaylorSeries([0, 1, 0, 0, 0])
+        assert energy(z, uniform, coarse_disk_grid) == pytest.approx(1.0, abs=1e-12)
 
     def test_square_uniform_weight(self, coarse_disk_grid, uniform):
         # |f'|^2 = 4|z|^2 integrates to 4 * 1/2
-        assert energy(monomial(2, 4), uniform, coarse_disk_grid) == pytest.approx(
-            2.0, abs=1e-10
-        )
+        z2 = TaylorSeries([0, 0, 1, 0, 0])
+        assert energy(z2, uniform, coarse_disk_grid) == pytest.approx(2.0, abs=1e-10)
 
     def test_identity_function_harmonic_weight(self, disk_grid, harm_weight):
-        assert energy(monomial(1, 4), harm_weight, disk_grid) == pytest.approx(
-            1.0, abs=1e-6
-        )
+        z = TaylorSeries([0, 1, 0, 0, 0])
+        assert energy(z, harm_weight, disk_grid) == pytest.approx(1.0, abs=1e-6)
 
     def test_constant_has_zero_energy(self, coarse_disk_grid, uniform):
         assert energy(constant_series(2.3 + 1j, 6), uniform, coarse_disk_grid) <= 1e-12
@@ -67,7 +63,7 @@ class TestDilation:
     def test_identity_uniform_closed_form(self, coarse_disk_grid, uniform):
         # f = z: energy of f_r is r^2
         report = dilation_report(
-            monomial(1, 4), uniform, (0.5, 0.9), coarse_disk_grid
+            TaylorSeries([0, 1, 0, 0, 0]), uniform, (0.5, 0.9), coarse_disk_grid
         )
         assert report.entries[0][1] == pytest.approx(0.25, abs=1e-12)
         assert report.entries[1][1] == pytest.approx(0.81, abs=1e-12)
@@ -98,11 +94,11 @@ class TestDilation:
 
     def test_radii_must_increase(self, coarse_disk_grid, uniform):
         with pytest.raises(DomainError):
-            dilation_report(monomial(1, 2), uniform, (0.5, 0.5), coarse_disk_grid)
+            dilation_report(TaylorSeries([0, 1, 0]), uniform, (0.5, 0.5), coarse_disk_grid)
 
     def test_radii_must_be_interior(self, coarse_disk_grid, uniform):
         with pytest.raises(DomainError):
-            dilation_report(monomial(1, 2), uniform, (0.5, 1.0), coarse_disk_grid)
+            dilation_report(TaylorSeries([0, 1, 0]), uniform, (0.5, 1.0), coarse_disk_grid)
 
 
 def _counting(inner, calls):
@@ -164,7 +160,7 @@ class TestMomentRoute:
         bad = coarse_disk_grid.nodes[5]
         w = Custom(lambda z: np.where(z == bad, np.inf, 1.0), label="spike")
         with pytest.raises(SingularIntegrandError, match=r"\(index 5\)"):
-            energy(monomial(1, 4), w, coarse_disk_grid)
+            energy(TaylorSeries([0, 1, 0, 0, 0]), w, coarse_disk_grid)
 
 
 _CATALOG_POLES = {  # spec -> (weight, bound on its W gap at order 64)
@@ -215,9 +211,10 @@ class TestClosedForm:
             raise AssertionError("the grid route was taken")
 
         monkeypatch.setattr(dirichlet, "disk_moments", refuse)
-        assert energy(monomial(1, 4), LogGreen(0.4), None) == pytest.approx(0.42)
-        assert energy(monomial(1, 4), Scaled(2.0, HarmonicBoundary(1.0)), None) == 2.0
-        assert energy(monomial(1, 4), synthesize(GreenDecomposition()), None) == 0.0
+        z = TaylorSeries([0, 1, 0, 0, 0])
+        assert energy(z, LogGreen(0.4), None) == pytest.approx(0.42)
+        assert energy(z, Scaled(2.0, HarmonicBoundary(1.0)), None) == 2.0
+        assert energy(z, AtomicWeight(GreenDecomposition(), "synthesized"), None) == 0.0
 
     def test_non_finite_energy_raises(self):
         f = TaylorSeries([0.0, 1e200, 1e200])

@@ -52,7 +52,6 @@ class TestGaussianRational:
     def test_boundary_methods(self):
         b = GaussianRational(2, -1)
         assert complex(b) == 2 - 1j
-        assert GaussianRational(3, 4).abs2() == 25
         assert bool(b) and not GaussianRational(0)
         assert repr(b) == "GaussianRational(Fraction(2, 1), Fraction(-1, 1))"
 
@@ -207,7 +206,7 @@ _points = st.builds(
     GaussianRational,
     st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10)),
     st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10)),
-).filter(lambda a: a.abs2() <= 4)
+).filter(lambda a: a.re**2 + a.im**2 <= 4)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1024,22 +1023,11 @@ class TestGridPassesKeepNoValues:
 class TestSerialization:
     def test_json_round_trip(self, coarse_disk_grid, uniform):
         table = measure_moments(uniform, coarse_disk_grid, 3)
-        blob = table.to_json()
-        data = json.loads(blob)
+        data = json.loads(json.dumps(table.to_json_dict()))
         assert set(data) == {"order", "re", "im", "provenance"}
-        back = MomentTable.from_json_dict(data)
-        np.testing.assert_allclose(
-            back.to_complex_array(), table.to_complex_array(), atol=0
-        )
-        assert back.provenance == table.provenance
-
-    @pytest.mark.parametrize("re, im, order", [
-        ([[1.0, 0.0], [0.0]], [[0.0, 0.0], [0.0]], 1),
-        ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], 2),
-        ([[1.0, 0.0], [0.0, 1.0]], [[0.0], [0.0]], 1)])
-    def test_malformed_json_table_rejected(self, re, im, order):
-        with pytest.raises(DomainError):
-            MomentTable.from_json_dict({"re": re, "im": im, "order": order, "provenance": "x"})
+        arr = table.to_complex_array()
+        assert data["re"] == arr.real.tolist() and data["im"] == arr.imag.tolist()
+        assert data["order"] == 3 and data["provenance"] == table.provenance
 
     def test_exact_table_serializes_numerically(self):
         table = dirac_table(GaussianRational(Fraction(1, 3)), 2)
@@ -1054,7 +1042,7 @@ class TestGenerators:
             d = random_rank_one_distribution(rng, degree=8)
             assert d.is_exact
             assert d.coeffs[0][0] == GaussianRational(1)
-            assert float(d.point.abs2()) <= 4.0 + 1e-12
+            assert float(d.point.re**2 + d.point.im**2) <= 4.0 + 1e-12
             assert factorize(d).ok
 
     def test_non_rank_one_generator_properties(self):

@@ -13,7 +13,6 @@ from disklab import (
     integrate,
     make_circle_grid,
     make_disk_grid,
-    richardson_check,
 )
 from disklab import quadrature
 from disklab.quadrature import ALIAS_GUARD, MAX_DISK_NODES, NODE_BLOCK
@@ -203,11 +202,17 @@ class TestCircleGrid:
         assert np.abs(grid.nodes - 1.0).min() > 1e-3
 
 
+def _refined(small, large, f):
+    """The fine-grid value and |fine - coarse|, the refinement pair of ``weights info``."""
+    fine = integrate(large, f)
+    return fine, abs(fine - integrate(small, f))
+
+
 class TestRichardson:
     def test_constant_has_tiny_error_estimate(self):
         small = make_disk_grid(40, 64)
         large = make_disk_grid(80, 128)
-        value, est = richardson_check(small, large, lambda z: np.ones(z.shape))
+        value, est = _refined(small, large, lambda z: np.ones(z.shape))
         assert value == pytest.approx(1.0, abs=1e-14)
         assert est < 1e-14
 
@@ -215,15 +220,13 @@ class TestRichardson:
         # branch-point integrand converges algebraically, so the
         # refinement differences sit well above the roundoff floor
         f = lambda z: np.sqrt(1.0 - np.abs(z))
-        _, est1 = richardson_check(make_disk_grid(10, 16), make_disk_grid(20, 32), f)
-        _, est2 = richardson_check(make_disk_grid(20, 32), make_disk_grid(40, 64), f)
+        _, est1 = _refined(make_disk_grid(10, 16), make_disk_grid(20, 32), f)
+        _, est2 = _refined(make_disk_grid(20, 32), make_disk_grid(40, 64), f)
         assert est2 < est1
 
     def test_poisson_estimate_certifies_accuracy(self):
         f = poisson_kernel(np.exp(0.3j))
-        value, est = richardson_check(
-            make_disk_grid(40, 80), make_disk_grid(80, 160), f
-        )
+        value, est = _refined(make_disk_grid(40, 80), make_disk_grid(80, 160), f)
         assert est < 1e-8
         assert value == pytest.approx(1.0, abs=1e-7)
 
@@ -231,20 +234,8 @@ class TestRichardson:
         # all nodes interior: boundary-singular integrands stay finite
         small = make_disk_grid(20, 32)
         large = make_disk_grid(40, 64)
-        value, est = richardson_check(small, large, poisson_kernel(1.0))
+        value, est = _refined(small, large, poisson_kernel(1.0))
         assert np.isfinite(est) and np.isfinite(value)
-
-    def test_insufficient_refinement_rejected(self):
-        small = make_disk_grid(40, 64)
-        not_double = make_disk_grid(60, 128)
-        with pytest.raises(DomainError):
-            richardson_check(small, not_double, lambda z: np.ones(z.shape))
-
-    def test_mixed_grid_kinds_rejected(self):
-        with pytest.raises(DomainError):
-            richardson_check(
-                make_disk_grid(10, 8), make_circle_grid(64), lambda z: z
-            )
 
 
 def test_grading_grows_angular_counts_near_boundary():
@@ -333,6 +324,24 @@ def test_ring_counts_of_a_pole_near_the_circle_are_found_fast():
     size = disk_grid_size(120, 256, (0.9999999,))
     assert time.perf_counter() - start < 1.0
     assert size > MAX_DISK_NODES
+
+
+@pytest.mark.parametrize("radial", [10**8, 10**30])
+def test_a_huge_radial_order_is_refused_before_its_rule(radial, small_gauss_rules_only):
+    with pytest.raises(DomainError, match=rf"needs more than \d+ nodes, over the budget "
+                                          rf"{MAX_DISK_NODES}$"):
+        make_disk_grid(radial, 256)
+
+
+@pytest.mark.parametrize("radii", [(), (0.4,), (0.9999999,)])
+@pytest.mark.parametrize("angular", [4, 256])
+@pytest.mark.parametrize("radial", [1, 2, 120, 240, 1000, 1500, 3000])
+def test_early_node_bound_never_exceeds_the_count(radial, angular, radii, monkeypatch):
+    # the budget raised, so the count is made wherever the early bound would refuse
+    n = max(1, radial // (len(radii) + 1))
+    least = quadrature._least_outer_ring_count(n)
+    monkeypatch.setattr(quadrature, "MAX_DISK_NODES", 2**62)
+    assert least <= disk_grid_size(radial, angular, radii)
 
 
 # ---------------------------------------------------------- Gauss-Legendre

@@ -9,7 +9,6 @@ from disklab import (
     TaylorSeries,
     exp_series,
     geometric_series,
-    monomial,
 )
 
 from reference import constant_series, exp_reference
@@ -53,12 +52,6 @@ def test_derivative_of_exp_series_is_exp_series():
     d = exp_reference(10).derivative()
     expected = exp_reference(9)
     assert np.allclose(d.coeffs, expected.coeffs)
-
-
-def test_derivative_antiderivative_round_trip():
-    s = TaylorSeries([1, 2, 3j, 4, -5])
-    back = s.antiderivative().derivative()
-    assert np.allclose(back.coeffs, s.coeffs)
 
 
 def test_dilate_r_equals_one_is_identity():
@@ -146,7 +139,7 @@ def test_exp_series_of_log_of_geometric():
 
 
 def test_monomial_and_shift():
-    m = monomial(2, 5)
+    m = TaylorSeries([0, 0, 1, 0, 0, 0])  # z^2 at order 5
     assert m.evaluate(0.5) == 0.25
     shifted = m.shift()
     assert shifted.evaluate(0.5) == pytest.approx(0.125)

@@ -31,3 +31,37 @@ def test_each_command_reads_every_flag_it_registers():
         if "weight" in read:  # parse_args turns --weight into config.weight
             read.add("weight_spec")
         assert sorted(dests & vars(config).keys() - read) == [], config.command
+
+
+# exports that nothing in the package calls, each with the reason it stays
+_EXPORTED_UNUSED = {
+    "berezin_transform": "perfbench declares its figure; it leaves with that figure",
+    "kernel_series": "perfbench declares its figure; it leaves with that figure",
+    "kernel": "the tests' reference for the Gram that verify_isometry forms",
+}
+
+
+def _used_names(node, inside=frozenset()):
+    """Names and attributes read under node, outside the definitions they name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    names = {node.id} if isinstance(node, ast.Name) else (
+        {node.attr} if isinstance(node, ast.Attribute) else set())
+    names -= inside
+    for child in ast.iter_child_nodes(node):
+        names |= _used_names(child, inside)
+    return names
+
+
+def test_every_export_is_used_in_the_package():
+    # a public name only the tests call is API kept for them alone
+    init = Path(disklab.__file__)
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in sorted(init.parent.glob("*.py")):
+        if path != init:
+            used |= _used_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert sorted(exported - used - _EXPORTED_UNUSED.keys()) == []
+    assert _EXPORTED_UNUSED.keys() <= exported - used

@@ -22,7 +22,6 @@ from disklab import (
     normalize,
     parse_weight_spec,
     superharmonic_test,
-    synthesize,
     uniform_weight,
 )
 from disklab.quadrature import NODE_BLOCK
@@ -245,20 +244,20 @@ class TestSynthesize:
     def test_single_interior_atom_matches_log_green(self, coarse_disk_grid):
         zeta = 0.35 - 0.2j
         mass = (1.0 - abs(zeta) ** 2) / 2.0
-        w = synthesize(GreenDecomposition(interior=((zeta, mass),)))
+        w = AtomicWeight(GreenDecomposition(interior=((zeta, mass),)), "synthesized")
         ref = LogGreen(zeta)
         zs = np.array([0.1, 0.5j, -0.3 + 0.55j, 0.8])
         np.testing.assert_allclose(w.eval_many(zs), ref.eval_many(zs), atol=1e-12)
 
     def test_single_boundary_atom_matches_harmonic(self):
         zeta = np.exp(0.6j)
-        w = synthesize(GreenDecomposition(boundary=(((zeta), 1.0),)))
+        w = AtomicWeight(GreenDecomposition(boundary=(((zeta), 1.0),)), "synthesized")
         ref = HarmonicBoundary(zeta)
         zs = np.array([0.0, 0.2 + 0.1j, -0.6j])
         np.testing.assert_allclose(w.eval_many(zs), ref.eval_many(zs), atol=1e-13)
 
     def test_empty_decomposition_is_zero_weight(self):
-        w = synthesize(GreenDecomposition())
+        w = AtomicWeight(GreenDecomposition(), "synthesized")
         assert w(0.3) == 0.0
 
     def test_synthesis_is_additive(self):
@@ -267,8 +266,9 @@ class TestSynthesize:
         combined = GreenDecomposition(interior=d1.interior, boundary=d2.boundary)
         zs = np.array([0.4j, -0.1 + 0.2j])
         np.testing.assert_allclose(
-            synthesize(combined).eval_many(zs),
-            synthesize(d1).eval_many(zs) + synthesize(d2).eval_many(zs),
+            AtomicWeight(combined, "synthesized").eval_many(zs),
+            AtomicWeight(d1, "synthesized").eval_many(zs)
+            + AtomicWeight(d2, "synthesized").eval_many(zs),
             atol=1e-13,
         )
 
@@ -301,16 +301,16 @@ class TestSynthesize:
 
     def test_synthesized_weight_carries_its_atoms(self):
         d = GreenDecomposition(interior=((0.2, 0.3),), boundary=((1j, 0.5),))
-        w = synthesize(d)
+        w = AtomicWeight(d, "synthesized")
         assert isinstance(w, AtomicWeight) and w.label == "synthesized"
         assert not w.is_harmonic
         assert w.atoms == ((0.2 + 0j, 0.3), (1j, 0.5))
         assert Scaled(2.0, w).atoms == ((0.2 + 0j, 0.6), (1j, 1.0))
-        assert synthesize(GreenDecomposition(boundary=d.boundary)).is_harmonic
+        assert AtomicWeight(GreenDecomposition(boundary=d.boundary), "synthesized").is_harmonic
 
     def test_synthesized_mass_is_total_atom_mass(self, disk_grid):
         d = GreenDecomposition(interior=((0.2, 0.3),), boundary=((1j, 0.5),))
-        w = synthesize(d)
+        w = AtomicWeight(d, "synthesized")
         grid = grid_for_weight(w, 120, 256)
         assert l1_norm(w, grid) == pytest.approx(0.8, abs=1e-5)
 
