@@ -54,7 +54,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, SingularIntegrandError
+from .errors import DomainError, SingularIntegrandError, SingularPointError
 
 #: Aliasing guard: per-ring angular counts are chosen so the geometric
 #: aliasing factor of a pole at the boundary (or at a declared singular
@@ -259,7 +259,7 @@ def _least_outer_ring_count(n: int) -> int:
     ALIAS_GUARD/log(1/r) >= ALIAS_GUARD r/(1 - r) > ALIAS_GUARD (1 - delta)/delta.
     The bound grows with n, so n is capped at the node budget, where it is
     already past the budget; a relative 1e-9 is taken off for roundoff
-    (the computed count is about 1.7 times the bound at large n).
+    (the outermost ring holds about 1.7 times the bound at large n).
     """
     delta = math.sin(math.pi / (2 * min(n, MAX_DISK_NODES) + 1)) ** 2
     return math.floor(ALIAS_GUARD * (1.0 - delta) / delta * (1.0 - 1e-9))
@@ -455,12 +455,16 @@ def _evaluate_on(f: Callable, nodes: np.ndarray) -> np.ndarray:
     """Evaluate f on all nodes, vectorized when f supports arrays.
 
     Otherwise f is called node by node; an array at the first node (a
-    closure over whole-grid values, say) raises DomainError at once.
+    closure over whole-grid values, say) raises DomainError at once. A
+    weight's SingularPointError is raised as it is: node by node, the same
+    block would raise it again.
     """
     try:
         vals = np.asarray(f(nodes))
         if vals.shape != nodes.shape:
             raise TypeError
+    except SingularPointError:
+        raise
     except (TypeError, ValueError, AttributeError):
         if np.ndim(f(nodes[0])):
             raise DomainError("integrand must give one value per node") from None

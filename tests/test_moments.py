@@ -23,6 +23,7 @@ from disklab import (
     NotWeaklyMultiplicativeError,
     PointDistribution,
     SingularIntegrandError,
+    SingularPointError,
     atoms_table,
     berezin_transforms,
     disk_moments,
@@ -1018,6 +1019,18 @@ class TestGridPassesKeepNoValues:
             else:
                 berezin_transforms(w, [0.3], grid)
         assert f"at node {nodes[early]!r} (index {early})" in str(err.value)
+
+    @pytest.mark.parametrize("route", ["disk_moments", "l1_norm"])
+    def test_a_singular_node_stops_the_pass_at_its_block(self, route, coarse_disk_grid):
+        grid = coarse_disk_grid
+        node = grid.nodes[grid.size // 2]
+        sizes = []
+        w = Custom(lambda z: sizes.append(z.size) or np.ones(z.shape), singularities=[node])
+        with pytest.raises(SingularPointError) as err:
+            disk_moments(w, grid, 2) if route == "disk_moments" else l1_norm(w, grid)
+        assert str(err.value) == f"custom evaluated at singular point {complex(node)!r}"
+        # whole blocks and columns only: the weight's error is not retried node by node
+        assert min(sizes) > 1
 
 
 class TestSerialization:
