@@ -50,10 +50,8 @@ from .moments import (
 )
 from .quadrature import (
     ALIAS_GUARD,
-    CircleGrid,
     DiskGrid,
     integrate,
-    make_circle_grid,
     make_disk_grid,
 )
 from .series import (

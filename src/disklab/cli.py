@@ -68,11 +68,9 @@ from .quadrature import (
     MAX_RING_ORDER,
     NODE_BLOCK,
     _ring_angles,
-    make_circle_grid,
 )
 from .series import TaylorSeries
 from .weights import (
-    Weight,
     grid_for_weight,
     l1_norm,
     parse_weight_spec,
@@ -383,35 +381,8 @@ def _energy_constant(ctx: _SuiteContext):
     return e, "constants carry no energy"
 
 
-_LATTICE_CENTERS = [0j] + [
-    0.55 * np.exp(1j * np.pi * (2 * t + 1) / 9) for t in range(9)
-]
-_LATTICE_RADII = [0.05, 0.1, 0.15, 0.2, 0.25]
-_LATTICE_CLEARANCE = 0.02
-
-
-def _lattice_scan(weight: Weight):
-    """Worst circle-mean margin of the weight over the lattice, and its cell.
-
-    Cells whose center or circle runs into an interior singularity are
-    dropped; with no cell left the margin is inf and the cell None.
-    """
-    interior = [s for s in weight.singularities if abs(s) < 1.0]
-    cgrid = make_circle_grid(256)
-    worst_margin, worst_case = float("inf"), None
-    for c in _LATTICE_CENTERS:
-        for r in _LATTICE_RADII:
-            if any(abs(c - s) <= _LATTICE_CLEARANCE
-                   or abs(abs(c - s) - r) <= _LATTICE_CLEARANCE for s in interior):
-                continue
-            report = superharmonic_test(weight, [c], [r], cgrid)
-            if report.worst_margin < worst_margin:
-                worst_margin, worst_case = report.worst_margin, report.worst_case
-    return worst_margin, worst_case
-
-
 def _superharmonic(ctx: _SuiteContext):
-    worst_margin, worst_case = _lattice_scan(ctx.weight)
+    worst_margin, worst_case = superharmonic_test(ctx.weight)
     return max(0.0, -worst_margin), f"worst margin {worst_margin:.3e} at {worst_case}"
 
 
@@ -846,7 +817,7 @@ def _run_weights_info(config: argparse.Namespace) -> int:
     # the fine grid is read first: an error names its first bad node there
     mass_fine = l1_norm(weight, fine_grid)
     mass = l1_norm(weight, grid)
-    worst_margin, _ = _lattice_scan(weight)
+    worst_margin, _ = superharmonic_test(weight)
     payload = {
         "weight": config.weight_spec,
         "label": weight.label,

@@ -31,7 +31,9 @@ closed form (``_one_atom_factors``; Sarason's for p = 1), with no boundary
 grid, and a weight with atoms takes its energy from the closed form of
 ``dirichlet.energy``. The FFT fit of a to the atoms' boundary data
 (``_fft_outer_factor``, ``outer_function``) is only the verify suite's
-cross-check of the closed form (``outer-consistency``).
+cross-check of the closed form (``outer-consistency``); it samples phi
+on the half-offset unit nodes block by block and hands ``outer_function``
+the samples with their offset.
 """
 
 from __future__ import annotations
@@ -52,9 +54,7 @@ from .errors import (
     SingularIntegrandError,
 )
 from .moments import MomentTable, _atom_rows, disk_moments
-from .quadrature import (
-    MAX_RING_ORDER, NODE_BLOCK, CircleGrid, DiskGrid, _ring_angles, make_circle_grid,
-)
+from .quadrature import MAX_RING_ORDER, NODE_BLOCK, DiskGrid, _ring_angles
 from .series import TaylorSeries, exp_series, geometric_series
 from .weights import Scaled, Weight, _unit_scale, normalize
 
@@ -312,32 +312,31 @@ def laplacian_identity_check(z0: complex, w0: complex, step: float) -> float:
     return abs(fd - rhs) / abs(rhs)
 
 
-def outer_function(
-    samples: np.ndarray, circle_grid: CircleGrid, order: int
-) -> TaylorSeries:
+def outer_function(samples: np.ndarray, offset: float, order: int) -> TaylorSeries:
     """Outer function with prescribed boundary log-modulus samples.
 
-    Given real samples T of log |a| on the circle grid, the analytic
+    Given real samples T_j of log |a| at the m unit nodes
+    e^{2 pi i (j + offset)/m} (``_ring_angles(m, offset)``), the analytic
     completion log a = c_0 + 2 sum_{k>=1} c_k z^k is formed from the
     discrete Fourier coefficients c_k of T and exponentiated as a formal
     series; a(0) = exp(c_0) > 0 by construction. The coefficients come
     from one real FFT, whose output is the size of the samples, and the
-    grid's nodes are not formed.
+    nodes are not formed.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != (circle_grid.size,):
-        raise DomainError("samples must align with the circle grid nodes")
+    if samples.ndim != 1:
+        raise DomainError("samples must be a 1-D array, one value per circle node")
+    m = samples.size
     if not np.isfinite(samples).all():
         i = int(np.argmin(np.isfinite(samples)))
-        node = _ring_angles(circle_grid.size, circle_grid.offset, i, i + 1)[0]
+        node = _ring_angles(m, offset, i, i + 1)[0]
         raise SingularBoundaryDataError(f"boundary sample at node {node!r} is not finite")
-    m = circle_grid.size
     if m < 2 * (order + 1):
-        raise DomainError("circle grid too coarse for the requested order")
+        raise DomainError("too few samples for the requested order")
     ks = np.arange(order + 1)
     fft = np.fft.rfft(samples)[: order + 1] / m
-    # grid nodes sit at angles 2 pi (j + offset)/m; remove the offset phase
-    coeffs = fft * np.exp(-2j * np.pi * ks * circle_grid.offset / m)
+    # node j sits at angle 2 pi (j + offset)/m; remove the offset phase
+    coeffs = fft * np.exp(-2j * np.pi * ks * offset / m)
     log_a = np.zeros(order + 1, dtype=complex)
     log_a[0] = coeffs[0].real
     log_a[1:] = 2.0 * coeffs[1:]
@@ -408,17 +407,16 @@ def _one_atom_factors(p: complex, order: int) -> tuple[TaylorSeries, TaylorSerie
 def _fft_outer_factor(phi, boundary_order: int, order: int) -> TaylorSeries:
     """The outer a with |a|^2 = 1/(1 + |phi|^2) on the circle, by FFT.
 
-    phi is sampled at the ``boundary_order`` nodes of the half-offset
-    circle grid, formed one ``NODE_BLOCK`` block at a time, bit-identical
-    to ``make_circle_grid(boundary_order, 0.5).nodes``, so the log-modulus
-    samples and ``outer_function``'s real FFT of them are the only
-    node-sized arrays.
+    phi is sampled at the ``boundary_order`` half-offset unit nodes
+    ``_ring_angles(boundary_order, 0.5)``, formed one ``NODE_BLOCK`` block
+    at a time, so the log-modulus samples and ``outer_function``'s real FFT
+    of them are the only node-sized arrays.
     """
     samples = np.empty(boundary_order)
     for lo in range(0, boundary_order, NODE_BLOCK):
         e = _ring_angles(boundary_order, 0.5, lo, min(lo + NODE_BLOCK, boundary_order))
         samples[lo : lo + e.size] = -0.5 * np.log1p(np.abs(phi(e)) ** 2)
-    return outer_function(samples, make_circle_grid(boundary_order, offset=0.5), order)
+    return outer_function(samples, 0.5, order)
 
 
 _PHI_SAMPLE_RADII = (0.3, 0.6, 0.8)

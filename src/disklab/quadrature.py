@@ -1,5 +1,4 @@
-"""Deterministic quadrature for normalized area measure on the unit disk
-and normalized arclength on the unit circle.
+"""Deterministic quadrature for normalized area measure on the unit disk.
 
 Disk grids
 ----------
@@ -25,12 +24,10 @@ Determinism
 -----------
 Node order is fixed (radial-major, each ring listed in angular order) and
 reductions use numpy's pairwise summation on that fixed order, per block
-of ``NODE_BLOCK`` nodes with the block sums added in order, for disk grids
-and exact compensated summation (math.fsum) for circle grids.
-Neither reduction is threaded, so results are bit-reproducible across
-runs and thread counts. A disk grid keeps only a ring table (radius,
-node weight and node count per ring), and a circle grid only its order
-and offset. Integration and a weight's mass form its nodes and weights
+of ``NODE_BLOCK`` nodes with the block sums added in order. The reduction
+is not threaded, so results are bit-reproducible across runs and thread
+counts. A grid keeps only a ring table (radius, node weight and node
+count per ring). Integration and a weight's mass form its nodes and weights
 in blocks of the fixed ``NODE_BLOCK`` nodes, bit-identical to slices of
 the whole rule, one block at a time in node order (``_disk_blocks``).
 The moment matrix works ring by ring, each ring's DFT in columns of at
@@ -38,11 +35,11 @@ most ``NODE_BLOCK`` nodes (``_circle_sums``) whose nodes are formed from
 their ring indices (``_column_angles``), bit-identical too. Each pass
 evaluates its integrand or weight on the nodes it forms and keeps no
 value, so no array is node-sized, kept or temporary; a blocked reduction
-adds its block sums in node order. Circle grids and
-rings with an even node count are built antipodally (second half is the
-exact negation of the first), so full period sums of odd integrands
-cancel exactly, and ``_column_angles`` takes one complex exp per
-antipodal pair of nodes.
+adds its block sums in node order. Unit nodes of a ring
+(``_ring_angles``) with an even node count are built antipodally (second
+half is the exact negation of the first), so full period sums of odd
+integrands cancel exactly, and ``_column_angles`` takes one complex exp
+per antipodal pair of nodes.
 """
 
 from __future__ import annotations
@@ -50,11 +47,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SingularIntegrandError, SingularPointError
+from .errors import DomainError, SingularIntegrandError
 
 #: Aliasing guard: per-ring angular counts are chosen so the geometric
 #: aliasing factor of a pole at the boundary (or at a declared singular
@@ -111,38 +108,6 @@ class DiskGrid:
     def weights(self) -> np.ndarray:
         """All node weights in one array, formed anew on each access."""
         return np.concatenate([wts for _, _, wts in _disk_blocks(self, nodes=False)])
-
-
-@dataclass(frozen=True)
-class CircleGrid:
-    """Uniform rule for normalized arclength on the unit circle: ``order``
-    nodes e^{2 pi i (j + offset)/order}, each of weight 1/order."""
-
-    order: int
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if self.order < 4:
-            raise DomainError(f"circle order must be >= 4, got {self.order}")
-        if not 0.0 <= self.offset < 1.0:
-            raise DomainError(f"offset must lie in [0, 1), got {self.offset}")
-
-    @property
-    def size(self) -> int:
-        return self.order
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """All nodes in one array, formed anew on each access."""
-        return _ring_angles(self.order, self.offset)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """All node weights in one array, formed anew on each access."""
-        return np.full(self.order, 1.0 / self.order)
-
-
-Grid = Union[DiskGrid, CircleGrid]
 
 
 def _ring_angles(count: int, offset: float, lo: int = 0, hi: int | None = None,
@@ -446,32 +411,6 @@ def _disk_blocks(grid: DiskGrid, nodes: bool = True):
         yield start, z, wts
 
 
-def make_circle_grid(order: int, offset: float = 0.0) -> CircleGrid:
-    """Uniform arclength rule with `order` nodes e^{2 pi i (j+offset)/order}."""
-    return CircleGrid(order, offset)
-
-
-def _evaluate_on(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate f on all nodes, vectorized when f supports arrays.
-
-    Otherwise f is called node by node; an array at the first node (a
-    closure over whole-grid values, say) raises DomainError at once. A
-    weight's SingularPointError is raised as it is: node by node, the same
-    block would raise it again.
-    """
-    try:
-        vals = np.asarray(f(nodes))
-        if vals.shape != nodes.shape:
-            raise TypeError
-    except SingularPointError:
-        raise
-    except (TypeError, ValueError, AttributeError):
-        if np.ndim(f(nodes[0])):
-            raise DomainError("integrand must give one value per node") from None
-        vals = np.array([f(z) for z in nodes])
-    return vals
-
-
 def _check_finite(vals: np.ndarray, nodes: np.ndarray, start: int = 0) -> None:
     """Raise SingularIntegrandError at the first non-finite value; ``nodes``
     begin at grid index ``start``."""
@@ -485,37 +424,23 @@ def _check_finite(vals: np.ndarray, nodes: np.ndarray, start: int = 0) -> None:
         )
 
 
-def integrate(grid: Grid, f: Callable) -> complex | float:
+def integrate(grid: DiskGrid, f: Callable[[np.ndarray], np.ndarray]) -> complex | float:
     """Weighted sum of f over the grid nodes, in fixed node order.
 
-    f may be a scalar function of a complex point or accept a complex
-    ndarray. Non-finite values raise SingularIntegrandError naming the
-    offending node and its index, as does a circle sum out of float range.
-    The reduction is deterministic: on a disk grid f is evaluated one block
-    of ``NODE_BLOCK`` nodes at a time (the blocks of ``Weight.eval_many``,
-    so a weight's values keep their bits), each block forms its weighted
-    values and their numpy pairwise sum, and the block sums are added in
-    node order, so no temporary is node-sized; circle grids evaluate f once
-    and use exact fsum.
+    f maps a 1-D complex array of nodes to an array of one value per node;
+    any other shape raises DomainError. Non-finite values raise
+    SingularIntegrandError naming the offending node and its index. The
+    reduction is deterministic: f is evaluated one block of ``NODE_BLOCK``
+    nodes at a time (the blocks of ``Weight.eval_many``, so a weight's
+    values keep their bits), each block forms its weighted values and their
+    numpy pairwise sum, and the block sums are added in node order, so no
+    temporary is node-sized.
     """
-    if isinstance(grid, CircleGrid):
-        nodes = grid.nodes
-        vals = _evaluate_on(f, nodes)
-        _check_finite(vals, nodes)
-        # Uniform weights: sum first, divide once. fsum makes exact
-        # cancellations (antipodal node pairs) come out as exact zeros.
-        m = grid.size
-        try:
-            if np.iscomplexobj(vals):
-                return complex(math.fsum(vals.real) / m, math.fsum(vals.imag) / m)
-            return math.fsum(float(v) for v in vals) / m
-        except OverflowError:  # finite values whose sum leaves the float range
-            raise SingularIntegrandError(
-                f"integrand sum over the {m} circle nodes overflows the float range"
-            ) from None
     total = 0.0
     for start, z, wts in _disk_blocks(grid):
-        vals = _evaluate_on(f, z)
+        vals = np.asarray(f(z))
+        if vals.shape != z.shape:
+            raise DomainError("integrand must give one value per node")
         _check_finite(vals, z, start)
         total += np.sum(wts * vals)
     if np.iscomplexobj(total):

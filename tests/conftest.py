@@ -12,7 +12,6 @@ from disklab import (
     Scaled,
     build_model,
     grid_for_weight,
-    make_circle_grid,
     make_disk_grid,
     uniform_weight,
 )
@@ -35,11 +34,6 @@ def disk_grid():
 @pytest.fixture(scope="session")
 def coarse_disk_grid():
     return make_disk_grid(40, 64)
-
-
-@pytest.fixture(scope="session")
-def circle_grid():
-    return make_circle_grid(256)
 
 
 @pytest.fixture(scope="session")

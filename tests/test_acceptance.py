@@ -236,22 +236,17 @@ def test_criterion_7_isometry(harm_model, disk_grid):
                f"(tol 1e-2); wrong symbol floors at gap {min_gap:.2f} > 0.1")
 
 
-LATTICE_CENTERS = [0j] + [0.55 * np.exp(1j * np.pi * (2 * t + 1) / 9) for t in range(9)]
-LATTICE_RADII = [0.05, 0.1, 0.15, 0.2, 0.25]
-
-
-def test_criterion_8_superharmonicity(circle_grid, harm_weight, log04_weight):
+def test_criterion_8_superharmonicity(harm_weight, log04_weight):
     for w in (harm_weight, log04_weight):
-        report = superharmonic_test(w, LATTICE_CENTERS, LATTICE_RADII, circle_grid)
-        assert report.worst_violation <= 1e-8, (w.label, report)
-        assert report.worst_margin >= -1e-8
+        worst_margin, cell = superharmonic_test(w)
+        assert worst_margin >= -1e-8, (w.label, worst_margin, cell)
 
     bowl = Custom(lambda z: np.abs(z) ** 2, label="bowl")
-    report = superharmonic_test(bowl, [0j], [0.1], circle_grid)
-    assert not report.worst_violation <= 1e-8
-    assert report.worst_violation >= 0.009
+    worst_margin, _ = superharmonic_test(bowl)
+    violation = max(0.0, -worst_margin)
+    assert violation == pytest.approx(0.0625, abs=1e-12)
     _report(8, "both catalog families pass the 10x5 lattice (margin >= -1e-8); "
-               f"|z|^2 fails with violation {report.worst_violation:.4f}")
+               f"|z|^2 fails with violation {violation:.4f}")
 
 
 def test_criterion_9_dilation_inequality(disk_grid):

@@ -526,20 +526,26 @@ class TestRun:
         assert 0 <= sum(evaluated) - 2 * size < 2**14
 
     def test_weights_info_reads_each_grid_once(self, monkeypatch, capsys):
-        from disklab import cli, weights
+        from disklab import weights
 
-        evaluated = []
+        evaluated, integrated = [], []
         evaluate = weights.Weight.eval_many
         monkeypatch.setattr(weights.Weight, "eval_many",
                             lambda w, z: evaluated.append(np.size(z)) or evaluate(w, z))
+        integrate = weights.integrate
+        monkeypatch.setattr(weights, "integrate",
+                            lambda grid, f: integrated.append(grid.size) or integrate(grid, f))
         assert main(["weights", "info", "--weight", "harm:1,0"]) == 0
         capsys.readouterr()
         w = parse_weight_spec("harm:1,0")
         coarse = weights.grid_for_weight(w, 120, 256).size
         fine = weights.grid_for_weight(w, 240, 512).size
-        # every lattice cell: a 256-node circle and its center (no interior pole drops one)
-        lattice = len(cli._LATTICE_CENTERS) * len(cli._LATTICE_RADII) * (256 + 1)
+        # every lattice cell's 256-node circle, and each center once (no
+        # interior pole drops a cell)
+        centers, radii = weights._LATTICE_CENTERS, weights._LATTICE_RADII
+        lattice = len(centers) * len(radii) * 256 + len(centers)
         assert sum(evaluated) == coarse + fine + lattice
+        assert integrated == [fine, coarse]  # one integrate per disk grid
 
     def test_isometry_suite_on_a_log_pole_reads_no_grid_values(self, monkeypatch):
         from disklab import dbr, moments, quadrature, weights
@@ -597,10 +603,9 @@ class TestRun:
             lambda *a, **k: grids.append(a) or real(*a, **k),
         )
 
-        def refuse(*args, **kwargs):  # nor a boundary circle grid and its FFT
+        def refuse(*args, **kwargs):  # nor a boundary FFT
             raise AssertionError("a one-atom model took the FFT route")
 
-        monkeypatch.setattr(dbr, "make_circle_grid", refuse)
         monkeypatch.setattr(dbr, "outer_function", refuse)
         out = tmp_path / "model.json"
         flags = _fast_flags(command="dbr-build")

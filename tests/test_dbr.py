@@ -31,7 +31,6 @@ from disklab import (
     kernel,
     kernel_series,
     laplacian_identity_check,
-    make_circle_grid,
     make_disk_grid,
     moment_table_from_berezin,
     outer_function,
@@ -43,6 +42,7 @@ from disklab import dbr, moments
 from disklab.dirichlet import energy
 from disklab.cli import _isometry_cases
 from disklab.dbr import atoms_singular_values, unit_mass_atoms
+from disklab.quadrature import _ring_angles
 from disklab.quadrature import NODE_BLOCK
 
 from reference import dirac_table, rank_one_fit
@@ -386,44 +386,40 @@ class TestLaplacianIdentity:
 
 class TestOuterFunction:
     def test_constant_target(self):
-        grid = make_circle_grid(256)
-        samples = np.full(grid.size, math.log(2.5))
-        a = outer_function(samples, grid, 16)
+        samples = np.full(256, math.log(2.5))
+        a = outer_function(samples, 0.0, 16)
         assert a.coeffs[0] == pytest.approx(2.5, abs=1e-12)
         assert np.allclose(a.coeffs[1:], 0.0, atol=1e-12)
 
     def test_one_minus_half_z(self):
-        grid = make_circle_grid(512)
-        samples = np.log(np.abs(1.0 - grid.nodes / 2.0))
-        a = outer_function(samples, grid, 24)
+        samples = np.log(np.abs(1.0 - _ring_angles(512, 0.0) / 2.0))
+        a = outer_function(samples, 0.0, 24)
         expected = [1.0, -0.5] + [0.0] * 23
         np.testing.assert_allclose(a.coeffs, expected, atol=1e-8)
 
     def test_self_consistency_on_held_out_nodes(self):
-        grid = make_circle_grid(1024)
-        samples = np.log(np.abs(1.0 - 0.3 * grid.nodes + 0.1 * grid.nodes**2))
-        a = outer_function(samples, grid, 48)
-        holdout = make_circle_grid(512, offset=0.37)
-        target = np.abs(1.0 - 0.3 * holdout.nodes + 0.1 * holdout.nodes**2)
-        got = np.abs(a.evaluate_many(holdout.nodes))
+        nodes = _ring_angles(1024, 0.0)
+        samples = np.log(np.abs(1.0 - 0.3 * nodes + 0.1 * nodes**2))
+        a = outer_function(samples, 0.0, 48)
+        holdout = _ring_angles(512, 0.37)
+        target = np.abs(1.0 - 0.3 * holdout + 0.1 * holdout**2)
+        got = np.abs(a.evaluate_many(holdout))
         assert np.max(np.abs(got - target)) < 1e-6
 
     def test_positive_at_origin(self):
-        grid = make_circle_grid(256)
         rng = np.random.default_rng(3)
-        samples = rng.normal(size=grid.size) * 0.1
-        a = outer_function(samples, grid, 8)
+        samples = rng.normal(size=256) * 0.1
+        a = outer_function(samples, 0.0, 8)
         assert a.coeffs[0].imag == 0.0
         assert a.coeffs[0].real > 0.0
 
     def test_non_finite_samples_rejected(self):
         from disklab import SingularBoundaryDataError
 
-        grid = make_circle_grid(256)
-        samples = np.zeros(grid.size)
+        samples = np.zeros(256)
         samples[3] = -np.inf
         with pytest.raises(SingularBoundaryDataError):
-            outer_function(samples, grid, 8)
+            outer_function(samples, 0.0, 8)
 
 
 _ONE_ATOM_POLES = [1.0, 0.6 - 0.8j, np.exp(2.5j), 0.4, -0.28 + 0.28j, 0.0]
@@ -436,7 +432,7 @@ class TestOneAtomFactors:
     @pytest.mark.parametrize("p", _ONE_ATOM_POLES)
     def test_modulus_identity_on_a_circle_grid(self, p):
         a, b = dbr._one_atom_factors(p, 64)
-        e = make_circle_grid(512, offset=0.5).nodes
+        e = _ring_angles(512, 0.5)
         av, bv = a.evaluate_many(e), b.evaluate_many(e)
         assert np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0)) <= 1e-14
         # b = phi a with phi = z/(1 - conj(p) z), continued to the circle, where

@@ -11,7 +11,6 @@ from disklab import (
     DomainError,
     SingularIntegrandError,
     integrate,
-    make_circle_grid,
     make_disk_grid,
 )
 from disklab import quadrature
@@ -118,10 +117,6 @@ class TestDiskIntegration:
         val = integrate(disk_grid, lambda z: np.log(1.0 / np.abs(z)))
         assert val == pytest.approx(0.5, abs=1e-6)
 
-    def test_scalar_only_integrand_falls_back(self, coarse_disk_grid):
-        val = integrate(coarse_disk_grid, lambda z: abs(z) ** 2)
-        assert val == pytest.approx(0.5, abs=1e-13)
-
     def test_singular_integrand_names_node(self, coarse_disk_grid):
         bad_node = coarse_disk_grid.nodes[17]
 
@@ -168,38 +163,6 @@ class TestDiskIntegration:
             grid = make_disk_grid(60, na)
             vals.append(integrate(grid, lambda z: np.exp(-np.abs(z) ** 2)))
         assert max(vals) - min(vals) <= 1e-13
-
-
-class TestCircleGrid:
-    def test_weights_sum_to_one(self, circle_grid):
-        assert math.fsum(circle_grid.weights) == pytest.approx(1.0, abs=1e-15)
-
-    def test_nodes_unimodular(self, circle_grid):
-        assert np.abs(np.abs(circle_grid.nodes) - 1.0).max() <= 1e-15
-
-    def test_full_period_exponential_sums_to_exactly_zero(self, circle_grid):
-        # antipodal construction for even orders: the multiset of node
-        # values cancels exactly and fsum certifies the zero
-        val = integrate(circle_grid, lambda z: z)
-        assert val == 0.0
-
-    def test_constant_integrates_to_exactly_one(self, circle_grid):
-        assert integrate(circle_grid, lambda z: np.ones(z.shape)) == 1.0
-
-    def test_trigonometric_moments(self, circle_grid):
-        # |1 - z/2|^2 on the circle has mean 1 + 1/4
-        val = integrate(circle_grid, lambda z: np.abs(1 - z / 2) ** 2)
-        assert val == pytest.approx(1.25, abs=1e-14)
-
-    @pytest.mark.parametrize("big", [1e308, 1e308 + 1e308j, 1j * 1e308])
-    def test_a_sum_out_of_float_range_is_a_singular_integrand(self, big):
-        # every value is finite; their sum is not
-        with pytest.raises(SingularIntegrandError, match="over the 8 circle nodes overflows"):
-            integrate(make_circle_grid(8), lambda z: np.full(z.shape, big))
-
-    def test_offset_grid_avoids_angle_zero(self):
-        grid = make_circle_grid(64, offset=0.5)
-        assert np.abs(grid.nodes - 1.0).min() > 1e-3
 
 
 def _refined(small, large, f):
@@ -444,6 +407,14 @@ def test_ring_angles_are_the_complex_formula_bit_for_bit(offset):
         out = np.empty(hi - lo, dtype=complex)
         assert quadrature._ring_angles(count, offset, lo, hi, out=out) is out
         assert out.tobytes() == plain[lo:hi].tobytes()
+
+
+def test_ring_angles_are_unimodular():
+    assert np.abs(np.abs(quadrature._ring_angles(256, 0.0)) - 1.0).max() <= 1e-15
+
+
+def test_half_offset_nodes_avoid_angle_zero():
+    assert np.abs(quadrature._ring_angles(64, 0.5) - 1.0).min() > 1e-3
 
 
 def _materialised_disk_grid(radial_order, angular_order, singular_radii=()):

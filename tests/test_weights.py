@@ -15,6 +15,7 @@ from disklab import (
     HarmonicBoundary,
     LogGreen,
     Scaled,
+    SingularIntegrandError,
     SingularPointError,
     WeightSpecError,
     grid_for_weight,
@@ -24,12 +25,10 @@ from disklab import (
     superharmonic_test,
     uniform_weight,
 )
-from disklab.quadrature import NODE_BLOCK
+from disklab.quadrature import NODE_BLOCK, _ring_angles
+from disklab.weights import _LATTICE_CENTERS, _LATTICE_RADII, _circle_mean
 
 from reference import disk_grid_size
-
-LATTICE_CENTERS = [0j] + [0.55 * np.exp(1j * np.pi * (2 * t + 1) / 9) for t in range(9)]
-LATTICE_RADII = [0.05, 0.1, 0.15, 0.2, 0.25]
 
 
 class TestEval:
@@ -210,34 +209,90 @@ class TestMass:
 
 
 class TestSuperharmonic:
-    def test_one_minus_abs_square_passes(self, circle_grid):
+    def test_one_minus_abs_square_passes(self):
         w = Custom(lambda z: 1.0 - np.abs(z) ** 2, label="paraboloid")
-        report = superharmonic_test(w, LATTICE_CENTERS, LATTICE_RADII, circle_grid)
-        assert report.worst_violation <= 1e-8
+        worst_margin, _ = superharmonic_test(w)
+        assert worst_margin >= -1e-8
 
-    def test_abs_square_fails_with_radius_square_violation(self, circle_grid):
+    def test_abs_square_fails_with_radius_square_violation(self):
+        # the mean of |z|^2 on the circle of radius r about z0 is |z0|^2 + r^2,
+        # so the worst violation is the largest radius squared, 0.0625; roundoff
+        # puts it at the first center off the origin (0.06250000000000006)
         w = Custom(lambda z: np.abs(z) ** 2, label="bowl")
-        report = superharmonic_test(w, [0j], [0.1], circle_grid)
-        assert not report.worst_violation <= 1e-8
-        assert report.worst_violation == pytest.approx(0.01, abs=1e-12)
+        worst_margin, cell = superharmonic_test(w)
+        assert worst_margin == pytest.approx(-0.0625, abs=1e-12)
+        assert cell == (_LATTICE_CENTERS[1], 0.25)
 
-    def test_log_green_passes_on_lattice(self, circle_grid):
-        report = superharmonic_test(
-            LogGreen(0.4), LATTICE_CENTERS, LATTICE_RADII, circle_grid
-        )
-        assert report.worst_violation <= 1e-8
+    def test_log_green_passes_on_lattice(self):
+        worst_margin, _ = superharmonic_test(LogGreen(0.4))
+        assert worst_margin >= -1e-8
 
-    def test_harmonic_boundary_passes_with_near_equality(self, circle_grid, harm_weight):
-        report = superharmonic_test(
-            harm_weight, LATTICE_CENTERS, LATTICE_RADII, circle_grid
-        )
-        assert report.worst_violation <= 1e-8
+    def test_harmonic_boundary_passes_with_near_equality(self, harm_weight):
+        worst_margin, _ = superharmonic_test(harm_weight)
         # harmonic: circle means equal the center value up to quadrature
-        assert abs(report.worst_margin) < 1e-8
+        assert abs(worst_margin) < 1e-8
 
-    def test_circle_leaving_disk_rejected(self, circle_grid, harm_weight):
-        with pytest.raises(DomainError):
-            superharmonic_test(harm_weight, [0.9], [0.2], circle_grid)
+    def test_lattice_circles_lie_inside_the_disk(self):
+        assert max(abs(c) for c in _LATTICE_CENTERS) + max(_LATTICE_RADII) < 1.0
+
+    def test_cells_at_an_interior_pole_are_skipped(self):
+        # the pole of log:0,0 is the first center: its five cells go, and it is
+        # never evaluated, which would raise SingularPointError
+        sizes = []
+        w = LogGreen(0.0)
+        evaluate = w.eval_many
+        w.eval_many = lambda z: sizes.append(np.size(z)) or evaluate(z)
+        worst_margin, cell = superharmonic_test(w)
+        assert worst_margin >= -1e-8 and cell[0] != 0j
+        assert sum(sizes) == 9 * (5 * 256 + 1)
+
+    def test_each_center_is_read_once_after_its_first_circle(self):
+        # a circle's error comes before its center's, as when each cell read both
+        sizes = []
+        w = Custom(lambda z: sizes.append(np.size(z)) or np.ones(np.shape(z)))
+        assert superharmonic_test(w) == (0.0, (0j, 0.05))
+        assert sizes == len(_LATTICE_CENTERS) * ([256, 1] + [256] * 4)
+
+    def test_no_cell_left_gives_inf_and_no_cell(self):
+        # a singular point at every center skips every cell, unevaluated
+        w = Custom(lambda z: 1 / 0, singularities=_LATTICE_CENTERS)
+        assert superharmonic_test(w) == (math.inf, None)
+
+
+class TestCircleMean:
+    """The lattice's circle mean: fsum of the weight on 256 nodes, over 256."""
+
+    u = _ring_angles(256, 0.0)
+
+    def test_odd_integrand_has_an_exact_zero_mean(self):
+        # antipodal nodes: the values cancel exactly and fsum certifies the zero
+        w = Custom(lambda z: np.real(z))
+        assert _circle_mean(w, 0j, 0.25, self.u) == 0.0
+
+    def test_constant_has_mean_exactly_one(self):
+        c = _LATTICE_CENTERS[4]
+        assert _circle_mean(uniform_weight(), c, 0.2, self.u) == 1.0
+
+    def test_trigonometric_moments(self):
+        # |1 - z/2|^2 on the circle of radius r about c has mean |1 - c/2|^2 + r^2/4
+        c = _LATTICE_CENTERS[2]
+        w = Custom(lambda z: np.abs(1 - z / 2) ** 2)
+        mean = _circle_mean(w, c, 0.15, self.u)
+        assert mean == pytest.approx(abs(1 - c / 2) ** 2 + 0.15**2 / 4, abs=1e-14)
+
+    def test_a_sum_out_of_float_range_is_a_singular_integrand(self):
+        # every value is finite; their sum is not
+        w = Custom(lambda z: np.full(z.shape, 1e308))
+        with pytest.raises(SingularIntegrandError, match="over the 256 circle nodes overflows"):
+            _circle_mean(w, 0j, 0.1, self.u)
+        with pytest.raises(SingularIntegrandError, match="over the 256 circle nodes overflows"):
+            superharmonic_test(Scaled(1e308, uniform_weight()))
+
+    def test_non_finite_value_names_its_unit_node_and_index(self):
+        w = Custom(lambda z: np.where(np.arange(z.size) == 17, np.nan, 1.0))
+        with pytest.raises(SingularIntegrandError) as err:
+            _circle_mean(w, 0j, 0.1, self.u)
+        assert str(err.value) == f"integrand is not finite at node {self.u[17]!r} (index 17)"
 
 
 class TestSynthesize:
