@@ -62,7 +62,6 @@ from .series import (
 from .weights import (
     AtomicWeight,
     Custom,
-    GreenDecomposition,
     HarmonicBoundary,
     LogGreen,
     Scaled,

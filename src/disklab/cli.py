@@ -71,6 +71,7 @@ from .quadrature import (
 )
 from .series import TaylorSeries
 from .weights import (
+    _on_circle,
     grid_for_weight,
     l1_norm,
     parse_weight_spec,
@@ -489,7 +490,7 @@ def _outer_consistency(ctx: _SuiteContext):
         target = 1.0 / np.sqrt(1.0 + np.abs(dbr_mod._atoms_phi(atoms, e)) ** 2)
         err = max(err, float(np.max(np.abs(np.abs(a.evaluate_many(e)) - target))))
     detail = f"max|b_fft - b| {b_err:.3e}"
-    if any(abs(abs(s) - 1.0) < 1e-9 for s in ctx.weight.singularities):
+    if any(_on_circle(s) for s in ctx.weight.singularities):
         return err, f"boundary-singular target, {detail}"
     return err, f"smooth target, {detail}", 1e-6, _CEILING
 

@@ -3,9 +3,11 @@
 Every weight with a known charge is an ``AtomicWeight``: a finite
 positive combination of boundary kernels (1 - |z|^2) / |z - zeta|^2 and
 scaled logarithmic kernels log |(1 - conj(zeta) z) / (z - zeta)|, one per
-atom of its ``GreenDecomposition``. It carries its ``atoms``, which are
-what the moment and kernel-model pipelines branch on. The two catalog
-families are one-atom subclasses:
+atom, interior or boundary. It carries its ``atoms``, which are what the
+moment and kernel-model pipelines branch on, and its atoms are its poles.
+A point is on the circle when ``_on_circle`` says so; every other pole
+inside the disk is interior. The two catalog families are one-atom
+subclasses:
 
 * ``HarmonicBoundary(zeta)``: one boundary atom of unit mass at |zeta| = 1.
   Harmonic in the disk, unit mass against dA, singular at zeta.
@@ -41,8 +43,18 @@ from .quadrature import (
 )
 
 _UNIMODULAR_TOL = 1e-12
-_SINGULAR_TOL = 1e-14
 _UNIT_ROUNDOFF = 4 * 2.0**-52  # |z/|z|| lies within one ulp of 1
+
+
+def _on_circle(s: complex) -> bool:
+    """The one circle test for a pole or atom: ||s| - 1| <= _UNIMODULAR_TOL.
+    harm:1,1's pole, |zeta| = 1 - 1.1e-16, is on the circle."""
+    return abs(abs(s) - 1.0) <= _UNIMODULAR_TOL
+
+
+def _interior(points) -> list[complex]:
+    """The points inside the disk and off the circle."""
+    return [s for s in points if abs(s) < 1.0 and not _on_circle(s)]
 
 
 def _spec_number(x: float) -> str:
@@ -58,8 +70,10 @@ class Weight:
     block, which ``_value_many`` writes into one float output block by
     block (``NODE_BLOCK`` nodes at a time), or override ``_value_many``.
     ``singularities`` lists the points where the weight blows up;
-    evaluation there raises SingularPointError, and grids for this weight
-    should guard the corresponding radii (see ``singular_radii``).
+    evaluation at a node equal to one raises SingularPointError, and grids
+    for this weight should guard the corresponding radii (see
+    ``singular_radii``). A node near a pole, however near, is evaluated:
+    a value that overflows is an inf, which the grid passes refuse.
     """
 
     label: str = "weight"
@@ -74,9 +88,12 @@ class Weight:
 
     def _value_many(self, z: np.ndarray) -> np.ndarray:
         out = np.empty(z.shape)
-        for start in range(0, z.size, NODE_BLOCK):
-            block = slice(start, start + NODE_BLOCK)
-            out[block] = self._value_block(z[block])
+        # next to a pole a quotient can overflow to inf, and a complex one to
+        # inf + nan*1j: the value is an inf, which callers refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, z.size, NODE_BLOCK):
+                block = slice(start, start + NODE_BLOCK)
+                out[block] = self._value_block(z[block])
         return out
 
     def eval_many(self, z: np.ndarray) -> np.ndarray:
@@ -84,7 +101,7 @@ class Weight:
         flat = z.ravel()
         for s in self.singularities:
             for start in range(0, flat.size, NODE_BLOCK):
-                if (np.abs(flat[start : start + NODE_BLOCK] - s) <= _SINGULAR_TOL).any():
+                if (flat[start : start + NODE_BLOCK] == s).any():
                     raise SingularPointError(
                         f"{self.label} evaluated at singular point {s!r}"
                     )
@@ -96,39 +113,7 @@ class Weight:
     @property
     def singular_radii(self) -> tuple[float, ...]:
         """Moduli of interior singular points, for grid construction."""
-        # a pole within _UNIMODULAR_TOL of the circle (harm:1,1) is on the boundary
-        inner = {abs(s) for s in self.singularities if abs(s) < 1 - _UNIMODULAR_TOL}
-        return tuple(sorted(inner))
-
-
-@dataclass(frozen=True)
-class GreenDecomposition:
-    """Finite atomic data (interior atoms, boundary atoms) for synthesis.
-
-    Interior atoms live strictly inside the disk and boundary atoms on the
-    circle; every mass is positive and finite. A NaN or infinite point or
-    mass fails these tests, so it is rejected too.
-    """
-
-    interior: tuple[tuple[complex, float], ...] = ()
-    boundary: tuple[tuple[complex, float], ...] = ()
-
-    def __post_init__(self):
-        for p, _ in self.interior:
-            if not abs(p) < 1.0:
-                raise DomainError(f"interior atom {p!r} is not inside the disk")
-        for p, _ in self.boundary:
-            if not abs(abs(p) - 1.0) <= _UNIMODULAR_TOL:
-                raise DomainError(f"boundary atom {p!r} is not on the circle")
-        for _, m in (*self.interior, *self.boundary):
-            if not 0.0 < m < math.inf:
-                raise DomainError(f"atom masses must be positive and finite, got {m!r}")
-
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(m for _, m in self.interior) + math.fsum(
-            m for _, m in self.boundary
-        )
+        return tuple(sorted({abs(s) for s in _interior(self.singularities)}))
 
 
 class AtomicWeight(Weight):
@@ -137,17 +122,31 @@ class AtomicWeight(Weight):
     An interior atom (p, m) contributes m * 2/(1-|p|^2) *
     log|(1 - conj(p) z)/(z - p)| and a boundary atom (p, m) contributes
     m * (1-|z|^2)/|z - p|^2, so the mass against dA is the total atom mass.
+    Interior atoms lie strictly inside the disk and boundary atoms pass
+    ``_on_circle``; every mass is positive and finite. A NaN or infinite
+    point or mass fails these tests, so it is a DomainError too.
     ``atoms`` lists (point, mass), interior atoms first; the weight is
     harmonic when no atom is interior. No atoms give the zero weight.
     """
 
-    def __init__(self, d: GreenDecomposition, label: str):
-        interior = tuple((complex(p), float(m)) for p, m in d.interior)
-        boundary = tuple((complex(p), float(m)) for p, m in d.boundary)
+    def __init__(self, *, interior=(), boundary=(), label: str):
+        for p, _ in interior:
+            if not abs(p) < 1.0:
+                raise DomainError(f"interior atom {p!r} is not inside the disk")
+        for p, _ in boundary:
+            if not _on_circle(p):
+                raise DomainError(f"boundary atom {p!r} is not on the circle")
+        for _, m in (*interior, *boundary):
+            if not 0.0 < m < math.inf:
+                raise DomainError(f"atom masses must be positive and finite, got {m!r}")
+        interior = tuple((complex(p), float(m)) for p, m in interior)
+        boundary = tuple((complex(p), float(m)) for p, m in boundary)
         self.atoms = interior + boundary
         self.singularities = tuple(p for p, _ in self.atoms)
         self.is_harmonic = not interior
-        self.analytic_mass = d.total_mass
+        self.analytic_mass = math.fsum(m for _, m in interior) + math.fsum(
+            m for _, m in boundary
+        )
         self.label = label
         # left to right, m * 2.0 is exact: a LogGreen multiplier is exactly 1.0
         self._log_terms = tuple((p, m * 2.0 / (1.0 - abs(p) ** 2)) for p, m in interior)
@@ -179,8 +178,8 @@ class HarmonicBoundary(AtomicWeight):
     def __init__(self, zeta: complex):
         self.zeta = complex(zeta)
         super().__init__(
-            GreenDecomposition(boundary=((self.zeta, 1.0),)),
-            f"harm:{_spec_number(self.zeta.real)},{_spec_number(self.zeta.imag)}",
+            boundary=((self.zeta, 1.0),),
+            label=f"harm:{_spec_number(self.zeta.real)},{_spec_number(self.zeta.imag)}",
         )
 
 
@@ -190,8 +189,8 @@ class LogGreen(AtomicWeight):
     def __init__(self, zeta: complex):
         self.zeta = complex(zeta)
         super().__init__(
-            GreenDecomposition(interior=((self.zeta, (1.0 - abs(self.zeta) ** 2) / 2.0),)),
-            f"log:{_spec_number(self.zeta.real)},{_spec_number(self.zeta.imag)}",
+            interior=((self.zeta, (1.0 - abs(self.zeta) ** 2) / 2.0),),
+            label=f"log:{_spec_number(self.zeta.real)},{_spec_number(self.zeta.imag)}",
         )
 
 
@@ -355,7 +354,7 @@ def superharmonic_test(w: Weight) -> tuple[float, Optional[tuple[complex, float]
     is evaluated once, after its first kept circle.
     """
     u = _ring_angles(256, 0.0)
-    interior = [s for s in w.singularities if abs(s) < 1.0]
+    interior = _interior(w.singularities)
     worst_margin, worst_case = math.inf, None
     for c in _LATTICE_CENTERS:
         center = None

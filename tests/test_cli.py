@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -850,6 +851,33 @@ def _strict_json(text: str):
 
 _CATALOG = ("harm:1,0", "harm:0.6,-0.8", "log:0.4,0", "uniform", "scaled:2:log:0.4,0")
 _OVERFLOW = "scaled:1e308:harm:1,0"  # its values overflow on every grid near the pole
+
+
+class TestTinyPoles:
+    """A node hits a pole only where it equals it, so a log pole of modulus
+    down to 1e-200 runs every check; at 1e-307 the values next to the pole
+    overflow, and the grid passes refuse them in one error line."""
+
+    @pytest.mark.parametrize("spec", ["log:1e-11,0", "log:1e-13,0", "log:1e-200,0"])
+    def test_verify_all_passes_every_row(self, spec, capsys):
+        assert main(["verify", "--suite", "all", "--weight", spec]) == 0
+        report = _strict_json(capsys.readouterr().out)
+        assert len(report["checks"]) == 20
+        assert all(check["passed"] for check in report["checks"])
+
+    @pytest.mark.parametrize("argv", [["weights", "info"], ["moments", "--route", "measure"]])
+    def test_info_and_measure_moments_exit_0(self, argv, capsys):
+        assert main([*argv, "--weight", "log:1e-13,0"]) == 0
+        out, err = capsys.readouterr()
+        assert _strict_json(out)["schema"] == 1 and err == ""
+
+    def test_a_pole_at_the_bottom_of_the_float_range_is_one_error_line(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning either
+            assert main(["weights", "info", "--weight", "log:1e-307,0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: integrand is not finite at node .* \(index \d+\)\n", err)
 
 
 class TestFiniteOutput:

@@ -13,7 +13,6 @@ from disklab import (
     DegenerateWeightError,
     DomainError,
     GaussianRational,
-    GreenDecomposition,
     HarmonicBoundary,
     LogGreen,
     MomentTable,
@@ -158,16 +157,16 @@ class TestUnitMass:
 class TestAtomicRankIdentity:
     """sigma2/sigma1 from the atoms, against the SVD of the table as reference."""
 
-    _TWO_ATOMS = GreenDecomposition(interior=((0.2, 0.3),), boundary=((1, 0.7),))
+    _TWO_ATOMS = {"interior": ((0.2, 0.3),), "boundary": ((1, 0.7),)}
 
     def test_multi_atom_weight_rejected(self, coarse_disk_grid):
         with pytest.raises(NotDbrWeightError, match="not rank one"):
-            build_model(AtomicWeight(self._TWO_ATOMS, "synthesized"), coarse_disk_grid,
+            build_model(AtomicWeight(**self._TWO_ATOMS, label="synthesized"), coarse_disk_grid,
                         order=16)
 
     @pytest.mark.parametrize("order", [8, 64, 256])
     def test_ratio_matches_svd_of_the_table(self, order):
-        _, atoms = unit_mass_atoms(AtomicWeight(self._TWO_ATOMS, "synthesized"))
+        _, atoms = unit_mass_atoms(AtomicWeight(**self._TWO_ATOMS, label="synthesized"))
         svals = atoms_singular_values(atoms, order)
         ref = np.linalg.svd(atoms_table(atoms, order).to_complex_array(), compute_uv=False)
         assert svals.size == 2
@@ -496,9 +495,9 @@ class TestResolvingLimit:
 
     @staticmethod
     def _pair(theta):
-        return AtomicWeight(GreenDecomposition(
-            boundary=((cmath.exp(1j * theta), 0.5), (cmath.exp(-1j * theta), 0.5))),
-            "synthesized")
+        return AtomicWeight(
+            boundary=((cmath.exp(1j * theta), 0.5), (cmath.exp(-1j * theta), 0.5)),
+            label="synthesized")
 
     def test_a_pair_below_the_limit_builds_the_barycenter_model(self):
         model = build_model(self._pair(1e-7), None, order=64)

@@ -5,7 +5,6 @@ from disklab import (
     AtomicWeight,
     Custom,
     DomainError,
-    GreenDecomposition,
     HarmonicBoundary,
     LogGreen,
     Scaled,
@@ -214,7 +213,7 @@ class TestClosedForm:
         z = TaylorSeries([0, 1, 0, 0, 0])
         assert energy(z, LogGreen(0.4), None) == pytest.approx(0.42)
         assert energy(z, Scaled(2.0, HarmonicBoundary(1.0)), None) == 2.0
-        assert energy(z, AtomicWeight(GreenDecomposition(), "synthesized"), None) == 0.0
+        assert energy(z, AtomicWeight(label="synthesized"), None) == 0.0
 
     def test_non_finite_energy_raises(self):
         f = TaylorSeries([0.0, 1e200, 1e200])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from disklab import (
     Custom,
     DegenerateWeightError,
     DomainError,
-    GreenDecomposition,
     HarmonicBoundary,
     LogGreen,
     Scaled,
@@ -26,7 +26,9 @@ from disklab import (
     uniform_weight,
 )
 from disklab.quadrature import NODE_BLOCK, _ring_angles
-from disklab.weights import _LATTICE_CENTERS, _LATTICE_RADII, _circle_mean
+from disklab.weights import (
+    _LATTICE_CENTERS, _LATTICE_RADII, _circle_mean, _interior, _on_circle,
+)
 
 from reference import disk_grid_size
 
@@ -49,6 +51,17 @@ class TestEval:
     def test_singular_point_rejected(self):
         with pytest.raises(SingularPointError):
             LogGreen(0.3)(0.3)
+
+    @pytest.mark.parametrize("pole, node", [(0.3, 0.3 + 1e-15), (1e-13, 1.01e-13)])
+    def test_a_node_next_to_a_pole_is_evaluated(self, pole, node):
+        # only a node equal to the pole is refused, however near another lies
+        assert node != pole
+        assert 30.0 < LogGreen(pole)(node) < math.inf
+
+    def test_a_value_that_overflows_next_to_a_pole_is_an_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert LogGreen(1e-307)(1e-307 + 1e-320) == math.inf
 
     def test_harmonic_requires_unimodular_point(self):
         with pytest.raises(DomainError):
@@ -299,47 +312,46 @@ class TestSynthesize:
     def test_single_interior_atom_matches_log_green(self, coarse_disk_grid):
         zeta = 0.35 - 0.2j
         mass = (1.0 - abs(zeta) ** 2) / 2.0
-        w = AtomicWeight(GreenDecomposition(interior=((zeta, mass),)), "synthesized")
+        w = AtomicWeight(interior=((zeta, mass),), label="synthesized")
         ref = LogGreen(zeta)
         zs = np.array([0.1, 0.5j, -0.3 + 0.55j, 0.8])
         np.testing.assert_allclose(w.eval_many(zs), ref.eval_many(zs), atol=1e-12)
 
     def test_single_boundary_atom_matches_harmonic(self):
         zeta = np.exp(0.6j)
-        w = AtomicWeight(GreenDecomposition(boundary=(((zeta), 1.0),)), "synthesized")
+        w = AtomicWeight(boundary=(((zeta), 1.0),), label="synthesized")
         ref = HarmonicBoundary(zeta)
         zs = np.array([0.0, 0.2 + 0.1j, -0.6j])
         np.testing.assert_allclose(w.eval_many(zs), ref.eval_many(zs), atol=1e-13)
 
     def test_empty_decomposition_is_zero_weight(self):
-        w = AtomicWeight(GreenDecomposition(), "synthesized")
+        w = AtomicWeight(label="synthesized")
         assert w(0.3) == 0.0
 
     def test_synthesis_is_additive(self):
-        d1 = GreenDecomposition(interior=((0.2, 0.3),))
-        d2 = GreenDecomposition(boundary=((1.0 + 0j, 0.7),))
-        combined = GreenDecomposition(interior=d1.interior, boundary=d2.boundary)
+        interior = ((0.2, 0.3),)
+        boundary = ((1.0 + 0j, 0.7),)
         zs = np.array([0.4j, -0.1 + 0.2j])
         np.testing.assert_allclose(
-            AtomicWeight(combined, "synthesized").eval_many(zs),
-            AtomicWeight(d1, "synthesized").eval_many(zs)
-            + AtomicWeight(d2, "synthesized").eval_many(zs),
+            AtomicWeight(interior=interior, boundary=boundary, label="synthesized").eval_many(zs),
+            AtomicWeight(interior=interior, label="synthesized").eval_many(zs)
+            + AtomicWeight(boundary=boundary, label="synthesized").eval_many(zs),
             atol=1e-13,
         )
 
     def test_masses_must_be_positive(self):
         with pytest.raises(DomainError):
-            GreenDecomposition(interior=((0.3, -1.0),))
+            AtomicWeight(interior=((0.3, -1.0),), label="synthesized")
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: GreenDecomposition(interior=((0.3, math.nan),)),
-            lambda: GreenDecomposition(interior=((0.3, math.inf),)),
-            lambda: GreenDecomposition(interior=((complex(0.3, math.nan), 0.1),)),
-            lambda: GreenDecomposition(boundary=((complex(math.nan, 0.0), 1.0),)),
-            lambda: GreenDecomposition(boundary=((1.0, math.nan),)),
-            lambda: GreenDecomposition(boundary=((1.0, math.inf),)),
+            lambda: AtomicWeight(interior=((0.3, math.nan),), label="synthesized"),
+            lambda: AtomicWeight(interior=((0.3, math.inf),), label="synthesized"),
+            lambda: AtomicWeight(interior=((complex(0.3, math.nan), 0.1),), label="synthesized"),
+            lambda: AtomicWeight(boundary=((complex(math.nan, 0.0), 1.0),), label="synthesized"),
+            lambda: AtomicWeight(boundary=((1.0, math.nan),), label="synthesized"),
+            lambda: AtomicWeight(boundary=((1.0, math.inf),), label="synthesized"),
             lambda: HarmonicBoundary(math.nan),
             lambda: HarmonicBoundary(complex(math.inf, 0.0)),
             lambda: LogGreen(math.nan),
@@ -355,17 +367,15 @@ class TestSynthesize:
             build()
 
     def test_synthesized_weight_carries_its_atoms(self):
-        d = GreenDecomposition(interior=((0.2, 0.3),), boundary=((1j, 0.5),))
-        w = AtomicWeight(d, "synthesized")
+        w = AtomicWeight(interior=((0.2, 0.3),), boundary=((1j, 0.5),), label="synthesized")
         assert isinstance(w, AtomicWeight) and w.label == "synthesized"
         assert not w.is_harmonic
         assert w.atoms == ((0.2 + 0j, 0.3), (1j, 0.5))
         assert Scaled(2.0, w).atoms == ((0.2 + 0j, 0.6), (1j, 1.0))
-        assert AtomicWeight(GreenDecomposition(boundary=d.boundary), "synthesized").is_harmonic
+        assert AtomicWeight(boundary=((1j, 0.5),), label="synthesized").is_harmonic
 
     def test_synthesized_mass_is_total_atom_mass(self, disk_grid):
-        d = GreenDecomposition(interior=((0.2, 0.3),), boundary=((1j, 0.5),))
-        w = AtomicWeight(d, "synthesized")
+        w = AtomicWeight(interior=((0.2, 0.3),), boundary=((1j, 0.5),), label="synthesized")
         grid = grid_for_weight(w, 120, 256)
         assert l1_norm(w, grid) == pytest.approx(0.8, abs=1e-5)
 
@@ -462,3 +472,14 @@ def test_boundary_pole_is_not_an_interior_radius():
     assert disk_grid_size(120, 256, tilted.singular_radii) == disk_grid_size(
         120, 256, HarmonicBoundary(1.0).singular_radii
     )
+
+
+def test_one_circle_test_decides_which_poles_are_interior():
+    tilted = HarmonicBoundary(complex(1, 1) / abs(complex(1, 1)))
+    assert _on_circle(tilted.zeta) and _interior(tilted.singularities) == []
+    w = Custom(lambda z: np.ones(z.shape), singularities=[1 - 1e-13, 1 - 1e-11, 0.5, 2.0])
+    assert _interior(w.singularities) == [1 - 1e-11, 0.5]
+    assert w.singular_radii == (0.5, 1 - 1e-11)
+    with pytest.raises(DomainError, match="is not on the circle"):
+        AtomicWeight(boundary=((1 - 1e-11, 1.0),), label="synthesized")
+    assert AtomicWeight(boundary=((1 - 1e-13, 1.0),), label="synthesized").is_harmonic
