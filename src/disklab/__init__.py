@@ -15,7 +15,6 @@ from .dbr import (
     kernel_series,
     laplacian_identity_check,
     moment_table_from_berezin,
-    outer_function,
     szego_model,
     verify_h_identity,
     verify_isometry,
@@ -28,7 +27,6 @@ from .errors import (
     InconsistentTableError,
     NotDbrWeightError,
     NotWeaklyMultiplicativeError,
-    SingularBoundaryDataError,
     SingularIntegrandError,
     SingularPointError,
     WeightSpecError,

@@ -11,11 +11,10 @@ error prints the usage line of the command it belongs to.
 Reports are deterministic: fixed seeds and fixed reduction orders make two
 runs of one configuration byte-identical outside the timing fields (each
 check's ``elapsed_s`` and the top-level ``timings``). Exit codes: 0 when
-every check passes, 1 on any failure, 2 on usage errors, among them a
-``verify --boundary`` below the FFT cross-check's bound, an unwritable
-``--out``, a disk grid over the node budget, refused when the command
-builds it, and a weight whose values or moment checks overflow the float
-range.
+every check passes, 1 on any failure, 2 on usage errors, among them an
+unwritable ``--out``, a disk grid over the node budget, refused when the
+command builds it, and a weight whose values or moment checks overflow
+the float range.
 """
 
 from __future__ import annotations
@@ -63,15 +62,9 @@ from .moments import (
     tensor_diag_check,
     weak_mult_check,
 )
-from .quadrature import (
-    MAX_DISK_NODES,
-    MAX_RING_ORDER,
-    NODE_BLOCK,
-    _ring_angles,
-)
+from .quadrature import MAX_RING_ORDER
 from .series import TaylorSeries
 from .weights import (
-    _on_circle,
     grid_for_weight,
     l1_norm,
     parse_weight_spec,
@@ -92,7 +85,7 @@ DEFAULT_TOLS = {
     "laplacian": 1e-5,
     "phi_consistency": 1e-4,
     "b_contraction": 1e-6,
-    "outer_consistency": 1e-2,
+    "outer_consistency": 1e-6,
     "l1_consistency": 1e-4,
     "h0": 1e-6,
     "isometry": 1e-2,
@@ -462,37 +455,12 @@ def _b_contraction(ctx: _SuiteContext):
 
 
 def _outer_consistency(ctx: _SuiteContext):
-    """The FFT outer factor's |a| against 1/sqrt(1 + |phi|^2), phi from the atoms.
-
-    The cross-check of the model's factors: ``dbr._fft_outer_factor`` fits a
-    from the atoms' boundary data at ``--boundary`` nodes (offset 1/2),
-    one node block at a time, and |a| is compared on the circle of half the
-    boundary order at offset 1/4, whose points are every other node of the
-    fitting grid, so they are not held out. None need be: a is a series of
-    order ``series_order`` (64 by default), which does not interpolate the
-    N boundary samples, and the check measures its truncation error.
-    Truly held-out circles read the same: 16,385 nodes at offset 1/4 and
-    32,767 at offset 1/2 give 8.9427e-6 and 8.9420e-6 on ``harm:1,0``
-    against 8.9422e-6 here, and about 3e-16 on log poles. The detail
-    gives max|b_fft - b| against the model's b (closed form on one atom).
-    """
-    model = ctx.model()
-    atoms = model.weight.atoms
-    if atoms is None:
-        return None, "no atomic boundary data to check", None, _INFO
-    a = dbr_mod._fft_outer_factor(lambda e: dbr_mod._atoms_phi(atoms, e),
-                                  ctx.config.boundary_order, model.order)
-    b_err = float(np.max(np.abs((model.h.shift() * a).array - model.b.array)))
-    m = ctx.config.boundary_order // 2
-    err = 0.0
-    for lo in range(0, m, NODE_BLOCK):
-        e = _ring_angles(m, 0.25, lo, min(lo + NODE_BLOCK, m))
-        target = 1.0 / np.sqrt(1.0 + np.abs(dbr_mod._atoms_phi(atoms, e)) ** 2)
-        err = max(err, float(np.max(np.abs(np.abs(a.evaluate_many(e)) - target))))
-    detail = f"max|b_fft - b| {b_err:.3e}"
-    if any(_on_circle(s) for s in ctx.weight.singularities):
-        return err, f"boundary-singular target, {detail}"
-    return err, f"smooth target, {detail}", 1e-6, _CEILING
+    """The model's own a and b against b = z h a and |a|^2 + |b|^2 = 1 on the
+    circle: the larger of ``dbr._factor_identities``, exact in the
+    coefficients, so no grid, node or FFT is read."""
+    product, pythagorean = dbr_mod._factor_identities(ctx.model())
+    return max(product, pythagorean), (
+        f"b = z h a {product:.3e}, |a|^2 + |b|^2 = 1 {pythagorean:.3e}")
 
 
 # Fixed kernel node sets of sizes 1..4 inside |w| <= 0.6, biased toward
@@ -646,7 +614,6 @@ def run(config: argparse.Namespace) -> tuple[Report, int]:
             "series_order": config.series_order,
             "radial_order": config.radial_order,
             "angular_order": config.angular_order,
-            "boundary_order": config.boundary_order,
             "tols": {k: config.tols[k] for k in sorted(config.tols)},
         },
         checks=checks,
@@ -667,9 +634,6 @@ _FLAGS = {
                      help="radial quadrature order (default %(default)s)"),
     "--angular": dict(type=int, default=256, dest="angular_order", metavar="ANGULAR",
                       help="baseline angular quadrature order (default %(default)s)"),
-    "--boundary": dict(type=int, default=32768, dest="boundary_order", metavar="BOUNDARY",
-                       help="boundary circle order of the FFT outer factor that "
-                            "outer-consistency fits"),
     "--tol": dict(action="append", default=[], metavar="NAME=V",
                   help="override a named tolerance (repeatable)"),
     "--out": dict(default=None, help="write the report to this path"),
@@ -726,11 +690,6 @@ def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
         error("--radial must be >= 1")
     if config.angular_order < 4:
         error("--angular must be >= 4")
-    if "boundary_order" in config:
-        min_boundary = 2 * (config.series_order + 1)  # outer_function's own bound
-        if not min_boundary <= config.boundary_order <= MAX_DISK_NODES:
-            error(f"--boundary must lie in [{min_boundary}, {MAX_DISK_NODES}] at "
-                  f"series order {config.series_order}, got {config.boundary_order}")
     if "tol" in config:
         config.tols = dict(DEFAULT_TOLS)
         for item in config.tol:

@@ -29,11 +29,10 @@ the rank test belongs to one atom p = conj(h_1), so a = (1 - conj(p) z)/
 (alpha - (conj(p)/alpha) z) and b = z/(alpha - (conj(p)/alpha) z) in
 closed form (``_one_atom_factors``; Sarason's for p = 1), with no boundary
 grid, and a weight with atoms takes its energy from the closed form of
-``dirichlet.energy``. The FFT fit of a to the atoms' boundary data
-(``_fft_outer_factor``, ``outer_function``) is only the verify suite's
-cross-check of the closed form (``outer-consistency``); it samples phi
-on the half-offset unit nodes block by block and hands ``outer_function``
-the samples with their offset.
+``dirichlet.energy``. ``_factor_identities`` judges the model's own a and
+b by two exact coefficient identities, b = z h a and |a|^2 + |b|^2 = 1 on
+the circle, with no nodes and no FFT (the verify suite's
+``outer-consistency``).
 """
 
 from __future__ import annotations
@@ -50,12 +49,11 @@ from .errors import (
     DegenerateWeightError,
     DomainError,
     NotDbrWeightError,
-    SingularBoundaryDataError,
     SingularIntegrandError,
 )
 from .moments import MomentTable, _atom_rows, disk_moments
-from .quadrature import MAX_RING_ORDER, NODE_BLOCK, DiskGrid, _ring_angles
-from .series import TaylorSeries, exp_series, geometric_series
+from .quadrature import MAX_RING_ORDER, NODE_BLOCK, DiskGrid
+from .series import TaylorSeries, geometric_series
 from .weights import Scaled, Weight, _unit_scale, normalize
 
 _H0_TOL = 1e-6
@@ -312,37 +310,6 @@ def laplacian_identity_check(z0: complex, w0: complex, step: float) -> float:
     return abs(fd - rhs) / abs(rhs)
 
 
-def outer_function(samples: np.ndarray, offset: float, order: int) -> TaylorSeries:
-    """Outer function with prescribed boundary log-modulus samples.
-
-    Given real samples T_j of log |a| at the m unit nodes
-    e^{2 pi i (j + offset)/m} (``_ring_angles(m, offset)``), the analytic
-    completion log a = c_0 + 2 sum_{k>=1} c_k z^k is formed from the
-    discrete Fourier coefficients c_k of T and exponentiated as a formal
-    series; a(0) = exp(c_0) > 0 by construction. The coefficients come
-    from one real FFT, whose output is the size of the samples, and the
-    nodes are not formed.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1:
-        raise DomainError("samples must be a 1-D array, one value per circle node")
-    m = samples.size
-    if not np.isfinite(samples).all():
-        i = int(np.argmin(np.isfinite(samples)))
-        node = _ring_angles(m, offset, i, i + 1)[0]
-        raise SingularBoundaryDataError(f"boundary sample at node {node!r} is not finite")
-    if m < 2 * (order + 1):
-        raise DomainError("too few samples for the requested order")
-    ks = np.arange(order + 1)
-    fft = np.fft.rfft(samples)[: order + 1] / m
-    # node j sits at angle 2 pi (j + offset)/m; remove the offset phase
-    coeffs = fft * np.exp(-2j * np.pi * ks * offset / m)
-    log_a = np.zeros(order + 1, dtype=complex)
-    log_a[0] = coeffs[0].real
-    log_a[1:] = 2.0 * coeffs[1:]
-    return exp_series(TaylorSeries(log_a))
-
-
 @dataclass(frozen=True)
 class DbrModel:
     """Bundle (weight, h, a, b) realizing the kernel model of a weight."""
@@ -372,15 +339,6 @@ class DbrModel:
         }
 
 
-def _atoms_phi(atoms: Sequence[tuple[complex, float]], e: np.ndarray) -> np.ndarray:
-    """phi(v) = v sum m_i / (1 - conj(p_i) v) of unit-mass atoms, in closed form.
-
-    It continues to |v| = 1, where the truncated h does not converge when
-    a pole sits on the circle.
-    """
-    return e * sum(m / (1.0 - np.conj(p) * e) for p, m in atoms)
-
-
 def _one_atom_factors(p: complex, order: int) -> tuple[TaylorSeries, TaylorSeries]:
     """a and b of a unit atom at p, in closed form (Sarason's for p = 1).
 
@@ -404,19 +362,22 @@ def _one_atom_factors(p: complex, order: int) -> tuple[TaylorSeries, TaylorSerie
     return TaylorSeries(a), TaylorSeries(b)
 
 
-def _fft_outer_factor(phi, boundary_order: int, order: int) -> TaylorSeries:
-    """The outer a with |a|^2 = 1/(1 + |phi|^2) on the circle, by FFT.
+def _factor_identities(model: DbrModel) -> tuple[float, float]:
+    """(product, pythagorean): how far the model's a and b are from b = z h a
+    and |a|^2 + |b|^2 = 1 on the circle, read from their coefficients.
 
-    phi is sampled at the ``boundary_order`` half-offset unit nodes
-    ``_ring_angles(boundary_order, 0.5)``, formed one ``NODE_BLOCK`` block
-    at a time, so the log-modulus samples and ``outer_function``'s real FFT
-    of them are the only node-sized arrays.
+    ``product`` is max_k |(a z h)_k - b_k|, one truncated series product.
+    ``pythagorean`` is max over lags k of |sum_j a_{j+k} conj(a_j) +
+    b_{j+k} conj(b_j) - delta_k|, the Fourier coefficients of |a|^2 + |b|^2
+    on the circle: no nodes, no FFT. Both are exact identities of the
+    closed forms, so they read roundoff plus the truncation of a and b,
+    which decays like |q|^N (q = conj(p)/alpha^2, ``_one_atom_factors``).
     """
-    samples = np.empty(boundary_order)
-    for lo in range(0, boundary_order, NODE_BLOCK):
-        e = _ring_angles(boundary_order, 0.5, lo, min(lo + NODE_BLOCK, boundary_order))
-        samples[lo : lo + e.size] = -0.5 * np.log1p(np.abs(phi(e)) ** 2)
-    return outer_function(samples, 0.5, order)
+    a, b = model.a.array, model.b.array
+    product = float(np.max(np.abs((model.h.shift() * model.a).array - b)))
+    lags = np.correlate(a, a, "full") + np.correlate(b, b, "full")
+    lags[a.size - 1] -= 1.0
+    return product, float(np.max(np.abs(lags)))
 
 
 _PHI_SAMPLE_RADII = (0.3, 0.6, 0.8)

@@ -35,7 +35,3 @@ class DegenerateNodeSetError(ValueError):
 
 class WeightSpecError(ValueError):
     """A weight specification string could not be parsed."""
-
-
-class SingularBoundaryDataError(ValueError):
-    """Boundary samples contain non-finite values."""

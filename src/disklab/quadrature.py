@@ -420,7 +420,7 @@ def _check_finite(vals: np.ndarray, nodes: np.ndarray, start: int = 0) -> None:
     if not finite.all():
         i = int(np.argmin(finite))
         raise SingularIntegrandError(
-            f"integrand is not finite at node {nodes[i]!r} (index {start + i})"
+            f"integrand is not finite at node {complex(nodes[i])!r} (index {start + i})"
         )
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from disklab import (
     laplacian_identity_check,
     make_disk_grid,
     moment_table_from_berezin,
-    outer_function,
+    parse_weight_spec,
     szego_model,
     verify_h_identity,
     verify_isometry,
@@ -383,50 +384,12 @@ class TestLaplacianIdentity:
             laplacian_identity_check(0.9999, 0.0, 1e-3)
 
 
-class TestOuterFunction:
-    def test_constant_target(self):
-        samples = np.full(256, math.log(2.5))
-        a = outer_function(samples, 0.0, 16)
-        assert a.coeffs[0] == pytest.approx(2.5, abs=1e-12)
-        assert np.allclose(a.coeffs[1:], 0.0, atol=1e-12)
-
-    def test_one_minus_half_z(self):
-        samples = np.log(np.abs(1.0 - _ring_angles(512, 0.0) / 2.0))
-        a = outer_function(samples, 0.0, 24)
-        expected = [1.0, -0.5] + [0.0] * 23
-        np.testing.assert_allclose(a.coeffs, expected, atol=1e-8)
-
-    def test_self_consistency_on_held_out_nodes(self):
-        nodes = _ring_angles(1024, 0.0)
-        samples = np.log(np.abs(1.0 - 0.3 * nodes + 0.1 * nodes**2))
-        a = outer_function(samples, 0.0, 48)
-        holdout = _ring_angles(512, 0.37)
-        target = np.abs(1.0 - 0.3 * holdout + 0.1 * holdout**2)
-        got = np.abs(a.evaluate_many(holdout))
-        assert np.max(np.abs(got - target)) < 1e-6
-
-    def test_positive_at_origin(self):
-        rng = np.random.default_rng(3)
-        samples = rng.normal(size=256) * 0.1
-        a = outer_function(samples, 0.0, 8)
-        assert a.coeffs[0].imag == 0.0
-        assert a.coeffs[0].real > 0.0
-
-    def test_non_finite_samples_rejected(self):
-        from disklab import SingularBoundaryDataError
-
-        samples = np.zeros(256)
-        samples[3] = -np.inf
-        with pytest.raises(SingularBoundaryDataError):
-            outer_function(samples, 0.0, 8)
-
-
 _ONE_ATOM_POLES = [1.0, 0.6 - 0.8j, np.exp(2.5j), 0.4, -0.28 + 0.28j, 0.0]
 
 
 class TestOneAtomFactors:
-    """The closed-form a and b of a unit atom, the one route of every model, and the FFT
-    route that cross-checks them."""
+    """The closed-form a and b of a unit atom, the one route of every model, and the
+    exact identities that judge them."""
 
     @pytest.mark.parametrize("p", _ONE_ATOM_POLES)
     def test_modulus_identity_on_a_circle_grid(self, p):
@@ -436,7 +399,8 @@ class TestOneAtomFactors:
         assert np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0)) <= 1e-14
         # b = phi a with phi = z/(1 - conj(p) z), continued to the circle, where
         # |phi| reaches about 160 next to a boundary pole (5.2e-14 measured)
-        assert np.max(np.abs(bv - dbr._atoms_phi(((p, 1.0),), e) * av)) <= 1e-12
+        phi = e / (1.0 - np.conj(p) * e)
+        assert np.max(np.abs(bv - phi * av)) <= 1e-12
 
     @pytest.mark.parametrize("p", _ONE_ATOM_POLES)
     def test_b_is_z_h_a(self, p):
@@ -444,28 +408,12 @@ class TestOneAtomFactors:
         h = dbr.factor_table(atoms_table(((p, 1.0),), 64), 1e-9).h
         np.testing.assert_allclose((h.shift() * a).coeffs, b.coeffs, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("p, bound", [(1.0, 1e-4), (0.4, 1e-15)])
-    def test_fft_b_against_closed_form(self, p, bound):
-        # measured: 4.24e-5 on the boundary pole, about 1e-17 at 0.4
-        atoms = ((complex(p), 1.0),)
-        a = dbr._fft_outer_factor(lambda e: dbr._atoms_phi(atoms, e), 32768, 64)
-        h = dbr.factor_table(atoms_table(atoms, 64), 1e-9).h
-        _, b = dbr._one_atom_factors(p, 64)
-        assert np.max(np.abs((h.shift() * a).array - b.array)) <= bound
-
     @pytest.mark.parametrize("inner, p, bound", [
         (HarmonicBoundary(1.0), 1.0, 1e-9), (LogGreen(0.4), 0.4, 1e-12)],
         ids=["harmonic", "log"])
-    def test_weight_without_atoms_takes_the_closed_form_at_conj_h1(
-        self, inner, p, bound, monkeypatch
-    ):
+    def test_weight_without_atoms_takes_the_closed_form_at_conj_h1(self, inner, p, bound):
         # a Custom wrapper hides the atom, so p = conj(h_1) comes from the
-        # quadrature table: 2.8e-10 and 2.0e-13 measured, where an FFT of the
-        # zero-padded order-8 h was 0.31 and 8.8e-5 away
-        def refuse(*args):
-            raise AssertionError("the model fitted an outer function")
-
-        monkeypatch.setattr(dbr, "outer_function", refuse)
+        # quadrature table: 2.8e-10 and 2.0e-13 measured
         w = Custom(inner.eval_many, singularities=inner.singularities)
         model = build_model(w, grid_for_weight(w, 120, 256), order=64)
         a, b = dbr._one_atom_factors(model.h.coeffs[1].conjugate(), 64)
@@ -483,6 +431,55 @@ class TestOneAtomFactors:
         conj_h1 = model.h.coeffs[1].conjugate()
         assert conj_h1 != p
         assert not np.array_equal(dbr._one_atom_factors(conj_h1, 64)[1].array, b.array)
+
+
+def _polar_spec(kind, radius, k):
+    """A pole of ``kind`` at radius and angle k pi/4, printed as the benchmark prints it."""
+    t = math.pi * k / 4
+
+    def fmt(v):
+        return f"{round(v, 12) + 0.0:.12g}"
+
+    return f"{kind}:{fmt(radius * math.cos(t))},{fmt(radius * math.sin(t))}"
+
+
+_IDENTITY_BATTERY = (
+    [_polar_spec("harm", 1.0, k) for k in range(8)]
+    + [_polar_spec("log", 0.4, k) for k in range(8)]
+    + ["harm:0.6,-0.8", "harm:1,1", "log:0.9,0", "log:0,0", "scaled:2:log:0.4,0"]
+)
+
+
+class TestFactorIdentities:
+    """b = z h a and |a|^2 + |b|^2 = 1 on the circle, read from the coefficients."""
+
+    @pytest.mark.parametrize("order", [64, 256])
+    @pytest.mark.parametrize("spec", _IDENTITY_BATTERY)
+    def test_every_battery_model_meets_both_at_roundoff(self, spec, order):
+        # measured: at most 2.3e-16 at order 64 and 6.0e-14 at 256; no grid is read
+        model = build_model(parse_weight_spec(spec), None, order)
+        assert max(dbr._factor_identities(model)) <= 1e-12
+
+    def test_each_identity_sees_a_defect_the_other_misses(self):
+        model = build_model(LogGreen(0.4), None, 64)
+        eps = 1e-6
+        # a wrong b breaks b = z h a; a common factor on a and b keeps it and
+        # breaks |a|^2 + |b|^2 = 1 at lag 0, by (1 + eps)^2 - 1
+        product, _ = dbr._factor_identities(replace(model, b=model.b.scale(1 + eps)))
+        assert product == pytest.approx(eps * np.max(np.abs(model.b.array)), rel=1e-6)
+        both = replace(model, a=model.a.scale(1 + eps), b=model.b.scale(1 + eps))
+        product, pythagorean = dbr._factor_identities(both)
+        assert product <= 1e-15
+        assert pythagorean == pytest.approx(2 * eps + eps**2, rel=1e-6)
+
+    def test_a_truncation_shows_at_a_low_order(self):
+        # the lag-N coefficient of |a|^2 + |b|^2 is a_N conj(a_0) + b_N conj(b_0) in
+        # the truncated series and 0 in the whole one
+        model = build_model(HarmonicBoundary(1.0), None, 8)
+        a, b = model.a.array, model.b.array
+        tail = abs(a[8] * np.conj(a[0]) + b[8] * np.conj(b[0]))
+        assert tail > 1e-6
+        assert dbr._factor_identities(model)[1] >= tail
 
 
 class TestResolvingLimit:

@@ -772,7 +772,7 @@ class TestDiskMoments:
                 disk_moments(w, coarse_disk_grid, 2)
             else:
                 berezin_transforms(w, [0.3], coarse_disk_grid)
-        assert f"at node {bad!r} (index {index})" in str(err.value)
+        assert f"at node {complex(bad)!r} (index {index})" in str(err.value)
 
     def test_scaled_weight_whose_values_overflow_raises(self, coarse_disk_grid, harm_weight):
         # the matrix, 1e308 times the inner one, can be finite; the values are not
@@ -1018,7 +1018,7 @@ class TestGridPassesKeepNoValues:
                 l1_norm(w, grid)
             else:
                 berezin_transforms(w, [0.3], grid)
-        assert f"at node {nodes[early]!r} (index {early})" in str(err.value)
+        assert f"at node {complex(nodes[early])!r} (index {early})" in str(err.value)
 
     @pytest.mark.parametrize("route", ["disk_moments", "l1_norm"])
     def test_a_singular_node_stops_the_pass_at_its_block(self, route, coarse_disk_grid):

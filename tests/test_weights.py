@@ -305,7 +305,7 @@ class TestCircleMean:
         w = Custom(lambda z: np.where(np.arange(z.size) == 17, np.nan, 1.0))
         with pytest.raises(SingularIntegrandError) as err:
             _circle_mean(w, 0j, 0.1, self.u)
-        assert str(err.value) == f"integrand is not finite at node {self.u[17]!r} (index 17)"
+        assert str(err.value) == f"integrand is not finite at node {complex(self.u[17])!r} (index 17)"
 
 
 class TestSynthesize:
