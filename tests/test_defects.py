@@ -14,10 +14,6 @@ from disklab.cli import parse_args, run
 _WEIGHTS = ("harm:1,0", "log:0.4,0")
 
 
-def _scaled(s: TaylorSeries, eps: float) -> TaylorSeries:
-    return s.scale(1.0 + eps)
-
-
 def _coefficient_scaled(s: TaylorSeries, k: int, eps: float) -> TaylorSeries:
     c = s.array.copy()
     c[k] *= 1.0 + eps
@@ -26,9 +22,9 @@ def _coefficient_scaled(s: TaylorSeries, k: int, eps: float) -> TaylorSeries:
 
 # name -> (a, b) -> (a', b'), applied to every closed-form factor pair
 _FACTOR_DEFECTS = {
-    "b-scaled-1e-5": lambda a, b: (a, _scaled(b, 1e-5)),
-    "a-scaled-1e-5": lambda a, b: (_scaled(a, 1e-5), b),
-    "a-and-b-scaled-1e-5": lambda a, b: (_scaled(a, 1e-5), _scaled(b, 1e-5)),
+    "b-scaled-1e-5": lambda a, b: (a, b.scale(1 + 1e-5)),
+    "a-scaled-1e-5": lambda a, b: (a.scale(1 + 1e-5), b),
+    "a-and-b-scaled-1e-5": lambda a, b: (a.scale(1 + 1e-5), b.scale(1 + 1e-5)),
     "b3-scaled-1e-3": lambda a, b: (a, _coefficient_scaled(b, 3, 1e-3)),
     # modulus 1 on the circle and phi = b/a unchanged: only the Gram sees it
     "common-inner-factor-z": lambda a, b: (a.shift(), b.shift()),
