@@ -39,7 +39,9 @@ from .moments import (
     atoms_table,
     disk_moments,
     factorize,
+    l1_norm,
     measure_moments,
+    normalize,
     point_moments,
     random_non_rank_one_distribution,
     random_rank_one_distribution,
@@ -65,8 +67,6 @@ from .weights import (
     Scaled,
     Weight,
     grid_for_weight,
-    l1_norm,
-    normalize,
     parse_weight_spec,
     superharmonic_test,
     uniform_weight,

@@ -55,6 +55,7 @@ from .moments import (
     atoms_table,
     disk_moments,
     factorize,
+    l1_norm,
     measure_moments,
     point_moments,
     random_non_rank_one_distribution,
@@ -62,11 +63,10 @@ from .moments import (
     tensor_diag_check,
     weak_mult_check,
 )
-from .quadrature import MAX_RING_ORDER
+from .quadrature import MAX_RING_ORDER, integrate
 from .series import TaylorSeries
 from .weights import (
     grid_for_weight,
-    l1_norm,
     parse_weight_spec,
     superharmonic_test,
 )
@@ -352,14 +352,13 @@ def _weight_tensor(ctx: _SuiteContext):
 
 
 def _energy_identity(ctx: _SuiteContext):
-    """The ring-DFT W[0][0], energy(z) on the grid's rule, against the blocked mass.
-
-    Two code routes on one rule; the closed-form energy of a weight with
-    atoms would be a third route, off the rule by the quadrature error.
+    """The ring-DFT W[0][0], energy(z) and ``l1_norm``'s mass, against the
+    blocked ``integrate``: the mass's named cross-check, two code routes on
+    one rule; a weight's closed-form energy would be off the rule.
     """
     ctx.measure_table  # the run's one ring-DFT pass; W[0][0] is its corner
     e = float(disk_moments(ctx.weight, ctx.disk_grid, 0)[0, 0].real)
-    mass = l1_norm(ctx.weight, ctx.disk_grid)
+    mass = integrate(ctx.disk_grid, ctx.weight.eval_many)
     return abs(e - mass), f"energy(z)={e:.9g} vs mass={mass:.9g}"
 
 
@@ -413,6 +412,7 @@ def _h0(ctx: _SuiteContext):
 
 
 def _l1_consistency(ctx: _SuiteContext):
+    ctx.measure_table  # the run's one ring-DFT pass; the mass is its corner
     mass = l1_norm(ctx.model().weight, ctx.disk_grid)
     return abs(mass - 1.0), f"quadrature mass {mass:.8g} vs exact 1"
 

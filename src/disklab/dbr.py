@@ -19,10 +19,10 @@ The table takes one of two routes:
   after unit-mass normalization. Its table is ``atoms_table`` (rank one
   for one atom, h_k = M[0][k], h_0 = 1), read row by row without being
   formed, and its rank test reads the r atoms.
-* Any other weight is normalized by quadrature, its table follows from
-  its measure moments W by expanding the quartic kernel, M[j][k] =
+* Any other weight is normalized by its mass W[0][0], its table follows
+  from its measure moments W by expanding the quartic kernel, M[j][k] =
   (j+1)(k+1) W[j][k] - j k W[j-1][k-1], and one SVD decides whether the
-  table is rank one.
+  table is rank one; its h continues h_1 geometrically, as one atom's does.
 
 The factors take one route. By the classification a table that passes
 the rank test belongs to one atom p = conj(h_1), so a = (1 - conj(p) z)/
@@ -51,10 +51,10 @@ from .errors import (
     NotDbrWeightError,
     SingularIntegrandError,
 )
-from .moments import MomentTable, _atom_rows, disk_moments
+from .moments import MomentTable, _atom_rows, _unit_scale, disk_moments, normalize
 from .quadrature import MAX_RING_ORDER, NODE_BLOCK, DiskGrid
 from .series import TaylorSeries, geometric_series
-from .weights import Scaled, Weight, _unit_scale, normalize
+from .weights import Scaled, Weight
 
 _H0_TOL = 1e-6
 _RANK_TOL = 1e-6
@@ -403,10 +403,10 @@ def build_model(
     whole, so normalization is exact and h_0 = 1 to roundoff, and its rank
     test reads sigma2/sigma1 from the r atoms (``atoms_singular_values``),
     with no SVD of the (order+1)^2 table. A
-    weight without atoms is normalized by quadrature on ``disk_grid`` (None
-    will do otherwise) and its rank test is one SVD of the 9 x 9 table of
-    its measure moments (``moment_table_from_berezin``); its h is padded
-    with zeros to ``order``.
+    weight without atoms is normalized by W[0][0] of one order-8 ring pass
+    on ``disk_grid`` (None will do otherwise), and its rank test is one SVD
+    of the 9 x 9 table of its measure moments (``moment_table_from_berezin``);
+    its h is h_1^k to ``order``, and ``h0_deviation`` reads the table's h_0.
 
     The factors have one route. By the classification a table that passes
     the rank test belongs to one atom p = conj(h_1) (h_1 = sum m conj(p)),
@@ -425,12 +425,11 @@ def build_model(
     else:
         if disk_grid is None:
             raise DomainError(f"{weight.label} has no known atoms: its model needs a grid")
+        disk_moments(weight, disk_grid, 8)  # the one ring pass; the mass is its corner
         norm_weight = normalize(weight, disk_grid)
-        table = moment_table_from_berezin(norm_weight, disk_grid, order=8)
-        fac = factor_table(table, residual_tol=1e-4)
-        h = fac.h
-        if h.order < order:
-            h = TaylorSeries(tuple(h.coeffs) + (0j,) * (order - h.order))
+        fac = factor_table(moment_table_from_berezin(norm_weight, disk_grid, order=8),
+                           residual_tol=1e-4)
+        h = geometric_series(fac.h.coeffs[1], order)  # the one atom's own series
     one_atom = unit is not None and len(norm_atoms) == 1
     a, b = _one_atom_factors(norm_atoms[0][0] if one_atom else h.coeffs[1].conjugate(),
                              order)
@@ -441,7 +440,7 @@ def build_model(
     diagnostics = {
         "rank_ratio": fac.rank_ratio,
         "factor_residual": fac.residual,
-        "h0_deviation": abs(h.coeffs[0] - 1.0),
+        "h0_deviation": abs(fac.h.coeffs[0] - 1.0),
         "b_max_sample": max(b_samples),
         "a0": a.coeffs[0].real,
     }

@@ -26,6 +26,9 @@ denominator, so exact arithmetic runs on Gaussian integers with no
 per-operation gcd reduction. ``point_moments``, ``factorize`` and both
 checks are the same array sweeps on either kind; ``GaussianRational``,
 which has no arithmetic, is the exact type of inputs and of the views.
+
+A weight's moment matrix W on a grid (``disk_moments``) is one ring pass,
+kept per weight and grid; its corner W[0][0] is the mass (``l1_norm``).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    DegenerateWeightError,
     DomainError,
     InconsistentTableError,
     NotWeaklyMultiplicativeError,
@@ -441,6 +445,34 @@ def _value_range(w: Weight, grid: DiskGrid) -> tuple[float, float]:
         lo, hi = _value_range(w.inner, grid)
         return w.c * lo, w.c * hi
     return _on_grid(w, grid).value_range
+
+
+def l1_norm(w: Weight, grid: DiskGrid) -> float:
+    """Mass of the weight against normalized area measure on the grid's rule:
+    the corner W[0][0] of ``disk_moments``, read from the kept W, or from an
+    order-0 ring pass when none is kept. A ``Scaled`` weight's mass is its
+    factor times its inner weight's, with no pass of its own."""
+    return float(disk_moments(w, grid, 0)[0, 0].real)
+
+
+def normalize(w: Weight, grid: DiskGrid) -> Scaled:
+    """Rescale to unit mass; degenerate (zero) weights are rejected, and so
+    is a mass with no finite reciprocal."""
+    mass = l1_norm(w, grid)
+    if mass <= 0.0:
+        raise DegenerateWeightError(f"weight {w.label} has nonpositive mass {mass}")
+    return Scaled(_unit_scale(mass), w)
+
+
+def _unit_scale(mass: float) -> float:
+    """1 / mass for a positive mass, or DegenerateWeightError when it is not
+    positive and finite (a subnormal mass, say, whose reciprocal overflows)."""
+    scale = 1.0 / mass
+    if not 0.0 < scale < math.inf:
+        raise DegenerateWeightError(
+            f"mass {mass:g} has no finite reciprocal, so the weight cannot be normalized"
+        )
+    return scale
 
 
 def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tuple[float, float]]:

@@ -27,9 +27,9 @@ reductions use numpy's pairwise summation on that fixed order, per block
 of ``NODE_BLOCK`` nodes with the block sums added in order. The reduction
 is not threaded, so results are bit-reproducible across runs and thread
 counts. A grid keeps only a ring table (radius, node weight and node
-count per ring). Integration and a weight's mass form its nodes and weights
-in blocks of the fixed ``NODE_BLOCK`` nodes, bit-identical to slices of
-the whole rule, one block at a time in node order (``_disk_blocks``).
+count per ring). Integration forms its nodes and weights in blocks of the
+fixed ``NODE_BLOCK`` nodes, bit-identical to slices of the whole rule, one
+block at a time in node order (``_disk_blocks``).
 The moment matrix works ring by ring, each ring's DFT in columns of at
 most ``NODE_BLOCK`` nodes (``_circle_sums``) whose nodes are formed from
 their ring indices (``_column_angles``), bit-identical too. Each pass

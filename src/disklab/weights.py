@@ -17,6 +17,8 @@ subclasses:
 ``Scaled`` multiplies any weight by a positive constant (and its atoms'
 masses alike), and ``Custom`` wraps an arbitrary pointwise function
 together with its singular points; its charge is unknown (``atoms`` None).
+Its mass is its ring pass's W[0][0]: ``l1_norm`` and ``normalize`` live
+in ``moments`` beside ``disk_moments``; ``_on_grid`` keeps what it derives.
 
 Superharmonicity is tested directly through the defining circle-mean
 inequality on one fixed lattice of 10 centers and 5 radii
@@ -32,15 +34,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateWeightError,
     DomainError,
     SingularIntegrandError,
     SingularPointError,
     WeightSpecError,
 )
-from .quadrature import (
-    NODE_BLOCK, DiskGrid, _check_finite, _ring_angles, integrate, make_disk_grid,
-)
+from .quadrature import NODE_BLOCK, DiskGrid, _check_finite, _ring_angles, make_disk_grid
 
 _UNIMODULAR_TOL = 1e-12
 _UNIT_ROUNDOFF = 4 * 2.0**-52  # |z/|z|| lies within one ulp of 1
@@ -221,8 +220,8 @@ class Custom(Weight):
 
     On a disk grid the function gets a 1-D complex array of at most
     ``NODE_BLOCK`` nodes per call; one that takes no arrays is called node
-    by node. No node value is kept, so every pass over a grid (the ring
-    pass of the moment matrix, the mass) calls it again.
+    by node. No node value is kept, so every ring pass over a grid calls it
+    again; the mass is the corner of the pass's moment matrix.
     """
 
     def __init__(
@@ -261,12 +260,12 @@ def uniform_weight() -> Custom:
 
 @dataclass
 class _GridData:
-    """What is derived from one weight on one grid, all of it small: its mass,
-    its least and largest node value, and the largest moment matrix W asked
-    of ``disk_moments`` so far, which its Berezin values read. No node value
-    is kept: each pass evaluates the weight on the nodes it forms."""
+    """What is derived from one weight on one grid, all of it small: its least
+    and largest node value and the largest moment matrix W asked of
+    ``disk_moments`` so far, whose corner W[0][0] is its mass and from which
+    its Berezin values are read. No node value is kept: the ring pass
+    evaluates the weight on the nodes it forms."""
 
-    mass: Optional[float] = None
     value_range: Optional[tuple[float, float]] = None
     W: Optional[np.ndarray] = None
 
@@ -282,38 +281,6 @@ def _on_grid(w: Weight, grid: DiskGrid) -> _GridData:
     if data is None:
         data = records[grid] = _GridData()
     return data
-
-
-def l1_norm(w: Weight, grid: DiskGrid) -> float:
-    """Mass of the weight against normalized area measure, by quadrature:
-    ``integrate`` of ``w.eval_many`` over the grid, one pass in node order
-    that raises the error of its first non-finite value or singular point.
-    The mass is kept on the weight per grid, so a second call reads it.
-    """
-    data = _on_grid(w, grid)
-    if data.mass is None:
-        data.mass = integrate(grid, w.eval_many)
-    return data.mass
-
-
-def normalize(w: Weight, grid: DiskGrid) -> Scaled:
-    """Rescale to unit mass; degenerate (zero) weights are rejected, and so
-    is a mass with no finite reciprocal."""
-    mass = l1_norm(w, grid)
-    if mass <= 0.0:
-        raise DegenerateWeightError(f"weight {w.label} has nonpositive mass {mass}")
-    return Scaled(_unit_scale(mass), w)
-
-
-def _unit_scale(mass: float) -> float:
-    """1 / mass for a positive mass, or DegenerateWeightError when it is not
-    positive and finite (a subnormal mass, say, whose reciprocal overflows)."""
-    scale = 1.0 / mass
-    if not 0.0 < scale < math.inf:
-        raise DegenerateWeightError(
-            f"mass {mass:g} has no finite reciprocal, so the weight cannot be normalized"
-        )
-    return scale
 
 
 #: The lattice of ``superharmonic_test``: circles of each radius about each

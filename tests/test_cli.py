@@ -499,20 +499,24 @@ class TestRun:
         points = cli._h_identity_points(1.0)
         assert passes == ([63] if spec == "uniform"
                           else [max(dbr._berezin_order(v) for v in points)])
-        # two grids: the ring pass and the mass; the rest is the lattice's circles
+        # two grids: the ring pass and the mass's blocked cross-check; the
+        # rest is the lattice's circles
         size = cli._SuiteContext(config).disk_grid.size
         assert 0 <= sum(evaluated) - 2 * size < 2**14
 
     def test_weights_info_reads_each_grid_once(self, monkeypatch, capsys):
-        from disklab import weights
+        from disklab import cli, moments, weights
 
-        evaluated, integrated = [], []
+        evaluated, integrated, passes = [], [], []
         evaluate = weights.Weight.eval_many
         monkeypatch.setattr(weights.Weight, "eval_many",
                             lambda w, z: evaluated.append(np.size(z)) or evaluate(w, z))
-        integrate = weights.integrate
-        monkeypatch.setattr(weights, "integrate",
-                            lambda grid, f: integrated.append(grid.size) or integrate(grid, f))
+        for module in (moments, cli):  # the modules that bind integrate
+            monkeypatch.setattr(module, "integrate",
+                                lambda grid, f: integrated.append(grid.size))
+        ring = moments._ring_moments
+        monkeypatch.setattr(moments, "_ring_moments", lambda w, grid, order:
+                            passes.append((grid.size, order)) or ring(w, grid, order))
         assert main(["weights", "info", "--weight", "harm:1,0"]) == 0
         capsys.readouterr()
         w = parse_weight_spec("harm:1,0")
@@ -523,10 +527,11 @@ class TestRun:
         centers, radii = weights._LATTICE_CENTERS, weights._LATTICE_RADII
         lattice = len(centers) * len(radii) * 256 + len(centers)
         assert sum(evaluated) == coarse + fine + lattice
-        assert integrated == [fine, coarse]  # one integrate per disk grid
+        # one order-0 ring pass per disk grid, whose W[0][0] is the mass
+        assert passes == [(fine, 0), (coarse, 0)] and integrated == []
 
     def test_isometry_suite_on_a_log_pole_reads_no_grid_values(self, monkeypatch):
-        from disklab import moments, quadrature, weights
+        from disklab import cli, moments, quadrature
 
         calls = []
 
@@ -541,12 +546,36 @@ class TestRun:
             return quadrature.integrate(grid, f)
 
         counting(moments, "_ring_moments")
-        for module in (moments, weights):  # the modules that bind integrate
+        for module in (moments, cli):  # the modules that bind integrate
             monkeypatch.setattr(module, "integrate", disk_integrate)
         report, code = run(parse_args(["verify", "--suite", "isometry", "--weight",
                                        "log:0.4,0", "--series-order", "256"]))
         assert code == 0, [c for c in report.checks if not c.passed]
         assert calls == []
+
+    def test_each_command_makes_one_ring_pass_per_weight_and_grid(self, monkeypatch,
+                                                                   capsys):
+        from disklab import cli, moments, quadrature
+
+        passes, integrated = [], []
+        ring, integrate = moments._ring_moments, quadrature.integrate
+        monkeypatch.setattr(moments, "_ring_moments", lambda w, grid, order:
+                            passes.append((w, grid)) or ring(w, grid, order))
+        for module in (quadrature, moments, cli):  # the modules that bind integrate
+            monkeypatch.setattr(module, "integrate", lambda grid, f:
+                                integrated.append(grid) or integrate(grid, f))
+        for argv in _pass_guard_lines():
+            passes.clear()
+            integrated.clear()
+            assert main(argv) in (0, 1), argv
+            out = capsys.readouterr().out
+            rows = ([c["name"] for c in json.loads(out)["checks"]]
+                    if argv[0] == "verify" else [])
+            # the weight objects stay referenced, so their ids are not reused
+            keys = [(id(w), grid) for w, grid in passes]
+            assert len(keys) == len(set(keys)), argv
+            # the blocked sum is the mass's cross-check and nothing else
+            assert len(integrated) == rows.count("energy-of-identity-vs-mass"), argv
 
     def test_dbr_build_on_atomic_weight_builds_no_disk_grid(self, monkeypatch, tmp_path):
         from disklab import weights
@@ -587,6 +616,22 @@ class TestRun:
                                        "--weight", "log:0,0"]))
         assert code == 0, [c for c in report.checks if not c.passed]
         assert len(report.checks) == 20
+
+
+def _pass_guard_lines() -> list[list[str]]:
+    """The command lines whose grid passes the pass-count guard counts:
+    ``verify --suite all`` on the catalog, the benchmark's ``kernel-log``
+    lines at seeds 0-7, ``dbr build`` of a weight without atoms and
+    ``weights info``."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    catalog = ("harm:1,0", "harm:0.6,-0.8", "uniform", "log:0.4,0", "log:0.9,0",
+               "scaled:2:log:0.4,0")
+    return ([["verify", "--suite", "all", "--weight", s] for s in catalog]
+            + [argv for seed in range(8) for argv in bench.invocations("kernel-log", seed)]
+            + [["dbr", "build", "--weight", "uniform"], ["weights", "info"]])
 
 
 def _falsification(spec):
@@ -869,8 +914,10 @@ class TestFiniteOutput:
                 assert rows["weight-table-tensor"]["detail"].startswith("value nan is not finite")
 
     @pytest.mark.parametrize("argv, error", [
+        # the mass is the factor times the inner weight's W[0][0], whose pass
+        # met values that overflow once scaled
         (["weights", "info"],
-         r"error: integrand is not finite at node \([-+.e\d]+j\) \(index \d+\)"),
+         r"error: values of scaled:1e\+308:harm:1,0 are not finite on the grid"),
         (["moments", "--route", "measure"],
          r"error: values of scaled:1e\+308:harm:1,0 are not finite on the grid"),
         (["moments"], r"error: the moment checks of scaled:1e308:harm:1,0 overflow"),
@@ -957,6 +1004,9 @@ class TestFiniteOutput:
 # to 7.3e-15, and on log:0.4,0 from 2.4e-12 to 1.4e-15. outer-consistency reads
 # the model's own a and b by two exact identities: on harm:1,0 it went from the
 # FFT fit's 1.46e-4 under 1e-2 to 2.6e-14 (the order-32 truncation) under 1e-6.
+# l1-quadrature-consistency reads the mass as W[0][0] of the ring pass, not as
+# the blocked sum: 3.2544312800197872e-09 -> 3.2544313910420897e-09 on harm:1,0
+# and 4.477640480615719e-12 -> 4.477973547523106e-12 on log:0.4,0.
 _VERIFY_ALL_PINS = {
     "harm:1,0": (1, [
         ("moments", "point-forward-exact", "03bb7cfe6540", 0.0, 0.0, True),
@@ -971,7 +1021,7 @@ _VERIFY_ALL_PINS = {
         ("dirichlet", "dilation-monotone", "2de4167e7c90", 0.0, 1e-08, True),
         ("dbr", "model-build", "b58d67dc1c77", 0.0, None, True),
         ("dbr", "h0-normalization", "92de75aa3bc4", 0.0, 1e-06, True),
-        ("dbr", "l1-quadrature-consistency", "ed68b6c80675", 3.2544312800197872e-09, 0.0001, True),
+        ("dbr", "l1-quadrature-consistency", "ed68b6c80675", 3.2544313910420897e-09, 0.0001, True),
         ("dbr", "h-identity", "3be6d69ed383", 0.005648811164149947, 0.0001, False),
         ("dbr", "laplacian-identity", "94973ced2a1d", 1.8151844815849986e-07, 1e-05, True),
         ("dbr", "phi-consistency", "f277c2ca4054", 0.00043377656795939856, 0.0001, False),
@@ -993,7 +1043,7 @@ _VERIFY_ALL_PINS = {
         ("dirichlet", "dilation-monotone", "8beeaebb41a5", 0.0, None, True),
         ("dbr", "model-build", "15dad18eef25", 0.0, None, True),
         ("dbr", "h0-normalization", "ef6a79ff1c0f", 0.0, 1e-06, True),
-        ("dbr", "l1-quadrature-consistency", "1af894e3883c", 4.477640480615719e-12, 0.0001, True),
+        ("dbr", "l1-quadrature-consistency", "1af894e3883c", 4.477973547523106e-12, 0.0001, True),
         ("dbr", "h-identity", "b8a9a74a3c71", 8.708145315949878e-12, 0.0001, True),
         ("dbr", "laplacian-identity", "f5267eb14b2e", 1.8151844815849986e-07, 1e-05, True),
         ("dbr", "phi-consistency", "caaecdfcd4bb", 4.107270079600767e-12, 0.0001, True),

@@ -420,6 +420,24 @@ class TestOneAtomFactors:
         assert np.array_equal(model.a.array, a.array) and np.array_equal(model.b.array, b.array)
         assert np.max(np.abs(model.b.array - dbr._one_atom_factors(p, 64)[1].array)) <= bound
 
+    @pytest.mark.parametrize("spec", ["harm:1,0", "harm:0.6,-0.8", "log:0.4,0", "log:0.9,0"])
+    def test_weight_without_atoms_meets_its_own_factor_identities(self, spec):
+        # h is the one atom's geometric series in h_1, so b = z h a holds past
+        # the order-8 table: h padded with zeros read 0.618 on both harmonic
+        # poles, 1.8e-4 on log:0.4,0 and 0.246 on log:0.9,0, at 64 and 256
+        inner = parse_weight_spec(spec)
+        w = Custom(inner.eval_many, singularities=inner.singularities)
+        grid = grid_for_weight(w, 120, 256)
+        for order in (64, 256):
+            model = build_model(w, grid, order=order)
+            h1 = model.h.coeffs[1]
+            assert np.array_equal(model.h.array, geometric_series(h1, order).array)
+            assert max(dbr._factor_identities(model)) <= 1e-12
+            # h0_deviation still reads the quadrature table's h_0
+            table = moment_table_from_berezin(model.weight, grid, order=8)
+            h0 = dbr.factor_table(table, 1e-4).h.coeffs[0]
+            assert model.diagnostics["h0_deviation"] == abs(h0 - 1.0)
+
     def test_one_atom_takes_its_own_point_bit_for_bit(self):
         # the unit-mass atom of log:-0.283,-0.283 weighs 0.9999999999999999, so
         # conj(h_1) = conj(m conj(p)) is not p, and neither are its factors

@@ -8,7 +8,7 @@ against the unpatched run of the same weight.
 
 import pytest
 
-from disklab import TaylorSeries, dbr
+from disklab import TaylorSeries, cli, dbr, moments, quadrature
 from disklab.cli import parse_args, run
 
 _WEIGHTS = ("harm:1,0", "log:0.4,0")
@@ -66,3 +66,40 @@ def test_a_factor_defect_flips_exactly_its_rows(defect, spec, clean_verdicts, mo
     flipped = {name for name, ok in verdicts.items() if ok != clean_verdicts[spec][name]}
     assert flipped == _FLIPS[defect]
 
+
+def _scaled_W(W, value_range):
+    return W * (1 + 1e-7), value_range
+
+
+# name -> (defining module, function name, real -> planted): the planted
+# function replaces the real one in every module that binds the name
+_MASS_DEFECTS = {
+    # the mass l1_norm reads, and every moment the ring pass gives
+    "ring-pass-W-scaled-1e-7": (moments, "_ring_moments", lambda real:
+                                lambda w, grid, order: _scaled_W(*real(w, grid, order))),
+    # the blocked sum, which only the mass's cross-check reads
+    "integrate-scaled-1e-7": (quadrature, "integrate", lambda real:
+                              lambda grid, f: real(grid, f) * (1 + 1e-7)),
+}
+
+# the rows each mass defect flips, on every weight of _WEIGHTS: the cross-check
+# alone, at 4.2e-8 to 1.0e-7 against 1e-9; l1-quadrature-consistency reads
+# 9.8e-8 to 1.0e-7 under the ring defect, inside its 1e-4
+_MASS_FLIPS = {
+    "ring-pass-W-scaled-1e-7": {"energy-of-identity-vs-mass"},
+    "integrate-scaled-1e-7": {"energy-of-identity-vs-mass"},
+}
+
+
+@pytest.mark.parametrize("spec", _WEIGHTS)
+@pytest.mark.parametrize("defect", _MASS_DEFECTS)
+def test_a_mass_defect_flips_exactly_its_rows(defect, spec, clean_verdicts, monkeypatch):
+    home, attr, plant = _MASS_DEFECTS[defect]
+    planted = plant(getattr(home, attr))
+    for module in (quadrature, moments, cli):
+        if hasattr(module, attr):
+            monkeypatch.setattr(module, attr, planted)
+    verdicts = _verdicts(spec)
+    assert list(verdicts) == list(clean_verdicts[spec])
+    flipped = {name for name, ok in verdicts.items() if ok != clean_verdicts[spec][name]}
+    assert flipped == _MASS_FLIPS[defect]

@@ -29,6 +29,7 @@ from disklab import (
     disk_moments,
     factorize,
     grid_for_weight,
+    integrate,
     make_disk_grid,
     measure_moments,
     point_moments,
@@ -739,8 +740,8 @@ class TestDiskMoments:
         assert moments._on_grid(w, first) is moments._on_grid(w, second)
         W = disk_moments(w, first, 4)
         assert disk_moments(w, second, 4).base is W  # a view of the kept matrix
-        assert l1_norm(w, first) == l1_norm(w, second)
-        assert _passes(calls, first) == 2  # the ring pass and the mass pass
+        assert l1_norm(w, first) == l1_norm(w, second) == W[0, 0].real
+        assert _passes(calls, first) == 1  # the ring pass; the mass is its corner
 
     def test_record_keeps_only_small_results(self, coarse_disk_grid):
         calls = []
@@ -749,11 +750,12 @@ class TestDiskMoments:
         assert l1_norm(w, coarse_disk_grid) == pytest.approx(1.0, abs=1e-12)
         assert l1_norm(w, coarse_disk_grid) == l1_norm(w, coarse_disk_grid)
         disk_moments(w, coarse_disk_grid, 3)
-        assert _passes(calls, coarse_disk_grid) == 2  # the ring pass and the mass pass
+        assert _passes(calls, coarse_disk_grid) == 1  # the ring pass; the mass is its corner
         record = moments._on_grid(w, coarse_disk_grid)
-        assert isinstance(record.mass, float) and record.value_range == (1.0, 1.0)
+        assert record.value_range == (1.0, 1.0)
         assert record.W.shape == (5, 5)
-        assert not hasattr(record, "values")
+        assert l1_norm(w, coarse_disk_grid) == record.W[0, 0].real
+        assert set(vars(record)) == {"value_range", "W"}  # no mass, no values
 
     def test_non_finite_weight_raises(self, coarse_disk_grid):
         bad = coarse_disk_grid.nodes[7]
@@ -990,7 +992,9 @@ class TestGridPassesKeepNoValues:
         W = (w.c * kept_moments(kept_values(w.inner, grid), grid, max(orders))
              if which == "scaled" else kept_moments(vals, grid, max(orders)))
         assert np.array_equal(disk_moments(w, grid, 63), W[:64, :64])
-        assert l1_norm(w, grid) == kept_mass(vals, grid)
+        assert l1_norm(w, grid) == W[0, 0].real
+        # the blocked sum, the mass's cross-check, keeps its own reference
+        assert integrate(grid, w.eval_many) == kept_mass(vals, grid)
         got = berezin_transforms(w, points, grid)
         assert np.array_equal(got, expanded_berezin(W, points, orders))
         # the direct kernel sum agrees within the tail bound (half an eps)

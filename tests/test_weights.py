@@ -19,6 +19,7 @@ from disklab import (
     SingularPointError,
     WeightSpecError,
     grid_for_weight,
+    integrate,
     l1_norm,
     normalize,
     parse_weight_spec,
@@ -30,7 +31,7 @@ from disklab.weights import (
     _LATTICE_CENTERS, _LATTICE_RADII, _circle_mean, _interior, _on_circle,
 )
 
-from reference import disk_grid_size
+from reference import disk_grid_size, kept_moments, kept_values
 
 
 class TestEval:
@@ -202,23 +203,28 @@ class TestMass:
             assert l1_norm(w, grid) == pytest.approx(w.analytic_mass, abs=2e-6)
 
     def test_mass_is_evaluated_in_node_blocks(self, disk_grid):
-        # the harm:1,0 grid; the mass keeps no node value (8 * 290,926 bytes
-        # would be 2.2 MiB) and forms its nodes a few blocks at a time
+        # the harm:1,0 grid; the mass is W[0][0] of one ring pass, which keeps
+        # no node value (8 * 290,926 bytes would be 2.2 MiB) and forms its
+        # nodes a column chunk at a time
         assert disk_grid.size == 290_926
-        w = HarmonicBoundary(1.0)  # a fresh object: no mass memoised yet
+        w = HarmonicBoundary(1.0)  # a fresh object: no W kept yet
         tracemalloc.start()
         try:
             mass = l1_norm(w, disk_grid)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            again = l1_norm(w, disk_grid)  # reads the kept mass, forms no node
+            again = l1_norm(w, disk_grid)  # reads the kept W, forms no node
             repeat = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert peak < 2**20
         assert repeat < 2**17
-        assert mass == again == 0.9999999982524391  # the whole-array evaluation's sum
+        # bit for bit the kept-values reference's W[0][0]
+        assert mass == again == kept_moments(kept_values(w, disk_grid), disk_grid, 0)[0, 0].real
+        assert mass == 0.9999999982524388
+        # the blocked sum, the mass's cross-check: the whole-array evaluation's sum
+        assert integrate(disk_grid, w.eval_many) == 0.9999999982524391
 
 
 class TestSuperharmonic:
