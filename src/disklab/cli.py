@@ -422,7 +422,19 @@ def _h_identity(ctx: _SuiteContext):
     report = dbr_mod.verify_h_identity(
         model.weight, model.h, _h_identity_points(ctx.direction), ctx.disk_grid
     )
-    return report.worst_error, f"worst point {report.worst_point:.4f}"
+    detail = f"worst point {report.worst_point:.4f}"
+    return report.worst_error, detail + _truncation_note(
+        ctx, "h_identity", report.worst_error, model.h, report.worst_point)
+
+
+def _truncation_note(ctx: _SuiteContext, tol: str, value: float, h: TaylorSeries,
+                     v: complex) -> str:
+    """The series order and the last kept term |h_N v^N| at the worst point v,
+    for a failing row that compares with the truncated h, whose tail is the
+    error at a low series order; empty for a passing row."""
+    if value <= ctx.config.tols[tol]:
+        return ""
+    return f"; series order {h.order}, |h_N v^N| = {abs(h.array[-1] * v ** h.order):.3g} there"
 
 
 def _laplacian(ctx: _SuiteContext):
@@ -438,15 +450,18 @@ def _laplacian(ctx: _SuiteContext):
 def _phi_consistency(ctx: _SuiteContext):
     """|phi(v)|^2 = |v|^2 B(w)(v) / (1 - |v|^2) against the series phi = z h."""
     model = ctx.model()
-    worst = 0.0
+    worst, worst_pt = 0.0, 0j
     phi = model.h.shift()
     points = _h_identity_points(ctx.direction, count=10)
     berezin = dbr_mod.berezin_transforms(model.weight, points, ctx.disk_grid)
     for v, b in zip(points, berezin.tolist()):
         r2 = abs(complex(v)) ** 2
         direct = r2 * b / (1.0 - r2)
-        worst = max(worst, abs(direct - abs(phi.evaluate(v)) ** 2))
-    return worst, "integral route vs series route"
+        err = abs(direct - abs(phi.evaluate(v)) ** 2)
+        if err > worst:
+            worst, worst_pt = err, complex(v)
+    note = _truncation_note(ctx, "phi_consistency", worst, model.h, worst_pt)
+    return worst, "integral route vs series route" + (note and f", worst point {worst_pt:.4f}{note}")
 
 
 def _b_contraction(ctx: _SuiteContext):

@@ -49,7 +49,7 @@ from .errors import (
     SingularIntegrandError,
     SingularPointError,
 )
-from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _circle_sums, _ring_angles, integrate
+from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _circle_sums, _node_moduli, integrate
 from .weights import Scaled, Weight, _on_grid
 
 _C00_SNAP_TOL = 1e-9
@@ -489,7 +489,6 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
     g_re, g_im = W.real, W.imag  # G accumulates in W's own entries
     buf = np.empty((order + 1, order + 1))
     lo, hi = math.inf, -math.inf
-    unit_first = {m: _ring_angles(m, 0.5, 0, 1)[0] for m in set(grid.ring_counts)}
 
     def values(u, r):
         nonlocal lo, hi
@@ -501,13 +500,14 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
         lo, hi = min(lo, x_lo), max(hi, x_hi)
         return x
 
-    for r, weight, m in zip(grid.ring_radii, grid.ring_weights, grid.ring_counts):
+    rings = zip(grid.ring_radii, _node_moduli(grid), grid.ring_weights, grid.ring_counts)
+    for r, modulus, weight, m in rings:
         try:
             S = _circle_sums(m, order, lambda u: values(u, r))
         except (SingularIntegrandError, SingularPointError):
             integrate(grid, w.eval_many)
             raise
-        rp = abs(r * unit_first[m]) ** n  # |the ring's first node|
+        rp = modulus ** n
         S *= rp
         ring = weight * rp * rp
         np.multiply.outer(ring, S.real, out=buf)

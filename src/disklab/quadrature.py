@@ -32,13 +32,14 @@ fixed ``NODE_BLOCK`` nodes, bit-identical to slices of the whole rule, one
 block at a time in node order (``_disk_blocks``).
 The moment matrix works ring by ring, each ring's DFT in columns of at
 most ``NODE_BLOCK`` nodes (``_circle_sums``) whose nodes are formed from
-their ring indices (``_column_angles``), bit-identical too. Each pass
-evaluates its integrand or weight on the nodes it forms and keeps no
-value, so no array is node-sized, kept or temporary; a blocked reduction
-adds its block sums in node order. Unit nodes of a ring
-(``_ring_angles``) with an even node count are built antipodally (second
-half is the exact negation of the first), so full period sums of odd
-integrands cancel exactly, and ``_column_angles`` takes one complex exp
+their ring indices, bit-identical too. Each pass evaluates its integrand
+or weight on the nodes it forms and keeps no value, so no array is
+node-sized, kept or temporary; a blocked reduction adds its block sums in
+node order. Every grid and lattice node comes from one formula,
+``_unit_nodes``, which gives a node index the same bits in any array: a
+ring with an even node count is built antipodally (second half is the
+exact negation of the first), so full period sums of odd integrands
+cancel exactly, and a column chunk of even length takes one complex exp
 per antipodal pair of nodes.
 """
 
@@ -110,38 +111,38 @@ class DiskGrid:
         return np.concatenate([wts for _, _, wts in _disk_blocks(self, nodes=False)])
 
 
-def _ring_angles(count: int, offset: float, lo: int = 0, hi: int | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Unit-modulus nodes j = lo..hi-1 (all by default) at angles 2 pi (j + offset) / count.
+def _unit_nodes(count: int, t: np.ndarray, offset: float = 0.5) -> np.ndarray:
+    """Unit nodes exp(2 pi i (t + offset) / count) of an array t of indices in
+    [0, count), of any shape, as a new complex array of its shape: the one
+    node formula of every grid and lattice.
 
-    For even counts the second half is the exact negation of the first,
-    which makes full-period sums of odd powers cancel without roundoff.
-    Node j has the same bits whatever range it is formed in. ``out``, if
-    given, receives the nodes.
+    For an even count, node t >= count/2 is the exact negation of node
+    t - count/2, so full-period sums of odd powers cancel without roundoff;
+    and a node has the same bits in whatever array it is formed.
+    The angle of x = t + offset is formed in real arithmetic with the bits of
+    ``np.exp(2j * np.pi * x / count)``: that quotient is 0 + i (2 pi x)(1 / count),
+    since numpy divides a complex array by a real as a product with its
+    reciprocal.
     """
-    hi = count if hi is None else hi
-    half = count if count % 2 else count // 2
-    u = np.empty(hi - lo, dtype=complex) if out is None else out
-    k = max(0, min(hi, half) - lo)  # nodes in the first half
-    if k:
-        _unit_exp(np.arange(lo, lo + k) + offset, count, u[:k])
-    if k < u.size:
-        second = u[k:]
-        _unit_exp(np.arange(max(lo, half) - half, hi - half) + offset, count, second)
-        np.negative(second, out=second)
+    half = count // 2 if count % 2 == 0 else count
+    second = t >= half
+    flip = bool(second.any())  # no mask-and-negate pass when no index reaches it
+    u = np.zeros(second.shape, dtype=complex)
+    x = u.imag  # the angle, formed in place
+    np.add(t - half * second if flip else t, offset, out=x)
+    x *= 2 * np.pi
+    x *= 1.0 / count
+    np.exp(u, out=u)
+    if flip:
+        np.negative(u, out=u, where=second)
     return u
 
 
-def _unit_exp(x: np.ndarray, count: int, out: np.ndarray) -> None:
-    """exp(2 pi i x / count) into out, overwriting x, with the bits of
-    ``np.exp(2j * np.pi * x / count)``: that quotient is 0 + i (2 pi x)(1 / count),
-    since numpy divides a complex array by a real as a product with its
-    reciprocal, so the angle is formed in real arithmetic."""
-    x *= 2 * np.pi
-    x *= 1.0 / count
-    out.real = 0.0
-    out.imag = x
-    np.exp(out, out=out)
+def _node_moduli(grid: DiskGrid) -> list[float]:
+    """|r u_0| of each ring: the modulus of its nodes as ``_unit_nodes`` forms
+    them, which may differ from the radius r in the last bit."""
+    first = {m: _unit_nodes(m, np.zeros(1, dtype=int))[0] for m in set(grid.ring_counts)}
+    return [abs(r * first[m]) for r, m in zip(grid.ring_radii, grid.ring_counts)]
 
 
 #: Newton steps of the Gauss-Legendre rule: from the asymptotic start it
@@ -333,7 +334,7 @@ def _circle_sums(m: int, order: int, values: Callable[[np.ndarray], np.ndarray])
     the real DFT F of column b of x as an (L, q) array: conj(F[d mod L]),
     or F[L - d mod L] past L/2. The columns come ``NODE_BLOCK // L`` at a
     time: ``values`` maps the (L, k) array of their unit nodes
-    (``_column_angles``, a new array it may overwrite) to the (L, k) array
+    (``_unit_nodes``, a new array it may overwrite) to the (L, k) array
     of x there, and the chunk goes through ``rfft``; the twiddles u_b^d = exp(i pi (d (2b + 1) mod 2m) / m)
     come from exact angles, and the terms are added in column order. A ring
     of at most ``NODE_BLOCK`` nodes is one column, its whole DFT.
@@ -343,10 +344,16 @@ def _circle_sums(m: int, order: int, values: Callable[[np.ndarray], np.ndarray])
     idx = d % split
     half, conj = np.minimum(idx, split - idx), idx <= split // 2
     step, width = max(1, NODE_BLOCK // split), m // split
+    # with an even split, row a + split/2 is node t + m/2, the exact negation
+    # of row a: only the top rows take a complex exp (all rows of an odd split)
+    rows = split // 2 if split % 2 == 0 else split
     S = np.zeros(order + 1, dtype=complex)
     for lo in range(0, width, step):
         hi = min(lo + step, width)
-        F = np.fft.rfft(values(_column_angles(m, split, lo, hi)), axis=0)
+        u = np.empty((split, hi - lo), dtype=complex)
+        u[:rows] = _unit_nodes(m, np.arange(rows)[:, None] * width + np.arange(lo, hi))
+        np.negative(u[: split - rows], out=u[rows:])
+        F = np.fft.rfft(values(u), axis=0)
         for b in range(lo, hi):
             Y = F[half, b - lo]
             np.conjugate(Y, out=Y, where=conj)
@@ -355,40 +362,18 @@ def _circle_sums(m: int, order: int, values: Callable[[np.ndarray], np.ndarray])
     return S
 
 
-def _column_angles(m: int, split: int, lo: int, hi: int) -> np.ndarray:
-    """Unit nodes t = a (m / split) + b, a < split, lo <= b < hi, of a ring of m
-    nodes as a C-ordered (split, hi - lo) array, bit-identical to
-    ``_ring_angles(m, 0.5)[t]``.
-
-    With an even split, row a + split/2 is node t + m/2, the exact negation
-    of row a, as in ``_ring_angles``; so only the first half of the rows
-    takes a complex exp. An odd split forms every row by the same formula.
-    """
-    rows = split // 2 if split % 2 == 0 else split
-    t = np.arange(rows)[:, None] * (m // split) + np.arange(lo, hi)
-    u = np.empty((split, hi - lo), dtype=complex)
-    if rows < split:
-        _unit_exp(t + 0.5, m, u[:rows])
-        np.negative(u[:rows], out=u[rows:])
-        return u
-    half = m // 2 if m % 2 == 0 else m
-    second = t >= half
-    _unit_exp(t - half * second + 0.5, m, u)
-    np.negative(u, out=u, where=second)
-    return u
-
-
 def _disk_blocks(grid: DiskGrid, nodes: bool = True):
     """(start, nodes, weights) of each block of ``NODE_BLOCK`` nodes, in node order.
 
     Bit-identical to the slices [start, start + NODE_BLOCK) of the whole
     rule's arrays, formed in place in block-sized arrays; ``nodes=False``
-    yields None for the nodes and forms none. A ring of at most
-    ``NODE_BLOCK`` nodes is formed whole, and its unit nodes serve the next
-    rings of the same count (the 100 rings of 256 nodes of a default grid).
+    yields None for the nodes and forms none. The part of a ring in a block
+    takes its unit nodes from ``_unit_nodes``, and they serve the next parts
+    of the same count and index range (the 100 rings of 256 nodes of a
+    default grid).
     """
     ring, first = 0, 0  # the ring holding the next node, and its first node index
-    unit = (0, None)  # the count and unit nodes of the last small ring
+    unit = (None, None)  # the (count, range) and unit nodes of the last ring part
     for start in range(0, grid.size, NODE_BLOCK):
         stop = min(start + NODE_BLOCK, grid.size)
         z = np.empty(stop - start, dtype=complex) if nodes else None
@@ -398,13 +383,11 @@ def _disk_blocks(grid: DiskGrid, nodes: bool = True):
             m, end = grid.ring_counts[ring], min(stop, first + grid.ring_counts[ring])
             part = slice(pos - start, end - start)
             wts[part] = grid.ring_weights[ring]
-            if nodes and m <= NODE_BLOCK:
-                if unit[0] != m:
-                    unit = (m, _ring_angles(m, 0.5))
-                np.multiply(unit[1][pos - first : end - first], grid.ring_radii[ring], out=z[part])
-            elif nodes:
-                u = _ring_angles(m, 0.5, pos - first, end - first, out=z[part])
-                u *= grid.ring_radii[ring]
+            if nodes:
+                key = (m, pos - first, end - first)
+                if unit[0] != key:
+                    unit = (key, _unit_nodes(m, np.arange(pos - first, end - first)))
+                np.multiply(unit[1], grid.ring_radii[ring], out=z[part])
             pos = end
             if end == first + m:
                 ring, first = ring + 1, end

@@ -39,7 +39,7 @@ from .errors import (
     SingularPointError,
     WeightSpecError,
 )
-from .quadrature import NODE_BLOCK, DiskGrid, _check_finite, _ring_angles, make_disk_grid
+from .quadrature import NODE_BLOCK, DiskGrid, _check_finite, _unit_nodes, make_disk_grid
 
 _UNIMODULAR_TOL = 1e-12
 _UNIT_ROUNDOFF = 4 * 2.0**-52  # |z/|z|| lies within one ulp of 1
@@ -320,7 +320,7 @@ def superharmonic_test(w: Weight) -> tuple[float, Optional[tuple[complex, float]
     circle mean is read on 256 nodes (``_circle_mean``), and each center
     is evaluated once, after its first kept circle.
     """
-    u = _ring_angles(256, 0.0)
+    u = _unit_nodes(256, np.arange(256), 0.0)
     interior = _interior(w.singularities)
     worst_margin, worst_case = math.inf, None
     for c in _LATTICE_CENTERS:

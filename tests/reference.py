@@ -12,7 +12,7 @@ import numpy as np
 
 from disklab import MomentTable, PointDistribution, TaylorSeries, atoms_table, point_moments
 from disklab.moments import _centered, _entries, _is_exact, _outer, _parts
-from disklab.quadrature import NODE_BLOCK, _disk_blocks, _disk_rings, _ring_angles
+from disklab.quadrature import NODE_BLOCK, _disk_blocks, _disk_rings, _node_moduli
 
 
 def constant_series(value: complex, order: int) -> TaylorSeries:
@@ -126,9 +126,9 @@ def kept_moments(vals: np.ndarray, grid, order: int) -> np.ndarray:
     n = np.arange(order + 1)
     g_re, g_im = np.zeros((order + 1, order + 1)), np.zeros((order + 1, order + 1))
     start = 0
-    for r, weight, m in zip(grid.ring_radii, grid.ring_weights, grid.ring_counts):
+    for modulus, weight, m in zip(_node_moduli(grid), grid.ring_weights, grid.ring_counts):
         S = kept_circle_sums(vals[start : start + m], order)
-        rp = abs((r * _ring_angles(m, 0.5, 0, 1))[0]) ** n
+        rp = modulus ** n
         S *= rp
         ring = weight * rp * rp
         g_re += np.multiply.outer(ring, S.real)

@@ -775,6 +775,30 @@ class TestNodeBudget:
                             rf"{MAX_DISK_NODES}\n", err)
 
 
+class TestTruncationDetail:
+    """At a low series order the truncated h is the error of the two rows that
+    compare with it, and a failing row's detail says so."""
+
+    def test_failing_rows_name_the_series_order_and_last_kept_term(self):
+        report, code = run(parse_args(["verify", "--suite", "dbr", "--weight", "harm:1,0",
+                                       "--series-order", "8"]))
+        rows = {c.name: c for c in report.checks}
+        assert code == 1 and not rows["h-identity"].passed and not rows["phi-consistency"].passed
+        # h_k = 1 for harm:1,0, so |h_8 v^8| = |v|^8: 0.137 at |v| = 0.7798
+        assert rows["h-identity"].detail == (
+            "worst point 0.7782+0.0505j; series order 8, |h_N v^N| = 0.137 there")
+        assert rows["phi-consistency"].detail == (
+            "integral route vs series route, worst point 0.0035+0.7569j; "
+            "series order 8, |h_N v^N| = 0.108 there")
+
+    def test_passing_rows_keep_their_detail(self):
+        report, code = run(parse_args(["verify", "--suite", "dbr", "--weight", "harm:1,0"]))
+        rows = {c.name: c for c in report.checks}
+        assert code == 0
+        assert re.fullmatch(r"worst point [-+.0-9]+j", rows["h-identity"].detail)
+        assert rows["phi-consistency"].detail == "integral route vs series route"
+
+
 class TestProcessEntryPoint:
     def test_usage_error_exit_code_through_interpreter(self):
         proc = subprocess.run(
@@ -808,6 +832,23 @@ class TestProcessEntryPoint:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["diagnostics"]["rank_ratio"] == 0.0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--suite", "all", "--weight", "harm:1,0"], 0),
+        (["verify", "--suite", "all", "--weight", "uniform"], 1),
+        (["dbr", "build", "--weight", "log:0.4,0", "--series-order", "512", "--out", None], 0),
+        (["weights", "info", "--weight", "scaled:1e308:harm:1,0"], 2),
+    ], ids=["verify-harm", "verify-uniform", "dbr-build-512", "weights-info-overflow"])
+    def test_dev_mode_with_warnings_as_errors_is_clean(self, argv, code, tmp_path):
+        # -X dev turns on the interpreter's debug checks and resource
+        # warnings, and -W error makes any warning end the process
+        argv = [str(tmp_path / "model.json") if a is None else a for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "disklab", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert re.fullmatch(r"error: [^\n]*\n" if code == 2 else "", proc.stderr), proc.stderr
 
     @pytest.mark.skipif(
         importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None,

@@ -42,7 +42,7 @@ from disklab import dbr, moments
 from disklab.dirichlet import energy
 from disklab.cli import _isometry_cases
 from disklab.dbr import atoms_singular_values, unit_mass_atoms
-from disklab.quadrature import _ring_angles
+from disklab.quadrature import _unit_nodes
 from disklab.quadrature import NODE_BLOCK
 
 from reference import dirac_table, rank_one_fit
@@ -394,7 +394,7 @@ class TestOneAtomFactors:
     @pytest.mark.parametrize("p", _ONE_ATOM_POLES)
     def test_modulus_identity_on_a_circle_grid(self, p):
         a, b = dbr._one_atom_factors(p, 64)
-        e = _ring_angles(512, 0.5)
+        e = _unit_nodes(512, np.arange(512))
         av, bv = a.evaluate_many(e), b.evaluate_many(e)
         assert np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0)) <= 1e-14
         # b = phi a with phi = z/(1 - conj(p) z), continued to the circle, where

@@ -8,7 +8,7 @@ against the unpatched run of the same weight.
 
 import pytest
 
-from disklab import TaylorSeries, cli, dbr, moments, quadrature
+from disklab import TaylorSeries, cli, dbr, moments, quadrature, weights
 from disklab.cli import parse_args, run
 
 _WEIGHTS = ("harm:1,0", "log:0.4,0")
@@ -45,6 +45,13 @@ def _verdicts(spec: str) -> dict[str, bool]:
     return {c.name: c.passed for c in report.checks}
 
 
+def _flipped(spec: str, clean_verdicts) -> set[str]:
+    """The rows whose verdict differs from the unpatched run of the weight."""
+    verdicts = _verdicts(spec)
+    assert list(verdicts) == list(clean_verdicts[spec])
+    return {name for name, ok in verdicts.items() if ok != clean_verdicts[spec][name]}
+
+
 @pytest.fixture(scope="module")
 def clean_verdicts():
     return {spec: _verdicts(spec) for spec in _WEIGHTS}
@@ -61,10 +68,7 @@ def test_a_factor_defect_flips_exactly_its_rows(defect, spec, clean_verdicts, mo
     real = dbr._one_atom_factors
     plant = _FACTOR_DEFECTS[defect]
     monkeypatch.setattr(dbr, "_one_atom_factors", lambda p, order: plant(*real(p, order)))
-    verdicts = _verdicts(spec)
-    assert list(verdicts) == list(clean_verdicts[spec])
-    flipped = {name for name, ok in verdicts.items() if ok != clean_verdicts[spec][name]}
-    assert flipped == _FLIPS[defect]
+    assert _flipped(spec, clean_verdicts) == _FLIPS[defect]
 
 
 def _scaled_W(W, value_range):
@@ -99,7 +103,32 @@ def test_a_mass_defect_flips_exactly_its_rows(defect, spec, clean_verdicts, monk
     for module in (quadrature, moments, cli):
         if hasattr(module, attr):
             monkeypatch.setattr(module, attr, planted)
-    verdicts = _verdicts(spec)
-    assert list(verdicts) == list(clean_verdicts[spec])
-    flipped = {name for name, ok in verdicts.items() if ok != clean_verdicts[spec][name]}
-    assert flipped == _MASS_FLIPS[defect]
+    assert _flipped(spec, clean_verdicts) == _MASS_FLIPS[defect]
+
+
+# name -> (module, function name, real -> planted), for rows no other planted
+# defect reaches
+_ROW_DEFECTS = {
+    # every Berezin value the two h rows read
+    "berezin-scaled-1e-3": (dbr, "berezin_transforms", lambda real:
+                            lambda w, points, grid: real(w, points, grid) * (1 + 1e-3)),
+    # every circle mean of the superharmonic lattice
+    "circle-mean-scaled-1e-6": (weights, "_circle_mean", lambda real:
+                                lambda w, center, r, u: real(w, center, r, u) * (1 + 1e-6)),
+}
+
+# the rows each row defect flips, on every weight of _WEIGHTS: h-identity and
+# phi-consistency read 1.9e-2 and 4.1e-3 on harm:1,0 against 1e-4, and
+# superharmonic-lattice 2.6e-6 on harm:1,0 and 1.3e-6 on log:0.4,0 against 1e-8
+_ROW_FLIPS = {
+    "berezin-scaled-1e-3": {"h-identity", "phi-consistency"},
+    "circle-mean-scaled-1e-6": {"superharmonic-lattice"},
+}
+
+
+@pytest.mark.parametrize("spec", _WEIGHTS)
+@pytest.mark.parametrize("defect", _ROW_DEFECTS)
+def test_a_row_defect_flips_exactly_its_rows(defect, spec, clean_verdicts, monkeypatch):
+    home, attr, plant = _ROW_DEFECTS[defect]
+    monkeypatch.setattr(home, attr, plant(getattr(home, attr)))
+    assert _flipped(spec, clean_verdicts) == _ROW_FLIPS[defect]

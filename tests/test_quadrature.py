@@ -391,30 +391,55 @@ def test_disk_integral_is_summed_in_node_blocks(disk_grid):
 # -------------------------------------------------------------- ring table
 
 
+def _plain_nodes(count, offset):
+    """exp(2j pi (t + offset) / count) of a whole ring, second half of an even
+    count negated from the first."""
+    half = count // 2 if count % 2 == 0 else count
+    t = np.arange(count)
+    plain = np.exp(2j * np.pi * (t - half * (t >= half) + offset) / count)
+    np.negative(plain[half:], out=plain[half:])
+    return plain
+
+
 @pytest.mark.parametrize("offset", [0.0, 0.25, 0.35, 0.5])
-def test_ring_angles_are_the_complex_formula_bit_for_bit(offset):
-    # the angle is formed in real arithmetic; the nodes keep the bits of
-    # exp(2j pi (t + offset) / count), second half negated, over any range
+def test_unit_nodes_are_the_complex_formula_bit_for_bit(offset):
+    # the angle is formed in real arithmetic; a node keeps the bits of
+    # exp(2j pi (t + offset) / count), second half negated, in any index array
     rng = np.random.default_rng(7)
     for count in [*range(1, 300), 4096, 13_122, 36_000, 99_999, 186_624]:
-        half = count // 2 if count % 2 == 0 else count
-        t = np.arange(count)
-        plain = np.exp(2j * np.pi * (t - half * (t >= half) + offset) / count)
-        np.negative(plain[half:], out=plain[half:])
-        assert quadrature._ring_angles(count, offset).tobytes() == plain.tobytes()
-        lo = int(rng.integers(0, count))
-        hi = int(rng.integers(lo, count + 1))
-        out = np.empty(hi - lo, dtype=complex)
-        assert quadrature._ring_angles(count, offset, lo, hi, out=out) is out
-        assert out.tobytes() == plain[lo:hi].tobytes()
+        plain = _plain_nodes(count, offset)
+        got = quadrature._unit_nodes(count, np.arange(count), offset)
+        assert got.tobytes() == plain.tobytes()
+        shape = tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(0, 4)))
+        t = rng.integers(0, count, size=shape)
+        got = quadrature._unit_nodes(count, t, offset)
+        assert got.shape == shape and got.tobytes() == plain[t].tobytes()
 
 
-def test_ring_angles_are_unimodular():
-    assert np.abs(np.abs(quadrature._ring_angles(256, 0.0)) - 1.0).max() <= 1e-15
+@pytest.mark.parametrize("m", [256, 36_000, 13_122], ids=["one-column", "even-L", "odd-L"])
+def test_column_chunks_are_the_ring_nodes_bit_for_bit(m):
+    # _circle_sums forms its (L, k) chunks of node t = a (m / L) + b from the
+    # indices: L = 4000 is even (top rows negated), 13,122 = 2 * 3^8 has the
+    # odd L = 2,187 (every row formed, the second half negated by the mask)
+    chunks = []
+
+    def values(u):
+        chunks.append(u.copy())
+        return np.zeros(u.shape)
+
+    quadrature._circle_sums(m, 0, values)
+    columns = np.concatenate(chunks, axis=1)
+    split = {256: 256, 36_000: 4000, 13_122: 2187}[m]
+    assert columns.shape == (split, m // split)
+    assert columns.tobytes() == _plain_nodes(m, 0.5).reshape(split, m // split).tobytes()
+
+
+def test_unit_nodes_are_unimodular():
+    assert np.abs(np.abs(quadrature._unit_nodes(256, np.arange(256), 0.0)) - 1.0).max() <= 1e-15
 
 
 def test_half_offset_nodes_avoid_angle_zero():
-    assert np.abs(quadrature._ring_angles(64, 0.5) - 1.0).min() > 1e-3
+    assert np.abs(quadrature._unit_nodes(64, np.arange(64)) - 1.0).min() > 1e-3
 
 
 def _materialised_disk_grid(radial_order, angular_order, singular_radii=()):

@@ -26,7 +26,7 @@ from disklab import (
     superharmonic_test,
     uniform_weight,
 )
-from disklab.quadrature import NODE_BLOCK, _ring_angles
+from disklab.quadrature import NODE_BLOCK, _unit_nodes
 from disklab.weights import (
     _LATTICE_CENTERS, _LATTICE_RADII, _circle_mean, _interior, _on_circle,
 )
@@ -281,7 +281,7 @@ class TestSuperharmonic:
 class TestCircleMean:
     """The lattice's circle mean: fsum of the weight on 256 nodes, over 256."""
 
-    u = _ring_angles(256, 0.0)
+    u = _unit_nodes(256, np.arange(256), 0.0)
 
     def test_odd_integrand_has_an_exact_zero_mean(self):
         # antipodal nodes: the values cancel exactly and fsum certifies the zero
