@@ -65,14 +65,14 @@ def _spec_number(x: float) -> str:
 class Weight:
     """A nonnegative integrable function on the unit disk.
 
-    Subclasses provide ``_value_block``, the formula on a 1-D complex
-    block, which ``_value_many`` writes into one float output block by
-    block (``NODE_BLOCK`` nodes at a time), or override ``_value_many``.
-    ``singularities`` lists the points where the weight blows up;
-    evaluation at a node equal to one raises SingularPointError, and grids
-    for this weight should guard the corresponding radii (see
-    ``singular_radii``). A node near a pole, however near, is evaluated:
-    a value that overflows is an inf, which the grid passes refuse.
+    Evaluation has two levels: ``eval_many`` walks the flattened input
+    once, ``NODE_BLOCK`` nodes at a time, into one float output, and each
+    subclass gives only ``_value_block``, its formula on a 1-D complex
+    block. ``singularities`` lists the points where the weight blows up; a
+    block holding a node equal to one raises SingularPointError before it
+    is evaluated, and grids for this weight should guard the corresponding
+    radii (see ``singular_radii``). A node near a pole, however near, is
+    evaluated: a value that overflows is an inf, which the grid passes refuse.
     """
 
     label: str = "weight"
@@ -85,26 +85,20 @@ class Weight:
     def _value_block(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _value_many(self, z: np.ndarray) -> np.ndarray:
-        out = np.empty(z.shape)
-        # next to a pole a quotient can overflow to inf, and a complex one to
-        # inf + nan*1j: the value is an inf, which callers refuse
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, z.size, NODE_BLOCK):
-                block = slice(start, start + NODE_BLOCK)
-                out[block] = self._value_block(z[block])
-        return out
-
     def eval_many(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
-        for s in self.singularities:
+        out = np.empty(flat.shape)
+        # next to a pole a quotient can overflow to inf, and a complex one to
+        # inf + nan*1j: the value is an inf, which callers refuse
+        with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, flat.size, NODE_BLOCK):
-                if (flat[start : start + NODE_BLOCK] == s).any():
-                    raise SingularPointError(
-                        f"{self.label} evaluated at singular point {s!r}"
-                    )
-        return self._value_many(flat).reshape(z.shape)
+                block = flat[start : start + NODE_BLOCK]
+                for s in self.singularities:
+                    if (block == s).any():
+                        raise SingularPointError(f"{self.label} evaluated at singular point {s!r}")
+                out[start : start + NODE_BLOCK] = self._value_block(block)
+        return out.reshape(z.shape)
 
     def __call__(self, z: complex) -> float:
         return float(self.eval_many(np.asarray([z]))[0])
@@ -151,23 +145,17 @@ class AtomicWeight(Weight):
         self._log_terms = tuple((p, m * 2.0 / (1.0 - abs(p) ** 2)) for p, m in interior)
         self._boundary = boundary
 
-    def _terms(self, z: np.ndarray):
+    def _value_block(self, z: np.ndarray) -> np.ndarray:
+        total = np.zeros(z.shape)  # no kernel is -0.0, so 0.0 + it keeps its bits
         for p, c in self._log_terms:
             term = np.log(np.abs((1.0 - np.conj(p) * z) / (z - p)))
-            term *= c
-            yield term
+            over = ~np.isfinite(term)
+            if over.any():  # within about 1e-308 of p the quotient overflows, not its log
+                near = z[over]
+                term[over] = np.log(np.abs(1.0 - np.conj(p) * near)) - np.log(np.abs(near - p))
+            total += c * term
         for p, m in self._boundary:
-            term = (1.0 - np.abs(z) ** 2) / np.abs(z - p) ** 2
-            term *= m
-            yield term
-
-    def _value_block(self, z: np.ndarray) -> np.ndarray:
-        terms = self._terms(z)
-        total = next(terms, None)
-        if total is None:
-            return np.zeros(z.shape)
-        for term in terms:  # in place: one atom allocates only its own kernel
-            total += term
+            total += m * ((1.0 - np.abs(z) ** 2) / np.abs(z - p) ** 2)
         return total
 
 
@@ -210,17 +198,16 @@ class Scaled(Weight):
         if inner.atoms is not None:
             self.atoms = tuple((p, c * m) for p, m in inner.atoms)
 
-    def _value_many(self, z: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an overflow is an inf, which callers refuse
-            return self.c * self.inner._value_many(z)
+    def _value_block(self, z: np.ndarray) -> np.ndarray:
+        return self.c * self.inner._value_block(z)
 
 
 class Custom(Weight):
     """User-supplied pointwise weight with explicit singular points.
 
-    On a disk grid the function gets a 1-D complex array of at most
-    ``NODE_BLOCK`` nodes per call; one that takes no arrays is called node
-    by node. No node value is kept, so every ring pass over a grid calls it
+    The function gets a 1-D complex array of at most ``NODE_BLOCK`` nodes
+    per call, on a grid or not; one that takes no arrays is called node by
+    node. No node value is kept, so every ring pass over a grid calls it
     again; the mass is the corner of the pass's moment matrix.
     """
 
@@ -238,7 +225,7 @@ class Custom(Weight):
         self.is_harmonic = is_harmonic
         self.analytic_mass = analytic_mass
 
-    def _value_many(self, z: np.ndarray) -> np.ndarray:
+    def _value_block(self, z: np.ndarray) -> np.ndarray:
         try:
             vals = np.asarray(self._fn(z), dtype=float)
             if vals.shape != z.shape:

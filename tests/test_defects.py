@@ -8,7 +8,7 @@ against the unpatched run of the same weight.
 
 import pytest
 
-from disklab import TaylorSeries, cli, dbr, moments, quadrature, weights
+from disklab import MomentTable, TaylorSeries, cli, dbr, moments, quadrature, weights
 from disklab.cli import parse_args, run
 
 _WEIGHTS = ("harm:1,0", "log:0.4,0")
@@ -106,29 +106,50 @@ def test_a_mass_defect_flips_exactly_its_rows(defect, spec, clean_verdicts, monk
     assert _flipped(spec, clean_verdicts) == _MASS_FLIPS[defect]
 
 
-# name -> (module, function name, real -> planted), for rows no other planted
-# defect reaches
+def _entry_bumped(t: MomentTable) -> MomentTable:
+    re = t.re.copy()
+    re[1, 2] += 1
+    return MomentTable._from_parts(re, t.im, t.denom, t.provenance)
+
+
+# name -> (homes, function name, real -> planted), for rows no other planted
+# defect reaches: the planted function replaces the real one in every home,
+# the first home being where the real one is read
 _ROW_DEFECTS = {
     # every Berezin value the two h rows read
-    "berezin-scaled-1e-3": (dbr, "berezin_transforms", lambda real:
+    "berezin-scaled-1e-3": ((dbr,), "berezin_transforms", lambda real:
                             lambda w, points, grid: real(w, points, grid) * (1 + 1e-3)),
     # every circle mean of the superharmonic lattice
-    "circle-mean-scaled-1e-6": (weights, "_circle_mean", lambda real:
+    "circle-mean-scaled-1e-6": ((weights,), "_circle_mean", lambda real:
                                 lambda w, center, r, u: real(w, center, r, u) * (1 + 1e-6)),
+    # every value of an atomic weight, on every grid and circle; at 1 + 1e-6
+    # no row flips
+    "atomic-value-scaled-1e-3": ((weights.AtomicWeight,), "_value_block", lambda real:
+                                 lambda self, z: real(self, z) * (1 + 1e-3)),
+    # one numerator entry of every exact point table
+    "point-moment-re12-plus-1": ((moments, cli), "point_moments", lambda real:
+                                 lambda d, order: _entry_bumped(real(d, order))),
 }
 
 # the rows each row defect flips, on every weight of _WEIGHTS: h-identity and
-# phi-consistency read 1.9e-2 and 4.1e-3 on harm:1,0 against 1e-4, and
-# superharmonic-lattice 2.6e-6 on harm:1,0 and 1.3e-6 on log:0.4,0 against 1e-8
+# phi-consistency read 1.9e-2 and 4.1e-3 on harm:1,0 against 1e-4,
+# superharmonic-lattice 2.6e-6 on harm:1,0 and 1.3e-6 on log:0.4,0 against
+# 1e-8, l1-quadrature-consistency 1.0e-3 against 1e-4 under the atomic-value
+# defect, and point-forward-exact and point-tensor-vanishing 1.3e-3 and 4.19e7
+# against 0 under the point-moment one
 _ROW_FLIPS = {
     "berezin-scaled-1e-3": {"h-identity", "phi-consistency"},
     "circle-mean-scaled-1e-6": {"superharmonic-lattice"},
+    "atomic-value-scaled-1e-3": {"h-identity", "l1-quadrature-consistency", "phi-consistency"},
+    "point-moment-re12-plus-1": {"point-forward-exact", "point-tensor-vanishing"},
 }
 
 
 @pytest.mark.parametrize("spec", _WEIGHTS)
 @pytest.mark.parametrize("defect", _ROW_DEFECTS)
 def test_a_row_defect_flips_exactly_its_rows(defect, spec, clean_verdicts, monkeypatch):
-    home, attr, plant = _ROW_DEFECTS[defect]
-    monkeypatch.setattr(home, attr, plant(getattr(home, attr)))
+    homes, attr, plant = _ROW_DEFECTS[defect]
+    planted = plant(getattr(homes[0], attr))
+    for home in homes:
+        monkeypatch.setattr(home, attr, planted)
     assert _flipped(spec, clean_verdicts) == _ROW_FLIPS[defect]
