@@ -27,9 +27,8 @@ import math
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 # hashlib loads OpenSSL (about 3.6 MiB a process) for one 12-character label
 # per check; the interpreter's built-in SHA-256 gives the same digests
@@ -99,8 +98,7 @@ _SEED_ISOMETRY = 404
 _SEED_TEST_POINTS = 505
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     digest: str
     value: Optional[float]  # None when the check crashed before producing one
@@ -110,8 +108,7 @@ class CheckRecord:
     elapsed_s: float
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     suite: str
     weight_spec: str
     config: dict
@@ -127,7 +124,7 @@ class Report:
             "suite": self.suite,
             "weight": self.weight_spec,
             "config": self.config,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "passed": self.passed,
             "timings": {"total_s": self.total_elapsed_s},
         }
@@ -177,8 +174,7 @@ def _digest(*parts) -> str:
 _CEILING, _FLOOR, _INFO = "ceiling", "floor", "info"
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(NamedTuple):
     """One row of the check table.
 
     ``fn(ctx)`` returns (value, detail), or (value, detail, tol, sense)
@@ -269,29 +265,31 @@ class _SuiteContext:
     def check(self, row: _Check) -> CheckRecord:
         """Run one table row: its verdict is its sense applied to its tolerance.
 
-        Exceptions become failing records with no value and no tolerance. A
-        value that is not finite (a weight whose moments overflow, say)
-        fails whatever the row's sense and is reported as no value, named
-        in the detail, so the report stays JSON. The row runs with numpy's
-        overflow and invalid-operation warnings off: such a value is the
-        report's to show, not stderr's.
+        An exception becomes a failing record with no value that keeps the
+        row's tolerance, resolved before the row runs; a route tolerance
+        replaces it only when ``fn`` returns one. A value that is not finite
+        (a weight whose moments overflow, say) fails whatever the row's sense
+        and is reported as no value, named in the detail, so the report
+        stays JSON. The row runs with numpy's overflow and invalid-operation
+        warnings off: such a value is the report's to show, not stderr's.
         """
         start = time.perf_counter()
         digest = _digest(row.name, self.config.weight_spec, self.config.order,
                          self.config.radial_order, self.config.angular_order,
                          *row.seeds)
+        tols = self.config.tols  # a str tolerance is a key, any other a literal
+        tol, sense = tols.get(row.tol, row.tol), row.sense
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 value, detail, *route = row.fn(self)
-            tol, sense = route or (row.tol, row.sense)
-            if isinstance(tol, str):
-                tol = self.config.tols[tol]
+            if route:
+                tol, sense = tols.get(route[0], route[0]), route[1]
             passed = sense == _INFO or (value <= tol if sense == _CEILING else value > tol)
             if value is not None and not math.isfinite(value):
                 detail = f"value {float(value)!r} is not finite; {detail}"
                 value, passed = None, False
         except Exception as exc:
-            value, tol, passed = None, None, False
+            value, passed = None, False
             detail = f"{type(exc).__name__}: {exc}"
         return CheckRecord(
             name=row.name,

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -165,8 +165,7 @@ def moment_table_from_berezin(
     )
 
 
-@dataclass(frozen=True)
-class TableFactorization:
+class TableFactorization(NamedTuple):
     h: TaylorSeries
     rank_ratio: float  # second singular value over first
     residual: float  # worst |M[j][k] - conj(h_j) h_k|
@@ -257,8 +256,7 @@ def factor_table(
     return TableFactorization(h=TaylorSeries(h), rank_ratio=rank_ratio, residual=residual)
 
 
-@dataclass(frozen=True)
-class HIdentityReport:
+class HIdentityReport(NamedTuple):
     worst_error: float
     worst_point: complex
 
@@ -477,8 +475,7 @@ def _kernel_section(model: DbrModel, v: complex, bv: complex) -> TaylorSeries:
     return TaylorSeries(numerator) * geometric_series(np.conj(v), model.order)
 
 
-@dataclass(frozen=True)
-class IsometryReport:
+class IsometryReport(NamedTuple):
     relative_gap: float
     gram_norm_sq: float
     h2_part: float

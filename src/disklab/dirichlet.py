@@ -17,8 +17,7 @@ nondecreasing in r; ``dilation_report`` measures that monotonicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,8 +58,7 @@ def _local_dirichlet(c: np.ndarray, p: complex) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class DilationReport:
+class DilationReport(NamedTuple):
     entries: tuple[tuple[float, float], ...]  # (r, energy of f_r)
     max_violation: float  # largest drop e(r_i) - e(r_{i+1}), 0 when nondecreasing
 

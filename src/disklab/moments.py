@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from .errors import (
     SingularIntegrandError,
     SingularPointError,
 )
-from .quadrature import MAX_TENSOR_ENTRIES, DiskGrid, _circle_sums, _node_moduli, integrate
+from .quadrature import DiskGrid, _circle_sums, _node_moduli, integrate
 from .weights import Scaled, Weight, _on_grid
 
 _C00_SNAP_TOL = 1e-9
@@ -532,8 +531,7 @@ def measure_moments(w: Weight, grid: DiskGrid, order: int) -> MomentTable:
     )
 
 
-@dataclass(frozen=True)
-class WeakMultReport:
+class WeakMultReport(NamedTuple):
     worst: tuple[int, int]
     residual: float
 
@@ -550,8 +548,12 @@ def weak_mult_check(M: MomentTable) -> WeakMultReport:
     return WeakMultReport(worst, residual)
 
 
-@dataclass(frozen=True)
-class TensorDiagReport:
+#: Entry budget of ``tensor_diag_check``'s order^2 (order+1)^2 sweep, refused
+#: before it allocates: admits order 31 (~8 MB per float array).
+MAX_TENSOR_ENTRIES = 2**20
+
+
+class TensorDiagReport(NamedTuple):
     worst: tuple[int, int, int, int]
     residual: float
 
@@ -607,8 +609,7 @@ def _worst(re: np.ndarray, im: np.ndarray, denom: int) -> tuple[tuple[int, ...],
     return tuple(int(i) for i in np.unravel_index(flat, re.shape)), value
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(NamedTuple):
     ok: bool
     p: Optional[tuple[Entry, ...]]
     q: Optional[tuple[Entry, ...]]

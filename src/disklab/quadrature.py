@@ -63,10 +63,6 @@ ALIAS_GUARD = 18.42
 #: the default command line build ((240, 512), ~1.2e6 nodes); ~0.4 GiB.
 MAX_DISK_NODES = 2**24
 
-#: Entry budget of ``moments.tensor_diag_check``'s order^2 (order+1)^2 sweep,
-#: refused before it allocates: admits order 31 (~8 MB per float array).
-MAX_TENSOR_ENTRIES = 2**20
-
 #: Largest order of a ring pass: the command line's series orders reach 512,
 #: and a Berezin value that needs more is refused before any work.
 MAX_RING_ORDER = 511

@@ -28,7 +28,6 @@ inequality on one fixed lattice of 10 centers and 5 radii
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -245,7 +244,6 @@ def uniform_weight() -> Custom:
     )
 
 
-@dataclass
 class _GridData:
     """What is derived from one weight on one grid, all of it small: its least
     and largest node value and the largest moment matrix W asked of

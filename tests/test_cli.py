@@ -374,6 +374,21 @@ class TestRun:
         assert not build.passed
         assert "NotDbrWeightError" in build.detail
 
+    def test_a_row_that_raises_keeps_its_tolerance(self):
+        # uniform's model rows fail on the build's error; only model-build is an info row
+        from disklab.cli import _CHECKS
+
+        config = parse_args(["verify", "--suite", "all", "--weight", "uniform", *_fast_flags()])
+        report, _ = run(config)
+        raised = [c for c in report.checks if c.detail.startswith("NotDbrWeightError")]
+        assert len(raised) == 9 and not any(c.passed for c in raised)
+        assert [c.name for c in report.checks if c.tolerance is None] == ["model-build"]
+        info = [line for line in report.to_text().splitlines() if "tol=info" in line]
+        assert len(info) == 1 and "model-build" in info[0]
+        tols = {row.name: row.tol for row in _CHECKS}
+        for c in raised[1:]:
+            assert c.tolerance == DEFAULT_TOLS[tols[c.name]], c.name
+
     @pytest.mark.parametrize("spec", ["harm:1,0", "log:0.4,0", "uniform", "scaled:2:log:0.4,0"])
     def test_verify_all_never_forms_a_whole_grid(self, spec, monkeypatch):
         from disklab import DiskGrid
@@ -1108,15 +1123,15 @@ _VERIFY_ALL_PINS = {
         ("dirichlet", "superharmonic-lattice", "61a0eff22c82", 0.0, 1e-08, True),
         ("dirichlet", "dilation-monotone", "ab0d33d307e5", 0.0, 1e-08, True),
         ("dbr", "model-build", "ab3edcc67f98", None, None, False),
-        ("dbr", "h0-normalization", "9f512a49e546", None, None, False),
-        ("dbr", "l1-quadrature-consistency", "2eead61a523f", None, None, False),
-        ("dbr", "h-identity", "f948be3b13aa", None, None, False),
+        ("dbr", "h0-normalization", "9f512a49e546", None, 1e-06, False),
+        ("dbr", "l1-quadrature-consistency", "2eead61a523f", None, 0.0001, False),
+        ("dbr", "h-identity", "f948be3b13aa", None, 0.0001, False),
         ("dbr", "laplacian-identity", "065f64a48c7e", 1.8151844815849986e-07, 1e-05, True),
-        ("dbr", "phi-consistency", "4fa67c075ff0", None, None, False),
-        ("dbr", "b-contraction", "3128c1515cc3", None, None, False),
-        ("dbr", "outer-consistency", "bcb5c3b170c3", None, None, False),
-        ("isometry", "isometry-gap", "4867ad8c0ca9", None, None, False),
-        ("isometry", "isometry-falsification-b-zero", "6e9ff9bcc966", None, None, False),
+        ("dbr", "phi-consistency", "4fa67c075ff0", None, 0.0001, False),
+        ("dbr", "b-contraction", "3128c1515cc3", None, 1e-06, False),
+        ("dbr", "outer-consistency", "bcb5c3b170c3", None, 1e-06, False),
+        ("isometry", "isometry-gap", "4867ad8c0ca9", None, 0.01, False),
+        ("isometry", "isometry-falsification-b-zero", "6e9ff9bcc966", None, 0.1, False),
     ]),
 }
 
@@ -1186,8 +1201,6 @@ class TestCheckTable:
         ("point-reject-non-rank-one", "floor"),
     ])
     def test_a_nan_value_fails_a_ceiling_and_a_floor(self, name, sense):
-        from dataclasses import replace
-
         from disklab import cli
 
         row = next(r for r in cli._CHECKS if r.name == name)
@@ -1195,7 +1208,7 @@ class TestCheckTable:
         ctx = cli._SuiteContext(parse_args(["verify", "--weight", "harm:1,0",
                                             *_fast_flags()]))
         for bad in ("nan", "inf", "-inf"):
-            record = ctx.check(replace(row, fn=lambda ctx: (float(bad), "planted")))
+            record = ctx.check(row._replace(fn=lambda ctx: (float(bad), "planted")))
             # a value JSON cannot hold is reported as none, and named in the detail
             assert record.value is None and not record.passed
             assert record.detail == f"value {bad} is not finite; planted"

@@ -8,7 +8,7 @@ against the unpatched run of the same weight.
 
 import pytest
 
-from disklab import MomentTable, TaylorSeries, cli, dbr, moments, quadrature, weights
+from disklab import MomentTable, TaylorSeries, cli, dbr, dirichlet, moments, quadrature, weights
 from disklab.cli import parse_args, run
 
 _WEIGHTS = ("harm:1,0", "log:0.4,0")
@@ -112,6 +112,9 @@ def _entry_bumped(t: MomentTable) -> MomentTable:
     return MomentTable._from_parts(re, t.im, t.denom, t.provenance)
 
 
+# every module that binds dirichlet.energy, its home first
+_ENERGY_HOMES = (dirichlet, dbr, cli)
+
 # name -> (homes, function name, real -> planted), for rows no other planted
 # defect reaches: the planted function replaces the real one in every home,
 # the first home being where the real one is read
@@ -129,6 +132,20 @@ _ROW_DEFECTS = {
     # one numerator entry of every exact point table
     "point-moment-re12-plus-1": ((moments, cli), "point_moments", lambda real:
                                  lambda d, order: _entry_bumped(real(d, order))),
+    # every energy, raised to a power: no longer quadratic in f
+    "energy-power-1.001": (_ENERGY_HOMES, "energy", lambda real:
+                           lambda f, w, grid: real(f, w, grid) ** 1.001),
+    # a term of degree one in the non-constant coefficients
+    "energy-plus-1e-3-sum-fn": (_ENERGY_HOMES, "energy", lambda real:
+                                lambda f, w, grid: real(f, w, grid)
+                                + 1e-3 * float(abs(f.array[1:]).sum())),
+    # a charge on the constant term, which carries no energy
+    "energy-plus-1e-3-f0-squared": (_ENERGY_HOMES, "energy", lambda real:
+                                    lambda f, w, grid: real(f, w, grid)
+                                    + 1e-3 * abs(f.array[0]) ** 2),
+    # energy * (1 + 1e-3) flips no row, and is left out: energy-quadratic-scaling
+    # and energy-constant-zero do not see a constant factor, and isometry-gap
+    # reads 4.5e-4 on harm:1,0 and 5.0e-4 on log:0.4,0 against 1e-2
 }
 
 # the rows each row defect flips, on every weight of _WEIGHTS: h-identity and
@@ -136,12 +153,18 @@ _ROW_DEFECTS = {
 # superharmonic-lattice 2.6e-6 on harm:1,0 and 1.3e-6 on log:0.4,0 against
 # 1e-8, l1-quadrature-consistency 1.0e-3 against 1e-4 under the atomic-value
 # defect, and point-forward-exact and point-tensor-vanishing 1.3e-3 and 4.19e7
-# against 0 under the point-moment one
+# against 0 under the point-moment one; energy-quadratic-scaling 1.39e-3 under
+# the power and 3.9e-4 (harm:1,0) and 1.19e-3 (log:0.4,0) under the degree-one
+# term, and energy-constant-zero 0.01225 under the constant's charge, each
+# against 1e-12
 _ROW_FLIPS = {
     "berezin-scaled-1e-3": {"h-identity", "phi-consistency"},
     "circle-mean-scaled-1e-6": {"superharmonic-lattice"},
     "atomic-value-scaled-1e-3": {"h-identity", "l1-quadrature-consistency", "phi-consistency"},
     "point-moment-re12-plus-1": {"point-forward-exact", "point-tensor-vanishing"},
+    "energy-power-1.001": {"energy-quadratic-scaling"},
+    "energy-plus-1e-3-sum-fn": {"energy-quadratic-scaling"},
+    "energy-plus-1e-3-f0-squared": {"energy-constant-zero"},
 }
 
 

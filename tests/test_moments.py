@@ -41,7 +41,8 @@ from disklab import (
 )
 from disklab import dbr, moments
 from disklab import quadrature
-from disklab.quadrature import MAX_TENSOR_ENTRIES, NODE_BLOCK
+from disklab.moments import MAX_TENSOR_ENTRIES
+from disklab.quadrature import NODE_BLOCK
 
 from exact_complex import Exact
 from reference import (

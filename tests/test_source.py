@@ -24,6 +24,29 @@ def test_no_function_body_imports():
     assert found == []
 
 
+# the package's only dataclasses, each with the semantics it keeps one for;
+# every other record is a NamedTuple, several times cheaper to create at import
+_DATACLASSES = {
+    "DiskGrid": "validates its ring table in __post_init__, hides the ring tuples "
+                "from repr, and keys _on_grid by value",
+    "DbrModel": "compares without diagnostics, and szego_model calls replace on it",
+}
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_only_the_listed_classes_are_dataclasses():
+    found = set()
+    for path in sorted(Path(disklab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)}
+    assert sorted(found) == sorted(_DATACLASSES)
+
+
 # the standard-library modules that importing the command line adds to numpy's
 # own, measured with Python 3.11 and numpy 2.4 (_sha2 is _sha256 from 3.12 on)
 _IMPORT_ALLOWLIST = {
