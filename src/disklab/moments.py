@@ -313,7 +313,7 @@ def point_moments(d: PointDistribution, order: int) -> MomentTable:
 
     M[j][k] = sum_{m,n} C(j,m) a^(j-m) Cen[m][n] C(k,n) conj(a)^(k-n) is
     M = P Cen conj(P)^T with the lower-triangular P[j][m] = C(j,m) a^(j-m)
-    and Cen the centered pairings: two triangular products, O(order^3).
+    and Cen the centered pairings: two matrix products, O(order^3).
     One route for both kinds of data: with a = A / D_a and Cen = Cen' / D_c
     on numerators, P'[j][m] = C(j,m) A^(j-m) D_a^(order-j+m) gives
     M = P' Cen' conj(P')^T / (D_c D_a^(2 order)). Exact data runs the
@@ -337,24 +337,18 @@ def point_moments(d: PointDistribution, order: int) -> MomentTable:
 
 
 def _recenter(pr, pi, cr, ci) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of P C conj(P)^T for a lower-triangular P.
+    """Real and imaginary parts of P C conj(P)^T, as T = P C then T conj(P)^T.
 
-    Two triangular products, T = P C then T conj(P)^T, each accumulated in
-    index order from elementwise products (no BLAS). The parts are float
-    arrays or object arrays of Python ints alike.
+    Each complex product is four real ``np.einsum`` contractions, without
+    ``optimize``, so no BLAS and no threads. The parts are float arrays or
+    object arrays of Python ints alike: exact sums keep every bit.
     """
-    n = pr.shape[0]
-    tr, ti = np.zeros_like(cr), np.zeros_like(ci)
-    for m in range(n):  # rows j >= m of T gain P[j][m] C[m][:]
-        a, b = pr[m:, m, None], pi[m:, m, None]
-        tr[m:] += a * cr[m] - b * ci[m]
-        ti[m:] += a * ci[m] + b * cr[m]
-    mr, mi = np.zeros_like(tr), np.zeros_like(ti)
-    for m in range(n):  # columns k >= m of M gain T[:][m] conj(P[k][m])
-        a, b = pr[None, m:, m], pi[None, m:, m]
-        mr[:, m:] += tr[:, m, None] * a + ti[:, m, None] * b
-        mi[:, m:] += ti[:, m, None] * a - tr[:, m, None] * b
-    return mr, mi
+    def product(ar, ai, br, bi):  # (ar + i ai)(br + i bi), matrix by matrix
+        e = "jm,mn->jn"
+        return (np.einsum(e, ar, br) - np.einsum(e, ai, bi),
+                np.einsum(e, ar, bi) + np.einsum(e, ai, br))
+
+    return product(*product(pr, pi, cr, ci), pr.T, -pi.T)
 
 
 def atoms_table(atoms: Sequence[tuple[complex, float]], order: int) -> MomentTable:
@@ -402,14 +396,14 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     largest divisor of m not above it), the weight evaluated on each column
     chunk's nodes as the DFT takes it, so no temporary is ring-sized and no
     value is kept. The matrix is Hermitian, W[j][k] = conj(W[k][j]), so
-    only d = j - k >= 0 is accumulated: G[k][d] = sum_r (omega_r / m)
-    r^(2k) r^d S_r(d), in ring order, in the real and imaginary parts of W
-    with elementwise numpy (no BLAS, no threads), so it is bit-reproducible;
-    then W[j][k] = G[min(j,k)][|j-k|] in place, conjugated above the
-    diagonal. G[k][d] does not depend on the order, so a lower order is a
-    read-only view bit-identical to a fresh build; a higher order than the
-    kept one is a new pass. The values agree with a complex ring DFT to
-    roundoff.
+    only d = j - k >= 0 is formed: G[k][d] = sum_r (omega_r / m) r^(2k)
+    r^d S_r(d), in the real and imaginary parts of W, each one ``np.einsum``
+    contraction over the rings, in ring order (no ``optimize``, so no BLAS
+    and no threads), so it is bit-reproducible; then W[j][k] =
+    G[min(j,k)][|j-k|] in place, conjugated above the diagonal. G[k][d]
+    does not depend on the order, so a lower order is a read-only view
+    bit-identical to a fresh build; a higher order than the kept one is a
+    new pass. The values agree with a complex ring DFT to roundoff.
 
     Kept on the weight per grid at the largest order asked for so far, with
     the least and largest node value its pass met (``_value_range``): a
@@ -479,14 +473,14 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
     and the least and largest value of w met on the way.
 
     Each ring's column chunks are evaluated as ``_circle_sums`` asks for
-    them. A non-finite value or a singular point stops the pass, and the
-    weight is integrated over the grid in node order (``integrate``), which
-    raises the error a pass in that order raises.
+    them, and its sums fill its row of S; the rows are then scaled and
+    contracted over the rings all at once. A non-finite value or a singular
+    point stops the pass, and the weight is integrated over the grid in node
+    order (``integrate``), which raises the error a pass in that order
+    raises.
     """
     n = np.arange(order + 1)
-    W = np.zeros((order + 1, order + 1), dtype=complex)
-    g_re, g_im = W.real, W.imag  # G accumulates in W's own entries
-    buf = np.empty((order + 1, order + 1))
+    S = np.empty((len(grid.ring_counts), order + 1), dtype=complex)
     lo, hi = math.inf, -math.inf
 
     def values(u, r):
@@ -499,20 +493,19 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
         lo, hi = min(lo, x_lo), max(hi, x_hi)
         return x
 
-    rings = zip(grid.ring_radii, _node_moduli(grid), grid.ring_weights, grid.ring_counts)
-    for r, modulus, weight, m in rings:
+    for i, (r, m) in enumerate(zip(grid.ring_radii, grid.ring_counts)):
         try:
-            S = _circle_sums(m, order, lambda u: values(u, r))
+            S[i] = _circle_sums(m, order, lambda u: values(u, r))
         except (SingularIntegrandError, SingularPointError):
             integrate(grid, w.eval_many)
             raise
-        rp = modulus ** n
-        S *= rp
-        ring = weight * rp * rp
-        np.multiply.outer(ring, S.real, out=buf)
-        g_re += buf
-        np.multiply.outer(ring, S.imag, out=buf)
-        g_im += buf
+    rp = np.array(_node_moduli(grid))[:, None] ** n
+    S *= rp
+    ring = np.array(grid.ring_weights)[:, None] * rp * rp
+    W = np.empty((order + 1, order + 1), dtype=complex)
+    g_re, g_im = W.real, W.imag  # G is formed in W's own entries
+    np.einsum("rk,rd->kd", ring, S.real, out=g_re)
+    np.einsum("rk,rd->kd", ring, S.imag, out=g_im)
     # W[j][k] = G[min(j,k)][|j-k|] in place: row k of G moves right by k, onto
     # the diagonal, and is copied down column k, conjugated above the diagonal
     for k in range(1, order + 1):

@@ -159,7 +159,7 @@ def _rank_one(point, degree, seed):
 
 
 class TestRecenteringRoute:
-    """point_moments' triangular products against the entrywise reference."""
+    """point_moments' einsum products against the entrywise reference."""
 
     @pytest.mark.parametrize("seed, generator", [
         (101, random_rank_one_distribution), (202, random_non_rank_one_distribution)])
@@ -993,6 +993,8 @@ class TestGridPassesKeepNoValues:
         W = (w.c * kept_moments(kept_values(w.inner, grid), grid, max(orders))
              if which == "scaled" else kept_moments(vals, grid, max(orders)))
         assert np.array_equal(disk_moments(w, grid, 63), W[:64, :64])
+        # the order a verify run asks of the ring pass, a new pass past 63
+        assert disk_moments(w, grid, max(orders)).tobytes() == W.tobytes()
         assert l1_norm(w, grid) == W[0, 0].real
         # the blocked sum, the mass's cross-check, keeps its own reference
         assert integrate(grid, w.eval_many) == kept_mass(vals, grid)

@@ -47,6 +47,20 @@ def test_only_the_listed_classes_are_dataclasses():
     assert sorted(found) == sorted(_DATACLASSES)
 
 
+def test_no_einsum_passes_optimize():
+    # optimize may route a contraction through BLAS tensordot, whose sums
+    # depend on the BLAS build and its thread count
+    calls, found = 0, []
+    for path in sorted(Path(disklab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _decorator_name(node) == "einsum":
+                calls += 1
+                found += [f"{path.name}:{node.lineno}" for kw in node.keywords
+                          if kw.arg in ("optimize", None)]  # None: a **mapping
+    assert calls > 0 and found == []
+
+
 # the standard-library modules that importing the command line adds to numpy's
 # own, measured with Python 3.11 and numpy 2.4 (_sha2 is _sha256 from 3.12 on)
 _IMPORT_ALLOWLIST = {
