@@ -33,6 +33,7 @@ kept per weight and grid; its corner W[0][0] is the mass (``l1_norm``).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -318,21 +319,28 @@ def point_moments(d: PointDistribution, order: int) -> MomentTable:
     on numerators, P'[j][m] = C(j,m) A^(j-m) D_a^(order-j+m) gives
     M = P' Cen' conj(P')^T / (D_c D_a^(2 order)). Exact data runs the
     products on Python ints (Gaussian integers); float data has D_a = D_c
-    = 1, so P' = P and the same products run in float64.
+    = 1, so P' = P and the same products run in float64, where a table
+    that overflows the float range raises DomainError, as a non-finite point
+    does in ``PointDistribution``.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
     (ar,), (ai,), da = d.a
-    apow = [(1, 0)]
-    for _ in range(order):
-        zr, zi = apow[-1]
-        apow.append((zr * ar - zi * ai, zr * ai + zi * ar))
-    pr, pi = np.zeros((2, order + 1, order + 1), dtype=d.re.dtype)
-    for j in range(order + 1):
-        for m in range(j + 1):
-            c = math.comb(j, m) * da ** (order - j + m)
-            pr[j, m], pi[j, m] = c * apow[j - m][0], c * apow[j - m][1]
-    mr, mi = _recenter(pr, pi, *_centered(d, order))
+    with np.errstate(over="ignore", invalid="ignore"):  # float overflow is refused below
+        apow = [(1, 0)]
+        for _ in range(order):
+            zr, zi = apow[-1]
+            apow.append((zr * ar - zi * ai, zr * ai + zi * ar))
+        pr, pi = np.zeros((2, order + 1, order + 1), dtype=d.re.dtype)
+        for j in range(order + 1):
+            for m in range(j + 1):
+                c = math.comb(j, m) * da ** (order - j + m)
+                pr[j, m], pi[j, m] = c * apow[j - m][0], c * apow[j - m][1]
+        mr, mi = _recenter(pr, pi, *_centered(d, order))
+    if not d.is_exact and not (np.isfinite(mr).all() and np.isfinite(mi).all()):
+        raise DomainError(
+            f"moments up to order {order} at the point {d.point!r} overflow the float range"
+        )
     return MomentTable._from_parts(mr, mi, d.denom * da ** (2 * order), "point")
 
 
@@ -392,14 +400,15 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     of m nodes r u_t, u_t = exp(2 pi i (t + 1/2) / m), gives S_r(d) =
     sum_t w(r u_t) u_t^d from ``quadrature._circle_sums``: real DFTs of at
     most ``NODE_BLOCK`` values each (the whole ring when m is at most
-    ``NODE_BLOCK``; otherwise its columns as an (L, m/L) array, L the
-    largest divisor of m not above it), the weight evaluated on each column
-    chunk's nodes as the DFT takes it, so no temporary is ring-sized and no
-    value is kept. The matrix is Hermitian, W[j][k] = conj(W[k][j]), so
-    only d = j - k >= 0 is formed: G[k][d] = sum_r (omega_r / m) r^(2k)
-    r^d S_r(d), in the real and imaginary parts of W, each one ``np.einsum``
-    contraction over the rings, in ring order (no ``optimize``, so no BLAS
-    and no threads), so it is bit-reproducible; then W[j][k] =
+    ``NODE_BLOCK``, consecutive rings of one count sharing a DFT call;
+    otherwise its columns as an (L, m/L) array, L the largest divisor of m
+    not above it), the weight evaluated on each column chunk's nodes as the
+    DFT takes it, so no temporary is ring-sized and no value is kept. The
+    matrix is Hermitian, W[j][k] = conj(W[k][j]), so only d = j - k >= 0 is
+    formed: G[k][d] = sum_r (omega_r / m) r^(2k) r^d S_r(d), in W's own
+    entries, one ``np.einsum`` contraction over the rings of S's float view
+    (real and imaginary parts interleaved), in ring order (no ``optimize``,
+    so no BLAS and no threads), so it is bit-reproducible; then W[j][k] =
     G[min(j,k)][|j-k|] in place, conjugated above the diagonal. G[k][d]
     does not depend on the order, so a lower order is a read-only view
     bit-identical to a fresh build; a higher order than the kept one is a
@@ -472,9 +481,10 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
     """W from the half sums G[k][d] = sum_r (omega_r/m) r^(2k) r^d S_r(d), d >= 0,
     and the least and largest value of w met on the way.
 
-    Each ring's column chunks are evaluated as ``_circle_sums`` asks for
-    them, and its sums fill its row of S; the rows are then scaled and
-    contracted over the rings all at once. A non-finite value or a singular
+    Each run of consecutive rings of one count goes to ``_circle_sums``,
+    which evaluates w on the column chunks it forms and fills the run's rows
+    of S; the rows are then scaled and contracted over the rings all at once,
+    real and imaginary parts in one contraction over S's float view. A non-finite value or a singular
     point stops the pass, and the weight is integrated over the grid in node
     order (``integrate``), which raises the error a pass in that order
     raises.
@@ -483,29 +493,31 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
     S = np.empty((len(grid.ring_counts), order + 1), dtype=complex)
     lo, hi = math.inf, -math.inf
 
-    def values(u, r):
+    def values(z):
         nonlocal lo, hi
-        u *= r  # the chunk's nodes, in place of its unit nodes
-        x = w.eval_many(u)
+        x = w.eval_many(z)
         x_lo, x_hi = float(x.min()), float(x.max())  # nan if any value is nan
         if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
             raise SingularIntegrandError(f"{w.label} is not finite on the grid")
         lo, hi = min(lo, x_lo), max(hi, x_hi)
         return x
 
-    for i, (r, m) in enumerate(zip(grid.ring_radii, grid.ring_counts)):
+    first = 0
+    for m, run in itertools.groupby(grid.ring_counts):  # runs of rings of one count
+        last = first + len(list(run))
         try:
-            S[i] = _circle_sums(m, order, lambda u: values(u, r))
+            _circle_sums(m, grid.ring_radii[first:last], values, S[first:last])
         except (SingularIntegrandError, SingularPointError):
             integrate(grid, w.eval_many)
             raise
+        first = last
     rp = np.array(_node_moduli(grid))[:, None] ** n
     S *= rp
     ring = np.array(grid.ring_weights)[:, None] * rp * rp
     W = np.empty((order + 1, order + 1), dtype=complex)
-    g_re, g_im = W.real, W.imag  # G is formed in W's own entries
-    np.einsum("rk,rd->kd", ring, S.real, out=g_re)
-    np.einsum("rk,rd->kd", ring, S.imag, out=g_im)
+    # G is formed in W's own entries, real and imaginary parts in one contraction
+    np.einsum("rk,rd->kd", ring, S.view(float), out=W.view(float))
+    g_im = W.imag
     # W[j][k] = G[min(j,k)][|j-k|] in place: row k of G moves right by k, onto
     # the diagonal, and is copied down column k, conjugated above the diagonal
     for k in range(1, order + 1):

@@ -30,9 +30,10 @@ counts. A grid keeps only a ring table (radius, node weight and node
 count per ring). Integration forms its nodes and weights in blocks of the
 fixed ``NODE_BLOCK`` nodes, bit-identical to slices of the whole rule, one
 block at a time in node order (``_disk_blocks``).
-The moment matrix works ring by ring, each ring's DFT in columns of at
-most ``NODE_BLOCK`` nodes (``_circle_sums``) whose nodes are formed from
-their ring indices, bit-identical too. Each pass evaluates its integrand
+The moment matrix takes each ring's DFT in columns of at most
+``NODE_BLOCK`` nodes (``_circle_sums``), rings of one count at most that
+long sharing a chunk a column each, whose nodes are formed from their ring
+indices, bit-identical too. Each pass evaluates its integrand
 or weight on the nodes it forms and keeps no value, so no array is
 node-sized, kept or temporary; a blocked reduction adds its block sums in
 node order. Every grid and lattice node comes from one formula,
@@ -319,43 +320,58 @@ def make_disk_grid(
     )
 
 
-def _circle_sums(m: int, order: int, values: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """S(d) = sum_t x_t u_t^d, d = 0..order, of real values x_t on a ring's
-    m nodes u_t = exp(2 pi i (t + 1/2) / m), in memory of one node block.
+def _circle_sums(m: int, radii: Sequence[float], values: Callable[[np.ndarray], np.ndarray],
+                 out: np.ndarray) -> None:
+    """Row i of ``out`` gets S_i(d) = sum_t x_t u_t^d, d < out.shape[1], of real
+    values x_t on ring i of m nodes radii[i] u_t, u_t = exp(2 pi i (t + 1/2) / m),
+    in memory of one node block.
 
     L is the largest divisor of m not above ``NODE_BLOCK`` (it depends on m
     alone, so S(d) has the same bits at any order) and q = m / L. Node
     t = a q + b has u_t^d = exp(2 pi i d a / L) u_b^d, so S(d) = sum_b u_b^d
     Y_b(d), where Y_b(d) = sum_a x_{aq+b} exp(2 pi i d a / L) is read from
     the real DFT F of column b of x as an (L, q) array: conj(F[d mod L]),
-    or F[L - d mod L] past L/2. The columns come ``NODE_BLOCK // L`` at a
-    time: ``values`` maps the (L, k) array of their unit nodes
-    (``_unit_nodes``, a new array it may overwrite) to the (L, k) array
-    of x there, and the chunk goes through ``rfft``; the twiddles u_b^d = exp(i pi (d (2b + 1) mod 2m) / m)
-    come from exact angles, and the terms are added in column order. A ring
-    of at most ``NODE_BLOCK`` nodes is one column, its whole DFT.
+    or F[L - d mod L] past L/2. The columns come in chunks of at most
+    NODE_BLOCK // max(L, order + 1): ``values`` maps the (L, k) array of
+    their nodes (``_unit_nodes`` times the radius, a new array it may
+    overwrite) to the (L, k) array of x there, and the chunk goes through
+    ``rfft``; the twiddles u_b^d = exp(i pi (d (2b + 1) mod 2m) / m) come
+    from exact angles, and the terms are added in column order. A ring of at
+    most ``NODE_BLOCK`` nodes is one column, its whole DFT, so a chunk holds
+    that many consecutive rings, a column each: one set of unit nodes, one
+    evaluation, one ``rfft`` and one twiddle product for all of them. A
+    column's sums have the same bits in any chunk.
     """
     split = next(n for n in range(min(m, NODE_BLOCK), 0, -1) if m % n == 0)
-    d = np.arange(order + 1)
+    d = np.arange(out.shape[1])
     idx = d % split
     half, conj = np.minimum(idx, split - idx), idx <= split // 2
-    step, width = max(1, NODE_BLOCK // split), m // split
+    width = m // split
+    # columns per chunk, so that its nodes and its sums each fit a node block;
+    # rings of one column each fill a chunk together, a longer ring fills its own
+    step = max(1, min(NODE_BLOCK // split, NODE_BLOCK // d.size))
+    per = step if width == 1 else 1
     # with an even split, row a + split/2 is node t + m/2, the exact negation
     # of row a: only the top rows take a complex exp (all rows of an odd split)
     rows = split // 2 if split % 2 == 0 else split
-    S = np.zeros(order + 1, dtype=complex)
-    for lo in range(0, width, step):
-        hi = min(lo + step, width)
-        u = np.empty((split, hi - lo), dtype=complex)
-        u[:rows] = _unit_nodes(m, np.arange(rows)[:, None] * width + np.arange(lo, hi))
-        np.negative(u[: split - rows], out=u[rows:])
-        F = np.fft.rfft(values(u), axis=0)
-        for b in range(lo, hi):
-            Y = F[half, b - lo]
+    out.fill(0)
+    for first in range(0, len(radii), per):
+        r = np.array(radii[first : first + per])
+        for lo in range(0, width, step):
+            b = np.arange(lo, min(lo + step, width))
+            u = np.empty((split, b.size * r.size), dtype=complex)
+            u[:rows] = _unit_nodes(m, np.arange(rows)[:, None] * width + b)
+            np.negative(u[: split - rows], out=u[rows:])
+            u *= r
+            F = np.fft.rfft(values(u), axis=0)
+            Y = F.T[:, half]  # a row per column: d runs along it
             np.conjugate(Y, out=Y, where=conj)
-            Y *= np.exp(1j * np.pi * (d * (2 * b + 1) % (2 * m)) / m)
-            S += Y
-    return S
+            Y *= np.exp(1j * np.pi * (np.multiply.outer(2 * b + 1, d) % (2 * m)) / m)
+            if width == 1:  # a row per ring
+                out[first : first + r.size] += Y
+            else:  # a row per column of the one ring, added in column order
+                for y in Y:
+                    out[first] += y
 
 
 def _disk_blocks(grid: DiskGrid, nodes: bool = True):

@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import importlib.util
 import json
@@ -815,6 +816,32 @@ class TestTruncationDetail:
 
 
 class TestProcessEntryPoint:
+    def test_main_in_process_leaves_the_callers_heap_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        argv = ["weights", "info", "--weight", "uniform", "--radial", "20", "--angular", "32"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["schema"] == 1
+        assert gc.get_freeze_count() == before
+
+    def test_process_entry_freezes_the_import_heap_before_the_command(self):
+        # python -m disklab, with its command wrapped to report the freeze count
+        probe = (
+            "import gc, runpy, sys\n"
+            "from disklab import cli\n"
+            "run = cli._COMMANDS['weights-info']\n"
+            "def report(config):\n"
+            "    print(gc.get_freeze_count(), file=sys.stderr)\n"
+            "    return run(config)\n"
+            "cli._COMMANDS['weights-info'] = report\n"
+            "sys.argv = ['disklab', 'weights', 'info', '--weight', 'uniform',\n"
+            "            '--radial', '20', '--angular', '32']\n"
+            "runpy.run_module('disklab', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr) > 10_000  # numpy's and disklab's objects
+        assert json.loads(proc.stdout)["is_harmonic"] is True
+
     def test_usage_error_exit_code_through_interpreter(self):
         proc = subprocess.run(
             [sys.executable, "-m", "disklab", "verify", "--suite", "bogus"],

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -121,6 +122,16 @@ class TestPointMoments:
         assert table.entries[2][1] == pytest.approx(
             (0.5 + 0.25j) ** 2 * np.conj(0.5 + 0.25j)
         )
+
+    @pytest.mark.parametrize("point", [1e200, 1e160 + 1e160j])
+    def test_float_table_past_the_float_range_is_refused(self, point):
+        # a^3 overflows: the table would hold NaN and inf entries
+        d = PointDistribution(point, [[1.0, 0.5], [0.25, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow the float range"):
+                point_moments(d, 3)
+        assert point_moments(d, 0).entries == ((1.0,),)  # no power of a: in range
 
 
 def _reference_point_moments(d, order):
@@ -869,7 +880,8 @@ def _assert_circle_sums_match_reference(w, grid, order):
     vals, start = kept_values(w, grid), 0
     for r, m in zip(grid.ring_radii, grid.ring_counts):
         x = vals[start : start + m]
-        got = quadrature._circle_sums(m, order, lambda u: w.eval_many(r * u))
+        got = np.empty((1, order + 1), dtype=complex)
+        quadrature._circle_sums(m, (r,), w.eval_many, got)
         assert np.max(np.abs(got - _direct_circle_sums(x, order))) <= 2e-15 * np.sum(np.abs(x))
         start += m
 
@@ -921,16 +933,25 @@ class TestSplitRingDft:
 
 
 def _ring_pass_nodes(grid):
-    """The nodes the ring pass evaluates the weight on, put back in grid order."""
+    """The nodes the ring pass evaluates the weight on, put back in grid order.
+
+    A chunk holds columns of one ring, or whole rings of one count, a column
+    each."""
     seen = []
     disk_moments(Custom(lambda z: seen.append(z.copy()) or np.ones(z.shape)), grid, 0)
     rings = []
-    for m in grid.ring_counts:
-        split, width, columns = _split(m), 0, []
+    while len(rings) < len(grid.ring_counts):
+        m = grid.ring_counts[len(rings)]
+        split = _split(m)
+        chunk = seen.pop(0).reshape(split, -1)
+        if split == m:  # whole rings
+            assert set(grid.ring_counts[len(rings) : len(rings) + chunk.shape[1]]) == {m}
+            rings += list(chunk.T)
+            continue
+        columns, width = [chunk], chunk.shape[1]
         while width < m // split:
-            chunk = seen.pop(0).reshape(split, -1)
-            columns.append(chunk)
-            width += chunk.shape[1]
+            columns.append(seen.pop(0).reshape(split, -1))
+            width += columns[-1].shape[1]
         rings.append(np.concatenate(columns, axis=1).ravel())
     assert seen == []
     return np.concatenate(rings)
@@ -1004,6 +1025,40 @@ class TestGridPassesKeepNoValues:
         # plus roundoff
         sweep = kept_berezin(vals, grid, points)
         assert np.max(np.abs(got - sweep) / sweep) <= 64 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("shape", [(120, 256), (240, 512)])
+    def test_batched_rings_equal_kept_values_reference(self, shape):
+        # the first run of rings of one count spans several chunks of
+        # NODE_BLOCK // m rings; at order 0 numpy's einsum takes its dot kernel
+        grid = make_disk_grid(*shape)
+        m, run = grid.ring_counts[0], grid.ring_counts.count(grid.ring_counts[0])
+        assert m == shape[1] and run > NODE_BLOCK // m
+        vals = kept_values(HarmonicBoundary(1.0), grid)
+        for order in (0, 1, 192):
+            W = disk_moments(HarmonicBoundary(1.0), grid, order)  # a fresh pass
+            assert W.tobytes() == kept_moments(vals, grid, order).tobytes()
+
+    def test_rings_of_one_count_past_a_node_block_keep_their_sums(self):
+        # two rings of 8,192 nodes: each one's columns, and nothing of the other
+        m = 2 * NODE_BLOCK
+        grid = quadrature.DiskGrid((0.5, 0.75), (0.3 / m, 0.7 / m), (m, m), 2, m)
+        w = LogGreen(0.4)
+        W = disk_moments(w, grid, 40)
+        assert W.tobytes() == kept_moments(kept_values(w, grid), grid, 40).tobytes()
+
+    def test_first_bad_node_of_a_batched_chunk_in_grid_order_is_named(self, disk_grid):
+        # rings 18 and 21 share a chunk of 16 rings of 256 nodes, one per
+        # column: ring 21's node 3 is evaluated before ring 18's node 200
+        assert disk_grid.ring_counts[:32] == (256,) * 32
+        nodes = disk_grid.nodes
+        early, late = 18 * 256 + 200, 21 * 256 + 3
+        bad = nodes[[early, late]]
+        w = Custom(lambda z: np.where(np.isin(z, bad), np.nan, 1.0), label="spikes")
+        with pytest.raises(SingularIntegrandError) as err:
+            disk_moments(w, disk_grid, 8)
+        assert str(err.value) == (
+            f"integrand is not finite at node {complex(nodes[early])!r} (index {early})"
+        )
 
     @pytest.mark.parametrize("route", ["disk_moments", "l1_norm", "berezin_transforms"])
     def test_first_bad_node_in_grid_order_is_named(self, route, coarse_disk_grid):

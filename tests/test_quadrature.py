@@ -427,7 +427,7 @@ def test_column_chunks_are_the_ring_nodes_bit_for_bit(m):
         chunks.append(u.copy())
         return np.zeros(u.shape)
 
-    quadrature._circle_sums(m, 0, values)
+    quadrature._circle_sums(m, (1.0,), values, np.empty((1, 1), dtype=complex))
     columns = np.concatenate(chunks, axis=1)
     split = {256: 256, 36_000: 4000, 13_122: 2187}[m]
     assert columns.shape == (split, m // split)

@@ -61,6 +61,22 @@ def test_no_einsum_passes_optimize():
     assert calls > 0 and found == []
 
 
+def test_only_the_process_entry_freezes_the_heap():
+    # gc.freeze keeps every object tracked so far out of all later collections:
+    # right for a process that has done its imports, wrong for an in-process caller
+    package = Path(disklab.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [path.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Attribute, ast.Name))
+                  and "freeze" in (getattr(node, "attr", None), getattr(node, "id", None))]
+    assert found == ["__main__.py"]
+    # the installed script is the same entry
+    scripts = (package.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^disklab = "disklab\.__main__:main"$', scripts, re.M)
+
+
 # the standard-library modules that importing the command line adds to numpy's
 # own, measured with Python 3.11 and numpy 2.4 (_sha2 is _sha256 from 3.12 on)
 _IMPORT_ALLOWLIST = {
