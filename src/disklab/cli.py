@@ -390,11 +390,11 @@ def _dilation(ctx: _SuiteContext):
     return worst, "non-harmonic weight: monotonicity reported, not asserted", None, _INFO
 
 
-def _h_identity_points(direction: complex, count: int = 25) -> list[complex]:
-    """Seeded points in |v| <= 0.8, turned by the unit ``direction``."""
+def _h_identity_points(direction: complex) -> list[complex]:
+    """25 seeded points in |v| <= 0.8, turned by the unit ``direction``."""
     rng = random.Random(_SEED_TEST_POINTS)
     pts = []
-    for _ in range(count):
+    for _ in range(25):
         r = 0.8 * (0.2 + 0.8 * rng.random())
         pts.append(direction * (r * np.exp(2j * np.pi * rng.random())))
     return pts
@@ -450,7 +450,7 @@ def _phi_consistency(ctx: _SuiteContext):
     model = ctx.model()
     worst, worst_pt = 0.0, 0j
     phi = model.h.shift()
-    points = _h_identity_points(ctx.direction, count=10)
+    points = _h_identity_points(ctx.direction)[:10]  # the same draws as h-identity's first ten
     berezin = dbr_mod.berezin_transforms(model.weight, points, ctx.disk_grid)
     for v, b in zip(points, berezin.tolist()):
         r2 = abs(complex(v)) ** 2
@@ -491,7 +491,7 @@ _ISOMETRY_NODE_SETS = (
 _MEAN_DOMINANCE_CAP = 0.85
 
 
-def _isometry_cases(direction: complex = 1.0):
+def _isometry_cases(direction: complex):
     """20 cases: fixed node sets cycled with seeded Gaussian coefficient draws.
 
     Draws whose kernel combination is dominated by its mean value are

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -192,18 +192,8 @@ def atoms_singular_values(
     return np.sort(np.abs(np.linalg.eigvalsh((R * m) @ R.conj().T)))[::-1]
 
 
-def _table_rows(M: MomentTable):
-    """M's rows as ``to_complex_array`` gives them, one reused complex array."""
-    row = np.empty(M.order + 1, dtype=complex)
-    for j in range(M.order + 1):
-        row.real, row.imag = M.re[j] / M.denom, M.im[j] / M.denom
-        yield row
-
-
 def factor_table(
-    M: Union[MomentTable, Iterable[np.ndarray]],
-    residual_tol: float,
-    atoms: Optional[Sequence[tuple[complex, float]]] = None,
+    rows: Iterable[np.ndarray], singular_values: np.ndarray, residual_tol: float
 ) -> TableFactorization:
     """h, sigma2/sigma1 and residual of a rank-one table (h_k = M[0][k], h_0 = 1).
 
@@ -212,32 +202,23 @@ def factor_table(
     ``_H0_TOL`` (unit-mass normalization), or when the residual exceeds
     ``residual_tol`` times max(1, max |M|).
 
-    M is a ``MomentTable``, or its rows as complex arrays, row 0 first, read
-    once, when ``atoms`` is given: ``build_model`` passes the rows that
-    ``atoms_table`` fills its table from, so it forms no table. The singular
-    values come from ``atoms_singular_values`` when the table is known to
-    be ``atoms_table(atoms, order)`` (an r x r problem, no SVD of the
-    table), and from an SVD of the table otherwise. h, the h_0 check, the
-    residual max |M[j][k] - conj(h_j) h_k| and max |M| are always read one
-    row at a time, so no table-sized temporary is built.
+    ``rows`` are the table's rows as complex arrays, row 0 first, read once:
+    ``build_model`` passes the rows ``atoms_table`` fills its table from,
+    so it forms no table, or a small table's array. ``singular_values`` are
+    the table's, in decreasing order: ``atoms_singular_values`` for a table
+    known to be ``atoms_table(atoms, order)``, an SVD of the array
+    otherwise. h, the h_0 check, the residual max |M[j][k] - conj(h_j) h_k|
+    and max |M| are read one row at a time, so no table-sized temporary is
+    built.
     """
-    if isinstance(M, MomentTable):
-        rows = _table_rows(M)
-    elif atoms is None:
-        raise DomainError("the rank test of a table given by its rows needs its atoms")
-    else:
-        rows = M
     for j, row in enumerate(rows):
         if j == 0:
             h = row.copy()
             residuals, moduli = np.empty((2, h.size))
         moduli[j] = np.max(np.abs(row))
         residuals[j] = np.max(np.abs(row - np.conj(h[j]) * h))
-    if atoms is None:
-        svals = np.linalg.svd(M.to_complex_array(), compute_uv=False)
-    else:
-        svals = atoms_singular_values(atoms, h.size - 1)
-    rank_ratio = float(svals[1] / svals[0]) if svals.size > 1 and svals[0] > 0 else 0.0
+    rank_ratio = (float(singular_values[1] / singular_values[0])
+                  if singular_values.size > 1 and singular_values[0] > 0 else 0.0)
     residual = float(np.max(residuals))
     h0_deviation = float(abs(h[0] - 1.0))
     if h0_deviation > _H0_TOL:
@@ -418,15 +399,16 @@ def build_model(
     unit = unit_mass_atoms(weight)
     if unit is not None:
         norm_weight, norm_atoms = unit
-        fac = factor_table(_atom_rows(norm_atoms, order), residual_tol=1e-9, atoms=norm_atoms)
+        fac = factor_table(_atom_rows(norm_atoms, order),
+                           atoms_singular_values(norm_atoms, order), residual_tol=1e-9)
         h = fac.h
     else:
         if disk_grid is None:
             raise DomainError(f"{weight.label} has no known atoms: its model needs a grid")
         disk_moments(weight, disk_grid, 8)  # the one ring pass; the mass is its corner
         norm_weight = normalize(weight, disk_grid)
-        fac = factor_table(moment_table_from_berezin(norm_weight, disk_grid, order=8),
-                           residual_tol=1e-4)
+        M = moment_table_from_berezin(norm_weight, disk_grid, order=8).to_complex_array()
+        fac = factor_table(M, np.linalg.svd(M, compute_uv=False), residual_tol=1e-4)
         h = geometric_series(fac.h.coeffs[1], order)  # the one atom's own series
     one_atom = unit is not None and len(norm_atoms) == 1
     a, b = _one_atom_factors(norm_atoms[0][0] if one_atom else h.coeffs[1].conjugate(),

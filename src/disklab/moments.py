@@ -50,7 +50,7 @@ from .errors import (
     SingularPointError,
 )
 from .quadrature import DiskGrid, _circle_sums, _node_moduli, integrate
-from .weights import Scaled, Weight, _on_grid
+from .weights import Scaled, Weight
 
 _C00_SNAP_TOL = 1e-9
 _FACTOR_TOL = 1e-12
@@ -320,24 +320,29 @@ def point_moments(d: PointDistribution, order: int) -> MomentTable:
     M = P' Cen' conj(P')^T / (D_c D_a^(2 order)). Exact data runs the
     products on Python ints (Gaussian integers); float data has D_a = D_c
     = 1, so P' = P and the same products run in float64, where a table
-    that overflows the float range raises DomainError, as a non-finite point
-    does in ``PointDistribution``.
+    that overflows the float range, or a binomial or factorial that no float
+    holds, raises DomainError, as a non-finite point does in
+    ``PointDistribution``.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
     (ar,), (ai,), da = d.a
-    with np.errstate(over="ignore", invalid="ignore"):  # float overflow is refused below
-        apow = [(1, 0)]
-        for _ in range(order):
-            zr, zi = apow[-1]
-            apow.append((zr * ar - zi * ai, zr * ai + zi * ar))
-        pr, pi = np.zeros((2, order + 1, order + 1), dtype=d.re.dtype)
-        for j in range(order + 1):
-            for m in range(j + 1):
-                c = math.comb(j, m) * da ** (order - j + m)
-                pr[j, m], pi[j, m] = c * apow[j - m][0], c * apow[j - m][1]
-        mr, mi = _recenter(pr, pi, *_centered(d, order))
-    if not d.is_exact and not (np.isfinite(mr).all() and np.isfinite(mi).all()):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # float overflow is refused below
+            apow = [(1, 0)]
+            for _ in range(order):
+                zr, zi = apow[-1]
+                apow.append((zr * ar - zi * ai, zr * ai + zi * ar))
+            pr, pi = np.zeros((2, order + 1, order + 1), dtype=d.re.dtype)
+            for j in range(order + 1):
+                for m in range(j + 1):
+                    c = math.comb(j, m) * da ** (order - j + m)
+                    pr[j, m], pi[j, m] = c * apow[j - m][0], c * apow[j - m][1]
+            mr, mi = _recenter(pr, pi, *_centered(d, order))
+        finite = d.is_exact or (np.isfinite(mr).all() and np.isfinite(mi).all())
+    except OverflowError:  # float data met an integer, C(j,m) or m! n!, past the float range
+        finite = False
+    if not finite:
         raise DomainError(
             f"moments up to order {order} at the point {d.point!r} overflow the float range"
         )
@@ -391,6 +396,30 @@ def _atom_rows(atoms: Sequence[tuple[complex, float]], order: int):
         for mpj, conj_pk in powers:
             row += np.multiply(mpj[j : j + 1], conj_pk, out=term)
         yield row
+
+
+class _GridData:
+    """What is derived from one weight on one grid, all of it small: its least
+    and largest node value and the largest moment matrix W asked of
+    ``disk_moments`` so far, whose corner W[0][0] is its mass and from which
+    its Berezin values are read. No node value is kept: the ring pass
+    evaluates the weight on the nodes it forms."""
+
+    value_range: Optional[tuple[float, float]] = None
+    W: Optional[np.ndarray] = None
+
+
+def _on_grid(w: Weight, grid: DiskGrid) -> _GridData:
+    """The weight's record for the grid, kept on the weight for its lifetime.
+
+    Keyed by the grid's value, not its identity: equal grids share one
+    record, which is right because the data depends only on the grid.
+    """
+    records = vars(w).setdefault("_grid_data", {})
+    data = records.get(grid)
+    if data is None:
+        data = records[grid] = _GridData()
+    return data
 
 
 def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:

@@ -105,7 +105,7 @@ class DiskGrid:
     @property
     def weights(self) -> np.ndarray:
         """All node weights in one array, formed anew on each access."""
-        return np.concatenate([wts for _, _, wts in _disk_blocks(self, nodes=False)])
+        return np.repeat(np.array(self.ring_weights), self.ring_counts)
 
 
 def _unit_nodes(count: int, t: np.ndarray, offset: float = 0.5) -> np.ndarray:
@@ -374,32 +374,30 @@ def _circle_sums(m: int, radii: Sequence[float], values: Callable[[np.ndarray], 
                     out[first] += y
 
 
-def _disk_blocks(grid: DiskGrid, nodes: bool = True):
+def _disk_blocks(grid: DiskGrid):
     """(start, nodes, weights) of each block of ``NODE_BLOCK`` nodes, in node order.
 
     Bit-identical to the slices [start, start + NODE_BLOCK) of the whole
-    rule's arrays, formed in place in block-sized arrays; ``nodes=False``
-    yields None for the nodes and forms none. The part of a ring in a block
-    takes its unit nodes from ``_unit_nodes``, and they serve the next parts
-    of the same count and index range (the 100 rings of 256 nodes of a
-    default grid).
+    rule's arrays, formed in place in block-sized arrays. The part of a ring
+    in a block takes its unit nodes from ``_unit_nodes``, and they serve the
+    next parts of the same count and index range (the 100 rings of 256
+    nodes of a default grid).
     """
     ring, first = 0, 0  # the ring holding the next node, and its first node index
     unit = (None, None)  # the (count, range) and unit nodes of the last ring part
     for start in range(0, grid.size, NODE_BLOCK):
         stop = min(start + NODE_BLOCK, grid.size)
-        z = np.empty(stop - start, dtype=complex) if nodes else None
+        z = np.empty(stop - start, dtype=complex)
         wts = np.empty(stop - start)
         pos = start
         while pos < stop:  # the part of ring `ring` in this block
             m, end = grid.ring_counts[ring], min(stop, first + grid.ring_counts[ring])
             part = slice(pos - start, end - start)
             wts[part] = grid.ring_weights[ring]
-            if nodes:
-                key = (m, pos - first, end - first)
-                if unit[0] != key:
-                    unit = (key, _unit_nodes(m, np.arange(pos - first, end - first)))
-                np.multiply(unit[1], grid.ring_radii[ring], out=z[part])
+            key = (m, pos - first, end - first)
+            if unit[0] != key:
+                unit = (key, _unit_nodes(m, np.arange(pos - first, end - first)))
+            np.multiply(unit[1], grid.ring_radii[ring], out=z[part])
             pos = end
             if end == first + m:
                 ring, first = ring + 1, end

@@ -17,8 +17,6 @@ subclasses:
 ``Scaled`` multiplies any weight by a positive constant (and its atoms'
 masses alike), and ``Custom`` wraps an arbitrary pointwise function
 together with its singular points; its charge is unknown (``atoms`` None).
-Its mass is its ring pass's W[0][0]: ``l1_norm`` and ``normalize`` live
-in ``moments`` beside ``disk_moments``; ``_on_grid`` keeps what it derives.
 
 Superharmonicity is tested directly through the defining circle-mean
 inequality on one fixed lattice of 10 centers and 5 radii
@@ -242,30 +240,6 @@ def uniform_weight() -> Custom:
         is_harmonic=True,
         analytic_mass=1.0,
     )
-
-
-class _GridData:
-    """What is derived from one weight on one grid, all of it small: its least
-    and largest node value and the largest moment matrix W asked of
-    ``disk_moments`` so far, whose corner W[0][0] is its mass and from which
-    its Berezin values are read. No node value is kept: the ring pass
-    evaluates the weight on the nodes it forms."""
-
-    value_range: Optional[tuple[float, float]] = None
-    W: Optional[np.ndarray] = None
-
-
-def _on_grid(w: Weight, grid: DiskGrid) -> _GridData:
-    """The weight's record for the grid, kept on the weight for its lifetime.
-
-    Keyed by the grid's value, not its identity: equal grids share one
-    record, which is right because the data depends only on the grid.
-    """
-    records = vars(w).setdefault("_grid_data", {})
-    data = records.get(grid)
-    if data is None:
-        data = records[grid] = _GridData()
-    return data
 
 
 #: The lattice of ``superharmonic_test``: circles of each radius about each

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from disklab import MomentTable, PointDistribution, TaylorSeries, atoms_table, point_moments
+from disklab.dbr import TableFactorization, factor_table
 from disklab.moments import _centered, _entries, _is_exact, _outer, _parts
 from disklab.quadrature import NODE_BLOCK, _disk_blocks, _disk_rings, _node_moduli
 
@@ -50,6 +51,13 @@ def rank_one_coeffs(p, q) -> list[list]:
     exact = _is_exact(p + q)
     (pr, pi, dp), (qr, qi, dq) = _parts(p, exact), _parts(q, exact)
     return [list(row) for row in _entries(*_outer(pr, pi, qr, qi), dp * dq)]
+
+
+def factor_whole_table(M: MomentTable, residual_tol: float) -> TableFactorization:
+    """``dbr.factor_table`` of a formed table: the rows of its complex array,
+    with the array's singular values from one SVD."""
+    arr = M.to_complex_array()
+    return factor_table(arr, np.linalg.svd(arr, compute_uv=False), residual_tol)
 
 
 def rank_one_fit(M: MomentTable) -> TaylorSeries:
@@ -95,7 +103,7 @@ def kept_values(w, grid) -> np.ndarray:
 def kept_mass(vals: np.ndarray, grid) -> float:
     """The mass from kept values: each block's weighted sum, added in node order."""
     total = 0.0
-    for start, _, wts in _disk_blocks(grid, nodes=False):
+    for start, _, wts in _disk_blocks(grid):
         total += np.sum(wts * vals[start : start + wts.size])
     return float(total)
 

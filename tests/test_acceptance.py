@@ -37,11 +37,10 @@ from disklab import (
     weak_mult_check,
 )
 from disklab.cli import _isometry_cases
-from disklab.dbr import factor_table
 from disklab.dirichlet import dilation_report
 
 from conftest import random_disk_points
-from reference import centered_moments, rank_one_fit
+from reference import centered_moments, factor_whole_table, rank_one_fit
 
 
 def _report(n, text):
@@ -202,7 +201,7 @@ def test_criterion_6_h_identity(disk_grid, harm_weight, log04_weight, log04_grid
     from disklab import atoms_table
 
     w_log = Scaled(1.0 / log04_weight.analytic_mass, log04_weight)
-    h_log = factor_table(atoms_table(w_log.atoms, 64), residual_tol=1e-9).h
+    h_log = factor_whole_table(atoms_table(w_log.atoms, 64), residual_tol=1e-9).h
     np.testing.assert_allclose(h_log.coeffs, geometric_series(0.4, 64).coeffs,
                                atol=1e-12)
     rep_log = verify_h_identity(w_log, h_log, pts, log04_grid)
@@ -221,14 +220,14 @@ def test_criterion_6_h_identity(disk_grid, harm_weight, log04_weight, log04_grid
 
 def test_criterion_7_isometry(harm_model, disk_grid):
     worst = 0.0
-    for nodes, coeffs in _isometry_cases():
+    for nodes, coeffs in _isometry_cases(1.0):
         rep = verify_isometry(harm_model, nodes, coeffs, disk_grid)
         assert rep.relative_gap <= 1e-2, rep
         worst = max(worst, rep.relative_gap)
 
     wrong = szego_model(harm_model)
     min_gap = float("inf")
-    for nodes, coeffs in _isometry_cases():
+    for nodes, coeffs in _isometry_cases(1.0):
         rep = verify_isometry(wrong, nodes, coeffs, disk_grid)
         min_gap = min(min_gap, rep.relative_gap)
     assert min_gap > 0.1

@@ -520,6 +520,22 @@ class TestRun:
         size = cli._SuiteContext(config).disk_grid.size
         assert 0 <= sum(evaluated) - 2 * size < 2**14
 
+    @pytest.mark.parametrize("spec", ["harm:1,0", "log:0.4,0", "harm:0.6,-0.8"])
+    def test_phi_consistency_reads_the_first_ten_h_identity_points(self, spec, monkeypatch):
+        from disklab import cli, dbr
+
+        calls = []
+        real = dbr.berezin_transforms
+        monkeypatch.setattr(dbr, "berezin_transforms",
+                            lambda w, points, grid: calls.append(list(points))
+                            or real(w, points, grid))
+        config = parse_args(["verify", "--suite", "dbr", "--weight", spec])
+        report, code = run(config)
+        assert code == 0, [c for c in report.checks if not c.passed]
+        # h-identity's 25 points, then phi-consistency's, the same first ten draws
+        points = cli._h_identity_points(cli._SuiteContext(config).direction)
+        assert calls == [points, points[:10]]
+
     def test_weights_info_reads_each_grid_once(self, monkeypatch, capsys):
         from disklab import cli, moments, weights
 

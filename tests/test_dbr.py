@@ -45,7 +45,7 @@ from disklab.dbr import atoms_singular_values, unit_mass_atoms
 from disklab.quadrature import _unit_nodes
 from disklab.quadrature import NODE_BLOCK
 
-from reference import dirac_table, rank_one_fit
+from reference import dirac_table, factor_whole_table, rank_one_fit
 
 # closed form for the boundary-pole weight at zeta = 1:
 # b(z) = sqrt(s) z / (1 - s z) with s = (3 - sqrt 5)/2
@@ -113,12 +113,12 @@ class TestHFromMoments:
     def test_boundary_dirac_gives_truncated_geometric(self):
         zeta = np.exp(0.4j)
         table = dirac_table(zeta, 12)
-        h = dbr.factor_table(table, 1e-4).h
+        h = factor_whole_table(table, 1e-4).h
         expected = geometric_series(np.conj(zeta), 12)
         np.testing.assert_allclose(h.coeffs, expected.coeffs, atol=1e-14)
 
     def test_origin_dirac_gives_constant_one(self):
-        h = dbr.factor_table(dirac_table(0.0, 6), 1e-4).h
+        h = factor_whole_table(dirac_table(0.0, 6), 1e-4).h
         assert h.coeffs[0] == 1.0
         assert np.allclose(h.coeffs[1:], 0.0)
 
@@ -130,7 +130,7 @@ class TestHFromMoments:
             entries=tuple(tuple(r) for r in entries), order=2, provenance="synthetic"
         )
         with pytest.raises(NotDbrWeightError):
-            dbr.factor_table(table, 1e-4)
+            factor_whole_table(table, 1e-4)
 
     def test_unnormalized_table_rejected(self):
         table = dirac_table(0.5, 4)
@@ -142,7 +142,7 @@ class TestHFromMoments:
             provenance="synthetic",
         )
         with pytest.raises(NotDbrWeightError):
-            dbr.factor_table(scaled, 1e-4)
+            factor_whole_table(scaled, 1e-4)
 
 
 class TestUnitMass:
@@ -231,7 +231,8 @@ class TestRowWiseFactorization:
         for count in (1, 2, 3, 1, 2, 3):
             atoms = _random_atoms(rng, count)
             table = atoms_table(atoms, order)
-            fac = dbr.factor_table(table, residual_tol=math.inf, atoms=atoms)
+            fac = dbr.factor_table(table.to_complex_array(), atoms_singular_values(atoms, order),
+                                   residual_tol=math.inf)
             h, rank_ratio, residual, _ = _reference_factorization(table, atoms)
             assert np.array_equal(fac.h.array, h)
             assert fac.rank_ratio == rank_ratio and fac.residual == residual
@@ -245,16 +246,12 @@ class TestRowWiseFactorization:
             table = atoms_table(atoms, order)
             rows = np.array(list(moments._atom_rows(atoms, order)))
             assert np.array_equal(rows, table.to_complex_array())
-            from_rows = dbr.factor_table(moments._atom_rows(atoms, order), math.inf, atoms)
-            from_table = dbr.factor_table(table, math.inf, atoms)
+            svals = atoms_singular_values(atoms, order)
+            from_rows = dbr.factor_table(moments._atom_rows(atoms, order), svals, math.inf)
+            from_table = dbr.factor_table(table.to_complex_array(), svals, math.inf)
             assert np.array_equal(from_rows.h.array, from_table.h.array)
             assert from_rows.rank_ratio == from_table.rank_ratio
             assert from_rows.residual == from_table.residual
-
-    def test_rows_without_atoms_refused(self):
-        rows = moments._atom_rows(((0.5, 1.0),), 4)
-        with pytest.raises(DomainError, match="needs its atoms"):
-            dbr.factor_table(rows, 1e-9)
 
     def test_every_row_is_read(self):
         # only the last row breaks rank one, and it also sets max|M|
@@ -265,15 +262,16 @@ class TestRowWiseFactorization:
         bent = MomentTable._from_parts(re, table.im, 1, "synthetic")
         h, _, residual, scale = _reference_factorization(bent, atoms)
         assert residual > 99.0 and scale > residual
-        fac = dbr.factor_table(bent, residual_tol=residual / scale, atoms=atoms)
+        rows, svals = bent.to_complex_array(), atoms_singular_values(atoms, 8)
+        fac = dbr.factor_table(rows, svals, residual_tol=residual / scale)
         assert fac.residual == residual
         with pytest.raises(NotDbrWeightError, match="residual"):
-            dbr.factor_table(bent, residual_tol=0.99 * residual / scale, atoms=atoms)
+            dbr.factor_table(rows, svals, residual_tol=0.99 * residual / scale)
 
     def test_exact_table_is_read_over_its_denominator(self):
         table = dirac_table(GaussianRational(Fraction(1, 3), Fraction(-2, 7)), 6)
         assert table.is_exact and table.denom > 1
-        fac = dbr.factor_table(table, residual_tol=1e-12)
+        fac = factor_whole_table(table, residual_tol=1e-12)
         arr = table.to_complex_array()
         assert np.array_equal(fac.h.array, arr[0])
         assert fac.residual == float(
@@ -318,7 +316,7 @@ class TestBerezinExtraction:
         grid = make_disk_grid(40, 64)
         table = moment_table_from_berezin(uniform, grid, order=3)
         with pytest.raises(NotDbrWeightError):
-            dbr.factor_table(table, 1e-4)
+            factor_whole_table(table, 1e-4)
 
     @pytest.mark.parametrize(
         "inner, atom, atol",
@@ -405,7 +403,7 @@ class TestOneAtomFactors:
     @pytest.mark.parametrize("p", _ONE_ATOM_POLES)
     def test_b_is_z_h_a(self, p):
         a, b = dbr._one_atom_factors(p, 64)
-        h = dbr.factor_table(atoms_table(((p, 1.0),), 64), 1e-9).h
+        h = factor_whole_table(atoms_table(((p, 1.0),), 64), 1e-9).h
         np.testing.assert_allclose((h.shift() * a).coeffs, b.coeffs, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("inner, p, bound", [
@@ -435,7 +433,7 @@ class TestOneAtomFactors:
             assert max(dbr._factor_identities(model)) <= 1e-12
             # h0_deviation still reads the quadrature table's h_0
             table = moment_table_from_berezin(model.weight, grid, order=8)
-            h0 = dbr.factor_table(table, 1e-4).h.coeffs[0]
+            h0 = factor_whole_table(table, 1e-4).h.coeffs[0]
             assert model.diagnostics["h0_deviation"] == abs(h0 - 1.0)
 
     def test_one_atom_takes_its_own_point_bit_for_bit(self):
@@ -521,7 +519,7 @@ class TestResolvingLimit:
         assert model.diagnostics["rank_ratio"] <= 1e-10
         assert model.h.coeffs[1] == pytest.approx(math.cos(1e-7), rel=0, abs=1e-15)
         gaps = [verify_isometry(model, nodes, coeffs, None).relative_gap
-                for nodes, coeffs in _isometry_cases()]
+                for nodes, coeffs in _isometry_cases(1.0)]
         assert max(gaps) <= 1e-12  # 3.9e-14 measured
 
     def test_a_pair_above_the_limit_is_refused(self):

@@ -133,6 +133,12 @@ class TestPointMoments:
                 point_moments(d, 3)
         assert point_moments(d, 0).entries == ((1.0,),)  # no power of a: in range
 
+    def test_factorial_past_the_float_range_is_refused(self):
+        # 171! has no float: casting the centered factors raised a bare OverflowError
+        d = PointDistribution(0.5, np.ones((172, 172)).tolist())
+        with pytest.raises(DomainError, match="overflow the float range"):
+            point_moments(d, 171)
+
 
 def _reference_point_moments(d, order):
     """Reference: the O(order^4) binomial recentering, entry by entry.

@@ -477,8 +477,6 @@ def test_blocks_are_the_materialised_rule_bit_for_bit(orders):
         assert z.tobytes() == nodes[start:stop].tobytes()
         assert wts.tobytes() == weights[start:stop].tobytes()
     assert starts == list(range(0, grid.size, NODE_BLOCK))
-    for start, z, wts in quadrature._disk_blocks(grid, nodes=False):
-        assert z is None and wts.tobytes() == weights[start : start + NODE_BLOCK].tobytes()
     assert grid.nodes.tobytes() == nodes.tobytes()
     assert grid.weights.tobytes() == weights.tobytes()
 
