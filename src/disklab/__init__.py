@@ -62,11 +62,10 @@ from .series import (
 from .weights import (
     AtomicWeight,
     Custom,
-    HarmonicBoundary,
-    LogGreen,
-    Scaled,
     Weight,
     grid_for_weight,
+    harmonic_boundary,
+    log_green,
     parse_weight_spec,
     superharmonic_test,
     uniform_weight,

@@ -54,7 +54,7 @@ from .errors import (
 from .moments import MomentTable, _atom_rows, _unit_scale, disk_moments, normalize
 from .quadrature import MAX_RING_ORDER, NODE_BLOCK, DiskGrid
 from .series import TaylorSeries, geometric_series
-from .weights import Scaled, Weight
+from .weights import Weight
 
 _H0_TOL = 1e-6
 _RANK_TOL = 1e-6
@@ -138,7 +138,7 @@ def unit_mass_atoms(
     if total <= 0:
         raise DegenerateWeightError("atomic weight has nonpositive mass")
     scale = _unit_scale(total)
-    norm_weight = weight if abs(total - 1.0) < 1e-15 else Scaled(scale, weight)
+    norm_weight = weight if abs(total - 1.0) < 1e-15 else weight.scaled(scale)
     return norm_weight, tuple((p, m * scale) for p, m in atoms)
 
 

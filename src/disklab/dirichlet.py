@@ -3,7 +3,7 @@
 The energy of f against a weight w is the integral of |f'|^2 w over the
 disk in normalized area measure. It has two routes:
 
-* a weight with atoms (``Weight.atoms``, ``Scaled`` included) is a sum of
+* a weight with atoms (``Weight.atoms``, scaled weights included) is a sum of
   local Dirichlet integrals (Richter-Sundberg), D(f) = sum m D_p(f) over
   its atoms (p, m), with D_p(f) = ||(f - f(p))/(z - p)||^2 in H^2: one
   Horner pass per atom, O(N) memory and no moment matrix;

@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -50,7 +51,7 @@ from .errors import (
     SingularPointError,
 )
 from .quadrature import DiskGrid, _circle_sums, _node_moduli, integrate
-from .weights import Scaled, Weight
+from .weights import Weight, _scaled_label
 
 _C00_SNAP_TOL = 1e-9
 _FACTOR_TOL = 1e-12
@@ -321,13 +322,16 @@ def point_moments(d: PointDistribution, order: int) -> MomentTable:
     products on Python ints (Gaussian integers); float data has D_a = D_c
     = 1, so P' = P and the same products run in float64, where a table
     that overflows the float range, or a binomial or factorial that no float
-    holds, raises DomainError, as a non-finite point does in
+    holds (from order 1030 on, C(order, order // 2), refused before P is
+    built), raises DomainError, as a non-finite point does in
     ``PointDistribution``.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
     (ar,), (ai,), da = d.a
     try:
+        if not d.is_exact and math.comb(order, order // 2) > sys.float_info.max:
+            raise OverflowError  # the largest binomial of P, met before its O(order^2) loop
         with np.errstate(over="ignore", invalid="ignore"):  # float overflow is refused below
             apow = [(1, 0)]
             for _ in range(order):
@@ -443,56 +447,59 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     bit-identical to a fresh build; a higher order than the kept one is a
     new pass. The values agree with a complex ring DFT to roundoff.
 
-    Kept on the weight per grid at the largest order asked for so far, with
-    the least and largest node value its pass met (``_value_range``): a
-    verify run asks first for the largest order its checks read, the orders
-    of its Berezin values among them. A ``Scaled`` weight's matrix is its
-    factor times its inner weight's, formed on each call with no pass and
-    nothing kept. A non-finite weight value raises SingularIntegrandError
-    naming the first such node in grid order, as a pass in node order would.
+    Kept on the weight's ``base`` per grid at the largest order asked for so
+    far, with the least and largest node value its pass met (``_value_range``):
+    a verify run asks first for the largest order its checks read, the orders
+    of its Berezin values among them. A scaled weight's matrix is its base's
+    times each of its ``factors`` in turn, formed on each call, once its
+    values are known to be finite (``_value_range``). A non-finite weight
+    value raises SingularIntegrandError naming the first such node in grid
+    order, as a pass in node order would.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
-    if isinstance(w, Scaled):  # formed on each call: only its inner weight's is kept
-        W = w.c * disk_moments(w.inner, grid, order)
-        lo, hi = _value_range(w, grid)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise SingularIntegrandError(f"values of {w.label} are not finite on the grid")
-        W.setflags(write=False)
-        return W
-    data = _on_grid(w, grid)
+    data = _on_grid(w.base, grid)
     if data.W is not None and data.W.shape[0] > order:
-        return data.W[: order + 1, : order + 1]
-    data.W, data.value_range = _ring_moments(w, grid, order)
-    data.W.setflags(write=False)
-    return data.W
+        W = data.W[: order + 1, : order + 1]
+    else:
+        data.W, data.value_range = _ring_moments(w.base, grid, order)
+        data.W.setflags(write=False)
+        W = data.W
+    _value_range(w, grid)  # raises when a factor takes the values past the float range
+    for c in w.factors:  # innermost first, as the values are scaled
+        W = c * W
+    W.setflags(write=False)
+    return W
 
 
 def _value_range(w: Weight, grid: DiskGrid) -> tuple[float, float]:
-    """Least and largest value of w on the grid, as the ring pass of its
-    kept W met them; a ``Scaled`` weight's are its factor times its inner
-    weight's, rounded as its values are, which are never formed."""
-    if isinstance(w, Scaled):
-        lo, hi = _value_range(w.inner, grid)
-        return w.c * lo, w.c * hi
-    return _on_grid(w, grid).value_range
+    """Least and largest value of w on the grid: those the ring pass of its
+    base met, times each of its factors in turn, as its values are scaled.
+    The first factor that takes them past the float range raises
+    SingularIntegrandError naming the label of that scale."""
+    (lo, hi), label = _on_grid(w.base, grid).value_range, w.base.label
+    for c in w.factors:
+        lo, hi, label = c * lo, c * hi, _scaled_label(c, label)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise SingularIntegrandError(f"values of {label} are not finite on the grid")
+    return lo, hi
 
 
 def l1_norm(w: Weight, grid: DiskGrid) -> float:
     """Mass of the weight against normalized area measure on the grid's rule:
     the corner W[0][0] of ``disk_moments``, read from the kept W, or from an
-    order-0 ring pass when none is kept. A ``Scaled`` weight's mass is its
-    factor times its inner weight's, with no pass of its own."""
+    order-0 ring pass when none is kept. A scaled weight's mass is its
+    base's times its factors, with no pass of its own."""
     return float(disk_moments(w, grid, 0)[0, 0].real)
 
 
-def normalize(w: Weight, grid: DiskGrid) -> Scaled:
+def normalize(w: Weight, grid: DiskGrid) -> Weight:
     """Rescale to unit mass; degenerate (zero) weights are rejected, and so
     is a mass with no finite reciprocal."""
     mass = l1_norm(w, grid)
     if mass <= 0.0:
         raise DegenerateWeightError(f"weight {w.label} has nonpositive mass {mass}")
-    return Scaled(_unit_scale(mass), w)
+    return w.scaled(_unit_scale(mass))
 
 
 def _unit_scale(mass: float) -> float:
@@ -632,12 +639,17 @@ def _worst(re: np.ndarray, im: np.ndarray, denom: int) -> tuple[tuple[int, ...],
 
     The callers round each real product on its own, as Python's complex
     product does. Integer parts compare re^2 + im^2 exactly and round once,
-    at the worst.
+    at the worst; a value past the float range is inf, as np.hypot gives
+    on float parts.
     """
     size = _magnitude(re, im)
     flat = int(np.argmax(size))
     if re.dtype == object:
-        value = math.sqrt(Fraction(size.flat[flat], denom**4))
+        try:
+            value = math.sqrt(Fraction(size.flat[flat], denom**4))
+        except OverflowError:  # the square has no float: its root from isqrt, or inf
+            root = Fraction(math.isqrt(size.flat[flat]), denom**2)
+            value = float(root) if root <= sys.float_info.max else math.inf
     else:
         value = float(size.flat[flat])
     return tuple(int(i) for i in np.unravel_index(flat, re.shape)), value

@@ -7,16 +7,17 @@ atom, interior or boundary. It carries its ``atoms``, which are what the
 moment and kernel-model pipelines branch on, and its atoms are its poles.
 A point is on the circle when ``_on_circle`` says so; every other pole
 inside the disk is interior. The two catalog families are one-atom
-subclasses:
+constructors:
 
-* ``HarmonicBoundary(zeta)``: one boundary atom of unit mass at |zeta| = 1.
+* ``harmonic_boundary(zeta)``: one boundary atom of unit mass at |zeta| = 1.
   Harmonic in the disk, unit mass against dA, singular at zeta.
-* ``LogGreen(zeta)``: one interior atom of mass (1 - |zeta|^2)/2 at
+* ``log_green(zeta)``: one interior atom of mass (1 - |zeta|^2)/2 at
   |zeta| < 1. Superharmonic, logarithmic pole at zeta.
 
-``Scaled`` multiplies any weight by a positive constant (and its atoms'
-masses alike), and ``Custom`` wraps an arbitrary pointwise function
-together with its singular points; its charge is unknown (``atoms`` None).
+``Custom`` wraps an arbitrary pointwise function together with its
+singular points; its charge is unknown (``atoms`` None). ``w.scaled(c)`` is
+c times any weight, of its class: c joins its ``factors``, and its mass and
+atom masses are multiplied by c.
 
 Superharmonicity is tested directly through the defining circle-mean
 inequality on one fixed lattice of 10 centers and 5 radii
@@ -25,6 +26,7 @@ inequality on one fixed lattice of 10 centers and 5 radii
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Callable, Optional, Sequence
 
@@ -59,17 +61,23 @@ def _spec_number(x: float) -> str:
     return short if float(short) == x else repr(float(x))
 
 
+def _scaled_label(c: float, label: str) -> str:
+    """The label of c times the weight labelled ``label``; it parses back."""
+    return f"scaled:{_spec_number(c)}:{label}"
+
+
 class Weight:
     """A nonnegative integrable function on the unit disk.
 
     Evaluation has two levels: ``eval_many`` walks the flattened input
     once, ``NODE_BLOCK`` nodes at a time, into one float output, and each
     subclass gives only ``_value_block``, its formula on a 1-D complex
-    block. ``singularities`` lists the points where the weight blows up; a
-    block holding a node equal to one raises SingularPointError before it
-    is evaluated, and grids for this weight should guard the corresponding
-    radii (see ``singular_radii``). A node near a pole, however near, is
-    evaluated: a value that overflows is an inf, which the grid passes refuse.
+    block, times each of ``factors`` in turn. ``singularities`` lists the
+    points where the weight blows up; a block holding a node equal to one
+    raises SingularPointError before it is evaluated, and grids for this
+    weight should guard the corresponding radii (see ``singular_radii``). A
+    node near a pole, however near, is evaluated: a value that overflows is
+    an inf, which the grid passes refuse.
     """
 
     label: str = "weight"
@@ -78,6 +86,26 @@ class Weight:
     analytic_mass: Optional[float] = None  # closed-form L1 norm, when known
     # (point, mass) of each atom of the weight's charge, when known
     atoms: Optional[tuple[tuple[complex, float], ...]] = None
+    factors: tuple[float, ...] = ()  # those of ``scaled``, innermost first
+    _base: Optional["Weight"] = None  # the unscaled weight, when scaled
+
+    @property
+    def base(self) -> "Weight":
+        """The unscaled weight, whose per-grid record (``moments._on_grid``) is kept."""
+        return self if self._base is None else self._base
+
+    def scaled(self, c: float) -> "Weight":
+        """c times the weight: a shallow copy with c appended to ``factors``."""
+        c = float(c)
+        if not (c > 0.0 and math.isfinite(c)):
+            raise DomainError(f"scale factor must be positive and finite, got {c}")
+        out = copy.copy(self)
+        vars(out).pop("_grid_data", None)  # the grid records stay with the base
+        out._base, out.factors = self.base, self.factors + (c,)
+        out.label = _scaled_label(c, self.label)
+        out.analytic_mass = None if self.analytic_mass is None else c * self.analytic_mass
+        out.atoms = None if self.atoms is None else tuple((p, c * m) for p, m in self.atoms)
+        return out
 
     def _value_block(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -94,7 +122,10 @@ class Weight:
                 for s in self.singularities:
                     if (block == s).any():
                         raise SingularPointError(f"{self.label} evaluated at singular point {s!r}")
-                out[start : start + NODE_BLOCK] = self._value_block(block)
+                values = self._value_block(block)
+                for c in self.factors:  # c2 * (c1 * v), as the values of c1 then c2
+                    values = c * values
+                out[start : start + NODE_BLOCK] = values
         return out.reshape(z.shape)
 
     def __call__(self, z: complex) -> float:
@@ -134,11 +165,10 @@ class AtomicWeight(Weight):
         self.atoms = interior + boundary
         self.singularities = tuple(p for p, _ in self.atoms)
         self.is_harmonic = not interior
-        self.analytic_mass = math.fsum(m for _, m in interior) + math.fsum(
-            m for _, m in boundary
-        )
+        self.analytic_mass = (math.fsum(m for _, m in interior)
+                              + math.fsum(m for _, m in boundary))
         self.label = label
-        # left to right, m * 2.0 is exact: a LogGreen multiplier is exactly 1.0
+        # left to right, m * 2.0 is exact: a log_green multiplier is exactly 1.0
         self._log_terms = tuple((p, m * 2.0 / (1.0 - abs(p) ** 2)) for p, m in interior)
         self._boundary = boundary
 
@@ -156,47 +186,18 @@ class AtomicWeight(Weight):
         return total
 
 
-class HarmonicBoundary(AtomicWeight):
+def harmonic_boundary(zeta: complex) -> AtomicWeight:
     """Boundary-pole harmonic weight (1 - |z|^2) / |z - zeta|^2, |zeta| = 1."""
-
-    def __init__(self, zeta: complex):
-        self.zeta = complex(zeta)
-        super().__init__(
-            boundary=((self.zeta, 1.0),),
-            label=f"harm:{_spec_number(self.zeta.real)},{_spec_number(self.zeta.imag)}",
-        )
+    zeta = complex(zeta)
+    label = f"harm:{_spec_number(zeta.real)},{_spec_number(zeta.imag)}"
+    return AtomicWeight(boundary=((zeta, 1.0),), label=label)
 
 
-class LogGreen(AtomicWeight):
+def log_green(zeta: complex) -> AtomicWeight:
     """Logarithmic interior-pole weight log |(1 - conj(zeta) z)/(z - zeta)|."""
-
-    def __init__(self, zeta: complex):
-        self.zeta = complex(zeta)
-        super().__init__(
-            interior=((self.zeta, (1.0 - abs(self.zeta) ** 2) / 2.0),),
-            label=f"log:{_spec_number(self.zeta.real)},{_spec_number(self.zeta.imag)}",
-        )
-
-
-class Scaled(Weight):
-    """A positive multiple c * inner; its atoms are the inner atoms times c."""
-
-    def __init__(self, c: float, inner: Weight):
-        c = float(c)
-        if not (c > 0.0 and math.isfinite(c)):
-            raise DomainError(f"scale factor must be positive and finite, got {c}")
-        self.c = c
-        self.inner = inner
-        self.is_harmonic = inner.is_harmonic
-        self.singularities = inner.singularities
-        self.label = f"scaled:{_spec_number(c)}:{inner.label}"
-        if inner.analytic_mass is not None:
-            self.analytic_mass = c * inner.analytic_mass
-        if inner.atoms is not None:
-            self.atoms = tuple((p, c * m) for p, m in inner.atoms)
-
-    def _value_block(self, z: np.ndarray) -> np.ndarray:
-        return self.c * self.inner._value_block(z)
+    zeta = complex(zeta)
+    label = f"log:{_spec_number(zeta.real)},{_spec_number(zeta.imag)}"
+    return AtomicWeight(interior=((zeta, (1.0 - abs(zeta) ** 2) / 2.0),), label=label)
 
 
 class Custom(Weight):
@@ -234,12 +235,8 @@ class Custom(Weight):
 
 def uniform_weight() -> Custom:
     """The constant weight 1 (normalized area measure itself)."""
-    return Custom(
-        fn=lambda z: np.ones(np.shape(z)),
-        label="uniform",
-        is_harmonic=True,
-        analytic_mass=1.0,
-    )
+    return Custom(lambda z: np.ones(np.shape(z)), label="uniform", is_harmonic=True,
+                  analytic_mass=1.0)
 
 
 #: The lattice of ``superharmonic_test``: circles of each radius about each
@@ -297,13 +294,9 @@ def superharmonic_test(w: Weight) -> tuple[float, Optional[tuple[complex, float]
     return worst_margin, worst_case
 
 
-def grid_for_weight(
-    weight: Weight, radial_order: int, angular_order: int
-) -> DiskGrid:
+def grid_for_weight(weight: Weight, radial_order: int, angular_order: int) -> DiskGrid:
     """Disk grid whose angular grading guards the weight's singular radii."""
-    return make_disk_grid(
-        radial_order, angular_order, singular_radii=weight.singular_radii
-    )
+    return make_disk_grid(radial_order, angular_order, singular_radii=weight.singular_radii)
 
 
 def parse_weight_spec(spec: str) -> Weight:
@@ -323,15 +316,15 @@ def parse_weight_spec(spec: str) -> Weight:
         z = _parse_point(rest, spec)
         if abs(z) == 0.0:
             raise WeightSpecError(f"cannot normalize zero point in {spec!r}")
+        if abs(z) < 2.0**-1022:  # a subnormal modulus: z / |z| would miss the circle
+            z *= 2.0**1022  # exactly
         # a point on the circle to roundoff (a label's own zeta) is kept as it is
-        return HarmonicBoundary(z if abs(abs(z) - 1.0) <= _UNIT_ROUNDOFF else z / abs(z))
+        return harmonic_boundary(z if abs(abs(z) - 1.0) <= _UNIT_ROUNDOFF else z / abs(z))
     if head == "log":
         z = _parse_point(rest, spec)
         if abs(z) >= 1.0:
-            raise WeightSpecError(
-                f"log weight point must satisfy |zeta| < 1 in {spec!r}"
-            )
-        return LogGreen(z)
+            raise WeightSpecError(f"log weight point must satisfy |zeta| < 1 in {spec!r}")
+        return log_green(z)
     if head == "scaled":
         c_str, sep, inner = rest.partition(":")
         if not sep:
@@ -347,12 +340,12 @@ def parse_weight_spec(spec: str) -> Weight:
         weight = parse_weight_spec(inner)
         # nested factors compose, inner first, into the atoms' masses and the
         # values: 1e308 twice overflows them, 1e-300 twice underflows them to 0
-        product = c * _scale_factor(weight)
+        product = math.prod((*weight.factors, c))
         if not (product > 0.0 and math.isfinite(product)):
             raise WeightSpecError(
                 f"scale factors multiply to {product:g}, not positive and finite, in {spec!r}"
             )
-        scaled = Scaled(c, weight)
+        scaled = weight.scaled(c)
         # unit-mass normalization multiplies by 1/m: a subnormal factor can
         # round the mass to 0, or leave a mass whose reciprocal overflows
         m = scaled.analytic_mass
@@ -363,11 +356,6 @@ def parse_weight_spec(spec: str) -> Weight:
             )
         return scaled
     raise WeightSpecError(f"unknown weight kind {head!r} in {spec!r}")
-
-
-def _scale_factor(w: Weight) -> float:
-    """Product of the factors of nested ``Scaled`` weights, innermost first."""
-    return w.c * _scale_factor(w.inner) if isinstance(w, Scaled) else 1.0
 
 
 def _parse_point(token: str, spec: str) -> complex:

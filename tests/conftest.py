@@ -7,11 +7,10 @@ import pytest
 import disklab
 from disklab import quadrature
 from disklab import (
-    HarmonicBoundary,
-    LogGreen,
-    Scaled,
     build_model,
     grid_for_weight,
+    harmonic_boundary,
+    log_green,
     make_disk_grid,
     uniform_weight,
 )
@@ -38,17 +37,17 @@ def coarse_disk_grid():
 
 @pytest.fixture(scope="session")
 def harm_weight():
-    return HarmonicBoundary(1.0)
+    return harmonic_boundary(1.0)
 
 
 @pytest.fixture(scope="session")
 def log0_weight():
-    return LogGreen(0.0)
+    return log_green(0.0)
 
 
 @pytest.fixture(scope="session")
 def log04_weight():
-    return LogGreen(0.4)
+    return log_green(0.4)
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +67,7 @@ def harm_model(harm_weight, disk_grid):
 
 @pytest.fixture(scope="session")
 def log0_model(log0_weight, disk_grid):
-    return build_model(Scaled(2.0, log0_weight), disk_grid, order=64)
+    return build_model(log0_weight.scaled(2.0), disk_grid, order=64)
 
 
 @pytest.fixture

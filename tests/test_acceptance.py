@@ -16,14 +16,13 @@ import pytest
 
 from disklab import (
     Custom,
-    HarmonicBoundary,
-    LogGreen,
-    Scaled,
     factorize,
     geometric_series,
+    harmonic_boundary,
     integrate,
     l1_norm,
     laplacian_identity_check,
+    log_green,
     make_disk_grid,
     moment_table_from_berezin,
     point_moments,
@@ -154,16 +153,16 @@ def test_criterion_4_measure_normalization(disk_grid):
     worst_harm = 0.0
     for t in range(8):
         zeta = np.exp(2j * np.pi * (t + 0.35) / 8)
-        mass = l1_norm(HarmonicBoundary(zeta), disk_grid)
+        mass = l1_norm(harmonic_boundary(zeta), disk_grid)
         worst_harm = max(worst_harm, abs(mass - 1.0))
     assert worst_harm <= 1e-6
 
-    mass_log = l1_norm(LogGreen(0.0), disk_grid)
+    mass_log = l1_norm(log_green(0.0), disk_grid)
     assert abs(mass_log - 0.5) <= 1e-6
 
     # refinement estimate accompanies the interior-singular result
     fine = make_disk_grid(240, 512)
-    f = LogGreen(0.0).eval_many
+    f = log_green(0.0).eval_many
     est = abs(integrate(fine, f) - integrate(disk_grid, f))
     assert est < 1e-6
     _report(4, f"8 boundary-pole masses within {worst_harm:.2e} of 1; "
@@ -200,7 +199,7 @@ def test_criterion_6_h_identity(disk_grid, harm_weight, log04_weight, log04_grid
     # h recovered from the unit-mass interior atom through the moment route
     from disklab import atoms_table
 
-    w_log = Scaled(1.0 / log04_weight.analytic_mass, log04_weight)
+    w_log = log04_weight.scaled(1.0 / log04_weight.analytic_mass)
     h_log = factor_whole_table(atoms_table(w_log.atoms, 64), residual_tol=1e-9).h
     np.testing.assert_allclose(h_log.coeffs, geometric_series(0.4, 64).coeffs,
                                atol=1e-12)
@@ -253,7 +252,7 @@ def test_criterion_9_dilation_inequality(disk_grid):
 
     rng = np.random.default_rng(20240509)
     radii = (0.2, 0.4, 0.6, 0.8, 0.95)
-    weights = (HarmonicBoundary(1.0), HarmonicBoundary(1j))
+    weights = (harmonic_boundary(1.0), harmonic_boundary(1j))
     worst = 0.0
     for w in weights:
         for _ in range(10):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from disklab.cli import DEFAULT_TOLS, main, parse_args, run
 from disklab.quadrature import MAX_DISK_NODES
-from disklab.weights import Scaled, parse_weight_spec
+from disklab.weights import parse_weight_spec
 
 from reference import disk_grid_size
 
@@ -306,12 +306,8 @@ def test_junk_spec_is_usage_error_or_round_trips(spec):
     label = parse_weight_spec(config.weight_spec).label
     assert parse_weight_spec(label).label == label
     # nested scale factors compose, innermost first, to a positive finite factor
-    factors, weight = [], config.weight
-    while isinstance(weight, Scaled):
-        factors.append(weight.c)
-        weight = weight.inner
     product = 1.0
-    for c in reversed(factors):
+    for c in config.weight.factors:
         product *= c
         assert 0.0 < product < math.inf
     # and unit-mass normalization can divide by the mass
@@ -464,7 +460,7 @@ class TestRun:
 
     @pytest.mark.parametrize("suite, spec", [
         ("dirichlet", "log:0.4,0"),  # alone: energy-of-identity reads the measure table
-        ("all", "log:0.4,0"),  # the unit-mass model weight is Scaled(1/mass, weight)
+        ("all", "log:0.4,0"),  # the unit-mass model weight is weight.scaled(1/mass)
     ])
     def test_one_ring_dft_pass_per_run(self, suite, spec, monkeypatch):
         from disklab import cli, dbr, moments

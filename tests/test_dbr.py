@@ -14,11 +14,8 @@ from disklab import (
     DegenerateWeightError,
     DomainError,
     GaussianRational,
-    HarmonicBoundary,
-    LogGreen,
     MomentTable,
     NotDbrWeightError,
-    Scaled,
     SingularIntegrandError,
     TaylorSeries,
     atoms_table,
@@ -27,10 +24,12 @@ from disklab import (
     build_model,
     geometric_series,
     grid_for_weight,
+    harmonic_boundary,
     integrate,
     kernel,
     kernel_series,
     laplacian_identity_check,
+    log_green,
     make_disk_grid,
     moment_table_from_berezin,
     parse_weight_spec,
@@ -77,7 +76,7 @@ class TestPhiModulus:
             assert got == pytest.approx(expected, abs=1e-5)
 
     def test_nonnegative(self, log04_weight, log04_grid):
-        w = Scaled(1.0 / log04_weight.analytic_mass, log04_weight)
+        w = log04_weight.scaled(1.0 / log04_weight.analytic_mass)
         for v in _test_points(count=5):
             assert _phi_modulus_sq(v, w, log04_grid) >= 0.0
 
@@ -88,12 +87,12 @@ class TestRieszAtoms:
         assert atoms == ((1.0 + 0j, 1.0),)
 
     def test_log_green_atom_mass(self):
-        atoms = LogGreen(0.4).atoms
+        atoms = log_green(0.4).atoms
         assert atoms[0][0] == 0.4
         assert atoms[0][1] == pytest.approx((1 - 0.16) / 2)
 
     def test_scaling_scales_mass(self):
-        atoms = Scaled(2.0, LogGreen(0.0)).atoms
+        atoms = log_green(0.0).scaled(2.0).atoms
         assert atoms[0][1] == pytest.approx(1.0)
 
     def test_uniform_has_no_atoms(self, uniform):
@@ -103,7 +102,7 @@ class TestRieszAtoms:
         # unit total mass, so the table factors through its first row
         zeta = 0.3j
         scale = 2.0 / (1.0 - abs(zeta) ** 2)
-        table = atoms_table(Scaled(scale, LogGreen(zeta)).atoms, 5)
+        table = atoms_table(log_green(zeta).scaled(scale).atoms, 5)
         from disklab import weak_mult_check
 
         assert weak_mult_check(table).residual <= 1e-14
@@ -147,7 +146,7 @@ class TestHFromMoments:
 
 class TestUnitMass:
     def test_mass_without_finite_reciprocal_refused(self):
-        weight = Scaled(1e-310, HarmonicBoundary(1.0))
+        weight = harmonic_boundary(1.0).scaled(1e-310)
         message = "mass 1e-310 has no finite reciprocal, so the weight cannot be normalized"
         with pytest.raises(DegenerateWeightError, match=message):
             unit_mass_atoms(weight)
@@ -199,7 +198,7 @@ class TestAtomicRankIdentity:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
-        model = build_model(HarmonicBoundary(1.0), coarse_disk_grid, order=128)
+        model = build_model(harmonic_boundary(1.0), coarse_disk_grid, order=128)
         assert shapes == []
         assert model.diagnostics["rank_ratio"] == 0.0
 
@@ -279,7 +278,7 @@ class TestRowWiseFactorization:
         )
 
     def test_order_512_build_holds_little_beyond_the_table(self):
-        weight = LogGreen(0.4)
+        weight = log_green(0.4)
         build_model(weight, None, order=8)  # imports and caches outside the count
         table_bytes = 2 * 513 * 513 * 8  # the real and imaginary parts
         tracemalloc.start()
@@ -320,7 +319,7 @@ class TestBerezinExtraction:
 
     @pytest.mark.parametrize(
         "inner, atom, atol",
-        [(HarmonicBoundary(1.0), 1.0, 1e-6), (LogGreen(0.4), 0.4, 1e-10)],
+        [(harmonic_boundary(1.0), 1.0, 1e-6), (log_green(0.4), 0.4, 1e-10)],
         ids=["harmonic", "log"],
     )
     def test_non_atomic_wrapper_of_catalog_weight_builds(self, inner, atom, atol):
@@ -342,7 +341,7 @@ class TestHIdentity:
         assert report.worst_error <= 1e-4, report
 
     def test_normalized_log_green_with_atom_h(self, log04_weight, log04_grid):
-        w = Scaled(1.0 / log04_weight.analytic_mass, log04_weight)
+        w = log04_weight.scaled(1.0 / log04_weight.analytic_mass)
         h = geometric_series(0.4, 64)  # atom at 0.4, unit mass
         report = verify_h_identity(w, h, _test_points(), log04_grid)
         assert report.worst_error <= 1e-4, report
@@ -407,7 +406,7 @@ class TestOneAtomFactors:
         np.testing.assert_allclose((h.shift() * a).coeffs, b.coeffs, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("inner, p, bound", [
-        (HarmonicBoundary(1.0), 1.0, 1e-9), (LogGreen(0.4), 0.4, 1e-12)],
+        (harmonic_boundary(1.0), 1.0, 1e-9), (log_green(0.4), 0.4, 1e-12)],
         ids=["harmonic", "log"])
     def test_weight_without_atoms_takes_the_closed_form_at_conj_h1(self, inner, p, bound):
         # a Custom wrapper hides the atom, so p = conj(h_1) comes from the
@@ -439,7 +438,7 @@ class TestOneAtomFactors:
     def test_one_atom_takes_its_own_point_bit_for_bit(self):
         # the unit-mass atom of log:-0.283,-0.283 weighs 0.9999999999999999, so
         # conj(h_1) = conj(m conj(p)) is not p, and neither are its factors
-        w = LogGreen(complex(-0.283, -0.283))
+        w = log_green(complex(-0.283, -0.283))
         model = build_model(w, None, order=64)
         ((p, _),) = unit_mass_atoms(w)[1]
         a, b = dbr._one_atom_factors(p, 64)
@@ -477,7 +476,7 @@ class TestFactorIdentities:
         assert max(dbr._factor_identities(model)) <= 1e-12
 
     def test_each_identity_sees_a_defect_the_other_misses(self):
-        model = build_model(LogGreen(0.4), None, 64)
+        model = build_model(log_green(0.4), None, 64)
         eps = 1e-6
         # a wrong b breaks b = z h a; a common factor on a and b keeps it and
         # breaks |a|^2 + |b|^2 = 1 at lag 0, by (1 + eps)^2 - 1
@@ -491,7 +490,7 @@ class TestFactorIdentities:
     def test_a_truncation_shows_at_a_low_order(self):
         # the lag-N coefficient of |a|^2 + |b|^2 is a_N conj(a_0) + b_N conj(b_0) in
         # the truncated series and 0 in the whole one
-        model = build_model(HarmonicBoundary(1.0), None, 8)
+        model = build_model(harmonic_boundary(1.0), None, 8)
         a, b = model.a.array, model.b.array
         tail = abs(a[8] * np.conj(a[0]) + b[8] * np.conj(b[0]))
         assert tail > 1e-6
@@ -565,17 +564,17 @@ class TestBuildModel:
             build_model(uniform, grid, order=16)
 
     def test_only_a_weight_without_atoms_needs_a_grid(self, uniform):
-        model = build_model(LogGreen(0.3j), None, order=16)
+        model = build_model(log_green(0.3j), None, order=16)
         assert model.diagnostics["h0_deviation"] <= 1e-12
         with pytest.raises(DomainError, match="needs a grid"):
             build_model(uniform, None, order=16)
 
     def test_order_zero_has_no_h1_to_read(self):
         with pytest.raises(DomainError, match="series order must be at least 1"):
-            build_model(LogGreen(0.3), None, order=0)
+            build_model(log_green(0.3), None, order=0)
 
     def test_unnormalized_log_green_is_normalized_internally(self, disk_grid):
-        model = build_model(LogGreen(0.0), disk_grid, order=32)
+        model = build_model(log_green(0.0), disk_grid, order=32)
         assert model.diagnostics["h0_deviation"] <= 1e-12
         assert model.weight.analytic_mass == pytest.approx(1.0)
 
@@ -698,7 +697,7 @@ def test_berezin_transform_of_uniform_is_one(uniform):
 
 def test_berezin_transforms_share_one_weight_evaluation(coarse_disk_grid):
     evaluated = []
-    inner = HarmonicBoundary(1.0)
+    inner = harmonic_boundary(1.0)
 
     def counted(z):
         evaluated.append(z.size)
@@ -749,9 +748,9 @@ class TestBatchedBerezin:
     def test_batch_equals_singles_in_any_order(self, disk_grid):
         # a fresh weight object per call keeps every value out of the memo
         points = _test_points(count=25, radius=0.9, seed=32)
-        batch = berezin_transforms(HarmonicBoundary(1.0), points, disk_grid)
-        singles = [berezin_transform(HarmonicBoundary(1.0), v, disk_grid) for v in points]
-        reverse = berezin_transforms(HarmonicBoundary(1.0), points[::-1], disk_grid)
+        batch = berezin_transforms(harmonic_boundary(1.0), points, disk_grid)
+        singles = [berezin_transform(harmonic_boundary(1.0), v, disk_grid) for v in points]
+        reverse = berezin_transforms(harmonic_boundary(1.0), points[::-1], disk_grid)
         assert batch.tolist() == singles == reverse[::-1].tolist()
 
     def test_one_ring_pass_serves_every_point(self, disk_grid, monkeypatch):
@@ -760,7 +759,7 @@ class TestBatchedBerezin:
         monkeypatch.setattr(
             moments, "_ring_moments", lambda w, g, n: passes.append(n) or real(w, g, n)
         )
-        w = HarmonicBoundary(1.0)
+        w = harmonic_boundary(1.0)
         points = _test_points(count=25, radius=0.8, seed=33)
         verify_h_identity(w, TaylorSeries([1.0, 1.0]), points, disk_grid)
         for v in points[:10]:
@@ -811,9 +810,9 @@ class TestBatchedBerezin:
 
     def test_value_does_not_depend_on_the_batch_size(self, disk_grid):
         points = _test_points(count=120, radius=0.9, seed=34)
-        alone = [berezin_transform(HarmonicBoundary(1.0), v, disk_grid) for v in points[:3]]
+        alone = [berezin_transform(harmonic_boundary(1.0), v, disk_grid) for v in points[:3]]
         for size in (2, 3, 40, 120):
-            batch = berezin_transforms(HarmonicBoundary(1.0), points[:size], disk_grid)
+            batch = berezin_transforms(harmonic_boundary(1.0), points[:size], disk_grid)
             assert batch[: min(size, 3)].tolist() == alone[:size]
 
     def test_peak_memory_is_the_order_n_arrays(self, disk_grid):
@@ -827,7 +826,7 @@ class TestBatchedBerezin:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            berezin_transforms(HarmonicBoundary(1.0), points, disk_grid)
+            berezin_transforms(harmonic_boundary(1.0), points, disk_grid)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

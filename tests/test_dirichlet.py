@@ -5,15 +5,14 @@ from disklab import (
     AtomicWeight,
     Custom,
     DomainError,
-    HarmonicBoundary,
-    LogGreen,
-    Scaled,
     SingularIntegrandError,
     TaylorSeries,
     dilation_report,
     energy,
     grid_for_weight,
+    harmonic_boundary,
     integrate,
+    log_green,
     uniform_weight,
 )
 
@@ -84,7 +83,7 @@ class TestDilation:
 
     def test_monotone_for_random_polynomials_harmonic_weights(self, disk_grid):
         rng = np.random.default_rng(23)
-        weights = [HarmonicBoundary(1.0), HarmonicBoundary(np.exp(2.1j))]
+        weights = [harmonic_boundary(1.0), harmonic_boundary(np.exp(2.1j))]
         for w in weights:
             for _ in range(3):
                 f = TaylorSeries(rng.normal(size=11) + 1j * rng.normal(size=11))
@@ -116,10 +115,10 @@ def _quadrature_energy(f, w, grid):
 
 
 _ROUTE_WEIGHTS = {
-    "harm": lambda: HarmonicBoundary(np.exp(0.7j)),
-    "log": lambda: LogGreen(0.4),
+    "harm": lambda: harmonic_boundary(np.exp(0.7j)),
+    "log": lambda: log_green(0.4),
     "uniform": uniform_weight,
-    "scaled": lambda: Scaled(2.5, LogGreen(0.3j)),
+    "scaled": lambda: log_green(0.3j).scaled(2.5),
 }
 
 
@@ -147,7 +146,7 @@ class TestMomentRoute:
     def test_weight_evaluated_once_across_dilation_energies(self, coarse_disk_grid):
         # the dilation check's 15 energies: 3 functions at 5 radii
         calls = []
-        w = _counting(HarmonicBoundary(1.0), calls)
+        w = _counting(harmonic_boundary(1.0), calls)
         rng = np.random.default_rng(3)
         for _ in range(3):
             f = TaylorSeries(rng.normal(size=11) + 1j * rng.normal(size=11))
@@ -163,10 +162,10 @@ class TestMomentRoute:
 
 
 _CATALOG_POLES = {  # spec -> (weight, bound on its W gap at order 64)
-    "harm:1,0": (HarmonicBoundary(1.0), 1e-8),
-    "harm:0.6,-0.8": (HarmonicBoundary(0.6 - 0.8j), 1e-9),
-    "log:0.4,0": (LogGreen(0.4), 1e-11),
-    "log:-0.28,0.28": (LogGreen(-0.28 + 0.28j), 1e-11),
+    "harm:1,0": (harmonic_boundary(1.0), 1e-8),
+    "harm:0.6,-0.8": (harmonic_boundary(0.6 - 0.8j), 1e-9),
+    "log:0.4,0": (log_green(0.4), 1e-11),
+    "log:-0.28,0.28": (log_green(-0.28 + 0.28j), 1e-11),
 }
 
 
@@ -189,7 +188,7 @@ class TestClosedForm:
 
     def test_harmonic_atom_entries(self):
         zeta = np.exp(0.9j)
-        W = atoms_moment_matrix(HarmonicBoundary(zeta).atoms, 12)
+        W = atoms_moment_matrix(harmonic_boundary(zeta).atoms, 12)
         j, k = np.meshgrid(np.arange(13), np.arange(13), indexing="ij")
         expected = zeta ** (j - k).astype(float) / (np.maximum(j, k) + 1)
         np.testing.assert_allclose(W, expected, rtol=0, atol=1e-15)
@@ -197,7 +196,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("order", [8, 64, 256])
     @pytest.mark.parametrize("spec", sorted(_CATALOG_POLES) + ["scaled"])
     def test_horner_energy_is_the_closed_form_hermitian_form(self, spec, order):
-        w = Scaled(2.5, LogGreen(0.3j)) if spec == "scaled" else _CATALOG_POLES[spec][0]
+        w = log_green(0.3j).scaled(2.5) if spec == "scaled" else _CATALOG_POLES[spec][0]
         rng = np.random.default_rng(order)
         f = TaylorSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
         closed = hermitian_form(f, atoms_moment_matrix(w.atoms, order - 1))
@@ -211,11 +210,11 @@ class TestClosedForm:
 
         monkeypatch.setattr(dirichlet, "disk_moments", refuse)
         z = TaylorSeries([0, 1, 0, 0, 0])
-        assert energy(z, LogGreen(0.4), None) == pytest.approx(0.42)
-        assert energy(z, Scaled(2.0, HarmonicBoundary(1.0)), None) == 2.0
+        assert energy(z, log_green(0.4), None) == pytest.approx(0.42)
+        assert energy(z, harmonic_boundary(1.0).scaled(2.0), None) == 2.0
         assert energy(z, AtomicWeight(label="synthesized"), None) == 0.0
 
     def test_non_finite_energy_raises(self):
         f = TaylorSeries([0.0, 1e200, 1e200])
         with pytest.raises(SingularIntegrandError, match="not finite"):
-            energy(f, HarmonicBoundary(1.0), None)
+            energy(f, harmonic_boundary(1.0), None)

@@ -2,6 +2,8 @@ import gc
 import json
 import math
 import random
+import re
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -15,9 +17,6 @@ from hypothesis import strategies as st
 from disklab import (
     Custom,
     DomainError,
-    HarmonicBoundary,
-    LogGreen,
-    Scaled,
     GaussianRational,
     InconsistentTableError,
     MomentTable,
@@ -30,13 +29,15 @@ from disklab import (
     disk_moments,
     factorize,
     grid_for_weight,
+    harmonic_boundary,
     integrate,
+    l1_norm,
+    log_green,
     make_disk_grid,
     measure_moments,
     point_moments,
     random_non_rank_one_distribution,
     random_rank_one_distribution,
-    l1_norm,
     tensor_diag_check,
     weak_mult_check,
 )
@@ -138,6 +139,14 @@ class TestPointMoments:
         d = PointDistribution(0.5, np.ones((172, 172)).tolist())
         with pytest.raises(DomainError, match="overflow the float range"):
             point_moments(d, 171)
+
+    def test_float_order_past_the_binomial_range_is_refused_before_the_work(self):
+        # C(1030, 515) has no float: the O(order^2) build of P took seconds to meet it
+        d = PointDistribution(0.5, [[1.0]])
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="overflow the float range"):
+            point_moments(d, 1100)
+        assert time.perf_counter() - start < 1.0
 
 
 def _reference_point_moments(d, order):
@@ -278,6 +287,18 @@ class TestWeakMult:
             for nr, na in ((30, 48), (60, 96))
         ]
         assert all(r > 0.4 for r in residuals)
+
+
+
+@pytest.mark.parametrize("check", [weak_mult_check, tensor_diag_check])
+def test_exact_residual_past_the_float_range_is_read_as_the_float_table_reads_it(check):
+    # the squared residual 1e320 has no float, its root 1e160 has; the float
+    # table reads 1e160 (weak) and 2e160 (tensor), by np.hypot
+    exact = check(MomentTable([[1, 0], [0, 10**160]], 1, "x"))
+    assert exact == check(MomentTable([[1.0, 0.0], [0.0, 1e160]], 1, "x"))
+    assert exact.residual in (1e160, 2e160)
+    # a root past the float range too is inf
+    assert check(MomentTable([[1, 0], [0, 10**400]], 1, "x")).residual == math.inf
 
 
 class TestTensorDiag:
@@ -796,16 +817,66 @@ class TestDiskMoments:
 
     def test_scaled_weight_whose_values_overflow_raises(self, coarse_disk_grid, harm_weight):
         # the matrix, 1e308 times the inner one, can be finite; the values are not
-        w = Scaled(1e308, harm_weight)
+        w = harm_weight.scaled(1e308)
         with pytest.raises(SingularIntegrandError, match=r"scaled:1e\+308:harm:1,0"):
             disk_moments(w, coarse_disk_grid, 2)
 
     def test_scaled_value_range_is_the_range_of_its_values(self, coarse_disk_grid):
         inner = Custom(lambda z: 1.0 - np.abs(z) ** 2, label="cap")
-        for w in (Scaled(2.5, inner), Scaled(3.0, Scaled(1 / 3, inner))):
+        for w in (inner.scaled(2.5), inner.scaled(1 / 3).scaled(3.0)):
             disk_moments(w, coarse_disk_grid, 0)  # the inner ring pass records the range
             vals = kept_values(w, coarse_disk_grid)
             assert moments._value_range(w, coarse_disk_grid) == (vals.min(), vals.max())
+
+    @staticmethod
+    def _nested_base(which):
+        """A fresh base weight, with an empty record, and a grid for it."""
+        w = log_green(0.4) if which == "atomic" else Custom(
+            lambda z: 1.0 - np.abs(z) ** 2, label="cap")
+        return w, grid_for_weight(w, 40, 64)
+
+    @pytest.mark.parametrize("which", ["atomic", "custom"])
+    def test_nested_scales_and_normalize_share_one_ring_pass_on_the_base(self, which,
+                                                                          monkeypatch):
+        base, grid = self._nested_base(which)
+        passes, ring_moments = [], moments._ring_moments
+        monkeypatch.setattr(moments, "_ring_moments",
+                            lambda w, *args: passes.append(w) or ring_moments(w, *args))
+        nested = base.scaled(0.5).scaled(3.0)
+        disk_moments(nested, grid, 8)
+        for w in (base, base.scaled(0.5), moments.normalize(nested, grid)):
+            assert w.base is base
+            disk_moments(w, grid, 8)
+        assert passes == [base]
+
+    @pytest.mark.parametrize("factors", [(0.5, 3.0), (1 / 3, 0.7)])
+    @pytest.mark.parametrize("which", ["atomic", "custom"])
+    def test_nested_scales_are_their_factors_applied_innermost_first(self, which, factors):
+        base, grid = self._nested_base(which)
+        w = base.scaled(factors[0]).scaled(factors[1])
+        W = disk_moments(w, grid, 8)
+        expected = factors[1] * (factors[0] * disk_moments(base, grid, 8))
+        assert W.tobytes() == expected.tobytes() and not W.flags.writeable
+        lo, hi = moments._value_range(base, grid)
+        assert moments._value_range(w, grid) == (factors[1] * (factors[0] * lo),
+                                                 factors[1] * (factors[0] * hi))
+        vals = kept_values(w, grid)
+        assert moments._value_range(w, grid) == (vals.min(), vals.max())
+
+    @pytest.mark.parametrize("which", ["atomic", "custom"])
+    def test_overflow_in_a_nested_scale_names_the_innermost_overflowing_one(self, which):
+        # the harmonic values pass 2e3 near the pole: 1e308 overflows them, and
+        # 1e-300 cannot bring them back; the cap's values near 1 overflow at
+        # 2.5e308, and its matrix, of mass 0.5, does not
+        if which == "atomic":
+            w, grid = harmonic_boundary(1.0), make_disk_grid(40, 64)
+            nested, label = w.scaled(1e308).scaled(1e-300), "scaled:1e+308:harm:1,0"
+        else:
+            w, grid = self._nested_base(which)
+            nested, label = w.scaled(1e300).scaled(2.5e8), "scaled:2.5e+08:scaled:1e+300:cap"
+        with pytest.raises(SingularIntegrandError,
+                           match=f"^values of {re.escape(label)} are not finite on the grid$"):
+            disk_moments(nested, grid, 2)
 
 
 def _reference_ring_dft(vals, grid, order):
@@ -843,7 +914,7 @@ class TestRealRingDft:
         }[which]
         _assert_matches_reference(w, grid, order)
 
-    @pytest.mark.parametrize("weight", [HarmonicBoundary(1j), LogGreen(0.3 - 0.2j)])
+    @pytest.mark.parametrize("weight", [harmonic_boundary(1j), log_green(0.3 - 0.2j)])
     def test_aliased_rings(self, weight):
         # inner rings of 8 or 10 nodes at order 40: d runs past m/2 and past m
         grid = grid_for_weight(weight, 6, 8)
@@ -852,14 +923,14 @@ class TestRealRingDft:
 
     def test_lower_order_view_is_bit_identical_on_aliased_rings(self):
         grid = make_disk_grid(6, 8)
-        big = disk_moments(HarmonicBoundary(-1.0), grid, 40)
-        fresh = disk_moments(HarmonicBoundary(-1.0), grid, 12)
+        big = disk_moments(harmonic_boundary(-1.0), grid, 40)
+        fresh = disk_moments(harmonic_boundary(-1.0), grid, 12)
         assert np.array_equal(big[:13, :13], fresh)
 
     def test_scaled_weight_reuses_its_inner_matrix(self, coarse_disk_grid):
         calls = []
         inner = Custom(lambda z: calls.append(z.size) or 1.0 - np.abs(z) ** 2, label="counted")
-        scaled = Scaled(2.5, inner)
+        scaled = inner.scaled(2.5)
         W = disk_moments(scaled, coarse_disk_grid, 8)
         assert np.array_equal(W, 2.5 * disk_moments(inner, coarse_disk_grid, 8))
         assert _passes(calls, coarse_disk_grid) == 1
@@ -868,7 +939,7 @@ class TestRealRingDft:
         assert np.array_equal(disk_moments(scaled, coarse_disk_grid, 6), W[:7, :7])
         assert moments._on_grid(scaled, coarse_disk_grid).W is None
         # the inner weight built first: the scaled matrix still needs no evaluation
-        other = Scaled(0.5, inner)
+        other = inner.scaled(0.5)
         disk_moments(other, coarse_disk_grid, 4)
         assert _passes(calls, coarse_disk_grid) == 1
 
@@ -913,25 +984,25 @@ class TestSplitRingDft:
         assert max(grid.ring_counts) > 16 * NODE_BLOCK  # split into 20 or more columns
         _assert_circle_sums_match_reference(w, grid, order)
 
-    @pytest.mark.parametrize("weight", [HarmonicBoundary(1j), LogGreen(0.3 - 0.2j)])
+    @pytest.mark.parametrize("weight", [harmonic_boundary(1j), log_green(0.3 - 0.2j)])
     def test_matches_direct_sums_on_aliased_rings(self, weight):
         grid = grid_for_weight(weight, 6, 8)
         assert min(grid.ring_counts) <= 10
         _assert_circle_sums_match_reference(weight, grid, 40)
 
     def test_lower_order_view_is_bit_identical_on_the_default_grid(self, disk_grid):
-        big = disk_moments(HarmonicBoundary(1.0), disk_grid, 63)
-        fresh = disk_moments(HarmonicBoundary(1.0), disk_grid, 8)
+        big = disk_moments(harmonic_boundary(1.0), disk_grid, 63)
+        fresh = disk_moments(harmonic_boundary(1.0), disk_grid, 8)
         assert np.array_equal(big[:9, :9], fresh)
 
     @pytest.mark.parametrize("order", [8, 63])
     def test_ring_pass_holds_no_node_sized_temporary(self, order, disk_grid):
         # the weight's values are evaluated inside the pass, so they count too
         assert max(disk_grid.ring_counts) * 8 > 2**20  # the largest ring's values alone
-        moments._ring_moments(HarmonicBoundary(1.0), disk_grid, order)
+        moments._ring_moments(harmonic_boundary(1.0), disk_grid, order)
         tracemalloc.start()
         try:
-            moments._ring_moments(HarmonicBoundary(1.0), disk_grid, order)
+            moments._ring_moments(harmonic_boundary(1.0), disk_grid, order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -972,7 +1043,7 @@ class TestGridPassesKeepNoValues:
     def test_records_hold_no_node_sized_array(self, disk_grid):
         from disklab.cli import _h_identity_points
 
-        w = HarmonicBoundary(1.0)  # a fresh object: an empty record
+        w = harmonic_boundary(1.0)  # a fresh object: an empty record
         points = _h_identity_points(1.0)
         n = max(dbr._berezin_order(v) for v in points)
         assert disk_grid.size == 290_926 and len(points) == 25 and n == 192
@@ -1008,17 +1079,18 @@ class TestGridPassesKeepNoValues:
     @pytest.mark.parametrize("which", ["harm", "log", "uniform", "scaled"])
     def test_results_equal_kept_values_reference(self, which, disk_grid, log04_grid):
         w, grid = {
-            "harm": (HarmonicBoundary(1.0), disk_grid),
-            "log": (LogGreen(0.4), log04_grid),
+            "harm": (harmonic_boundary(1.0), disk_grid),
+            "log": (log_green(0.4), log04_grid),
             "uniform": (Custom(lambda z: np.ones(z.shape)), disk_grid),
-            "scaled": (Scaled(2.5, LogGreen(0.4)), log04_grid),
+            "scaled": (log_green(0.4).scaled(2.5), log04_grid),
         }[which]
         points = [0.3, 0.5j, -0.2 + 0.7j, 0.79]
         orders = [dbr._berezin_order(v) for v in points]
         vals = kept_values(w, grid)
-        # a Scaled weight's W is its factor times its inner weight's, as before
-        W = (w.c * kept_moments(kept_values(w.inner, grid), grid, max(orders))
-             if which == "scaled" else kept_moments(vals, grid, max(orders)))
+        # a scaled weight's W is its base's times its factors, as before
+        W = kept_moments(kept_values(w.base, grid), grid, max(orders))
+        for c in w.factors:
+            W = c * W
         assert np.array_equal(disk_moments(w, grid, 63), W[:64, :64])
         # the order a verify run asks of the ring pass, a new pass past 63
         assert disk_moments(w, grid, max(orders)).tobytes() == W.tobytes()
@@ -1039,16 +1111,16 @@ class TestGridPassesKeepNoValues:
         grid = make_disk_grid(*shape)
         m, run = grid.ring_counts[0], grid.ring_counts.count(grid.ring_counts[0])
         assert m == shape[1] and run > NODE_BLOCK // m
-        vals = kept_values(HarmonicBoundary(1.0), grid)
+        vals = kept_values(harmonic_boundary(1.0), grid)
         for order in (0, 1, 192):
-            W = disk_moments(HarmonicBoundary(1.0), grid, order)  # a fresh pass
+            W = disk_moments(harmonic_boundary(1.0), grid, order)  # a fresh pass
             assert W.tobytes() == kept_moments(vals, grid, order).tobytes()
 
     def test_rings_of_one_count_past_a_node_block_keep_their_sums(self):
         # two rings of 8,192 nodes: each one's columns, and nothing of the other
         m = 2 * NODE_BLOCK
         grid = quadrature.DiskGrid((0.5, 0.75), (0.3 / m, 0.7 / m), (m, m), 2, m)
-        w = LogGreen(0.4)
+        w = log_green(0.4)
         W = disk_moments(w, grid, 40)
         assert W.tobytes() == kept_moments(kept_values(w, grid), grid, 40).tobytes()
 

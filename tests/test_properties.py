@@ -13,22 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disklab import (
-    HarmonicBoundary,
-    LogGreen,
     TaylorSeries,
     energy,
     exp_series,
     geometric_series,
     grid_for_weight,
+    harmonic_boundary,
     integrate,
     kernel_series,
+    log_green,
     uniform_weight,
 )
 from disklab.moments import disk_moments
 
 from reference import atoms_moment_matrix, hermitian_form
 
-_WEIGHTS = [HarmonicBoundary(np.exp(1.3j)), LogGreen(-0.2 + 0.3j), uniform_weight()]
+_WEIGHTS = [harmonic_boundary(np.exp(1.3j)), log_green(-0.2 + 0.3j), uniform_weight()]
 _GRIDS = [grid_for_weight(w, 30, 48) for w in _WEIGHTS]
 
 _reals = st.floats(-4.0, 4.0, allow_subnormal=False)

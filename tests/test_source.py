@@ -61,6 +61,21 @@ def test_no_einsum_passes_optimize():
     assert calls > 0 and found == []
 
 
+def test_no_isinstance_names_a_weight_class():
+    # a scaled weight is data on its weight (factors, base), not a type to branch on
+    package = Path(disklab.__file__).parent
+    weights = ast.parse((package / "weights.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in ast.walk(weights) if isinstance(node, ast.ClassDef)}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _decorator_name(node) == "isinstance":
+                named = {_decorator_name(n) for n in ast.walk(node.args[1])}
+                found += [f"{path.name}:{node.lineno}"] if named & classes else []
+    assert "Weight" in classes and found == []
+
+
 def test_only_the_process_entry_freezes_the_heap():
     # gc.freeze keeps every object tracked so far out of all later collections:
     # right for a process that has done its imports, wrong for an in-process caller

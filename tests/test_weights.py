@@ -12,15 +12,14 @@ from disklab import (
     Custom,
     DegenerateWeightError,
     DomainError,
-    HarmonicBoundary,
-    LogGreen,
-    Scaled,
     SingularIntegrandError,
     SingularPointError,
     WeightSpecError,
     grid_for_weight,
+    harmonic_boundary,
     integrate,
     l1_norm,
+    log_green,
     normalize,
     parse_weight_spec,
     superharmonic_test,
@@ -28,55 +27,68 @@ from disklab import (
 )
 from disklab.quadrature import NODE_BLOCK, _unit_nodes
 from disklab.weights import (
-    _LATTICE_CENTERS, _LATTICE_RADII, _circle_mean, _interior, _on_circle,
+    _LATTICE_CENTERS, _LATTICE_RADII, _circle_mean, _interior, _on_circle, _spec_number,
 )
 
 from reference import disk_grid_size, kept_moments, kept_values
 
 
+def _block_formula(w, z):
+    """The weight's block formula, times each of its factors, innermost first."""
+    values = w._value_block(z)
+    for c in w.factors:
+        values = c * values
+    return values
+
+
+# nested scales: (0.5, 3.0) as a spec nests them, and a pair whose order
+# moves values at roundoff, so that only innermost first is bit-equal
+_NESTED_FACTORS = [(0.5, 3.0), (1 / 3, 0.7)]
+
+
 class TestEval:
     def test_harmonic_boundary_at_origin(self):
-        assert HarmonicBoundary(1.0)(0.0) == pytest.approx(1.0, abs=1e-15)
+        assert harmonic_boundary(1.0)(0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_log_green_origin_at_inverse_e(self):
-        w = LogGreen(0.0)
+        w = log_green(0.0)
         assert w(math.exp(-1.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_log_green_half_at_origin(self):
-        assert LogGreen(0.5)(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert log_green(0.5)(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_scaled_multiplies(self):
-        w = Scaled(3.0, LogGreen(0.0))
+        w = log_green(0.0).scaled(3.0)
         assert w(0.5) == pytest.approx(3.0 * math.log(2.0), abs=1e-14)
 
     def test_singular_point_rejected(self):
         with pytest.raises(SingularPointError):
-            LogGreen(0.3)(0.3)
+            log_green(0.3)(0.3)
 
     @pytest.mark.parametrize("pole, node", [(0.3, 0.3 + 1e-15), (1e-13, 1.01e-13)])
     def test_a_node_next_to_a_pole_is_evaluated(self, pole, node):
         # only a node equal to the pole is refused, however near another lies
         assert node != pole
-        assert 30.0 < LogGreen(pole)(node) < math.inf
+        assert 30.0 < log_green(pole)(node) < math.inf
 
     def test_a_quotient_that_overflows_next_to_a_pole_is_a_finite_value_without_a_warning(self):
         # (1 - conj(p) z) / (z - p) overflows at |z - p| = 1e-320; its log does not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = LogGreen(1e-307)(1e-307 + 1e-320)
+            value = log_green(1e-307)(1e-307 + 1e-320)
         gap = (1e-307 + 1e-320) - 1e-307  # log|1 - conj(p) z| rounds to 0.0
         assert 736.0 < value == pytest.approx(-math.log(gap), rel=1e-15)
 
     def test_harmonic_requires_unimodular_point(self):
         with pytest.raises(DomainError):
-            HarmonicBoundary(0.9)
+            harmonic_boundary(0.9)
 
     def test_log_requires_interior_point(self):
         with pytest.raises(DomainError):
-            LogGreen(1.2)
+            log_green(1.2)
 
     def test_log_green_positive_inside(self):
-        w = LogGreen(0.3 + 0.2j)
+        w = log_green(0.3 + 0.2j)
         rng = np.random.default_rng(5)
         for _ in range(50):
             z = 0.95 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -84,7 +96,7 @@ class TestEval:
                 assert w(z) > 0.0
 
     def test_log_green_blows_up_at_pole(self):
-        w = LogGreen(0.25)
+        w = log_green(0.25)
         vals = [w(0.25 + d) for d in (1e-2, 1e-4, 1e-6)]
         assert vals[0] < vals[1] < vals[2]
 
@@ -95,17 +107,17 @@ class TestBlockedEval:
     def test_blocks_equal_whole_array(self, which, grid_name, disk_grid, log04_grid):
         grid = {"harm": disk_grid, "log": log04_grid}[grid_name]
         w = {
-            "harm": HarmonicBoundary(1.0),
-            "log": LogGreen(0.4),
-            "scaled-harm": Scaled(0.7, HarmonicBoundary(-1j)),
-            "scaled-log": Scaled(1.0 / 0.42, LogGreen(0.4)),
+            "harm": harmonic_boundary(1.0),
+            "log": log_green(0.4),
+            "scaled-harm": harmonic_boundary(-1j).scaled(0.7),
+            "scaled-log": log_green(0.4).scaled(1.0 / 0.42),
         }[which]
         assert grid.size % NODE_BLOCK != 0  # the last block is partial
         # the block formula on the whole array at once
-        assert np.array_equal(w.eval_many(grid.nodes), w._value_block(grid.nodes))
+        assert np.array_equal(w.eval_many(grid.nodes), _block_formula(w, grid.nodes))
 
     def test_shape_is_kept(self, coarse_disk_grid):
-        w = LogGreen(0.4)
+        w = log_green(0.4)
         z = coarse_disk_grid.nodes[: 3 * 1000].reshape(3, 1000)
         out = w.eval_many(z)
         assert out.shape == (3, 1000)
@@ -113,7 +125,7 @@ class TestBlockedEval:
         assert w.eval_many(np.asarray(0.5j)).shape == ()
 
     @pytest.mark.parametrize(
-        "w", [HarmonicBoundary(1j), LogGreen(-0.3), Scaled(2.0, LogGreen(0.1j))]
+        "w", [harmonic_boundary(1j), log_green(-0.3), log_green(0.1j).scaled(2.0)]
     )
     def test_singular_point_in_last_partial_block(self, w, disk_grid):
         z = np.append(disk_grid.nodes, w.singularities[0])
@@ -125,13 +137,13 @@ class TestBlockedEval:
         sizes = []
         custom = Custom(lambda z: sizes.append(z.size) or np.ones(z.shape), label="counted")
         z = np.full(2 * NODE_BLOCK + 5, 0.5j)
-        for w, value in ((custom, 1.0), (Scaled(2.0, custom), 2.0)):
+        for w, value in ((custom, 1.0), (custom.scaled(2.0), 2.0)):
             sizes.clear()
             assert np.array_equal(w.eval_many(z), np.full(z.size, value))
             assert sizes == [NODE_BLOCK, NODE_BLOCK, 5]
 
     def test_peak_memory_is_the_output_plus_a_block(self, disk_grid):
-        w = HarmonicBoundary(1.0)
+        w = harmonic_boundary(1.0)
         output = 8 * disk_grid.size  # one float per node
         nodes = disk_grid.nodes  # formed outside the count: the grid keeps none
         tracemalloc.start()
@@ -144,6 +156,19 @@ class TestBlockedEval:
         assert vals.nbytes == output
         assert peak <= output + 2**20
 
+    @pytest.mark.parametrize("factors", _NESTED_FACTORS)
+    @pytest.mark.parametrize("which", ["atomic", "custom"])
+    def test_nested_scales_multiply_innermost_first(self, which, factors, coarse_disk_grid):
+        base = log_green(0.4) if which == "atomic" else Custom(
+            lambda z: 1.0 - np.abs(z) ** 2, label="cap")
+        w = base.scaled(factors[0]).scaled(factors[1])
+        assert type(w) is type(base) and w.base is base and w.factors == factors
+        outer, inner = (_spec_number(c) for c in reversed(factors))
+        assert w.label == f"scaled:{outer}:scaled:{inner}:{base.label}"
+        z = coarse_disk_grid.nodes
+        expected = factors[1] * (factors[0] * base.eval_many(z))
+        assert w.eval_many(z).tobytes() == expected.tobytes()
+
 
 class TestCatalogFormulas:
     """Each catalog weight's values are its literal formula, bit for bit."""
@@ -153,42 +178,42 @@ class TestCatalogFormulas:
     def test_harmonic_boundary(self, zeta, grid_name, disk_grid, log04_grid):
         z = {"harm": disk_grid, "log": log04_grid}[grid_name].nodes
         expected = (1.0 - np.abs(z) ** 2) / np.abs(z - zeta) ** 2
-        assert np.array_equal(HarmonicBoundary(zeta).eval_many(z), expected)
+        assert np.array_equal(harmonic_boundary(zeta).eval_many(z), expected)
 
     @pytest.mark.parametrize("zeta", [0.4, -0.3 + 0.5j, 0.35 - 0.2j, 0.0])
     @pytest.mark.parametrize("grid_name", ["harm", "log"])
     def test_log_green(self, zeta, grid_name, disk_grid, log04_grid):
         z = {"harm": disk_grid, "log": log04_grid}[grid_name].nodes
         expected = np.log(np.abs((1.0 - np.conj(zeta) * z) / (z - zeta)))
-        assert np.array_equal(LogGreen(zeta).eval_many(z), expected)
+        assert np.array_equal(log_green(zeta).eval_many(z), expected)
 
 
 class TestMass:
     def test_harmonic_masses_are_one(self, disk_grid):
         for zeta in (1.0, np.exp(0.8j), np.exp(-2.3j)):
-            assert l1_norm(HarmonicBoundary(zeta), disk_grid) == pytest.approx(
+            assert l1_norm(harmonic_boundary(zeta), disk_grid) == pytest.approx(
                 1.0, abs=1e-6
             )
 
     def test_log_green_origin_mass(self, disk_grid):
-        assert l1_norm(LogGreen(0.0), disk_grid) == pytest.approx(0.5, abs=1e-6)
+        assert l1_norm(log_green(0.0), disk_grid) == pytest.approx(0.5, abs=1e-6)
 
     def test_scaled_mass_is_linear(self, disk_grid):
-        assert l1_norm(Scaled(2.0, LogGreen(0.0)), disk_grid) == pytest.approx(
+        assert l1_norm(log_green(0.0).scaled(2.0), disk_grid) == pytest.approx(
             1.0, abs=1e-6
         )
 
     def test_normalize_gives_unit_mass(self, disk_grid):
-        w = normalize(LogGreen(0.0), disk_grid)
+        w = normalize(log_green(0.0), disk_grid)
         assert l1_norm(w, disk_grid) == pytest.approx(1.0, abs=1e-12)
 
     def test_normalize_of_harmonic_is_near_identity(self, disk_grid, harm_weight):
         w = normalize(harm_weight, disk_grid)
-        assert abs(w.c - 1.0) < 1e-6
+        assert abs(w.factors[-1] - 1.0) < 1e-6
 
     def test_normalize_kills_scale(self, disk_grid):
-        w1 = normalize(Scaled(5.0, LogGreen(0.0)), disk_grid)
-        w2 = normalize(LogGreen(0.0), disk_grid)
+        w1 = normalize(log_green(0.0).scaled(5.0), disk_grid)
+        w2 = normalize(log_green(0.0), disk_grid)
         zs = np.array([0.3, -0.2 + 0.4j, 0.7j])
         np.testing.assert_allclose(w1.eval_many(zs), w2.eval_many(zs), atol=1e-12)
 
@@ -198,13 +223,13 @@ class TestMass:
             normalize(zero, coarse_disk_grid)
 
     def test_normalize_rejects_mass_without_finite_reciprocal(self, coarse_disk_grid):
-        tiny = Scaled(1e-310, HarmonicBoundary(1.0))
+        tiny = harmonic_boundary(1.0).scaled(1e-310)
         with pytest.raises(DegenerateWeightError, match="has no finite reciprocal, so the "
                                                         "weight cannot be normalized"):
             normalize(tiny, coarse_disk_grid)
 
     def test_analytic_masses_match_quadrature(self, disk_grid):
-        for w in (HarmonicBoundary(np.exp(1.9j)), LogGreen(0.0), Scaled(3.0, LogGreen(0.0))):
+        for w in (harmonic_boundary(np.exp(1.9j)), log_green(0.0), log_green(0.0).scaled(3.0)):
             grid = grid_for_weight(w, 120, 256)
             assert l1_norm(w, grid) == pytest.approx(w.analytic_mass, abs=2e-6)
 
@@ -213,7 +238,7 @@ class TestMass:
         # no node value (8 * 290,926 bytes would be 2.2 MiB) and forms its
         # nodes a column chunk at a time
         assert disk_grid.size == 290_926
-        w = HarmonicBoundary(1.0)  # a fresh object: no W kept yet
+        w = harmonic_boundary(1.0)  # a fresh object: no W kept yet
         tracemalloc.start()
         try:
             mass = l1_norm(w, disk_grid)
@@ -249,7 +274,7 @@ class TestSuperharmonic:
         assert cell == (_LATTICE_CENTERS[1], 0.25)
 
     def test_log_green_passes_on_lattice(self):
-        worst_margin, _ = superharmonic_test(LogGreen(0.4))
+        worst_margin, _ = superharmonic_test(log_green(0.4))
         assert worst_margin >= -1e-8
 
     def test_harmonic_boundary_passes_with_near_equality(self, harm_weight):
@@ -264,7 +289,7 @@ class TestSuperharmonic:
         # the pole of log:0,0 is the first center: its five cells go, and it is
         # never evaluated, which would raise SingularPointError
         sizes = []
-        w = LogGreen(0.0)
+        w = log_green(0.0)
         evaluate = w.eval_many
         w.eval_many = lambda z: sizes.append(np.size(z)) or evaluate(z)
         worst_margin, cell = superharmonic_test(w)
@@ -311,7 +336,7 @@ class TestCircleMean:
         with pytest.raises(SingularIntegrandError, match="over the 256 circle nodes overflows"):
             _circle_mean(w, 0j, 0.1, self.u)
         with pytest.raises(SingularIntegrandError, match="over the 256 circle nodes overflows"):
-            superharmonic_test(Scaled(1e308, uniform_weight()))
+            superharmonic_test(uniform_weight().scaled(1e308))
 
     def test_non_finite_value_names_its_unit_node_and_index(self):
         w = Custom(lambda z: np.where(np.arange(z.size) == 17, np.nan, 1.0))
@@ -325,14 +350,14 @@ class TestSynthesize:
         zeta = 0.35 - 0.2j
         mass = (1.0 - abs(zeta) ** 2) / 2.0
         w = AtomicWeight(interior=((zeta, mass),), label="synthesized")
-        ref = LogGreen(zeta)
+        ref = log_green(zeta)
         zs = np.array([0.1, 0.5j, -0.3 + 0.55j, 0.8])
         np.testing.assert_allclose(w.eval_many(zs), ref.eval_many(zs), atol=1e-12)
 
     def test_single_boundary_atom_matches_harmonic(self):
         zeta = np.exp(0.6j)
         w = AtomicWeight(boundary=(((zeta), 1.0),), label="synthesized")
-        ref = HarmonicBoundary(zeta)
+        ref = harmonic_boundary(zeta)
         zs = np.array([0.0, 0.2 + 0.1j, -0.6j])
         np.testing.assert_allclose(w.eval_many(zs), ref.eval_many(zs), atol=1e-13)
 
@@ -364,11 +389,11 @@ class TestSynthesize:
             lambda: AtomicWeight(boundary=((complex(math.nan, 0.0), 1.0),), label="synthesized"),
             lambda: AtomicWeight(boundary=((1.0, math.nan),), label="synthesized"),
             lambda: AtomicWeight(boundary=((1.0, math.inf),), label="synthesized"),
-            lambda: HarmonicBoundary(math.nan),
-            lambda: HarmonicBoundary(complex(math.inf, 0.0)),
-            lambda: LogGreen(math.nan),
-            lambda: LogGreen(complex(0.0, math.nan)),
-            lambda: LogGreen(-math.inf),
+            lambda: harmonic_boundary(math.nan),
+            lambda: harmonic_boundary(complex(math.inf, 0.0)),
+            lambda: log_green(math.nan),
+            lambda: log_green(complex(0.0, math.nan)),
+            lambda: log_green(-math.inf),
         ],
         ids=["interior-nan-mass", "interior-inf-mass", "interior-nan-point",
              "boundary-nan-point", "boundary-nan-mass", "boundary-inf-mass",
@@ -383,7 +408,7 @@ class TestSynthesize:
         assert isinstance(w, AtomicWeight) and w.label == "synthesized"
         assert not w.is_harmonic
         assert w.atoms == ((0.2 + 0j, 0.3), (1j, 0.5))
-        assert Scaled(2.0, w).atoms == ((0.2 + 0j, 0.6), (1j, 1.0))
+        assert w.scaled(2.0).atoms == ((0.2 + 0j, 0.6), (1j, 1.0))
         assert AtomicWeight(boundary=((1j, 0.5),), label="synthesized").is_harmonic
 
     def test_synthesized_mass_is_total_atom_mass(self, disk_grid):
@@ -395,24 +420,27 @@ class TestSynthesize:
 class TestSpecParsing:
     def test_harm_spec(self):
         w = parse_weight_spec("harm:1,0")
-        assert isinstance(w, HarmonicBoundary)
-        assert w.zeta == 1.0
+        assert isinstance(w, AtomicWeight) and len(w.atoms) == 1 and w.is_harmonic
+        assert w.atoms[0][0] == 1.0
 
     def test_harm_spec_normalizes_to_circle(self):
         w = parse_weight_spec("harm:3,4")
-        assert abs(w.zeta) == pytest.approx(1.0, abs=1e-15)
-        assert w.zeta == pytest.approx((3 + 4j) / 5)
+        assert abs(w.atoms[0][0]) == pytest.approx(1.0, abs=1e-15)
+        assert w.atoms[0][0] == pytest.approx((3 + 4j) / 5)
+
+    def test_harm_spec_with_a_subnormal_modulus_normalizes_to_the_circle(self):
+        w = parse_weight_spec("harm:2.2250738585e-313,2.2250738585e-313")
+        assert w.atoms[0][0] == pytest.approx((1 + 1j) / abs(1 + 1j), abs=1e-15)
 
     def test_log_spec(self):
         w = parse_weight_spec("log:0.3,-0.2")
-        assert isinstance(w, LogGreen)
-        assert w.zeta == 0.3 - 0.2j
+        assert isinstance(w, AtomicWeight) and len(w.atoms) == 1 and not w.is_harmonic
+        assert w.atoms[0][0] == 0.3 - 0.2j
 
     def test_scaled_spec_recurses(self):
         w = parse_weight_spec("scaled:2:log:0,0")
-        assert isinstance(w, Scaled)
-        assert w.c == 2.0
-        assert isinstance(w.inner, LogGreen)
+        assert w.factors == (2.0,)
+        assert w.base.label == "log:0,0" and not w.base.is_harmonic
 
     def test_uniform_spec(self):
         w = parse_weight_spec("uniform")
@@ -430,9 +458,7 @@ class TestSpecParsing:
 
 
 def _parameters(w):
-    if isinstance(w, Scaled):
-        return ("scaled", w.c) + _parameters(w.inner)
-    return (type(w).__name__, w.zeta)
+    return (w.factors, w.is_harmonic, w.atoms[0][0])
 
 
 _coords = st.floats(-1e3, 1e3, allow_nan=False)
@@ -443,12 +469,12 @@ _coords = st.floats(-1e3, 1e3, allow_nan=False)
        pole=st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99)),
        c=st.floats(1e-6, 1e6))
 def test_labels_parse_back_to_the_weight_that_was_built(angle, point, pole, c):
-    harm = HarmonicBoundary(complex(math.cos(angle), math.sin(angle)))
-    weights = [harm, Scaled(c, harm)]
+    harm = harmonic_boundary(complex(math.cos(angle), math.sin(angle)))
+    weights = [harm, harm.scaled(c)]
     if abs(complex(*point)) > 0:  # a spec point the parser normalizes
         weights.append(parse_weight_spec(f"harm:{point[0]!r},{point[1]!r}"))
     if abs(complex(*pole)) < 1:
-        weights += [LogGreen(complex(*pole)), Scaled(c, LogGreen(complex(*pole)))]
+        weights += [log_green(complex(*pole)), log_green(complex(*pole)).scaled(c)]
     for w in weights:
         back = parse_weight_spec(w.label)
         assert _parameters(back) == _parameters(w)
@@ -478,17 +504,17 @@ def test_grid_for_weight_guards_interior_radius(log04_weight):
 def test_boundary_pole_is_not_an_interior_radius():
     # |(1+i)/|1+i|| rounds to 0.9999999999999999; it must not become a
     # singular radius (a zero ring distance at grid construction)
-    tilted = HarmonicBoundary(complex(1, 1) / abs(complex(1, 1)))
-    assert abs(tilted.zeta) < 1.0
+    tilted = harmonic_boundary(complex(1, 1) / abs(complex(1, 1)))
+    assert abs(tilted.atoms[0][0]) < 1.0
     assert tilted.singular_radii == ()
     assert disk_grid_size(120, 256, tilted.singular_radii) == disk_grid_size(
-        120, 256, HarmonicBoundary(1.0).singular_radii
+        120, 256, harmonic_boundary(1.0).singular_radii
     )
 
 
 def test_one_circle_test_decides_which_poles_are_interior():
-    tilted = HarmonicBoundary(complex(1, 1) / abs(complex(1, 1)))
-    assert _on_circle(tilted.zeta) and _interior(tilted.singularities) == []
+    tilted = harmonic_boundary(complex(1, 1) / abs(complex(1, 1)))
+    assert _on_circle(tilted.atoms[0][0]) and _interior(tilted.singularities) == []
     w = Custom(lambda z: np.ones(z.shape), singularities=[1 - 1e-13, 1 - 1e-11, 0.5, 2.0])
     assert _interior(w.singularities) == [1 - 1e-11, 0.5]
     assert w.singular_radii == (0.5, 1 - 1e-11)
