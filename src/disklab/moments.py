@@ -28,7 +28,8 @@ checks are the same array sweeps on either kind; ``GaussianRational``,
 which has no arithmetic, is the exact type of inputs and of the views.
 
 A weight's moment matrix W on a grid (``disk_moments``) is one ring pass,
-kept per weight and grid; its corner W[0][0] is the mass (``l1_norm``).
+kept per base weight and grid (``_RECORDS``); its corner W[0][0] is the
+mass (``l1_norm``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import itertools
 import math
 import random
 import sys
+import weakref
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -337,11 +339,16 @@ def point_moments(d: PointDistribution, order: int) -> MomentTable:
             for _ in range(order):
                 zr, zi = apow[-1]
                 apow.append((zr * ar - zi * ai, zr * ai + zi * ar))
+            # row j of P from a^(j-m), m = 0..j, and C(j, m) D_a^(order-j+m):
+            # Pascal's rule on int object arrays, then one int product per entry
+            apr, api = (np.array([z[i] for z in reversed(apow)], dtype=object) for i in (0, 1))
+            dapow = np.array([da**e for e in range(order + 1)], dtype=object)
             pr, pi = np.zeros((2, order + 1, order + 1), dtype=d.re.dtype)
+            binom = np.ones(1, dtype=object)
             for j in range(order + 1):
-                for m in range(j + 1):
-                    c = math.comb(j, m) * da ** (order - j + m)
-                    pr[j, m], pi[j, m] = c * apow[j - m][0], c * apow[j - m][1]
+                c = binom * dapow[order - j :]
+                pr[j, : j + 1], pi[j, : j + 1] = c * apr[order - j :], c * api[order - j :]
+                binom = np.concatenate((binom, [0])) + np.concatenate(([0], binom))
             mr, mi = _recenter(pr, pi, *_centered(d, order))
         finite = d.is_exact or (np.isfinite(mr).all() and np.isfinite(mi).all())
     except OverflowError:  # float data met an integer, C(j,m) or m! n!, past the float range
@@ -402,28 +409,11 @@ def _atom_rows(atoms: Sequence[tuple[complex, float]], order: int):
         yield row
 
 
-class _GridData:
-    """What is derived from one weight on one grid, all of it small: its least
-    and largest node value and the largest moment matrix W asked of
-    ``disk_moments`` so far, whose corner W[0][0] is its mass and from which
-    its Berezin values are read. No node value is kept: the ring pass
-    evaluates the weight on the nodes it forms."""
-
-    value_range: Optional[tuple[float, float]] = None
-    W: Optional[np.ndarray] = None
-
-
-def _on_grid(w: Weight, grid: DiskGrid) -> _GridData:
-    """The weight's record for the grid, kept on the weight for its lifetime.
-
-    Keyed by the grid's value, not its identity: equal grids share one
-    record, which is right because the data depends only on the grid.
-    """
-    records = vars(w).setdefault("_grid_data", {})
-    data = records.get(grid)
-    if data is None:
-        data = records[grid] = _GridData()
-    return data
+#: Each base weight's record per grid: {grid: (W, peak)}, W the read-only
+#: moment matrix of the largest order asked of ``disk_moments`` so far and
+#: peak the largest |value| its ring pass met. Keyed by the grid's value, so
+#: equal grids share one entry; freed with the weight. No node value is kept.
+_RECORDS: weakref.WeakKeyDictionary[Weight, dict] = weakref.WeakKeyDictionary()
 
 
 def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
@@ -447,49 +437,40 @@ def disk_moments(w: Weight, grid: DiskGrid, order: int) -> np.ndarray:
     bit-identical to a fresh build; a higher order than the kept one is a
     new pass. The values agree with a complex ring DFT to roundoff.
 
-    Kept on the weight's ``base`` per grid at the largest order asked for so
-    far, with the least and largest node value its pass met (``_value_range``):
-    a verify run asks first for the largest order its checks read, the orders
-    of its Berezin values among them. A scaled weight's matrix is its base's
-    times each of its ``factors`` in turn, formed on each call, once its
-    values are known to be finite (``_value_range``). A non-finite weight
-    value raises SingularIntegrandError naming the first such node in grid
-    order, as a pass in node order would.
+    Kept in ``_RECORDS`` for the weight's ``base`` per grid, at the largest
+    order asked for so far, with the largest |value| its pass met: a verify
+    run asks first for the largest order its checks read, the orders of its
+    Berezin values among them. A scaled weight's matrix is its base's times
+    each of its ``factors`` in turn, innermost first, formed on each call;
+    before each multiply the peak is scaled too, and the first factor that
+    takes it past the float range raises SingularIntegrandError naming the
+    label of that scale, so no overflowing matrix is formed. A non-finite
+    weight value raises SingularIntegrandError naming the first such node in
+    grid order, as a pass in node order would.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
-    data = _on_grid(w.base, grid)
-    if data.W is not None and data.W.shape[0] > order:
-        W = data.W[: order + 1, : order + 1]
+    records = _RECORDS.setdefault(w.base, {})
+    W, peak = records.get(grid, (None, None))
+    if W is not None and W.shape[0] > order:
+        W = W[: order + 1, : order + 1]
     else:
-        data.W, data.value_range = _ring_moments(w.base, grid, order)
-        data.W.setflags(write=False)
-        W = data.W
-    _value_range(w, grid)  # raises when a factor takes the values past the float range
+        W, peak = records[grid] = _ring_moments(w.base, grid, order)
+    label = w.base.label
     for c in w.factors:  # innermost first, as the values are scaled
+        peak, label = c * peak, _scaled_label(c, label)
+        if not math.isfinite(peak):
+            raise SingularIntegrandError(f"values of {label} are not finite on the grid")
         W = c * W
     W.setflags(write=False)
     return W
 
 
-def _value_range(w: Weight, grid: DiskGrid) -> tuple[float, float]:
-    """Least and largest value of w on the grid: those the ring pass of its
-    base met, times each of its factors in turn, as its values are scaled.
-    The first factor that takes them past the float range raises
-    SingularIntegrandError naming the label of that scale."""
-    (lo, hi), label = _on_grid(w.base, grid).value_range, w.base.label
-    for c in w.factors:
-        lo, hi, label = c * lo, c * hi, _scaled_label(c, label)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise SingularIntegrandError(f"values of {label} are not finite on the grid")
-    return lo, hi
-
-
 def l1_norm(w: Weight, grid: DiskGrid) -> float:
     """Mass of the weight against normalized area measure on the grid's rule:
-    the corner W[0][0] of ``disk_moments``, read from the kept W, or from an
-    order-0 ring pass when none is kept. A scaled weight's mass is its
-    base's times its factors, with no pass of its own."""
+    the corner W[0][0] of ``disk_moments``, read from the W its base keeps in
+    ``_RECORDS``, or from an order-0 ring pass when none is kept. A scaled
+    weight's mass is its base's times its factors, with no pass of its own."""
     return float(disk_moments(w, grid, 0)[0, 0].real)
 
 
@@ -513,29 +494,29 @@ def _unit_scale(mass: float) -> float:
     return scale
 
 
-def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tuple[float, float]]:
-    """W from the half sums G[k][d] = sum_r (omega_r/m) r^(2k) r^d S_r(d), d >= 0,
-    and the least and largest value of w met on the way.
+def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, float]:
+    """W, read-only, from the half sums G[k][d] = sum_r (omega_r/m) r^(2k) r^d
+    S_r(d), d >= 0, and the largest |value| of w met on the way.
 
     Each run of consecutive rings of one count goes to ``_circle_sums``,
     which evaluates w on the column chunks it forms and fills the run's rows
     of S; the rows are then scaled and contracted over the rings all at once,
-    real and imaginary parts in one contraction over S's float view. A non-finite value or a singular
-    point stops the pass, and the weight is integrated over the grid in node
-    order (``integrate``), which raises the error a pass in that order
-    raises.
+    real and imaginary parts in one contraction over S's float view. A
+    non-finite value or a singular point stops the pass, and the weight is
+    integrated over the grid in node order (``integrate``), which raises the
+    error a pass in that order raises.
     """
     n = np.arange(order + 1)
     S = np.empty((len(grid.ring_counts), order + 1), dtype=complex)
-    lo, hi = math.inf, -math.inf
+    peak = 0.0
 
     def values(z):
-        nonlocal lo, hi
+        nonlocal peak
         x = w.eval_many(z)
-        x_lo, x_hi = float(x.min()), float(x.max())  # nan if any value is nan
-        if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+        x_peak = float(np.max(np.abs(x)))  # nan if any value is nan
+        if not math.isfinite(x_peak):
             raise SingularIntegrandError(f"{w.label} is not finite on the grid")
-        lo, hi = min(lo, x_lo), max(hi, x_hi)
+        peak = max(peak, x_peak)
         return x
 
     first = 0
@@ -561,7 +542,8 @@ def _ring_moments(w: Weight, grid: DiskGrid, order: int) -> tuple[np.ndarray, tu
     for k in range(order):
         W[k + 1 :, k] = W[k, k + 1 :]
         np.negative(g_im[k, k + 1 :], out=g_im[k, k + 1 :])
-    return W, (lo, hi)
+    W.setflags(write=False)
+    return W, peak
 
 
 def measure_moments(w: Weight, grid: DiskGrid, order: int) -> MomentTable:
@@ -640,7 +622,8 @@ def _worst(re: np.ndarray, im: np.ndarray, denom: int) -> tuple[tuple[int, ...],
     The callers round each real product on its own, as Python's complex
     product does. Integer parts compare re^2 + im^2 exactly and round once,
     at the worst; a value past the float range is inf, as np.hypot gives
-    on float parts.
+    on float parts. A float NaN, where products past the float range met
+    as inf - inf, is inf too, at the first NaN in C order.
     """
     size = _magnitude(re, im)
     flat = int(np.argmax(size))
@@ -650,8 +633,9 @@ def _worst(re: np.ndarray, im: np.ndarray, denom: int) -> tuple[tuple[int, ...],
         except OverflowError:  # the square has no float: its root from isqrt, or inf
             root = Fraction(math.isqrt(size.flat[flat]), denom**2)
             value = float(root) if root <= sys.float_info.max else math.inf
-    else:
+    else:  # np.argmax stops at the first NaN
         value = float(size.flat[flat])
+        value = math.inf if math.isnan(value) else value
     return tuple(int(i) for i in np.unravel_index(flat, re.shape)), value
 
 

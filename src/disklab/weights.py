@@ -91,7 +91,7 @@ class Weight:
 
     @property
     def base(self) -> "Weight":
-        """The unscaled weight, whose per-grid record (``moments._on_grid``) is kept."""
+        """The unscaled weight, whose values this one scales by ``factors``."""
         return self if self._base is None else self._base
 
     def scaled(self, c: float) -> "Weight":
@@ -100,7 +100,6 @@ class Weight:
         if not (c > 0.0 and math.isfinite(c)):
             raise DomainError(f"scale factor must be positive and finite, got {c}")
         out = copy.copy(self)
-        vars(out).pop("_grid_data", None)  # the grid records stay with the base
         out._base, out.factors = self.base, self.factors + (c,)
         out.label = _scaled_label(c, self.label)
         out.analytic_mass = None if self.analytic_mass is None else c * self.analytic_mass

@@ -990,7 +990,7 @@ class TestFiniteOutput:
 
     @pytest.mark.parametrize("suite, spec", [
         ("moments", "scaled:1e300:uniform"),  # the measure table's residual overflows
-        ("all", "scaled:1e300:uniform"),  # and the tensor sweep's reads nan
+        ("all", "scaled:1e300:uniform"),  # and the tensor sweep's, inf - inf, reads inf
         ("all", "scaled:1e300:log:0.4,0"),
     ])
     def test_a_check_value_out_of_float_range_fails_its_row(self, suite, spec):
@@ -1009,7 +1009,7 @@ class TestFiniteOutput:
             assert rows["weight-table-multiplicative"]["detail"].startswith(
                 "value inf is not finite; measure table")
             if suite == "all":
-                assert rows["weight-table-tensor"]["detail"].startswith("value nan is not finite")
+                assert rows["weight-table-tensor"]["detail"].startswith("value inf is not finite")
 
     @pytest.mark.parametrize("argv, error", [
         # the mass is the factor times the inner weight's W[0][0], whose pass

@@ -71,8 +71,8 @@ def test_a_factor_defect_flips_exactly_its_rows(defect, spec, clean_verdicts, mo
     assert _flipped(spec, clean_verdicts) == _FLIPS[defect]
 
 
-def _scaled_W(W, value_range):
-    return W * (1 + 1e-7), value_range
+def _scaled_W(W, peak):
+    return W * (1 + 1e-7), peak
 
 
 # name -> (defining module, function name, real -> planted): the planted

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import math
 import random
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disklab import (
@@ -41,7 +42,7 @@ from disklab import (
     tensor_diag_check,
     weak_mult_check,
 )
-from disklab import dbr, moments
+from disklab import dbr, errors, moments
 from disklab import quadrature
 from disklab.moments import MAX_TENSOR_ENTRIES
 from disklab.quadrature import NODE_BLOCK
@@ -229,6 +230,41 @@ class TestRecenteringRoute:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _entrywise_p_point_moments(d, order):
+    """Reference: ``point_moments`` with P[j][m] = C(j,m) D_a^(order-j+m) a^(j-m)
+    filled entry by entry from ``math.comb``, then the same recentering."""
+    (ar,), (ai,), da = d.a
+    apow = [(1, 0)]
+    for _ in range(order):
+        zr, zi = apow[-1]
+        apow.append((zr * ar - zi * ai, zr * ai + zi * ar))
+    pr, pi = np.zeros((2, order + 1, order + 1), dtype=d.re.dtype)
+    for j in range(order + 1):
+        for m in range(j + 1):
+            c = math.comb(j, m) * da ** (order - j + m)
+            pr[j, m], pi[j, m] = c * apow[j - m][0], c * apow[j - m][1]
+    mr, mi = moments._recenter(pr, pi, *moments._centered(d, order))
+    return MomentTable._from_parts(mr, mi, d.denom * da ** (2 * order), "point")
+
+
+@pytest.mark.parametrize("order", [0, 1, 8, 64])
+@pytest.mark.parametrize("point", [0.5 + 0.25j, Fraction(3, 10), GaussianRational(-2, 7)])
+def test_pascal_rows_of_p_equal_the_entrywise_binomials(point, order):
+    if isinstance(point, complex):
+        rng = np.random.default_rng(order)
+        coeffs = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        d = PointDistribution(point, coeffs.tolist())
+    else:
+        d = _rank_one(point, 4, seed=order)
+    got, ref = point_moments(d, order), _entrywise_p_point_moments(d, order)
+    assert got.is_exact == ref.is_exact == (not isinstance(point, complex))
+    if got.is_exact:
+        assert got.denom == ref.denom
+        assert (got.re == ref.re).all() and (got.im == ref.im).all()
+    else:
+        assert got.re.tobytes() == ref.re.tobytes() and got.im.tobytes() == ref.im.tobytes()
+
+
 _small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 _gaussian = st.builds(GaussianRational, _small_fractions, _small_fractions)
 _points = st.builds(
@@ -301,6 +337,61 @@ def test_exact_residual_past_the_float_range_is_read_as_the_float_table_reads_it
     assert check(MomentTable([[1, 0], [0, 10**400]], 1, "x")).residual == math.inf
 
 
+_API_ERRORS = tuple(cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                    if issubclass(cls, Exception) and cls.__module__ == errors.__name__)
+_float_parts = st.sampled_from(
+    [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e154, -1e154, 1e300, -1e300,
+     1.7e308, -1.7e308])
+_exact_parts = st.one_of(st.integers(-10**400, 10**400),
+                         st.fractions(-10**400, 10**400, max_denominator=10**6))
+
+
+@st.composite
+def _api_inputs(draw):
+    """A point, a coefficient matrix and a square table (each up to 4 by 4) of
+    one kind, exact or float, and an order 0-8."""
+    part = draw(st.sampled_from([_exact_parts, _float_parts]))
+    number = st.builds(GaussianRational if part is _exact_parts else complex, part, part)
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(number, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    side = draw(st.integers(1, 4))
+    coeffs = matrix(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    return draw(number), coeffs, matrix(side, side), draw(st.integers(0, 8))
+
+
+def _report_or_error(call, *args):
+    """call(*args), or None when it raises one of ``disklab.errors``."""
+    try:
+        return call(*args)
+    except _API_ERRORS:
+        return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(inputs=_api_inputs())
+@example(inputs=(1.0, [[1.0]], [[1e200, 1e200], [1e200, 1e200]], 0))  # inf - inf was NaN
+def test_the_table_api_returns_or_raises_its_own_errors(inputs):
+    point, coeffs, rows, order = inputs
+    tables = [_report_or_error(MomentTable, rows, len(rows) - 1, "drawn")]
+    with np.errstate(all="ignore"):
+        d = _report_or_error(PointDistribution, point, coeffs)
+        if d is not None:
+            tables.append(_report_or_error(point_moments, d, order))
+            found = _report_or_error(factorize, d)
+            if found is not None and found.violation is not None:
+                assert type(found.violation[2]) is float and not math.isnan(found.violation[2])
+        for table in filter(None, tables):
+            for check in (weak_mult_check, tensor_diag_check):
+                if check is tensor_diag_check and table.is_exact and table.order > 4:
+                    continue  # seconds on 400-digit parts at order 8, the same sweep as order 4
+                report = _report_or_error(check, table)
+                if report is not None:
+                    assert type(report.residual) is float and not math.isnan(report.residual)
+
+
 class TestTensorDiag:
     def test_rank_one_table_vanishes_exactly(self):
         rng = random.Random(12)
@@ -348,6 +439,15 @@ class TestTensorDiag:
         for order in (8, 16):  # the command line's bound is 16
             table = atoms_table(((0.3 + 0.1j, 1.0),), order)
             assert tensor_diag_check(table).residual <= 1e-12
+
+    def test_products_past_the_float_range_read_inf_not_nan(self):
+        # each product is inf, and inf - inf is NaN: the worst reads inf, as an
+        # exact residual past the float range does; the int table is exact
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = tensor_diag_check(MomentTable([[1e200, 1e200], [1e200, 1e200]], 1, "x"))
+        assert report == ((0, 0, 0, 0), math.inf)
+        exact = MomentTable([[10**200, 10**200], [10**200, 10**200]], 1, "x")
+        assert tensor_diag_check(exact).residual == 0.0
 
     def test_nan_table_fails_both_checks(self):
         nan = complex(float("nan"), 0.0)
@@ -758,7 +858,7 @@ class TestDiskMoments:
         W = disk_moments(first, coarse_disk_grid, 2)
         for _ in range(5):
             disk_moments(Custom(lambda z: np.ones(z.shape)), coarse_disk_grid, 2)
-        assert moments._on_grid(first, coarse_disk_grid).W is W
+        assert moments._RECORDS[first][coarse_disk_grid][0] is W
         assert disk_moments(first, coarse_disk_grid, 1).base is W
         assert _passes(calls, coarse_disk_grid) == 1
 
@@ -766,18 +866,21 @@ class TestDiskMoments:
         w = _counted([], "counted")
         W = weakref.ref(disk_moments(w, coarse_disk_grid, 2))
         berezin_transforms(w, [0.3], coarse_disk_grid)
-        record = weakref.ref(moments._on_grid(w, coarse_disk_grid))
+        key = weakref.ref(w)
+        assert coarse_disk_grid in moments._RECORDS[w]
         del w
         gc.collect()
-        assert W() is None and record() is None
+        # the weight and its matrix are gone, and so is its entry: no key is dead
+        assert W() is None and key() is None
+        assert all(ref() is not None for ref in moments._RECORDS.keyrefs())
 
     def test_equal_grids_built_apart_share_one_record(self):
         calls = []
         w = _counted(calls, "counted")
         first, second = make_disk_grid(12, 16), make_disk_grid(12, 16)
         assert first is not second and first == second
-        assert moments._on_grid(w, first) is moments._on_grid(w, second)
         W = disk_moments(w, first, 4)
+        assert moments._RECORDS[w][second][0] is W and len(moments._RECORDS[w]) == 1
         assert disk_moments(w, second, 4).base is W  # a view of the kept matrix
         assert l1_norm(w, first) == l1_norm(w, second) == W[0, 0].real
         assert _passes(calls, first) == 1  # the ring pass; the mass is its corner
@@ -790,11 +893,11 @@ class TestDiskMoments:
         assert l1_norm(w, coarse_disk_grid) == l1_norm(w, coarse_disk_grid)
         disk_moments(w, coarse_disk_grid, 3)
         assert _passes(calls, coarse_disk_grid) == 1  # the ring pass; the mass is its corner
-        record = moments._on_grid(w, coarse_disk_grid)
-        assert record.value_range == (1.0, 1.0)
-        assert record.W.shape == (5, 5)
-        assert l1_norm(w, coarse_disk_grid) == record.W[0, 0].real
-        assert set(vars(record)) == {"value_range", "W"}  # no mass, no values
+        assert list(moments._RECORDS[w]) == [coarse_disk_grid]
+        W, peak = moments._RECORDS[w][coarse_disk_grid]  # no mass, no values
+        assert peak == 1.0
+        assert W.shape == (5, 5)
+        assert l1_norm(w, coarse_disk_grid) == W[0, 0].real
 
     def test_non_finite_weight_raises(self, coarse_disk_grid):
         bad = coarse_disk_grid.nodes[7]
@@ -824,9 +927,11 @@ class TestDiskMoments:
     def test_scaled_value_range_is_the_range_of_its_values(self, coarse_disk_grid):
         inner = Custom(lambda z: 1.0 - np.abs(z) ** 2, label="cap")
         for w in (inner.scaled(2.5), inner.scaled(1 / 3).scaled(3.0)):
-            disk_moments(w, coarse_disk_grid, 0)  # the inner ring pass records the range
-            vals = kept_values(w, coarse_disk_grid)
-            assert moments._value_range(w, coarse_disk_grid) == (vals.min(), vals.max())
+            disk_moments(w, coarse_disk_grid, 0)  # the inner ring pass records the peak
+            peak = moments._RECORDS[inner][coarse_disk_grid][1]
+            for c in w.factors:
+                peak = c * peak
+            assert peak == np.max(np.abs(kept_values(w, coarse_disk_grid)))
 
     @staticmethod
     def _nested_base(which):
@@ -857,11 +962,9 @@ class TestDiskMoments:
         W = disk_moments(w, grid, 8)
         expected = factors[1] * (factors[0] * disk_moments(base, grid, 8))
         assert W.tobytes() == expected.tobytes() and not W.flags.writeable
-        lo, hi = moments._value_range(base, grid)
-        assert moments._value_range(w, grid) == (factors[1] * (factors[0] * lo),
-                                                 factors[1] * (factors[0] * hi))
-        vals = kept_values(w, grid)
-        assert moments._value_range(w, grid) == (vals.min(), vals.max())
+        peak = moments._RECORDS[base][grid][1]
+        assert peak == np.max(np.abs(kept_values(base, grid)))
+        assert factors[1] * (factors[0] * peak) == np.max(np.abs(kept_values(w, grid)))
 
     @pytest.mark.parametrize("which", ["atomic", "custom"])
     def test_overflow_in_a_nested_scale_names_the_innermost_overflowing_one(self, which):
@@ -937,7 +1040,7 @@ class TestRealRingDft:
         assert not W.flags.writeable
         # formed from the inner matrix on each call; the scaled weight keeps none
         assert np.array_equal(disk_moments(scaled, coarse_disk_grid, 6), W[:7, :7])
-        assert moments._on_grid(scaled, coarse_disk_grid).W is None
+        assert scaled not in moments._RECORDS
         # the inner weight built first: the scaled matrix still needs no evaluation
         other = inner.scaled(0.5)
         disk_moments(other, coarse_disk_grid, 4)
@@ -1036,9 +1139,9 @@ def _ring_pass_nodes(grid):
 
 class TestGridPassesKeepNoValues:
     """Each pass forms its nodes and evaluates the weight one block at a
-    time; a weight's record per grid keeps its mass, its value range and W,
+    time; a weight's record per grid keeps W, whose corner is its mass and
     from which its Berezin values are read, bit for bit what kept node
-    values give."""
+    values give, and the largest |value| its pass met."""
 
     def test_records_hold_no_node_sized_array(self, disk_grid):
         from disklab.cli import _h_identity_points
@@ -1057,8 +1160,8 @@ class TestGridPassesKeepNoValues:
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        record = moments._on_grid(w, disk_grid)
-        arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+        arrays = [v for record in moments._RECORDS[w].values() for v in record
+                  if isinstance(v, np.ndarray)]
         assert [a.shape for a in arrays] == [(n + 1, n + 1)]  # W alone
         # one kept complex W, and the modules a first pass imports; kept node
         # values alone would be 8 * 290,926 bytes

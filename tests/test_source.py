@@ -28,7 +28,7 @@ def test_no_function_body_imports():
 # every other record is a NamedTuple, several times cheaper to create at import
 _DATACLASSES = {
     "DiskGrid": "validates its ring table in __post_init__, hides the ring tuples "
-                "from repr, and keys _on_grid by value",
+                "from repr, and keys a weight's entries in moments._RECORDS by value",
     "DbrModel": "compares without diagnostics, and szego_model calls replace on it",
 }
 
@@ -74,6 +74,17 @@ def test_no_isinstance_names_a_weight_class():
                 named = {_decorator_name(n) for n in ast.walk(node.args[1])}
                 found += [f"{path.name}:{node.lineno}"] if named & classes else []
     assert "Weight" in classes and found == []
+
+
+def test_no_vars_call_in_the_package():
+    # state kept in an object's __dict__ by another module is a second owner:
+    # a weight's per-grid record lives in moments._RECORDS alone
+    found = []
+    for path in sorted(Path(disklab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _decorator_name(node) == "vars"]
+    assert found == []
 
 
 def test_only_the_process_entry_freezes_the_heap():
